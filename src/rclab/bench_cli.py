@@ -59,7 +59,7 @@ from .ofdm import (
     payload_bit_count,
     rs_time_waveform,
 )
-from .reservoir import ReservoirSpec, dump_spec_text, predict, train_with_delay_search
+from .reservoir import ReservoirSpec, dump_spec_text, train_and_equalize
 from .weight_config import (
     MimoAssembly,
     assemble_mimo,
@@ -244,6 +244,33 @@ def write_ber_csv(records, fp) -> None:
 # Detectors
 # ---------------------------------------------------------------------------
 
+def rc_detect_batch(
+    rx_batch: np.ndarray,
+    tx_grid: ResourceGrid,
+    numerology: OfdmNumerology,
+    spec: ReservoirSpec,
+    d_max: int,
+    ridge: float = 0.0,
+) -> list:
+    """Train on the RS symbol's known waveform, equalize the slot, demap; per batch element.
+
+    ``rx_batch`` is ``(batch, n_rx, T)``: received versions of one transmitted
+    slot, such as one per SNR.  Each element gets its own readout (including
+    its decision delay), refitted from scratch; no channel estimate is ever
+    formed.  The state recursion runs once for the whole batch.
+    """
+    if tx_grid.rs_symbol_index != 0:
+        raise ValueError("rc_detect expects the RS symbol at slot position 0")
+    target = rs_time_waveform(tx_grid, numerology)
+    equalized, _ = train_and_equalize(spec, rx_batch, target, d_max, ridge)
+    return [
+        demap_data_bits(
+            ofdm_demodulate(eq, numerology, tx_grid.n_sym), tx_grid.kind, tx_grid.qam_order
+        )
+        for eq in equalized
+    ]
+
+
 def rc_detect(
     rx_samples: np.ndarray,
     tx_grid: ResourceGrid,
@@ -252,20 +279,9 @@ def rc_detect(
     d_max: int,
     ridge: float = 0.0,
 ) -> np.ndarray:
-    """Train on the RS symbol's known waveform, equalize the slot, demap.
-
-    The readout (including its decision delay) is refitted from scratch for
-    every slot; no channel estimate is ever formed.
-    """
-    if tx_grid.rs_symbol_index != 0:
-        raise ValueError("rc_detect expects the RS symbol at slot position 0")
+    """:func:`rc_detect_batch` for one ``(n_rx, T)`` received slot."""
     rx = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
-    sym_len = numerology.symbol_len
-    target = rs_time_waveform(tx_grid, numerology)
-    readout = train_with_delay_search(spec, rx[:, :sym_len], target, d_max, ridge)
-    equalized = predict(spec, readout, rx)
-    est = ofdm_demodulate(equalized, numerology, tx_grid.n_sym)
-    return demap_data_bits(est, tx_grid.kind, tx_grid.qam_order)
+    return rc_detect_batch(rx[None], tx_grid, numerology, spec, d_max, ridge)[0]
 
 
 def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -411,48 +427,57 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
     return h
 
 
-def _slot_errors(cfg: ExperimentConfig, specs: dict, slot: int) -> dict:
-    """Error/bit counts for one slot: ``{(detector, snr_index): (errors, bits)}``."""
-    pdp = cfg.load_profile()
+def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:
+    """Error/bit counts for one slot: ``{(detector, snr_index): (errors, bits)}``.
+
+    The received learning signals of every SNR form one batch, so each RC
+    detector runs one state recursion per slot.  The batch depends on
+    ``cfg.snr_db`` only, never on ``cfg.workers``.
+    """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
     bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(
         0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
     )
     rc_dets = [d for d in cfg.detectors if d in RC_DETECTOR_NAMES]
-    use_lmmse = "lmmse" in cfg.detectors
     grids = {}
     if rc_dets:
         grids["learning"] = build_grid(
             num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, RsMode.LEARNING,
             bits, _stream(cfg.seed, _T_RS, slot, 0), order=cfg.qam_order,
         )
-    if use_lmmse:
+    if "lmmse" in cfg.detectors:
         grids["conventional"] = build_grid(
             num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL,
             bits, _stream(cfg.seed, _T_RS, slot, 1), order=cfg.qam_order,
         )
-    tx = {name: ofdm_modulate(g, num) for name, g in grids.items()}
+
+    # received[name][snr_index] = (samples (n_rx, T), noise variance)
+    received = {}
+    for mode_idx, name in enumerate(("learning", "conventional")):
+        if name not in grids:
+            continue
+        tx = ofdm_modulate(grids[name], num)
+        x = tx if cfg.channel_mode == "mimo" else tx[0]
+        received[name] = []
+        for si, snr in enumerate(cfg.snr_db):
+            y, nv = apply_channel(
+                ch, x, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx), return_noise_var=True
+            )
+            received[name].append((np.atleast_2d(y), nv))
+
+    def count(est):
+        return int(np.count_nonzero(est != bits)), int(bits.size)
 
     out = {}
-    for si, snr in enumerate(cfg.snr_db):
-        received = {}
-        for mode_idx, name in enumerate(("learning", "conventional")):
-            if name in tx:
-                x = tx[name] if cfg.channel_mode == "mimo" else tx[name][0]
-                y, nv = apply_channel(
-                    ch, x, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx),
-                    return_noise_var=True,
-                )
-                received[name] = (np.atleast_2d(y), nv)
-        for det in cfg.detectors:
-            if det == "lmmse":
-                y, nv = received["conventional"]
-                est = lmmse_detect(y, grids["conventional"], num, pdp, nv)
-            else:
-                y, _ = received["learning"]
-                est = rc_detect(y, grids["learning"], num, specs[det], cfg.d_max, cfg.ridge)
-            out[(det, si)] = (int(np.count_nonzero(est != bits)), int(bits.size))
+    if rc_dets:
+        learning = np.stack([y for y, _ in received["learning"]])
+        for det in rc_dets:
+            ests = rc_detect_batch(learning, grids["learning"], num, specs[det], cfg.d_max, cfg.ridge)
+            for si, est in enumerate(ests):
+                out[(det, si)] = count(est)
+    for si, (y, nv) in enumerate(received.get("conventional", ())):
+        out[("lmmse", si)] = count(lmmse_detect(y, grids["conventional"], num, pdp, nv))
     return out
 
 
@@ -466,13 +491,14 @@ def run_ber_experiment(cfg: ExperimentConfig) -> list:
     specs = _configured_specs(cfg)
     totals = {(det, si): [0, 0] for det in cfg.detectors for si in range(len(cfg.snr_db))}
     if cfg.n_slots > 0:
+        pdp = cfg.load_profile()
         if cfg.workers > 1:
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(
-                    pool.map(_slot_errors, *zip(*[(cfg, specs, s) for s in range(cfg.n_slots)]))
+                    pool.map(_slot_errors, *zip(*[(cfg, specs, pdp, s) for s in range(cfg.n_slots)]))
                 )
         else:
-            results = [_slot_errors(cfg, specs, s) for s in range(cfg.n_slots)]
+            results = [_slot_errors(cfg, specs, pdp, s) for s in range(cfg.n_slots)]
         for res in results:
             for key, (err, nbits) in res.items():
                 totals[key][0] += err

@@ -10,6 +10,13 @@ vectors alongside the states, which realizes an explicit FIR tap-delay line
 
 Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
+
+Detection works on batches (:func:`train_and_equalize`): one recursion
+advances a ``(batch, n_neurons)`` state through the received signals, each
+element's readout is trained on the states of the known prefix, and those
+states carry on into the equalization, whose readout is applied
+``STREAM_CHUNK`` samples at a time.  Each element gets the same bits as it
+would alone; :func:`run_states` and :func:`predict` are batches of one.
 """
 
 import warnings
@@ -85,37 +92,61 @@ class Readout:
             raise ValueError("delay must be >= 0")
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "linear":
-        return z
-    return np.tanh(z.real) + 1j * np.tanh(z.imag)
+# Samples per block of the streamed readout: states and features are built
+# and consumed one block at a time, so the equalizer's buffers stay at
+# (STREAM_CHUNK, batch, n_neurons) whatever the input length.
+STREAM_CHUNK = 1024
+
+
+def _inputs(spec: ReservoirSpec, x) -> np.ndarray:
+    """``x`` as a complex ``(batch, d_in, T)`` array, checked against the spec."""
+    xs = np.asarray(x, dtype=np.complex128)
+    if xs.ndim != 3 or xs.shape[1] != spec.d_in:
+        raise ValueError(f"expected input of shape (batch, d_in = {spec.d_in}, T), got {xs.shape}")
+    return xs
+
+
+def _drive(spec: ReservoirSpec, xs: np.ndarray) -> np.ndarray:
+    """Input drive ``W_in x[n]`` of a ``(batch, d_in, T)`` input, as ``(T, batch, n_neurons)``."""
+    return np.ascontiguousarray(np.matmul(spec.w_in, xs).transpose(2, 0, 1))
+
+
+def _advance(spec: ReservoirSpec, drive: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Run ``s[n] = act(W_res s[n-1] + drive[n])`` from the ``(batch, n_neurons)`` state ``s``.
+
+    Step ``n`` writes straight into the preallocated row ``out[n]``.  A dense
+    core multiplies each batch row by ``W_res`` as its own matrix-vector
+    product, which gives the same bits as the unbatched ``W_res @ s`` (one
+    matrix-matrix product does not).  A diagonal core is tiled to the state's
+    shape: numpy's complex multiply can round differently when one operand is
+    broadcast, as it is for one neuron.  The split tanh is one in-place tanh
+    over the row's float64 view.  Returns a copy of the last state.
+    """
+    tanh = spec.activation == "tanh"
+    diag = np.tile(np.diagonal(spec.w_res), (s.shape[0], 1)) if spec.is_diagonal else None
+    w_t = spec.w_res.T
+    for row, drv, flat in zip(out, drive, out.view(np.float64)):
+        if diag is not None:
+            np.multiply(diag, s, out=row)
+        else:
+            np.matmul(s[:, None, :], w_t, out=row[:, None, :])
+        row += drv
+        if tanh:
+            np.tanh(flat, out=flat)
+        s = row
+    return s.copy()
 
 
 def run_states(spec: ReservoirSpec, x) -> np.ndarray:
     """State trajectory from a zero initial state; returns ``(n_neurons, T)``.
 
-    Runs the recursion ``s[n] = act(W_res s[n-1] + W_in x[n])`` step by step;
-    diagonal recurrent matrices take an elementwise fast path.
+    The batch-of-one case of the recursion ``s[n] = act(W_res s[n-1] + W_in x[n])``
+    that :func:`train_and_equalize` runs.
     """
-    xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    if xs.shape[0] != spec.d_in:
-        raise ValueError(f"expected d_in = {spec.d_in} input rows, got {xs.shape[0]}")
-    t = xs.shape[1]
-    drive = spec.w_in @ xs
-    states = np.empty((spec.n_neurons, t), dtype=np.complex128)
-    s = np.zeros(spec.n_neurons, dtype=np.complex128)
-    act = spec.activation
-    if spec.is_diagonal:
-        diag = np.diagonal(spec.w_res).copy()
-        for n in range(t):
-            s = _activate(diag * s + drive[:, n], act)
-            states[:, n] = s
-    else:
-        w = spec.w_res
-        for n in range(t):
-            s = _activate(w @ s + drive[:, n], act)
-            states[:, n] = s
-    return states
+    xs = _inputs(spec, np.atleast_2d(x)[None])
+    states = np.empty((xs.shape[2], 1, spec.n_neurons), dtype=np.complex128)
+    _advance(spec, _drive(spec, xs), np.zeros((1, spec.n_neurons), dtype=np.complex128), states)
+    return np.ascontiguousarray(states[:, 0].T)
 
 
 def block_states(poles, y) -> np.ndarray:
@@ -133,21 +164,30 @@ def block_states(poles, y) -> np.ndarray:
     return out
 
 
+def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) -> np.ndarray:
+    """Features of samples ``[t0, t0 + n)`` from their ``(n_neurons, n)`` states.
+
+    The window (or skip) rows are read from the whole ``(d_in, T)`` input and
+    are zero before its start.  The result is C-ordered whatever the layout
+    of ``states``: the fit's row sums, and so its weights, round by layout.
+    """
+    n_neurons, n = states.shape
+    d_in = xs.shape[0]
+    feats = np.zeros((spec.feature_dim, n), dtype=np.complex128)
+    feats[:n_neurons] = states
+    # an explicit skip is a window of one tap
+    taps = range(spec.n_window) if spec.n_window else range(int(spec.explicit_skip))
+    for k, w in enumerate(taps):
+        lead = min(max(w - t0, 0), n)
+        rows = slice(n_neurons + k * d_in, n_neurons + (k + 1) * d_in)
+        feats[rows, lead:] = xs[:, t0 - w + lead : t0 - w + n]
+    return feats
+
+
 def wesn_features(spec: ReservoirSpec, x) -> np.ndarray:
     """States stacked with the windowed input history, ``(feature_dim, T)``."""
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    states = run_states(spec, xs)
-    rows = [states]
-    for w in range(spec.n_window):
-        shifted = np.zeros_like(xs)
-        if w == 0:
-            shifted[:] = xs
-        else:
-            shifted[:, w:] = xs[:, :-w]
-        rows.append(shifted)
-    if spec.explicit_skip and spec.n_window == 0:
-        rows.append(xs)
-    return np.vstack(rows)
+    return _features(spec, run_states(spec, xs), xs, 0)
 
 
 def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
@@ -156,6 +196,20 @@ def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
     out = np.zeros_like(target)
     out[:, delay:] = target[:, :-delay]
     return out
+
+
+def _fit_inputs(features, target):
+    """Features and target as complex 2-D arrays; warns when the fit is underdetermined."""
+    f = np.atleast_2d(np.asarray(features, dtype=np.complex128))
+    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+    if f.shape[1] != tgt.shape[1]:
+        raise ValueError("features and target must share the time axis")
+    if tgt.shape[1] <= f.shape[0]:
+        warnings.warn(
+            f"only {tgt.shape[1]} samples for {f.shape[0]} features; fit is underdetermined",
+            stacklevel=3,
+        )
+    return f, tgt
 
 
 def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np.ndarray:
@@ -181,33 +235,31 @@ def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Reado
     With ``ridge = 0`` this is the plain pseudoinverse fit, so the residual
     rows are orthogonal to the feature rows.
     """
-    f = np.atleast_2d(np.asarray(features, dtype=np.complex128))
-    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
-    if f.shape[1] != tgt.shape[1]:
-        raise ValueError("features and target must share the time axis")
-    if tgt.shape[1] <= f.shape[0]:
-        warnings.warn(
-            f"only {tgt.shape[1]} samples for {f.shape[0]} features; fit is underdetermined",
-            stacklevel=2,
-        )
-    w = _fit_weights(f, _delayed(tgt, delay), ridge)
-    return Readout(w_out=w, delay=delay)
+    f, tgt = _fit_inputs(features, target)
+    return Readout(w_out=_fit_weights(f, _delayed(tgt, delay), ridge), delay=delay)
 
 
-def _delay_search(features, target, d_max, ridge):
-    f = np.atleast_2d(np.asarray(features, dtype=np.complex128))
-    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+def _delay_search(features, target, d_max: int, ridge: float):
+    """``(delay, weights)`` of the delay in ``[0, d_max]`` with the least training residual.
+
+    One fit covers every delay, with the delayed targets stacked as rows.
+    Only the winner is refitted alone, so its weights are exactly those of
+    ``train_readout(features, target, delay, ridge)``.
+    """
+    if d_max < 0:
+        raise ValueError("d_max must be >= 0")
+    f, tgt = _fit_inputs(features, target)
+    stacked = np.vstack([_delayed(tgt, d) for d in range(d_max + 1)])
+    err = _fit_weights(f, stacked, ridge) @ f - stacked
+    residuals = np.sum(np.abs(err) ** 2, axis=1).reshape(d_max + 1, -1).sum(axis=1)
     # residuals within rounding error of each other count as ties, which go
     # to the smallest delay
     tie_tol = 1e-12 * float(np.linalg.norm(tgt) ** 2)
-    best = None
-    for d in range(d_max + 1):
-        tgt_d = _delayed(tgt, d)
-        w = _fit_weights(f, tgt_d, ridge)
-        residual = float(np.linalg.norm(w @ f - tgt_d) ** 2)
-        if best is None or residual < best[0] - tie_tol:
-            best = (residual, d, w)
-    return best
+    best = 0
+    for d in range(1, d_max + 1):
+        if residuals[d] < residuals[best] - tie_tol:
+            best = d
+    return best, _fit_weights(f, _delayed(tgt, best), ridge)
 
 
 def learn_delay(spec: ReservoirSpec, train_input, train_target, d_max: int, ridge: float = 0.0) -> int:
@@ -216,37 +268,90 @@ def learn_delay(spec: ReservoirSpec, train_input, train_target, d_max: int, ridg
     Ties go to the smallest delay.  The winning delay matches the decision
     latency a stable inverse of the channel would incur.
     """
-    if d_max < 0:
-        raise ValueError("d_max must be >= 0")
-    features = wesn_features(spec, train_input)
-    _, d_star, _ = _delay_search(features, train_target, d_max, ridge)
-    return d_star
+    return train_with_delay_search(spec, train_input, train_target, d_max, ridge).delay
 
 
 def train_with_delay_search(
     spec: ReservoirSpec, train_input, train_target, d_max: int, ridge: float = 0.0
 ) -> Readout:
     """Run the reservoir once, search delays, and return the winning readout."""
-    features = wesn_features(spec, train_input)
-    _, d_star, w = _delay_search(features, train_target, d_max, ridge)
-    return Readout(w_out=w, delay=d_star)
+    delay, w = _delay_search(wesn_features(spec, train_input), train_target, d_max, ridge)
+    return Readout(w_out=w, delay=delay)
+
+
+def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, head=None):
+    """Readout ``i`` applied to the features of batch element ``i``, advanced by its delay.
+
+    The recursion runs over the ``(batch, d_in, T)`` input and then over
+    ``n_pad >= max(delay)`` zero samples, ``STREAM_CHUNK`` samples at a time.
+    The blocks, and so the rounding of each output sample, depend on the
+    lengths only, not on which elements share the batch.  ``head`` is
+    ``(features per element, last state)`` of an already-run input prefix.
+    Returns ``(batch, d_out, T)``.
+    """
+    for r in readouts:
+        if r.w_out.shape[1] != spec.feature_dim:
+            raise ValueError("readout does not match the spec's feature dimension")
+    n_batch, _, t = xs.shape
+    end = t + n_pad
+    xs = np.concatenate([xs, np.zeros((n_batch, spec.d_in, end - t), dtype=np.complex128)], axis=2)
+    out = np.empty((n_batch, readouts[0].w_out.shape[0], t), dtype=np.complex128)
+
+    def emit(i, feats, t0):
+        # feature sample t0 + j is output sample t0 + j - delay
+        d = readouts[i].delay
+        lo, hi = max(t0, d), min(t0 + feats.shape[1], t + d)
+        if lo < hi:
+            out[i, :, lo - d : hi - d] = (readouts[i].w_out @ feats)[:, lo - t0 : hi - t0]
+
+    if head is None:
+        t0, s = 0, np.zeros((n_batch, spec.n_neurons), dtype=np.complex128)
+    else:
+        feats, s = head
+        for i, f in enumerate(feats):
+            emit(i, f, 0)
+        t0 = feats[0].shape[1]
+    block = np.empty((STREAM_CHUNK, n_batch, spec.n_neurons), dtype=np.complex128)
+    while t0 < end:
+        n = min(STREAM_CHUNK, end - t0)
+        s = _advance(spec, _drive(spec, xs[:, :, t0 : t0 + n]), s, block[:n])
+        for i in range(n_batch):
+            emit(i, _features(spec, block[:n, i].T, xs[i], t0), t0)
+        t0 += n
+    return out
 
 
 def predict(spec: ReservoirSpec, readout: Readout, x) -> np.ndarray:
     """Readout applied to the features, advanced by the learned delay.
 
-    The input is padded with ``delay`` trailing zeros so the output stays
-    aligned with the undelayed target and keeps the input's length.
+    The recursion runs on over ``delay`` trailing zero samples, so the output
+    stays aligned with the undelayed target and keeps the input's length.
     """
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    if readout.w_out.shape[1] != spec.feature_dim:
-        raise ValueError("readout does not match the spec's feature dimension")
-    if readout.delay:
-        xs = np.concatenate(
-            [xs, np.zeros((xs.shape[0], readout.delay), dtype=np.complex128)], axis=1
-        )
-    out = readout.w_out @ wesn_features(spec, xs)
-    return out[:, readout.delay :]
+    return _stream_readout(spec, xs[None], [readout], readout.delay)[0]
+
+
+def train_and_equalize(spec: ReservoirSpec, x, target, d_max: int, ridge: float = 0.0):
+    """Train a readout on the first samples of every batch element, then equalize it whole.
+
+    ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(d_out, L)`` waveform
+    known for the first ``L`` samples of every element.  Each element gets
+    the readout of :func:`train_with_delay_search` and the output of
+    :func:`predict`, but the state recursion runs once for the whole batch,
+    and the training states carry on into the equalization.  Returns the
+    ``(batch, d_out, T)`` outputs and the readouts.
+    """
+    xs = _inputs(spec, x)
+    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+    n_train = tgt.shape[1]
+    if n_train > xs.shape[2]:
+        raise ValueError(f"target has {n_train} samples but the input only {xs.shape[2]}")
+    states = np.empty((n_train, xs.shape[0], spec.n_neurons), dtype=np.complex128)
+    zero = np.zeros((xs.shape[0], spec.n_neurons), dtype=np.complex128)
+    s = _advance(spec, _drive(spec, xs[:, :, :n_train]), zero, states)
+    feats = [_features(spec, states[:, i].T, xi, 0) for i, xi in enumerate(xs)]
+    readouts = [Readout(w_out=w, delay=d) for d, w in (_delay_search(f, tgt, d_max, ridge) for f in feats)]
+    return _stream_readout(spec, xs, readouts, d_max, head=(feats, s)), readouts
 
 
 def random_reservoir(

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,21 @@ class TestLearnDelay:
             d = ro_star.delay
             tgt[:, d:] = x[None, : x.size - d] if d else x[None, :]
             assert np.linalg.norm(ro_star.w_out @ feats - tgt) <= r0 + 1e-12
+
+    def test_underdetermined_warns_like_train_readout(self):
+        spec = diagonal_spec([0.1, 0.2], n_window=3)  # 5 features
+        for n_samples, warns in ((5, True), (6, False)):
+            x = np.random.default_rng(19).standard_normal((1, n_samples))
+            feats = wesn_features(spec, x)
+            for fit in (
+                lambda: train_readout(feats, x),
+                lambda: train_with_delay_search(spec, x, x, d_max=2),
+                lambda: learn_delay(spec, x, x, d_max=2),
+            ):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    fit()
+                assert any("underdetermined" in str(w.message) for w in caught) == warns
 
 
 class TestPredict:

@@ -1,0 +1,145 @@
+"""Property tests of the batched, streamed detector core against loop references.
+
+Every case covers diagonal and dense cores, linear and tanh activations,
+``n_window`` 0 and 5, ``ridge`` 0 and > 0, and ``d_in`` 1 and 4.  The
+batched arithmetic is the unbatched arithmetic per element, so batched and
+single results must be equal to the bit.  The hand-written recursion, the
+closed-form oracle and the unstreamed readout are compared within rounding.
+"""
+
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rclab import reservoir
+from rclab.reservoir import (
+    ReservoirSpec,
+    block_states,
+    random_reservoir,
+    run_states,
+    train_and_equalize,
+    train_readout,
+    train_with_delay_search,
+    wesn_features,
+)
+
+CASES = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "dense": st.booleans(),
+        "activation": st.sampled_from(("linear", "tanh")),
+        "n_window": st.sampled_from((0, 5)),
+        "ridge": st.sampled_from((0.0, 1e-3)),
+        "d_in": st.sampled_from((1, 4)),
+        "n_neurons": st.integers(1, 8),
+        "batch": st.integers(1, 4),
+        "d_out": st.integers(1, 2),
+        "d_max": st.integers(0, 6),
+        "chunk": st.integers(1, 40),
+    }
+)
+SETTINGS = settings(max_examples=40, deadline=None)
+
+
+def make_case(c):
+    """Spec, ``(batch, d_in, T)`` input and ``(d_out, L)`` target of one case."""
+    rng = np.random.default_rng(c["seed"])
+    n, d_in = c["n_neurons"], c["d_in"]
+    if c["dense"]:
+        spec = random_reservoir(n, 0.6, 0.3, d_in, c["n_window"], rng, activation=c["activation"])
+    else:
+        poles = 0.95 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
+        spec = ReservoirSpec(
+            w_in=rng.standard_normal((n, d_in)) + 1j * rng.standard_normal((n, d_in)),
+            w_res=np.diag(poles),
+            activation=c["activation"],
+            n_window=c["n_window"],
+        )
+    n_train = spec.feature_dim + int(rng.integers(8, 40))
+    t = n_train + int(rng.integers(0, 60))
+    x = rng.standard_normal((c["batch"], d_in, t)) + 1j * rng.standard_normal((c["batch"], d_in, t))
+    target = rng.standard_normal((c["d_out"], n_train)) + 1j * rng.standard_normal((c["d_out"], n_train))
+    return spec, x, target
+
+
+def manual_states(spec, x):
+    s = np.zeros(spec.n_neurons, dtype=complex)
+    out = np.empty((spec.n_neurons, x.shape[1]), dtype=complex)
+    for n in range(x.shape[1]):
+        z = spec.w_res @ s + spec.w_in @ x[:, n]
+        s = z if spec.activation == "linear" else np.tanh(z.real) + 1j * np.tanh(z.imag)
+        out[:, n] = s
+    return out
+
+
+def reference_equalize(spec, x, target, d_max, ridge):
+    """The unbatched detector: train on the prefix, rerun the whole zero-padded input.
+
+    Also returns a rounding bound of the output: the readout's sums of
+    ``|w_k f_k|`` times a few hundred ulps.
+    """
+    ro = train_with_delay_search(spec, x[:, : target.shape[1]], target, d_max, ridge)
+    padded = np.concatenate([x, np.zeros((x.shape[0], ro.delay), dtype=complex)], axis=1)
+    feats = wesn_features(spec, padded)
+    tol = 1e-13 * (np.abs(ro.w_out) @ np.abs(feats)).max()
+    return (ro.w_out @ feats)[:, ro.delay :], ro, tol
+
+
+@given(CASES)
+@SETTINGS
+def test_batched_states_match_recursion_and_oracle(c):
+    spec, x, _ = make_case(c)
+    b, _, t = x.shape
+    states = np.empty((t, b, spec.n_neurons), dtype=complex)
+    zero = np.zeros((b, spec.n_neurons), dtype=complex)
+    last = reservoir._advance(spec, reservoir._drive(spec, x), zero, states)
+    np.testing.assert_array_equal(last, states[-1])
+    for i in range(b):
+        got = states[:, i].T
+        np.testing.assert_array_equal(got, run_states(spec, x[i]))
+        np.testing.assert_allclose(got, manual_states(spec, x[i]), rtol=0, atol=1e-12)
+        if spec.is_diagonal and spec.activation == "linear":
+            poles = np.diagonal(spec.w_res)
+            closed = sum(spec.w_in[:, j, None] * block_states(poles, x[i, j]) for j in range(spec.d_in))
+            np.testing.assert_allclose(got, closed, rtol=0, atol=1e-10)
+
+
+@given(CASES)
+@SETTINGS
+def test_batch_equalizes_each_element_as_alone(c):
+    spec, x, target = make_case(c)
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
+        out, readouts = train_and_equalize(spec, x, target, c["d_max"], c["ridge"])
+        assert out.shape == (x.shape[0], target.shape[0], x.shape[2])
+        for i in range(x.shape[0]):
+            alone, (ro_alone,) = train_and_equalize(spec, x[i : i + 1], target, c["d_max"], c["ridge"])
+            ref, ro_ref, tol = reference_equalize(spec, x[i], target, c["d_max"], c["ridge"])
+            assert readouts[i].delay == ro_alone.delay == ro_ref.delay
+            np.testing.assert_array_equal(readouts[i].w_out, ro_ref.w_out)
+            np.testing.assert_array_equal(out[i], alone[0])
+            # the streamed readout sums each output sample as one product does,
+            # but BLAS kernels round block tails differently from block bodies
+            np.testing.assert_allclose(out[i], ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(reservoir.predict(spec, ro_ref, x[i]), ref, rtol=0, atol=tol)
+
+
+@given(CASES)
+@SETTINGS
+def test_delay_matches_per_delay_loop(c):
+    spec, x, target = make_case(c)
+    train = x[0, :, : target.shape[1]]
+    feats = wesn_features(spec, train)
+    tie_tol = 1e-12 * np.linalg.norm(target) ** 2
+    best, best_res, best_ro = 0, None, None
+    for d in range(c["d_max"] + 1):
+        ro = train_readout(feats, target, delay=d, ridge=c["ridge"])
+        delayed = np.zeros_like(target)
+        delayed[:, d:] = target[:, : target.shape[1] - d]
+        res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
+        if best_res is None or res < best_res - tie_tol:
+            best, best_res, best_ro = d, res, ro
+    got = train_with_delay_search(spec, train, target, c["d_max"], c["ridge"])
+    assert got.delay == best
+    np.testing.assert_array_equal(got.w_out, best_ro.w_out)
