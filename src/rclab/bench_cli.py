@@ -40,14 +40,13 @@ from .channel import (
     MimoChannelRealization,
     PowerDelayProfile,
     apply_channel,
-    classify_phase,
     draw_channel,
     load_pdp,
     sample_parametric_mimo,
-    sample_tdl,
 )
-from .filters import Phase, UnitCircleRootError
+from .filters import Phase
 from .ofdm import (
+    QAM_ORDERS,
     OfdmNumerology,
     ReKind,
     ResourceGrid,
@@ -59,8 +58,15 @@ from .ofdm import (
     payload_bit_count,
     rs_time_waveform,
 )
-from .reservoir import ReservoirSpec, dump_spec_text, train_and_equalize
+from .reservoir import (
+    ACTIVATIONS,
+    ReservoirSpec,
+    dump_spec_text,
+    random_reservoir,
+    train_and_equalize,
+)
 from .weight_config import (
+    ConfigReport,
     MimoAssembly,
     assemble_mimo,
     configure_frequency_domain_report,
@@ -141,6 +147,20 @@ class ExperimentConfig:
             raise ConfigFileError("require_phase must be 'any' or 'strictly_mp'")
         if self.n_slots < 0 or self.workers < 1:
             raise ConfigFileError("need n_slots >= 0 and workers >= 1")
+        if self.qam_order not in QAM_ORDERS:
+            raise ConfigFileError(f"qam_order must be one of {QAM_ORDERS}")
+        if self.rs_spacing < 1 or self.n_sc % self.rs_spacing:
+            raise ConfigFileError("rs_spacing must be a positive divisor of n_sc")
+        if self.n_symbols < 2:
+            raise ConfigFileError("need n_symbols >= 2 (one RS symbol plus payload)")
+        if self.ridge < 0:
+            raise ConfigFileError("ridge must be >= 0")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigFileError(f"activation must be one of {ACTIVATIONS}")
+        if not 0.0 < self.spectral_radius < 1.0:
+            raise ConfigFileError("need 0 < spectral_radius < 1")
+        if not 0.0 <= self.sparsity < 1.0:
+            raise ConfigFileError("need 0 <= sparsity < 1")
 
     @property
     def numerology(self) -> OfdmNumerology:
@@ -244,7 +264,7 @@ def write_ber_csv(records, fp) -> None:
 # Detectors
 # ---------------------------------------------------------------------------
 
-def rc_detect_batch(
+def rc_detect(
     rx_batch: np.ndarray,
     tx_grid: ResourceGrid,
     numerology: OfdmNumerology,
@@ -269,19 +289,6 @@ def rc_detect_batch(
         )
         for eq in equalized
     ]
-
-
-def rc_detect(
-    rx_samples: np.ndarray,
-    tx_grid: ResourceGrid,
-    numerology: OfdmNumerology,
-    spec: ReservoirSpec,
-    d_max: int,
-    ridge: float = 0.0,
-) -> np.ndarray:
-    """:func:`rc_detect_batch` for one ``(n_rx, T)`` received slot."""
-    rx = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
-    return rc_detect_batch(rx[None], tx_grid, numerology, spec, d_max, ridge)[0]
 
 
 def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -354,63 +361,44 @@ def lmmse_detect(
 # Experiment harness
 # ---------------------------------------------------------------------------
 
+def configure(cfg: ExperimentConfig, method: str) -> ConfigReport:
+    """The SISO reservoir configured from ``cfg``'s statistics by ``method``, "td" or "fd"."""
+    pdp = cfg.load_profile()
+    if method == "td":
+        return configure_time_domain_report(
+            pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_f, cfg.n_window,
+            _stream(cfg.seed, _T_STATS_TD), activation=cfg.activation,
+        )
+    return configure_frequency_domain_report(
+        pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_rp, cfg.n_window,
+        _stream(cfg.seed, _T_STATS_FD), activation=cfg.activation,
+    )
+
+
 def _configured_specs(cfg: ExperimentConfig) -> dict:
     """Build every reservoir the configured detector list needs (once per run)."""
-    pdp = cfg.load_profile()
     specs: dict[str, ReservoirSpec] = {}
     for det in cfg.detectors:
-        if det == "rc-td":
-            report = configure_time_domain_report(
-                pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_f, cfg.n_window,
-                _stream(cfg.seed, _T_STATS_TD), activation=cfg.activation, d_out=1,
-            )
-            siso = report.spec
+        if det in ("rc-td", "rc-fd"):
+            siso = configure(cfg, det.removeprefix("rc-")).spec
             specs[det] = (
                 siso
                 if cfg.channel_mode == "siso"
                 else assemble_mimo([siso], cfg.n_tx, MimoAssembly.PARAMETRIC_SHARED)
             )
-        elif det == "rc-fd":
-            report = configure_frequency_domain_report(
-                pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_rp, cfg.n_window,
-                _stream(cfg.seed, _T_STATS_FD), activation=cfg.activation, d_out=1,
+        elif det in ("rc-random", "vanilla-esn"):
+            windowed = det == "rc-random"
+            specs[det] = random_reservoir(
+                cfg.n_neurons,
+                cfg.spectral_radius,
+                cfg.sparsity,
+                d_in=cfg.n_rx,
+                n_window=cfg.n_window if windowed else 0,
+                rng=_stream(cfg.seed, _T_RANDOM if windowed else _T_VANILLA),
+                activation=cfg.activation,
+                input_scale=cfg.input_scale,
             )
-            siso = report.spec
-            specs[det] = (
-                siso
-                if cfg.channel_mode == "siso"
-                else assemble_mimo([siso], cfg.n_tx, MimoAssembly.PARAMETRIC_SHARED)
-            )
-        elif det == "rc-random":
-            specs[det] = random_spec(cfg, cfg.n_window, _stream(cfg.seed, _T_RANDOM))
-        elif det == "vanilla-esn":
-            specs[det] = random_spec(cfg, 0, _stream(cfg.seed, _T_VANILLA))
     return specs
-
-
-def random_spec(cfg: ExperimentConfig, n_window: int, rng: np.random.Generator) -> ReservoirSpec:
-    from .reservoir import random_reservoir
-
-    spec = random_reservoir(
-        cfg.n_neurons,
-        cfg.spectral_radius,
-        cfg.sparsity,
-        d_in=cfg.n_rx,
-        n_window=n_window,
-        rng=rng,
-        d_out=cfg.n_tx,
-        activation=cfg.activation,
-    )
-    if cfg.input_scale != 1.0:
-        spec = ReservoirSpec(
-            w_in=cfg.input_scale * spec.w_in,
-            w_res=spec.w_res,
-            activation=spec.activation,
-            n_window=spec.n_window,
-            d_out=spec.d_out,
-            explicit_skip=spec.explicit_skip,
-        )
-    return spec
 
 
 def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int):
@@ -423,8 +411,7 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
         )
         return sample_parametric_mimo(pdp, model, cfg.n_tx, cfg.n_rx, cfg.n_path, rng)
     require = Phase.STRICTLY_MP if cfg.require_phase == "strictly_mp" else None
-    h, _ = draw_channel(pdp, rng, require=require)
-    return h
+    return draw_channel(pdp, rng, require=require)[0]
 
 
 def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:
@@ -473,7 +460,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     if rc_dets:
         learning = np.stack([y for y, _ in received["learning"]])
         for det in rc_dets:
-            ests = rc_detect_batch(learning, grids["learning"], num, specs[det], cfg.d_max, cfg.ridge)
+            ests = rc_detect(learning, grids["learning"], num, specs[det], cfg.d_max, cfg.ridge)
             for si, est in enumerate(ests):
                 out[(det, si)] = count(est)
     for si, (y, nv) in enumerate(received.get("conventional", ())):
@@ -571,18 +558,7 @@ def cmd_validate_theorem(args) -> int:
 
 
 def cmd_configure(args) -> int:
-    cfg = _load_config(args)
-    pdp = cfg.load_profile()
-    if args.method == "td":
-        report = configure_time_domain_report(
-            pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_f, cfg.n_window,
-            _stream(cfg.seed, _T_STATS_TD), activation=cfg.activation,
-        )
-    else:
-        report = configure_frequency_domain_report(
-            pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_rp, cfg.n_window,
-            _stream(cfg.seed, _T_STATS_FD), activation=cfg.activation,
-        )
+    report = configure(_load_config(args), args.method)
     _write_to(args.out, lambda fp: fp.write(dump_spec_text(report.spec)))
     if args.diagnostics:
         _write_to(args.diagnostics, lambda fp: diagnostics_csv(report.diagnostics, fp))
@@ -595,14 +571,9 @@ def cmd_inspect_channel(args) -> int:
     counts = {p.value: 0 for p in Phase}
     ring_hits = 0
     for _ in range(args.draws):
-        for _ in range(100):
-            try:
-                counts[classify_phase(sample_tdl(pdp, rng)).value] += 1
-                break
-            except UnitCircleRootError:
-                ring_hits += 1
-        else:
-            raise UnitCircleRootError("resample budget exhausted; profile degenerate")
+        _, cls, redraws = draw_channel(pdp, rng)
+        counts[cls.value] += 1
+        ring_hits += redraws
 
     def writer(fp):
         fp.write("classification,count,fraction\n")
@@ -616,25 +587,14 @@ def cmd_inspect_channel(args) -> int:
 
 def cmd_dump_spec(args) -> int:
     cfg = _load_config(args)
-    pdp = cfg.load_profile()
-    if args.method == "td":
-        report = configure_time_domain_report(
-            pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_f, cfg.n_window,
-            _stream(cfg.seed, _T_STATS_TD), activation=cfg.activation,
-        )
-        order = cfg.l_f
-    else:
-        report = configure_frequency_domain_report(
-            pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_rp, cfg.n_window,
-            _stream(cfg.seed, _T_STATS_FD), activation=cfg.activation,
-        )
-        order = cfg.l_rp
+    report = configure(cfg, args.method)
 
     def writer(fp):
         spec = report.spec
-        fp.write(f"profile            : {pdp.label or cfg.pdp}\n")
+        sections = report.poles.size // cfg.m
+        fp.write(f"profile            : {cfg.load_profile().label or cfg.pdp}\n")
         fp.write(f"method             : {args.method}\n")
-        fp.write(f"neurons            : {spec.n_neurons} ({cfg.m} columns x {order} sections)\n")
+        fp.write(f"neurons            : {spec.n_neurons} ({cfg.m} columns x {sections} sections)\n")
         fp.write(f"window length      : {spec.n_window}\n")
         fp.write(f"activation         : {spec.activation}\n")
         fp.write(f"max pole magnitude : {np.max(np.abs(report.poles)):.6f}\n")

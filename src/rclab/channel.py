@@ -126,11 +126,6 @@ def load_pdp(name_or_path) -> PowerDelayProfile:
     raise FileNotFoundError(f"no PDP file or packaged profile named {name_or_path!r}")
 
 
-def packaged_profiles() -> list[str]:
-    data = importlib.resources.files("rclab").joinpath("data")
-    return sorted(f.name[: -len(".pdp")] for f in data.iterdir() if f.name.endswith(".pdp"))
-
-
 def normalize_agc(h_raw) -> np.ndarray:
     """Scale taps to unit Euclidean norm (receiver AGC model)."""
     h = as_complex_seq(h_raw, "h_raw")
@@ -175,16 +170,17 @@ def draw_channel(
 
     Realizations hitting the ring (where the MP/NMP split is undefined) are
     redrawn, as are realizations not matching ``require`` when given.
-    Returns ``(taps, classification)``.
+    Returns ``(taps, classification, redraws)``, where ``redraws`` counts the
+    rejected draws before the returned one.
     """
-    for _ in range(max_retries):
+    for redraws in range(max_retries):
         h = sample_tdl(pdp, rng)
         try:
             cls = classify_phase(h)
         except UnitCircleRootError:
             continue
         if require is None or cls is require:
-            return h, cls
+            return h, cls, redraws
     raise UnitCircleRootError(
         f"no acceptable realization within {max_retries} draws of {pdp.label or 'pdp'}"
     )

@@ -1,4 +1,4 @@
-"""Rational filters, pole decompositions, and phase factorization.
+"""One-pole decompositions, phase factorization, and approximate stable inverses.
 
 An FIR tap vector ``h`` is read as the transfer function ``sum_k h_k z^{-k}``.
 A channel is *strictly minimum-phase* (MP) when every root lies strictly
@@ -25,32 +25,10 @@ class UnitCircleRootError(ValueError):
     """A root fell inside the forbidden ring around the unit circle."""
 
 
-class RepeatedPoleError(ValueError):
-    """Pole decomposition requested for a denominator with clustered roots."""
-
-
 class Phase(enum.Enum):
     STRICTLY_MP = "strictly_mp"
     STRICTLY_NMP = "strictly_nmp"
     MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class RationalFilter:
-    """Rational transfer function b(z)/a(z) in powers of z^{-1}, with a[0] = 1."""
-
-    b: np.ndarray
-    a: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", as_complex_seq(self.b, "b"))
-        object.__setattr__(self, "a", as_complex_seq(self.a, "a"))
-        if self.a[0] != 1.0 + 0.0j:
-            raise ValueError("denominator must be monic in z^0 (a[0] = 1)")
-
-    @classmethod
-    def fir(cls, taps) -> "RationalFilter":
-        return cls(b=np.asarray(taps), a=np.ones(1))
 
 
 @dataclass(frozen=True)
@@ -89,15 +67,6 @@ class PhaseFactorization:
     classification: Phase
 
 
-def impulse_response(f: RationalFilter, n: int) -> np.ndarray:
-    """First ``n`` samples of the filter's unit-sample response (direct recursion)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    impulse = np.zeros(n, dtype=np.complex128)
-    impulse[0] = 1.0
-    return scipy.signal.lfilter(f.b, f.a, impulse)
-
-
 def perturb_clustered_poles(
     poles: np.ndarray,
     min_separation: float = POLE_SEPARATION_TOL,
@@ -132,27 +101,6 @@ def _residues_simple(poles: np.ndarray) -> np.ndarray:
         others = np.delete(poles, i)
         res[i] = 1.0 / np.prod(1.0 - others / poles[i])
     return res
-
-
-def partial_fractions(a, min_separation: float = POLE_SEPARATION_TOL) -> PoleSet:
-    """Decompose the all-pole filter ``1/A(z)`` into parallel one-pole sections.
-
-    Requires simple poles; raises :class:`RepeatedPoleError` when any two
-    roots of ``A`` are within ``min_separation`` of each other (callers may
-    use :func:`perturb_clustered_poles` and rebuild the denominator).
-    """
-    av = as_complex_seq(a, "a")
-    if av[0] != 1.0 + 0.0j:
-        raise ValueError("denominator must be monic in z^0 (a[0] = 1)")
-    poles = polynomial_roots(av)
-    if poles.size > 1:
-        diffs = np.abs(poles[:, None] - poles[None, :])
-        np.fill_diagonal(diffs, np.inf)
-        if diffs.min() <= min_separation:
-            raise RepeatedPoleError(
-                f"pole pair closer than {min_separation}: perturb before decomposing"
-            )
-    return PoleSet(poles=poles, residues=_residues_simple(poles))
 
 
 def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:

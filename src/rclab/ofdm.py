@@ -243,16 +243,3 @@ def rs_time_waveform(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarr
     time = np.fft.ifft(col, axis=0, norm="ortho")
     with_cp = np.concatenate([time[numerology.n_sc - numerology.n_cp :], time], axis=0)
     return with_cp.T.copy()
-
-
-def dump_grid_csv(grid: ResourceGrid, fp) -> None:
-    """Debug dump, one RE per line: ``sym,sc,ant,kind,re_real,re_imag``."""
-    fp.write("sym,sc,ant,kind,re_real,re_imag\n")
-    for a in range(grid.n_tx):
-        for s in range(grid.n_sym):
-            for k in range(grid.n_sc):
-                v = grid.symbols[k, s, a]
-                fp.write(
-                    f"{s},{k},{a},{ReKind(grid.kind[k, s, a]).name},"
-                    f"{v.real:.12g},{v.imag:.12g}\n"
-                )

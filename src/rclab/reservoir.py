@@ -43,7 +43,6 @@ class ReservoirSpec:
     w_res: np.ndarray  # (n_neurons, n_neurons)
     activation: str = "linear"
     n_window: int = 0
-    d_out: int = 1
     explicit_skip: bool = False
 
     def __post_init__(self):
@@ -83,7 +82,7 @@ class ReservoirSpec:
 class Readout:
     """Trained output weights and the learned decision delay."""
 
-    w_out: np.ndarray  # (d_out, feature_dim)
+    w_out: np.ndarray  # (n_out, feature_dim)
     delay: int = 0
 
     def __post_init__(self):
@@ -199,9 +198,13 @@ def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
 
 
 def _fit_inputs(features, target):
-    """Features and target as complex 2-D arrays; warns when the fit is underdetermined."""
-    f = np.atleast_2d(np.asarray(features, dtype=np.complex128))
-    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+    """Features and target as C-ordered complex 2-D arrays; warns when the fit is underdetermined.
+
+    The order is fixed because the fit's row sums, and so its weights, round
+    differently over a strided axis.
+    """
+    f = np.atleast_2d(np.ascontiguousarray(features, dtype=np.complex128))
+    tgt = np.atleast_2d(np.ascontiguousarray(target, dtype=np.complex128))
     if f.shape[1] != tgt.shape[1]:
         raise ValueError("features and target must share the time axis")
     if tgt.shape[1] <= f.shape[0]:
@@ -262,15 +265,6 @@ def _delay_search(features, target, d_max: int, ridge: float):
     return best, _fit_weights(f, _delayed(tgt, best), ridge)
 
 
-def learn_delay(spec: ReservoirSpec, train_input, train_target, d_max: int, ridge: float = 0.0) -> int:
-    """Grid-search the target delay minimizing the post-training residual.
-
-    Ties go to the smallest delay.  The winning delay matches the decision
-    latency a stable inverse of the channel would incur.
-    """
-    return train_with_delay_search(spec, train_input, train_target, d_max, ridge).delay
-
-
 def train_with_delay_search(
     spec: ReservoirSpec, train_input, train_target, d_max: int, ridge: float = 0.0
 ) -> Readout:
@@ -287,7 +281,7 @@ def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, h
     The blocks, and so the rounding of each output sample, depend on the
     lengths only, not on which elements share the batch.  ``head`` is
     ``(features per element, last state)`` of an already-run input prefix.
-    Returns ``(batch, d_out, T)``.
+    Returns ``(batch, n_out, T)``.
     """
     for r in readouts:
         if r.w_out.shape[1] != spec.feature_dim:
@@ -334,12 +328,12 @@ def predict(spec: ReservoirSpec, readout: Readout, x) -> np.ndarray:
 def train_and_equalize(spec: ReservoirSpec, x, target, d_max: int, ridge: float = 0.0):
     """Train a readout on the first samples of every batch element, then equalize it whole.
 
-    ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(d_out, L)`` waveform
+    ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out, L)`` waveform
     known for the first ``L`` samples of every element.  Each element gets
     the readout of :func:`train_with_delay_search` and the output of
     :func:`predict`, but the state recursion runs once for the whole batch,
     and the training states carry on into the equalization.  Returns the
-    ``(batch, d_out, T)`` outputs and the readouts.
+    ``(batch, n_out, T)`` outputs and the readouts.
     """
     xs = _inputs(spec, x)
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
@@ -361,15 +355,15 @@ def random_reservoir(
     d_in: int,
     n_window: int,
     rng: np.random.Generator,
-    d_out: int = 1,
     activation: str = "tanh",
+    input_scale: float = 1.0,
 ) -> ReservoirSpec:
     """Random untrained network: sparse uniform recurrent matrix, rescaled.
 
     Exactly ``round(sparsity * n_neurons**2)`` recurrent entries are zeroed;
     the rest are complex uniform on the unit square, rescaled so the largest
     eigenvalue magnitude equals ``spectral_radius``.  Input weights are
-    complex uniform on [-1, 1]^2.
+    complex uniform on [-1, 1]^2, times ``input_scale``.
     """
     if not 0.0 < spectral_radius < 1.0:
         raise ValueError("need 0 < spectral_radius < 1")
@@ -390,11 +384,10 @@ def random_reservoir(
         -1.0, 1.0, (n_neurons, d_in)
     )
     return ReservoirSpec(
-        w_in=w_in,
+        w_in=input_scale * w_in,
         w_res=w,
         activation=activation,
         n_window=n_window,
-        d_out=d_out,
     )
 
 
@@ -410,19 +403,3 @@ def dump_spec_text(spec: ReservoirSpec) -> str:
     for i, (p, c) in enumerate(zip(poles, spec.w_in[:, 0])):
         lines.append(f"{i},{p.real:.17g},{p.imag:.17g},{c.real:.17g},{c.imag:.17g}")
     return "\n".join(lines) + "\n"
-
-
-def parse_spec_text(text: str, activation: str = "tanh", n_window: int = 0) -> ReservoirSpec:
-    """Rebuild a diagonal single-input spec from :func:`dump_spec_text` output."""
-    rows = [ln for ln in text.strip().splitlines() if ln and not ln.startswith("neuron_index")]
-    poles, weights = [], []
-    for row in rows:
-        _, pr, pi, wr, wi = row.split(",")
-        poles.append(complex(float(pr), float(pi)))
-        weights.append(complex(float(wr), float(wi)))
-    return ReservoirSpec(
-        w_in=np.asarray(weights, dtype=np.complex128)[:, None],
-        w_res=np.diag(np.asarray(poles, dtype=np.complex128)),
-        activation=activation,
-        n_window=n_window,
-    )

@@ -1,15 +1,14 @@
 """Complex-valued numerical primitives shared by the rest of the library.
 
-Sequences are plain 1-D ``numpy`` arrays of ``complex128``.  Lower-triangular
-Toeplitz operators are represented by their first column only and applied via
-truncated convolution, never materialized at full size except for debugging.
-All functions here are pure and safe to call from concurrent workers.
+Sequences are plain 1-D ``numpy`` arrays of ``complex128``.  A lower-triangular
+Toeplitz operator is represented by its first column only; its inverse is
+computed by forward substitution, never by materializing the matrix.  All
+functions here are pure and safe to call from concurrent workers.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.signal
 
 
@@ -31,53 +30,6 @@ def as_complex_seq(x, name: str = "sequence") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
-
-
-def convolve(a, b) -> np.ndarray:
-    """Exact linear convolution of two complex sequences.
-
-    Output length is ``len(a) + len(b) - 1``.
-    """
-    return np.convolve(as_complex_seq(a, "a"), as_complex_seq(b, "b"))
-
-
-@dataclass(frozen=True)
-class LowerToeplitz:
-    """Lower-triangular Toeplitz operator defined by its first column."""
-
-    first_column: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "first_column", as_complex_seq(self.first_column, "first_column")
-        )
-
-    @property
-    def n(self) -> int:
-        return self.first_column.size
-
-    def apply(self, x) -> np.ndarray:
-        return toeplitz_apply(self.first_column, x)
-
-    def materialize(self) -> np.ndarray:
-        """Dense matrix form; for tests and small problems only."""
-        c = self.first_column
-        r = np.zeros(c.size, dtype=np.complex128)
-        r[0] = c[0]
-        return scipy.linalg.toeplitz(c, r)
-
-
-def toeplitz_apply(first_column, x) -> np.ndarray:
-    """Apply the lower-triangular Toeplitz operator built from ``first_column``.
-
-    Equals the first ``N`` samples of ``first_column * x`` where ``N`` is the
-    operator size (= ``len(first_column)``).
-    """
-    c = as_complex_seq(first_column, "first_column")
-    xv = as_complex_seq(x, "x")
-    if xv.size != c.size:
-        raise ValueError(f"length mismatch: operator is {c.size}, input is {xv.size}")
-    return np.convolve(c, xv)[: c.size]
 
 
 def toeplitz_inverse_first_column(h, n: int) -> np.ndarray:
@@ -165,15 +117,3 @@ def polynomial_roots(coeffs) -> np.ndarray:
     roots = np.roots(c)
     order = np.lexsort((roots.imag, roots.real))
     return roots[order]
-
-
-def vandermonde(poles, n: int) -> np.ndarray:
-    """N x K matrix whose column k is ``[1, p_k, p_k^2, ..., p_k^{N-1}]``.
-
-    Column k is the length-``n`` impulse response of the one-pole filter
-    ``1 / (1 - p_k z^{-1})``.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    p = np.asarray(poles, dtype=np.complex128).ravel()
-    return np.vander(p, n, increasing=True).T.copy()

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-import scipy.signal
 
 from .channel import PowerDelayProfile
-from .signal_core import hermitian_eig, least_squares
+from .signal_core import hermitian_eig
 from .weight_config import ChannelStatsDataset, collect_equalizer_irs
 
 
@@ -106,34 +105,6 @@ def lemma1_error(eigenvalues, m: int) -> float:
     if not 0 <= m <= lam.size:
         raise ValueError(f"need 0 <= m <= {lam.size}")
     return float(np.sum(lam[m:]))
-
-
-def p_objective_numerical(poles, channels, n: int, x=None) -> float:
-    """Unit-sample recovery error of the pole bank across channel draws.
-
-    For each channel ``h``, builds the columns ``x * h * psi_k`` truncated to
-    ``n`` samples (``psi_k`` the one-pole impulse responses), projects the
-    transmitted vector onto their span, and averages the squared residual.
-    ``x`` defaults to the unit sample.
-    """
-    p = np.asarray(poles, dtype=np.complex128).ravel()
-    if x is None:
-        xv = np.zeros(n, dtype=np.complex128)
-        xv[0] = 1.0
-    else:
-        xv = np.asarray(x, dtype=np.complex128).ravel()
-        if xv.size != n:
-            raise ValueError("x must have length n")
-    total = 0.0
-    for h in channels:
-        hv = np.asarray(h, dtype=np.complex128).ravel()
-        xh = scipy.signal.lfilter(hv, [1.0 + 0.0j], xv)
-        a = np.empty((n, p.size), dtype=np.complex128)
-        for ki, pk in enumerate(p):
-            a[:, ki] = scipy.signal.lfilter([1.0 + 0.0j], [1.0, -pk], xh)
-        coef = least_squares(a, xv)
-        total += float(np.linalg.norm(a @ coef - xv) ** 2)
-    return total / len(channels)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ import scipy.signal
 
 from .channel import PowerDelayProfile, draw_channel
 from .filters import (
-    POLE_SEPARATION_TOL,
     Phase,
     factorize_by_phase,
     perturb_clustered_poles,
@@ -141,7 +140,7 @@ def collect_equalizer_irs(
     require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
     vectors = np.empty((n_obs, n), dtype=np.complex128)
     for i in range(n_obs):
-        h, cls = draw_channel(pdp, rng, require=require)
+        h, cls, _ = draw_channel(pdp, rng, require=require)
         if cls is not Phase.STRICTLY_MP:
             h = factorize_by_phase(h).mp_factor
         vectors[i] = toeplitz_inverse_first_column(h, n)
@@ -305,14 +304,13 @@ def _drive_normalization(poles, weights, target: float = STATE_RMS_TARGET) -> fl
     return float(np.min(target * np.sqrt(1.0 - p[active] ** 2) / c[active]))
 
 
-def _spec_from_sections(poles, weights, n_window, activation, d_out) -> ReservoirSpec:
+def _spec_from_sections(poles, weights, n_window, activation) -> ReservoirSpec:
     gain = _drive_normalization(poles, weights)
     return ReservoirSpec(
         w_in=gain * np.asarray(weights, dtype=np.complex128)[:, None],
         w_res=np.diag(np.asarray(poles, dtype=np.complex128)),
         activation=activation,
         n_window=n_window,
-        d_out=d_out,
         explicit_skip=(n_window == 0),
     )
 
@@ -326,34 +324,16 @@ def configure_time_domain_report(
     n_window: int,
     rng: np.random.Generator,
     activation: str = "tanh",
-    d_out: int = 1,
     phase_policy: str = "mp_factor",
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
     dataset = collect_equalizer_irs(pdp, n, n_obs, rng, phase_policy=phase_policy)
     basis = mp_compensate(pca_basis(dataset, m))
     poles, weights, diagnostics = basis_to_poles(basis, l_f)
-    spec = _spec_from_sections(poles, weights, n_window, activation, d_out)
+    spec = _spec_from_sections(poles, weights, n_window, activation)
     return ConfigReport(
         spec=spec, poles=poles, input_weights=weights, diagnostics=diagnostics, basis=basis
     )
-
-
-def configure_time_domain(
-    pdp: PowerDelayProfile,
-    n: int,
-    n_obs: int,
-    m: int,
-    l_f: int,
-    n_window: int,
-    rng: np.random.Generator,
-    activation: str = "tanh",
-    d_out: int = 1,
-) -> ReservoirSpec:
-    """Statistics -> equalizer PCA -> MP lift -> reduced filters -> diagonal core."""
-    return configure_time_domain_report(
-        pdp, n, n_obs, m, l_f, n_window, rng, activation=activation, d_out=d_out
-    ).spec
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +353,7 @@ def collect_inverse_responses(
     require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
     vectors = np.empty((n_obs, grid_size), dtype=np.complex128)
     for i in range(n_obs):
-        h, cls = draw_channel(pdp, rng, require=require)
+        h, cls, _ = draw_channel(pdp, rng, require=require)
         if cls is not Phase.STRICTLY_MP:
             h = factorize_by_phase(h).mp_factor
         vectors[i] = 1.0 / np.fft.fft(h, grid_size)
@@ -419,7 +399,6 @@ def configure_frequency_domain_report(
     rng: np.random.Generator,
     grid_size: int = DEFAULT_GRID_SIZE,
     activation: str = "tanh",
-    d_out: int = 1,
     phase_policy: str = "mp_factor",
 ) -> ConfigReport:
     """Full frequency-domain pipeline with per-column diagnostics."""
@@ -444,29 +423,10 @@ def configure_frequency_domain_report(
                 m=col, offset=float("nan"), reduce_order_error=err, n_reflected_poles=n_ref
             )
         )
-    spec = _spec_from_sections(poles, weights, n_window, activation, d_out)
+    spec = _spec_from_sections(poles, weights, n_window, activation)
     return ConfigReport(
         spec=spec, poles=poles, input_weights=weights, diagnostics=diagnostics, basis=None
     )
-
-
-def configure_frequency_domain(
-    pdp: PowerDelayProfile,
-    n: int,
-    n_obs: int,
-    m: int,
-    l_rp: int,
-    n_window: int,
-    rng: np.random.Generator,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    activation: str = "tanh",
-    d_out: int = 1,
-) -> ReservoirSpec:
-    """Statistics -> inverse-response PCA -> all-pole fits -> diagonal core."""
-    return configure_frequency_domain_report(
-        pdp, n, n_obs, m, l_rp, n_window, rng,
-        grid_size=grid_size, activation=activation, d_out=d_out,
-    ).spec
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +469,6 @@ def assemble_mimo(siso_specs, n_tx: int, mode: MimoAssembly) -> ReservoirSpec:
         w_res=w_res,
         activation=activation,
         n_window=n_window,
-        d_out=n_tx,
         explicit_skip=(n_window == 0),
     )
 

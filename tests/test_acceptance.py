@@ -27,7 +27,6 @@ from rclab.signal_core import hermitian_eig
 from rclab.weight_config import (
     ChannelStatsDataset,
     collect_equalizer_irs,
-    configure_time_domain,
     configure_time_domain_report,
     mp_compensate,
     pca_basis,
@@ -132,19 +131,20 @@ def test_criterion_04_configuration_stability():
 def test_criterion_05_noiseless_exact_equalization():
     pdp = load_pdp("cdl_d")
     num = OfdmNumerology(256, 32)
-    spec = configure_time_domain(pdp, 128, 400, 5, 7, 5, np.random.default_rng(5005),
-                                 activation="linear")
+    spec = configure_time_domain_report(pdp, 128, 400, 5, 7, 5, np.random.default_rng(5005),
+                                        activation="linear").spec
     errors = 0
     total = 0
     for slot in range(10):
-        h, _ = draw_channel(pdp, np.random.default_rng((5005, 1, slot)), require=Phase.STRICTLY_MP)
+        h, _, _ = draw_channel(pdp, np.random.default_rng((5005, 1, slot)),
+                               require=Phase.STRICTLY_MP)
         bits = np.random.default_rng((5005, 2, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )
         grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, bits,
                           np.random.default_rng((5005, 3, slot)), order=16)
         y = apply_channel(h, ofdm_modulate(grid, num)[0], None, None)
-        est = bc.rc_detect(np.atleast_2d(y), grid, num, spec, d_max=12, ridge=0.0)
+        est = bc.rc_detect(np.atleast_2d(y)[None], grid, num, spec, d_max=12, ridge=0.0)[0]
         errors += int(np.count_nonzero(est != bits))
         total += bits.size
     gate(5, "noiseless exact equalization", errors == 0, f"{errors} bit errors in {total}")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from rclab import bench_cli as bc
+from rclab import channel
 from rclab.channel import (
     AngleModel,
     PowerDelayProfile,
@@ -13,6 +14,7 @@ from rclab.channel import (
     load_pdp,
     sample_parametric_mimo,
 )
+from rclab.filters import Phase, UnitCircleRootError
 from rclab.ofdm import OfdmNumerology, RsMode, build_grid, ofdm_modulate, payload_bit_count
 from rclab.reservoir import random_reservoir
 
@@ -98,6 +100,24 @@ class TestExperimentConfig:
         with pytest.raises(bc.ConfigFileError):
             bc.ExperimentConfig(channel_mode="mimo", n_tx=4, n_rx=2)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("experiment", "qam_order", "32"),
+            ("ofdm", "rs_spacing", "3"),
+            ("ofdm", "n_symbols", "1"),
+            ("rc", "ridge", "-1"),
+            ("rc", "activation", "relu"),
+            ("rc", "spectral_radius", "1.0"),
+            ("rc", "sparsity", "1.0"),
+        ],
+    )
+    def test_rejected_at_load(self, tmp_path, section, key, value):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(bc.ConfigFileError):
+            bc.ExperimentConfig.from_file(p)
+
 
 def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0, order=16):
     num = OfdmNumerology(n_sc, n_cp)
@@ -112,7 +132,7 @@ class TestRcDetect:
     def test_identity_channel_noiseless(self):
         num, grid, bits, tx = detect_setup()
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
-        est = bc.rc_detect(tx, grid, num, spec, d_max=4)
+        est = bc.rc_detect(tx[None], grid, num, spec, d_max=4)[0]
         assert np.count_nonzero(est != bits) == 0
 
     def test_noise_only_input_is_chance_level(self):
@@ -120,7 +140,7 @@ class TestRcDetect:
         rng = np.random.default_rng(2)
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
-        est = bc.rc_detect(noise, grid, num, spec, d_max=4)
+        est = bc.rc_detect(noise[None], grid, num, spec, d_max=4)[0]
         ber = np.count_nonzero(est != bits) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
@@ -132,7 +152,7 @@ class TestRcDetect:
         grid = build_grid(num, 1, 4, 4, RsMode.LEARNING, bits, rng, rs_symbol=1)
         spec = random_reservoir(4, 0.4, 0.5, 1, 1, rng)
         with pytest.raises(ValueError):
-            bc.rc_detect(np.zeros((1, 4 * 72)), grid, num, spec, d_max=2)
+            bc.rc_detect(np.zeros((1, 4 * 72))[None], grid, num, spec, d_max=2)
 
 
 class TestLmmseDetect:
@@ -293,6 +313,32 @@ class TestCli:
         counts = {ln.split(",")[0]: int(ln.split(",")[1]) for ln in lines[1:]}
         assert counts["strictly_mp"] + counts["strictly_nmp"] + counts["mixed"] == 200
         assert counts["mixed"] > 0
+
+    def test_ring_redraws_counted(self, tmp_path, monkeypatch):
+        # the first k classifications hit the unit-circle ring
+        k = 3
+        real = channel.classify_phase
+        calls = []
+
+        def ring_then_real(h):
+            calls.append(h)
+            if len(calls) <= k:
+                raise UnitCircleRootError("forced ring root")
+            return real(h)
+
+        monkeypatch.setattr(channel, "classify_phase", ring_then_real)
+        h, cls, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
+        assert redraws == k and len(calls) == k + 1
+        assert cls is real(h)
+
+        calls.clear()
+        out = tmp_path / "phases.csv"
+        rc = bc.main(["inspect-channel", "--pdp", "mixed_3tap", "--draws", "5",
+                      "--seed", "3", "--out", str(out)])
+        assert rc == 0
+        rows = dict(ln.split(",", 1) for ln in out.read_text().strip().splitlines())
+        assert rows["ring_resampled"] == f"{k},{k / 5:.10g}"
+        assert sum(int(rows[p.value].split(",")[0]) for p in Phase) == 5
 
     def test_configure_and_dump(self, config_file, tmp_path):
         spec_out = tmp_path / "spec.txt"

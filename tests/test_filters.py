@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from rclab.filters import (
     Phase,
     PoleSet,
-    RationalFilter,
-    RepeatedPoleError,
     UnitCircleRootError,
+    _residues_simple,
     factorize_by_phase,
-    impulse_response,
-    partial_fractions,
     perturb_clustered_poles,
     stable_inverse_approx,
 )
@@ -26,56 +24,29 @@ def random_poles_in_disk(rng, count, radius=0.85, min_sep=0.05):
     return np.array(poles)
 
 
-class TestImpulseResponse:
-    def test_single_pole(self):
-        f = RationalFilter(b=[1], a=[1, -0.5])
-        np.testing.assert_allclose(impulse_response(f, 4), [1, 0.5, 0.25, 0.125])
-
-    def test_fir_passthrough(self):
-        f = RationalFilter.fir([1, 1])
-        np.testing.assert_allclose(impulse_response(f, 3), [1, 1, 0])
-
-    def test_second_order_recursion(self):
-        # y[0]=1, y[1]=0.75, y[2]=0.75*0.75-0.125
-        f = RationalFilter(b=[1], a=[1, -0.75, 0.125])
-        np.testing.assert_allclose(impulse_response(f, 3), [1, 0.75, 0.4375])
-
-    def test_denominator_must_be_monic(self):
-        with pytest.raises(ValueError):
-            RationalFilter(b=[1], a=[2, 1])
-
-
 class TestPartialFractions:
+    """Residues of ``1 / prod_k (1 - p_k z^{-1})``, the step both configuration routes run."""
+
     def test_single_pole(self):
-        ps = partial_fractions([1, -0.5])
-        np.testing.assert_allclose(ps.poles, [0.5])
-        np.testing.assert_allclose(ps.residues, [1.0])
+        np.testing.assert_allclose(_residues_simple(np.array([0.5 + 0j])), [1.0])
 
     def test_two_pole_residues(self):
-        ps = partial_fractions([1, -0.75, 0.125])
-        order = np.argsort(ps.poles.real)
-        np.testing.assert_allclose(ps.poles[order], [0.25, 0.5], atol=1e-12)
-        np.testing.assert_allclose(ps.residues[order], [-1.0, 2.0], atol=1e-12)
+        res = _residues_simple(np.array([0.25, 0.5], dtype=complex))
+        np.testing.assert_allclose(res, [-1.0, 2.0], atol=1e-12)
 
     def test_symmetric_pair(self):
-        ps = partial_fractions([1, 0, -0.25])
-        order = np.argsort(ps.poles.real)
-        np.testing.assert_allclose(ps.poles[order], [-0.5, 0.5], atol=1e-12)
-        np.testing.assert_allclose(ps.residues[order], [0.5, 0.5], atol=1e-12)
-
-    def test_repeated_pole_rejected(self):
-        a = np.convolve([1, -0.5], [1, -0.5])
-        with pytest.raises(RepeatedPoleError):
-            partial_fractions(a)
+        res = _residues_simple(np.array([-0.5, 0.5], dtype=complex))
+        np.testing.assert_allclose(res, [0.5, 0.5], atol=1e-12)
 
     def test_recombination(self):
         rng = np.random.default_rng(2)
         n = 128
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
         for _ in range(25):
             poles = random_poles_in_disk(rng, rng.integers(1, 11))
-            a = np.atleast_1d(np.poly(poles))
-            ps = partial_fractions(a)
-            direct = impulse_response(RationalFilter(b=[1], a=a), n)
+            ps = PoleSet(poles=poles, residues=_residues_simple(poles))
+            direct = scipy.signal.lfilter([1.0], np.atleast_1d(np.poly(poles)), impulse)
             assert np.max(np.abs(ps.impulse_response(n) - direct)) <= 1e-6
 
     def test_stability_flag(self):

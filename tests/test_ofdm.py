@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from rclab.ofdm import (
     build_grid,
     data_positions,
     demap_data_bits,
-    dump_grid_csv,
     extract_data_symbols,
     ofdm_demodulate,
     ofdm_modulate,
@@ -166,14 +163,3 @@ class TestModulation:
         _, grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)
         data = extract_data_symbols(grid.symbols, grid.kind)
         assert abs(np.mean(np.abs(data) ** 2) - 1.0) < 0.05
-
-
-def test_grid_dump_csv():
-    num, grid, _ = make_grid(n_sc=16, n_sym=2, spacing=4)
-    buf = io.StringIO()
-    dump_grid_csv(grid, buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "sym,sc,ant,kind,re_real,re_imag"
-    assert len(lines) == 1 + 16 * 2
-    assert any(",RS," in ln for ln in lines)
-    assert any(",DATA," in ln for ln in lines)

@@ -8,8 +8,6 @@ from rclab.reservoir import (
     ReservoirSpec,
     block_states,
     dump_spec_text,
-    learn_delay,
-    parse_spec_text,
     predict,
     random_reservoir,
     run_states,
@@ -159,6 +157,15 @@ class TestTrainReadout:
         ridged = train_readout(feats, target, ridge=1e-6)
         assert np.abs(ridged.w_out).max() < np.abs(plain.w_out).max()
 
+    @pytest.mark.parametrize("ridge", [0.0, 1e-6])
+    def test_weights_independent_of_layout(self, ridge):
+        rng = np.random.default_rng(20)
+        feats = rng.standard_normal((9, 300)) + 1j * rng.standard_normal((9, 300))
+        target = rng.standard_normal((1, 300)) + 1j * rng.standard_normal((1, 300))
+        c_order = train_readout(feats, target, ridge=ridge).w_out
+        f_order = train_readout(np.asfortranarray(feats), np.asfortranarray(target), ridge=ridge).w_out
+        np.testing.assert_array_equal(c_order, f_order)
+
 
 class TestLearnDelay:
     def test_pure_delay_channel(self):
@@ -166,13 +173,13 @@ class TestLearnDelay:
         x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         y = np.concatenate([np.zeros(2, dtype=complex), x[:-2]])
         spec = diagonal_spec([0.1], n_window=3)
-        assert learn_delay(spec, y[None, :], x[None, :], d_max=5) == 2
+        assert train_with_delay_search(spec, y[None, :], x[None, :], d_max=5).delay == 2
 
     def test_identity_channel(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         spec = diagonal_spec([0.1], n_window=3)
-        assert learn_delay(spec, x[None, :], x[None, :], d_max=5) == 0
+        assert train_with_delay_search(spec, x[None, :], x[None, :], d_max=5).delay == 0
 
     def test_mixed_phase_prefers_positive_delay(self):
         rng = np.random.default_rng(10)
@@ -180,7 +187,7 @@ class TestLearnDelay:
         y = np.convolve([1, -2.5, 1], x)[:400]
         spec = diagonal_spec(np.full(8, 0.4) * np.exp(2j * np.pi * np.arange(8) / 8), n_window=8)
         feats = wesn_features(spec, y[None, :])
-        d_star = learn_delay(spec, y[None, :], x[None, :], d_max=12)
+        d_star = train_with_delay_search(spec, y[None, :], x[None, :], d_max=12).delay
         assert d_star > 0
 
         def residual(d):
@@ -215,7 +222,6 @@ class TestLearnDelay:
             for fit in (
                 lambda: train_readout(feats, x),
                 lambda: train_with_delay_search(spec, x, x, d_max=2),
-                lambda: learn_delay(spec, x, x, d_max=2),
             ):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -282,11 +288,11 @@ class TestRandomReservoir:
 
 def test_spec_text_roundtrip():
     spec = diagonal_spec([0.5, -0.25 + 0.1j], weights=[1.0, 2.0 - 1j], n_window=3)
-    text = dump_spec_text(spec)
-    assert text.splitlines()[0] == "neuron_index,pole_real,pole_imag,w_in_real,w_in_imag"
-    back = parse_spec_text(text, activation="linear", n_window=3)
-    np.testing.assert_allclose(back.w_res, spec.w_res)
-    np.testing.assert_allclose(back.w_in, spec.w_in)
+    header, *rows = dump_spec_text(spec).splitlines()
+    assert header == "neuron_index,pole_real,pole_imag,w_in_real,w_in_imag"
+    values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+    np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], np.diagonal(spec.w_res))
+    np.testing.assert_array_equal(values[:, 2] + 1j * values[:, 3], spec.w_in[:, 0])
 
 
 def test_spec_text_requires_diagonal():

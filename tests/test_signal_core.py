@@ -1,73 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from rclab.signal_core import (
     HermitianEig,
-    LowerToeplitz,
     NonHermitianError,
     SingularChannelError,
     as_complex_seq,
-    convolve,
     hermitian_eig,
     least_squares,
     polynomial_roots,
-    toeplitz_apply,
     toeplitz_inverse_first_column,
-    vandermonde,
 )
-
-
-def complex_arrays(min_len=1, max_len=12, scale=2.0):
-    return st.lists(
-        st.complex_numbers(max_magnitude=scale, allow_nan=False, allow_infinity=False),
-        min_size=min_len,
-        max_size=max_len,
-    ).map(np.asarray)
-
-
-class TestConvolve:
-    def test_identity(self):
-        np.testing.assert_allclose(convolve([1], [2, 3]), [2, 3])
-
-    def test_binomial(self):
-        np.testing.assert_allclose(convolve([1, 1], [1, 1]), [1, 2, 1])
-
-    def test_hand_polynomial_multiply(self):
-        # (1 + 0.5 z^-1)(1 - 0.5 z^-1) = 1 - 0.25 z^-2
-        np.testing.assert_allclose(convolve([1, 0.5], [1, -0.5]), [1, 0, -0.25])
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            convolve([], [1])
-
-
-class TestToeplitzApply:
-    def test_identity_operator(self):
-        np.testing.assert_allclose(toeplitz_apply([1, 0, 0], [4, 5, 6]), [4, 5, 6])
-
-    def test_impulse_extracts_column(self):
-        np.testing.assert_allclose(
-            toeplitz_apply([1, 0.5, 0.25], [1, 0, 0]), [1, 0.5, 0.25]
-        )
-
-    def test_truncated_convolution(self):
-        np.testing.assert_allclose(toeplitz_apply([1, 1, 0], [1, 2, 3]), [1, 3, 5])
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            toeplitz_apply([1, 1], [1, 2, 3])
-
-    @settings(deadline=None, max_examples=40)
-    @given(complex_arrays(min_len=1, max_len=10))
-    def test_matches_dense_matrix(self, col):
-        if np.any(~np.isfinite(col)):
-            return
-        rng = np.random.default_rng(len(col))
-        x = rng.standard_normal(col.size) + 1j * rng.standard_normal(col.size)
-        op = LowerToeplitz(col)
-        np.testing.assert_allclose(op.apply(x), op.materialize() @ x, atol=1e-12)
-        np.testing.assert_allclose(op.apply(x), np.convolve(col, x)[: col.size], atol=1e-12)
 
 
 class TestToeplitzInverse:
@@ -209,20 +152,6 @@ class TestPolynomialRoots:
             roots = polynomial_roots(c)
             rebuilt = c[0] * np.atleast_1d(np.poly(roots))
             np.testing.assert_allclose(rebuilt, c, rtol=1e-7, atol=1e-7 * np.abs(c).max())
-
-
-class TestVandermonde:
-    def test_zero_pole(self):
-        np.testing.assert_allclose(vandermonde([0.0], 3)[:, 0], [1, 0, 0])
-
-    def test_geometric_column(self):
-        np.testing.assert_allclose(vandermonde([0.5], 4)[:, 0], [1, 0.5, 0.25, 0.125])
-
-    def test_unit_pole(self):
-        np.testing.assert_allclose(vandermonde([1.0], 3)[:, 0], [1, 1, 1])
-
-    def test_shape(self):
-        assert vandermonde([0.1, 0.2j, -0.3], 5).shape == (5, 3)
 
 
 def test_as_complex_seq_validation():

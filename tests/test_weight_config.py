@@ -2,9 +2,9 @@ import io
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from rclab.channel import PowerDelayProfile, load_pdp
-from rclab.filters import RationalFilter, impulse_response
 from rclab.reservoir import run_states, wesn_features
 from rclab.weight_config import (
     ChannelStatsDataset,
@@ -13,9 +13,7 @@ from rclab.weight_config import (
     assemble_mimo,
     basis_to_poles,
     collect_equalizer_irs,
-    configure_frequency_domain,
     configure_frequency_domain_report,
-    configure_time_domain,
     configure_time_domain_report,
     diagnostics_csv,
     mp_compensate,
@@ -52,7 +50,7 @@ class TestCollect:
 
         rng2 = np.random.default_rng(1)
         for g in ds.vectors:
-            h, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
+            h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
             unit = np.zeros(64)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
@@ -197,7 +195,9 @@ class TestBasisToPoles:
                 continue
             monic = q / q[0]
             monic[0] = 1.0
-            direct = impulse_response(RationalFilter(b=[1 / q[0]], a=monic), 64)
+            impulse = np.zeros(64)
+            impulse[0] = 1.0
+            direct = scipy.signal.lfilter([1 / q[0]], monic, impulse)
             recombined = np.zeros(64, dtype=complex)
             steps = np.arange(64)
             for p, c in zip(poles, weights):
@@ -216,7 +216,7 @@ class TestBasisToPoles:
 class TestConfigureTimeDomain:
     def test_reference_scale_shape(self):
         pdp = load_pdp("cdl_d")
-        spec = configure_time_domain(pdp, 64, 100, 5, 7, 5, np.random.default_rng(9))
+        spec = configure_time_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(9)).spec
         assert spec.n_neurons == 35
         assert spec.n_window == 5
         assert spec.feature_dim == 40
@@ -225,29 +225,29 @@ class TestConfigureTimeDomain:
 
     def test_determinism(self):
         pdp = load_pdp("cdl_d")
-        a = configure_time_domain(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10))
-        b = configure_time_domain(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10))
+        a = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10)).spec
+        b = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10)).spec
         np.testing.assert_array_equal(a.w_res, b.w_res)
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
     def test_distinct_statistics_give_distinct_poles(self):
         near_flat = PowerDelayProfile.from_linear([0, 1], [0.97, 0.03])
         dispersive = PowerDelayProfile.from_linear([0, 1, 2, 3], [0.4, 0.3, 0.2, 0.1])
-        a = configure_time_domain(near_flat, 48, 80, 2, 3, 0, np.random.default_rng(11))
-        b = configure_time_domain(dispersive, 48, 80, 2, 3, 0, np.random.default_rng(11))
+        a = configure_time_domain_report(near_flat, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
+        b = configure_time_domain_report(dispersive, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
         assert np.max(np.abs(np.sort(np.diagonal(a.w_res)) - np.sort(np.diagonal(b.w_res)))) > 1e-3
 
     def test_explicit_skip_when_no_window(self):
         pdp = load_pdp("flat")
-        spec = configure_time_domain(pdp, 16, 20, 1, 2, 0, np.random.default_rng(12))
+        spec = configure_time_domain_report(pdp, 16, 20, 1, 2, 0, np.random.default_rng(12)).spec
         assert spec.explicit_skip and spec.feature_dim == 3
 
     def test_exact_equalization_in_degenerate_case(self):
         # every draw is the same single-tap channel, so the configured bank
         # contains the exact inverse and a linear run recovers the input
         pdp = PowerDelayProfile.from_linear([0], [1.0], k_factor=1e12)
-        spec = configure_time_domain(pdp, 16, 30, 1, 16, 0, np.random.default_rng(13),
-                                     activation="linear")
+        spec = configure_time_domain_report(pdp, 16, 30, 1, 16, 0, np.random.default_rng(13),
+                                            activation="linear").spec
         rng = np.random.default_rng(14)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         feats = wesn_features(spec, x[None, :])
@@ -275,7 +275,7 @@ class TestFrequencyDomain:
 
     def test_reference_scale_shape(self):
         pdp = load_pdp("cdl_d")
-        spec = configure_frequency_domain(pdp, 64, 100, 5, 7, 5, np.random.default_rng(15))
+        spec = configure_frequency_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(15)).spec
         assert spec.n_neurons == 35
         assert np.max(np.abs(np.diagonal(spec.w_res))) < 1.0
 
@@ -290,8 +290,8 @@ class TestFrequencyDomain:
 
     def test_determinism(self):
         pdp = load_pdp("cdl_e")
-        a = configure_frequency_domain(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17))
-        b = configure_frequency_domain(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17))
+        a = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17)).spec
+        b = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17)).spec
         np.testing.assert_array_equal(a.w_res, b.w_res)
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
@@ -305,13 +305,13 @@ class TestAssembleMimo:
 
         return ReservoirSpec(
             w_in=return_spec[:, None], w_res=np.diag(poles), activation="linear",
-            n_window=n_window, d_out=1,
+            n_window=n_window,
         )
 
     def test_shared_replication(self):
         siso = self.make_siso()
         mimo = assemble_mimo([siso], 2, MimoAssembly.PARAMETRIC_SHARED)
-        assert mimo.n_neurons == 18 and mimo.d_in == 2 and mimo.d_out == 2
+        assert mimo.n_neurons == 18 and mimo.d_in == 2
         np.testing.assert_array_equal(mimo.w_res[:9, :9], siso.w_res)
         np.testing.assert_array_equal(mimo.w_res[9:, 9:], siso.w_res)
         assert not np.any(mimo.w_res[:9, 9:])
@@ -340,13 +340,11 @@ class TestAssembleMimo:
         from rclab.reservoir import ReservoirSpec, train_readout
 
         siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([[0.5]], complex),
-                             activation="linear", n_window=0, d_out=1)
+                             activation="linear", n_window=0)
         mimo = assemble_mimo([siso], 2, MimoAssembly.FACTORIZABLE)
         t = 400
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
         # apply the factorizable channel
-        import scipy.signal
-
         filtered = np.stack([scipy.signal.lfilter([1, -0.5], [1], x[i]) for i in range(2)])
         y = h0 @ filtered
         feats = wesn_features(mimo, y)
