@@ -229,7 +229,15 @@ class ExperimentConfig:
             cfg = cls(**kwargs)
         except TypeError as exc:
             raise ConfigFileError(str(exc)) from exc
-        cfg.load_profile()  # fail early if the referenced PDP is missing
+        pdp = cfg.load_profile()  # fail early if the referenced PDP is missing
+        # the td route's statistics vectors have stats_n samples; the fd route
+        # samples its own fixed grid, so fd-only configs skip these rules
+        if "rc-td" in cfg.detectors:
+            if cfg.stats_n < pdp.length:
+                raise ConfigFileError(
+                    f"rc-td needs stats_n >= the channel length {pdp.length}, got {cfg.stats_n}")
+            if cfg.m > cfg.stats_n:
+                raise ConfigFileError(f"rc-td needs m <= stats_n = {cfg.stats_n}, got {cfg.m}")
         return cfg
 
 

@@ -9,7 +9,9 @@ an equalizer impulse response ``g`` and ``F`` is an orthonormal basis of a
 candidate reservoir subspace.  Two independent evaluation routes are provided:
 
 * a Monte-Carlo route that projects every shifted copy of every realization
-  (computed via FFT cross-correlations, never materializing T(g) densely), and
+  (computed via FFT cross-correlations, never materializing T(g) densely:
+  one FFT of the basis, then one forward and one inverse FFT per
+  realization), and
 * a closed-form route using the empirical covariance and lower shift matrices,
   ``sum_i [tr(K L_i^H L_i) - tr(K L_i^H F F^H L_i)]``, evaluated through the
   diagonal-cumulative-sum structure of ``sum_i L_i K L_i^H``.
@@ -35,18 +37,23 @@ def toeplitz_frobenius_sq(g: np.ndarray) -> float:
     return float(np.dot(np.arange(n, 0, -1), np.abs(gv) ** 2))
 
 
-def _shift_projection_energies(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """``E[m] = sum_i |<f_m, L_i g>|^2`` for all columns, via FFT correlation.
+def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``E[r, m] = sum_i |<f_m, L_i g_r>|^2`` for every realization and column.
 
     ``<f_m, L_i g> = sum_k conj(F[k+i, m]) g[k]`` is the cross-correlation of
     column ``m`` with ``g`` at lag ``i``; only lags ``0..N-1`` contribute.
+    The spectrum of the reversed basis is computed once; each realization
+    then costs one forward FFT of ``g`` and one inverse FFT of the product.
     """
     n, m = f.shape
     nfft = scipy.fft.next_fast_len(2 * n - 1)
-    gf = scipy.fft.fft(g, nfft)
     ff = scipy.fft.fft(np.conj(f[::-1, :]), nfft, axis=0)
-    conv = scipy.fft.ifft(ff * gf[:, None], axis=0)
-    return np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
+    out = np.empty((vectors.shape[0], m))
+    for r, g in enumerate(vectors):
+        gf = scipy.fft.fft(g, nfft)
+        conv = scipy.fft.ifft(ff * gf[:, None], axis=0, overwrite_x=True)
+        out[r] = np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
+    return out
 
 
 def p2_objective_numerical(f: np.ndarray, dataset) -> float:
@@ -60,9 +67,10 @@ def p2_objective_numerical(f: np.ndarray, dataset) -> float:
     fm = np.asarray(f, dtype=np.complex128)
     if fm.ndim != 2 or fm.shape[0] != vectors.shape[1]:
         raise ValueError("basis and dataset dimensions do not match")
+    energies = _shift_projection_energies(fm, vectors)
     total = 0.0
-    for g in vectors:
-        total += toeplitz_frobenius_sq(g) - float(np.sum(_shift_projection_energies(fm, g)))
+    for g, row in zip(vectors, energies):
+        total += toeplitz_frobenius_sq(g) - float(np.sum(row))
     return total / vectors.shape[0]
 
 
@@ -141,7 +149,10 @@ def approx_error_report(dataset: ChannelStatsDataset, m_values) -> ApproxErrorRe
 
     The cumulative structure over the eigenvector index is exploited so the
     whole sweep costs one pass over the realizations plus one covariance
-    decomposition, regardless of how many ``m`` values are requested.
+    decomposition, regardless of how many ``m`` values are requested.  The
+    Monte-Carlo pass costs one FFT of the ``N x m_max`` basis, plus one
+    forward FFT of each realization and one inverse FFT of its product with
+    the basis spectrum.
     """
     m_list = sorted(set(int(m) for m in m_values))
     n = dataset.n
@@ -156,10 +167,9 @@ def approx_error_report(dataset: ChannelStatsDataset, m_values) -> ApproxErrorRe
     v = eig.vectors[:, :m_max]
 
     # Monte-Carlo side: per-eigenvector projection energies, then cumulative sums.
-    energy_sum = np.zeros(m_max)
+    energy_sum = np.sum(_shift_projection_energies(v, vectors), axis=0)
     norm_sum = 0.0
     for g in vectors:
-        energy_sum += _shift_projection_energies(v, g)
         norm_sum += toeplitz_frobenius_sq(g)
     mean_norm = norm_sum / n_obs
     cum_energy = np.concatenate([[0.0], np.cumsum(energy_sum / n_obs)])

@@ -401,7 +401,12 @@ def configure_frequency_domain_report(
     activation: str = "tanh",
     phase_policy: str = "mp_factor",
 ) -> ConfigReport:
-    """Full frequency-domain pipeline with per-column diagnostics."""
+    """Full frequency-domain pipeline with per-column diagnostics.
+
+    The statistics are the inverse responses sampled on the fixed
+    ``grid_size``-point frequency grid; ``n`` is not read.  It is kept so the
+    signature matches ``configure_time_domain_report``.
+    """
     dataset = collect_inverse_responses(
         pdp, n_obs, rng, grid_size=grid_size, phase_policy=phase_policy
     )

@@ -118,6 +118,20 @@ class TestExperimentConfig:
         with pytest.raises(bc.ConfigFileError):
             bc.ExperimentConfig.from_file(p)
 
+    # cdl_d is 13 samples long; these rules bind only when rc-td is configured
+    @pytest.mark.parametrize(
+        "stats_n, m, message",
+        [(12, 5, "channel length 13"), (13, 14, "m <= stats_n")],
+    )
+    def test_td_statistics_rejected_at_load(self, tmp_path, stats_n, m, message):
+        p = tmp_path / "bad.ini"
+        rest = f"[channel]\npdp = cdl_d\n[rc]\nm = {m}\nstats_n = {stats_n}\n"
+        p.write_text("[experiment]\ndetectors = rc-td, lmmse\n" + rest)
+        with pytest.raises(bc.ConfigFileError, match=message):
+            bc.ExperimentConfig.from_file(p)
+        p.write_text("[experiment]\ndetectors = rc-fd, lmmse\n" + rest)
+        assert bc.ExperimentConfig.from_file(p).detectors == ("rc-fd", "lmmse")
+
 
 def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0, order=16):
     num = OfdmNumerology(n_sc, n_cp)

@@ -2,12 +2,16 @@ import io
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.signal_core import hermitian_eig
 from rclab.theory import (
     ApproxErrorReport,
+    _shift_projection_energies,
     approx_error_report,
     lemma1_error,
     p2_objective_numerical,
@@ -78,6 +82,26 @@ def p_objective_numerical(poles, channels, n):
     return total / len(channels)
 
 
+def shift_projection_energies_one(f, g):
+    """Per-realization oracle of ``_shift_projection_energies``: the same FFT
+    correlation for one ``g``, recomputing the basis spectrum on every call."""
+    n, m = f.shape
+    nfft = scipy.fft.next_fast_len(2 * n - 1)
+    gf = scipy.fft.fft(g, nfft)
+    ff = scipy.fft.fft(np.conj(f[::-1, :]), nfft, axis=0)
+    conv = scipy.fft.ifft(ff * gf[:, None], axis=0)
+    return np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
+
+
+def shift_projection_energies_dense(f, vectors):
+    """``E[r, m] = sum_i |f_m^H L_i g_r|^2`` from dense shift matrices."""
+    n = f.shape[0]
+    return np.array([
+        sum(np.abs(f.conj().T @ (shift_matrix(n, i) @ g)) ** 2 for i in range(n))
+        for g in vectors
+    ])
+
+
 def random_dataset(rng, n_obs, n):
     vectors = rng.standard_normal((n_obs, n)) + 1j * rng.standard_normal((n_obs, n))
     # decaying envelope so the vectors look like equalizer responses
@@ -125,6 +149,28 @@ class TestP2Objective:
         ds = random_dataset(np.random.default_rng(3), 4, 6)
         with pytest.raises(ValueError):
             p2_objective_numerical(np.eye(5)[:, :2], ds)
+
+
+class TestShiftProjectionEnergies:
+    # n = 7, 9, 10 and 12 pad the correlation: next_fast_len(2n - 1) > 2n - 1
+    @given(
+        n=st.integers(1, 13),
+        m=st.integers(1, 13),
+        n_obs=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=7, m=3, n_obs=4, seed=0)
+    @example(n=12, m=12, n_obs=1, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_realization_and_dense(self, n, m, n_obs, seed):
+        m = min(m, n)
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        f = np.linalg.qr(a)[0][:, :m]
+        vectors = random_dataset(rng, n_obs, n).vectors
+        got = _shift_projection_energies(f, vectors)
+        assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
+        np.testing.assert_allclose(got, shift_projection_energies_dense(f, vectors), rtol=1e-12, atol=0)
 
 
 class TestShiftAccumulatedCovariance:
