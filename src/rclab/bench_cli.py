@@ -579,8 +579,8 @@ def cmd_inspect_channel(args) -> int:
     counts = {p.value: 0 for p in Phase}
     ring_hits = 0
     for _ in range(args.draws):
-        _, cls, redraws = draw_channel(pdp, rng)
-        counts[cls.value] += 1
+        _, fact, redraws = draw_channel(pdp, rng)
+        counts[fact.classification.value] += 1
         ring_hits += redraws
 
     def writer(fp):

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy.signal
 
 from .filters import Phase, UnitCircleRootError, factorize_by_phase
 from .signal_core import as_complex_seq
@@ -155,11 +154,6 @@ def sample_tdl(pdp: PowerDelayProfile, rng: np.random.Generator) -> np.ndarray:
     return normalize_agc(_raw_taps(pdp, rng))
 
 
-def classify_phase(h) -> Phase:
-    """Phase class of the taps; consistent with :func:`filters.factorize_by_phase`."""
-    return factorize_by_phase(h).classification
-
-
 def draw_channel(
     pdp: PowerDelayProfile,
     rng: np.random.Generator,
@@ -170,17 +164,18 @@ def draw_channel(
 
     Realizations hitting the ring (where the MP/NMP split is undefined) are
     redrawn, as are realizations not matching ``require`` when given.
-    Returns ``(taps, classification, redraws)``, where ``redraws`` counts the
-    rejected draws before the returned one.
+    Returns ``(taps, factorization, redraws)``: the taps' phase factorization
+    (:func:`filters.factorize_by_phase`, whose ``classification`` is the phase
+    class) and the count of rejected draws before the returned one.
     """
     for redraws in range(max_retries):
         h = sample_tdl(pdp, rng)
         try:
-            cls = classify_phase(h)
+            fact = factorize_by_phase(h)
         except UnitCircleRootError:
             continue
-        if require is None or cls is require:
-            return h, cls, redraws
+        if require is None or fact.classification is require:
+            return h, fact, redraws
     raise UnitCircleRootError(
         f"no acceptable realization within {max_retries} draws of {pdp.label or 'pdp'}"
     )
@@ -328,6 +323,8 @@ def apply_channel(ch, x, snr_db, rng, return_noise_var: bool = False):
     receive antenna on the clean signal; ``snr_db=None`` (or ``inf``) disables
     noise.  Output is truncated to the input length.
     """
+    # ``h / 1`` and the full convolution cut to length are the exact arithmetic
+    # of ``scipy.signal.lfilter(h, [1], x)``, the oracle the tests hold this to
     if isinstance(ch, MimoChannelRealization):
         xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
         if xs.shape[0] != ch.n_tx:
@@ -336,11 +333,11 @@ def apply_channel(ch, x, snr_db, rng, return_noise_var: bool = False):
         y = np.zeros((ch.n_rx, t), dtype=np.complex128)
         for r in range(ch.n_rx):
             for c in range(ch.n_tx):
-                y[r] += scipy.signal.lfilter(ch.taps[:, r, c], [1.0], xs[c])
+                y[r] += np.convolve(ch.taps[:, r, c] / 1, xs[c])[:t]
     else:
         hv = as_complex_seq(ch, "channel taps")
         xs = as_complex_seq(x, "x")
-        y = scipy.signal.lfilter(hv, [1.0 + 0.0j], xs)
+        y = np.convolve(hv / 1, xs)[: xs.size]
 
     if snr_db is None or np.isinf(snr_db):
         noise_var = 0.0

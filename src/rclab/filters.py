@@ -12,9 +12,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
-from .signal_core import as_complex_seq, least_squares, polynomial_roots
+from .signal_core import all_pole_filter, as_complex_seq, least_squares, polynomial_roots
 
 RING_TOL = 1e-6
 POLE_SEPARATION_TOL = 1e-6
@@ -170,9 +169,8 @@ def stable_inverse_approx(h, l_ff: int, n: int):
     mp_roots = polynomial_roots(fact.mp_factor) if fact.mp_factor.size > 1 else np.zeros(0, complex)
     h_pad = np.zeros(n, dtype=np.complex128)
     h_pad[: hv.size] = hv
-    columns = []
-    for p in mp_roots:
-        columns.append(scipy.signal.lfilter([1.0 + 0.0j], [1.0, -p], h_pad))
+    sections = np.column_stack([np.ones(mp_roots.size), -mp_roots])
+    columns = list(all_pole_filter(sections, h_pad))
     for i in range(l_ff):
         columns.append(np.roll(h_pad, i) * (np.arange(n) >= i))
     a = np.column_stack(columns)

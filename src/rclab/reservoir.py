@@ -23,9 +23,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
-from .signal_core import least_squares
+from .signal_core import all_pole_filter, least_squares
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -152,15 +151,13 @@ def block_states(poles, y) -> np.ndarray:
     """Linear diagonal-reservoir states in one shot: row k is ``(y * psi_k)[:N]``.
 
     ``psi_k`` is the impulse response of ``1 / (1 - p_k z^{-1})`` (unit input
-    weight convention).  Serves as the closed-form oracle for
-    :func:`run_states` with linear activation and a diagonal core.
+    weight convention), run as one all-pole filter per pole.  Serves as the
+    closed-form oracle for :func:`run_states` with linear activation and a
+    diagonal core.
     """
     p = np.asarray(poles, dtype=np.complex128).ravel()
     yv = np.asarray(y, dtype=np.complex128).ravel()
-    out = np.empty((p.size, yv.size), dtype=np.complex128)
-    for k, pk in enumerate(p):
-        out[k] = scipy.signal.lfilter([1.0 + 0.0j], [1.0, -pk], yv)
-    return out
+    return all_pole_filter(np.column_stack([np.ones(p.size), -p]), yv)
 
 
 def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) -> np.ndarray:

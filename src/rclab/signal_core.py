@@ -9,7 +9,6 @@ functions here are pure and safe to call from concurrent workers.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 
 class SingularChannelError(ValueError):
@@ -32,22 +31,121 @@ def as_complex_seq(x, name: str = "sequence") -> np.ndarray:
     return arr
 
 
-def toeplitz_inverse_first_column(h, n: int) -> np.ndarray:
+def all_pole_filter(a, x, lengths=None) -> np.ndarray:
+    """Each row of ``x`` filtered by ``1 / A(z)``, ``A`` the matching row of ``a``.
+
+    ``a`` is ``(batch, L)``: row ``r`` holds ``A_r(z) = sum_k a[r, k] z^{-k}``
+    in its first ``lengths[r]`` entries (all ``L`` by default) and padding,
+    which does not affect the result, after them.  ``x`` is ``(batch, T)``, or ``(T,)`` for
+    one input shared by every row; the result is ``(batch, T)``.
+
+    The recursion is the direct form II transposed one, in complex arithmetic
+    written out as real operations: every coefficient enters as
+    ``a_k conj(a_0) / |a_0|^2``, and each step updates delay ``k`` from the
+    previous value of delay ``k + 1``, so one step covers every delay of every
+    row.  A one-tap ``A`` is a plain scaling, ``np.convolve(1 / a_0, x)``.
+    Batching rows never changes a row's result.
+    """
+    av = np.asarray(a, dtype=np.complex128)
+    if av.ndim != 2 or av.shape[1] == 0:
+        raise ValueError(f"a must be a non-empty (batch, L) array, got shape {av.shape}")
+    batch, width = av.shape
+    if np.any(av[:, 0] == 0.0):
+        raise SingularChannelError("a[0] = 0: the leading tap makes 1 / A(z) singular")
+    xv = np.asarray(x, dtype=np.complex128)
+    xv = np.broadcast_to(xv, (batch, xv.shape[-1]))
+    sizes = np.full(batch, width) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    if sizes.shape != (batch,) or np.any(sizes < 1) or np.any(sizes > width):
+        raise ValueError(f"lengths must be {batch} values in [1, {width}]")
+    out = np.empty(xv.shape, dtype=np.complex128)
+    for r in np.flatnonzero(sizes == 1):
+        b = np.ones(1, dtype=np.complex128)
+        b /= av[r, 0]
+        out[r] = np.convolve(b, xv[r])[: xv.shape[1]]
+    rows = np.flatnonzero(sizes > 1)
+    if rows.size:
+        out[rows] = _transposed_direct_form(av[rows, : sizes[rows].max()], xv[rows], sizes[rows])
+    return out
+
+
+def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`all_pole_filter` for rows of at least two taps.
+
+    The delay line is ``z[part, k, row]`` with the batch innermost, so each
+    elementwise step runs over long contiguous rows.  A row of ``n`` taps uses
+    delays ``0 .. n - 2``; the delays after them stay ``-0.0``, the exact
+    identity of addition, so a row's last delay gets ``b_k x - a_k y`` with
+    nothing added from beyond its own length.
+    """
+    batch, width = a.shape
+    t_len = x.shape[1]
+    a0r = a[:, 0].real
+    a0i = a[:, 0].imag
+    mag = a0r * a0r + a0i * a0i
+
+    def scaled(cr, ci):
+        # real and imaginary parts of c conj(a_0), before the division by |a_0|^2
+        return cr * a0r + ci * a0i, ci * a0r - cr * a0i
+
+    def times(cr, ci, vr, vi):
+        return (cr * vr - ci * vi) / mag, (ci * vr + cr * vi) / mag
+
+    # the numerator b = [1, 0, ..., 0] contributes terms of the input alone
+    xr, xi = x.real.T, x.imag.T  # (T, batch)
+    head = np.stack(times(*scaled(1.0, 0.0), xr, xi), axis=1)  # (T, 2, batch)
+    rest = np.stack(times(*scaled(0.0, 0.0), xr, xi), axis=1)[:, :, None, :]
+
+    ar, ai = scaled(a.real[:, 1:].T, a.imag[:, 1:].T)  # (width - 1, batch)
+    # (ti yr + tr yi) is computed as (ti yr - (-tr) yi), which rounds identically
+    p = np.stack([ar, ai])
+    q = np.stack([ai, -ar])
+    tail = np.arange(width)[:, None] >= lengths - 1  # (width, batch)
+    padded = bool(np.any(tail[:-1]))
+    z = np.zeros((2, width, batch))
+    z[:, tail] = -0.0
+    z_next = z.copy()
+    t1 = np.empty_like(p)
+    t2 = np.empty_like(p)
+    y = np.empty((t_len, 2, batch))
+    for t in range(t_len):
+        yt = y[t]
+        np.add(z[:, 0], head[t], out=yt)
+        np.multiply(p, yt[0], out=t1)
+        np.multiply(q, yt[1], out=t2)
+        np.subtract(t1, t2, out=t1)
+        np.divide(t1, mag, out=t1)
+        np.add(z[:, 1:], rest[t], out=z_next[:, :-1])
+        np.subtract(z_next[:, :-1], t1, out=z_next[:, :-1])
+        if padded:
+            np.copyto(z_next, -0.0, where=tail)
+        z, z_next = z_next, z
+    out = np.empty((batch, t_len), dtype=np.complex128)
+    out.real = y[:, 0].T
+    out.imag = y[:, 1].T
+    return out
+
+
+def toeplitz_inverse_first_column(h, n: int, lengths=None) -> np.ndarray:
     """First column of the inverse of the N x N lower-triangular Toeplitz of ``h``.
 
     This is the impulse response of the exact deconvolution (zero-forcing)
     filter ``g`` with ``h * g = [1, 0, ..., 0]`` over the first ``n`` samples.
     Computed by forward substitution on the banded first column in O(n * len(h)).
+    ``h`` may also be a ``(batch, L)`` stack of tap vectors, row ``r`` holding
+    ``lengths[r]`` taps as in :func:`all_pole_filter`; the result is then
+    ``(batch, n)``, one inverse per row.
     """
-    hv = as_complex_seq(h, "h")
-    if abs(hv[0]) == 0.0:
-        raise SingularChannelError("h[0] = 0: leading tap makes the channel singular")
-    if n < hv.size:
-        raise ValueError(f"n = {n} must be >= len(h) = {hv.size}")
+    hv = np.asarray(h, dtype=np.complex128)
+    rows = as_complex_seq(hv, "h")[None] if hv.ndim == 1 else hv
+    if rows.ndim != 2 or not np.all(np.isfinite(rows)):
+        raise ValueError("h must be a finite 1-D sequence or (batch, L) stack")
+    if n < rows.shape[1]:
+        raise ValueError(f"n = {n} must be >= len(h) = {rows.shape[1]}")
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
-    # lfilter with denominator h runs exactly the forward-substitution recursion.
-    return scipy.signal.lfilter(np.ones(1, dtype=np.complex128), hv, impulse)
+    # forward substitution on the first column is the recursion of 1 / H(z)
+    out = all_pole_filter(rows, impulse, lengths)
+    return out[0] if hv.ndim == 1 else out
 
 
 @dataclass(frozen=True)

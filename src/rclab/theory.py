@@ -23,7 +23,6 @@ strong self-check of either implementation.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from .channel import PowerDelayProfile
 from .signal_core import hermitian_eig
@@ -37,6 +36,19 @@ def toeplitz_frobenius_sq(g: np.ndarray) -> float:
     return float(np.dot(np.arange(n, 0, -1), np.abs(gv) ** 2))
 
 
+def _next_fast_len(target: int) -> int:
+    """Smallest 11-smooth integer ``>= target``: a length the FFT handles fast."""
+    n = target
+    while True:
+        rest = n
+        for prime in (2, 3, 5, 7, 11):
+            while rest % prime == 0:
+                rest //= prime
+        if rest == 1:
+            return n
+        n += 1
+
+
 def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``E[r, m] = sum_i |<f_m, L_i g_r>|^2`` for every realization and column.
 
@@ -46,12 +58,14 @@ def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray
     then costs one forward FFT of ``g`` and one inverse FFT of the product.
     """
     n, m = f.shape
-    nfft = scipy.fft.next_fast_len(2 * n - 1)
-    ff = scipy.fft.fft(np.conj(f[::-1, :]), nfft, axis=0)
+    nfft = _next_fast_len(2 * n - 1)
+    ff = np.fft.fft(np.conj(f[::-1, :]), nfft, axis=0)
+    prod = np.empty_like(ff)
     out = np.empty((vectors.shape[0], m))
     for r, g in enumerate(vectors):
-        gf = scipy.fft.fft(g, nfft)
-        conv = scipy.fft.ifft(ff * gf[:, None], axis=0, overwrite_x=True)
+        gf = np.fft.fft(g, nfft)
+        np.multiply(ff, gf[:, None], out=prod)
+        conv = np.fft.ifft(prod, axis=0, out=prod)
         out[r] = np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
     return out
 

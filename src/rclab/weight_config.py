@@ -26,18 +26,11 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.signal
 
 from .channel import PowerDelayProfile, draw_channel
-from .filters import (
-    Phase,
-    factorize_by_phase,
-    perturb_clustered_poles,
-    _residues_simple,
-)
+from .filters import Phase, perturb_clustered_poles, _residues_simple
 from .reservoir import ReservoirSpec
-from .signal_core import hermitian_eig, toeplitz_inverse_first_column
+from .signal_core import all_pole_filter, hermitian_eig, toeplitz_inverse_first_column
 
 COMPENSATION_MARGIN = 0.05
 COMPENSATION_FLOOR = 1e-3
@@ -138,13 +131,21 @@ def collect_equalizer_irs(
     if n < pdp.length:
         raise ValueError(f"n = {n} shorter than the channel length {pdp.length}")
     require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
-    vectors = np.empty((n_obs, n), dtype=np.complex128)
+    # every draw first, then one inverse over the stack of (padded) taps
+    taps = np.zeros((n_obs, pdp.length), dtype=np.complex128)
+    lengths = np.empty(n_obs, dtype=np.int64)
     for i in range(n_obs):
-        h, cls, _ = draw_channel(pdp, rng, require=require)
-        if cls is not Phase.STRICTLY_MP:
-            h = factorize_by_phase(h).mp_factor
-        vectors[i] = toeplitz_inverse_first_column(h, n)
+        h = _draw_mp(pdp, rng, require)
+        taps[i, : h.size] = h
+        lengths[i] = h.size
+    vectors = toeplitz_inverse_first_column(taps, n, lengths)
     return ChannelStatsDataset(vectors=vectors, domain="time", pdp_label=pdp.label)
+
+
+def _draw_mp(pdp: PowerDelayProfile, rng: np.random.Generator, require) -> np.ndarray:
+    """One draw's taps, or its minimum-phase factor when it is not strictly MP."""
+    h, fact, _ = draw_channel(pdp, rng, require=require)
+    return h if fact.classification is Phase.STRICTLY_MP else fact.mp_factor
 
 
 def pca_basis(dataset: ChannelStatsDataset, m: int) -> np.ndarray:
@@ -185,24 +186,30 @@ def mp_compensate(
     return ConfiguredBasis(f=f_stored, p=p, b=b, offsets=offsets)
 
 
-def reduce_order(p_col, l_f: int):
+def reduce_order(p, l_f: int):
     """Truncate the inverse filter of a strictly-MP impulse response.
 
     Returns ``(q, error)`` where ``q`` holds the first ``l_f`` coefficients of
     the exact length-``n`` inverse and ``error`` is the Euclidean mismatch
-    between ``p_col`` and the impulse response of the reduced all-pole filter
-    ``1/Q(z)``.
+    between ``p`` and the impulse response of the reduced all-pole filter
+    ``1/Q(z)``.  ``p`` may also be ``(n, m)``, one response per column; ``q``
+    is then ``(m, l_f)`` and ``error`` a list of ``m`` values.
     """
-    p = np.asarray(p_col, dtype=np.complex128).ravel()
+    pm = np.asarray(p, dtype=np.complex128)
     if l_f < 1:
         raise ValueError("l_f must be >= 1")
-    n = p.size
-    q_full = toeplitz_inverse_first_column(p, n)
-    q = q_full[: min(l_f, n)].copy()
+    cols = pm.reshape(pm.shape[0], -1).T
+    n = cols.shape[1]
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
-    p_hat = scipy.signal.lfilter(np.ones(1, dtype=np.complex128), q, impulse)
-    return q, float(np.linalg.norm(p - p_hat))
+    # the recursion is causal: its first l_f steps give the first l_f samples
+    # of the exact inverse, the same bits as a full-length run
+    q = all_pole_filter(cols, impulse[: min(l_f, n)])
+    p_hat = all_pole_filter(q, impulse)
+    errors = [float(np.linalg.norm(c - c_hat)) for c, c_hat in zip(cols, p_hat)]
+    if pm.ndim == 1:
+        return q[0], errors[0]
+    return q, errors
 
 
 def _reflect_unstable(poles: np.ndarray, cap: float = REFLECTION_CAP):
@@ -267,8 +274,8 @@ def basis_to_poles(basis: ConfiguredBasis, l_f: int):
     poles = np.empty(m * l_f, dtype=np.complex128)
     weights = np.empty(m * l_f, dtype=np.complex128)
     diagnostics = []
-    for col in range(m):
-        q, err = reduce_order(basis.p[:, col], l_f)
+    qs, errors = reduce_order(basis.p, l_f)
+    for col, (q, err) in enumerate(zip(qs, errors)):
         p_col, w_col, n_ref = _denominator_to_sections(q, l_f)
         poles[col * l_f : (col + 1) * l_f] = p_col
         weights[col * l_f : (col + 1) * l_f] = w_col
@@ -353,10 +360,7 @@ def collect_inverse_responses(
     require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
     vectors = np.empty((n_obs, grid_size), dtype=np.complex128)
     for i in range(n_obs):
-        h, cls, _ = draw_channel(pdp, rng, require=require)
-        if cls is not Phase.STRICTLY_MP:
-            h = factorize_by_phase(h).mp_factor
-        vectors[i] = 1.0 / np.fft.fft(h, grid_size)
+        vectors[i] = 1.0 / np.fft.fft(_draw_mp(pdp, rng, require), grid_size)
     return ChannelStatsDataset(vectors=vectors, domain="frequency", pdp_label=pdp.label)
 
 
@@ -461,11 +465,11 @@ def assemble_mimo(siso_specs, n_tx: int, mode: MimoAssembly) -> ReservoirSpec:
     if any(s.n_window != n_window or s.activation != activation for s in specs):
         raise ValueError("SISO specs must share window length and activation")
 
-    per_stream_res = scipy.linalg.block_diag(*[s.w_res for s in specs])
+    per_stream_res = _block_diag([s.w_res for s in specs])
     per_stream_in = np.vstack([s.w_in for s in specs])  # (n_block, 1)
     n_block = per_stream_res.shape[0]
 
-    w_res = scipy.linalg.block_diag(*([per_stream_res] * n_tx))
+    w_res = _block_diag([per_stream_res] * n_tx)
     w_in = np.zeros((n_block * n_tx, n_tx), dtype=np.complex128)
     for i in range(n_tx):
         w_in[i * n_block : (i + 1) * n_block, i] = per_stream_in[:, 0]
@@ -476,6 +480,17 @@ def assemble_mimo(siso_specs, n_tx: int, mode: MimoAssembly) -> ReservoirSpec:
         n_window=n_window,
         explicit_skip=(n_window == 0),
     )
+
+
+def _block_diag(blocks) -> np.ndarray:
+    """Square blocks along the diagonal of an otherwise zero matrix."""
+    size = sum(b.shape[0] for b in blocks)
+    out = np.zeros((size, size), dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        out[start : start + b.shape[0], start : start + b.shape[0]] = b
+        start += b.shape[0]
+    return out
 
 
 def diagnostics_csv(diagnostics, fp) -> None:

@@ -1,6 +1,8 @@
 import io
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,9 +331,9 @@ class TestCli:
         assert counts["mixed"] > 0
 
     def test_ring_redraws_counted(self, tmp_path, monkeypatch):
-        # the first k classifications hit the unit-circle ring
+        # the first k factorizations hit the unit-circle ring
         k = 3
-        real = channel.classify_phase
+        real = channel.factorize_by_phase
         calls = []
 
         def ring_then_real(h):
@@ -340,10 +342,10 @@ class TestCli:
                 raise UnitCircleRootError("forced ring root")
             return real(h)
 
-        monkeypatch.setattr(channel, "classify_phase", ring_then_real)
-        h, cls, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
+        monkeypatch.setattr(channel, "factorize_by_phase", ring_then_real)
+        h, fact, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
         assert redraws == k and len(calls) == k + 1
-        assert cls is real(h)
+        assert fact.classification is real(h).classification
 
         calls.clear()
         out = tmp_path / "phases.csv"
@@ -368,6 +370,19 @@ class TestCli:
         assert rc == 0
         text = dump_out.read_text()
         assert "neurons" in text and "max pole magnitude" in text
+
+    def test_runtime_imports_numpy_only(self):
+        # scipy is a test-only dependency: the oracle of the filters and FFTs
+        src = str(Path(bc.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, rclab.bench_cli, rclab.theory; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "c.csv"

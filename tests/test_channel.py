@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab.channel import (
     AngleModel,
@@ -8,7 +11,6 @@ from rclab.channel import (
     SteeringConfig,
     _raw_taps,
     apply_channel,
-    classify_phase,
     draw_channel,
     load_pdp,
     normalize_agc,
@@ -16,7 +18,7 @@ from rclab.channel import (
     sample_tdl,
     steering_vector,
 )
-from rclab.filters import Phase, UnitCircleRootError
+from rclab.filters import Phase, UnitCircleRootError, factorize_by_phase
 
 
 class TestPowerDelayProfile:
@@ -108,17 +110,17 @@ class TestSampleTdl:
 
 class TestClassifyPhase:
     def test_examples(self):
-        assert classify_phase([1, -0.5]) is Phase.STRICTLY_MP
-        assert classify_phase([1, -2]) is Phase.STRICTLY_NMP
-        assert classify_phase([1, -2.5, 1]) is Phase.MIXED
+        assert factorize_by_phase([1, -0.5]).classification is Phase.STRICTLY_MP
+        assert factorize_by_phase([1, -2]).classification is Phase.STRICTLY_NMP
+        assert factorize_by_phase([1, -2.5, 1]).classification is Phase.MIXED
 
     def test_draw_channel_honors_requirement(self):
         pdp = load_pdp("mixed_3tap")
         rng = np.random.default_rng(5)
         for _ in range(10):
-            h, cls, _ = draw_channel(pdp, rng, require=Phase.STRICTLY_MP)
-            assert cls is Phase.STRICTLY_MP
-            assert classify_phase(h) is Phase.STRICTLY_MP
+            h, fact, _ = draw_channel(pdp, rng, require=Phase.STRICTLY_MP)
+            assert fact.classification is Phase.STRICTLY_MP
+            assert factorize_by_phase(h).classification is Phase.STRICTLY_MP
 
     def test_draw_channel_retry_exhaustion(self):
         pdp = load_pdp("flat")  # single tap is always strictly MP
@@ -223,6 +225,33 @@ class TestApplyChannel:
                 if n - ell >= 0:
                     expected[:, n] += ch.taps[ell] @ x[:, n - ell]
         np.testing.assert_allclose(y, expected, atol=1e-10)
+
+    @given(
+        n_taps=st.integers(1, 13),
+        n_rx=st.integers(1, 3),
+        n_tx=st.integers(1, 3),
+        t=st.integers(1, 50),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_lfilter_fir(self, n_taps, n_rx, n_tx, t, sparse, seed):
+        # scipy's FIR filter is the oracle, to the bit, for SISO and MIMO
+        rng = np.random.default_rng(seed)
+        taps = rng.standard_normal((n_taps, n_rx, n_tx)) + 1j * rng.standard_normal(
+            (n_taps, n_rx, n_tx)
+        )
+        if sparse:  # zero interior taps, as in the cdl_d profile
+            taps[1:-1][rng.uniform(size=max(n_taps - 2, 0)) < 0.6] = 0.0
+        x = rng.standard_normal((n_tx, t)) + 1j * rng.standard_normal((n_tx, t))
+        siso = apply_channel(taps[:, 0, 0], x[0], None, None)
+        assert siso.tobytes() == scipy.signal.lfilter(taps[:, 0, 0], [1.0 + 0.0j], x[0]).tobytes()
+        ch = MimoChannelRealization(taps=taps)
+        want = np.zeros((n_rx, t), dtype=complex)
+        for r in range(n_rx):
+            for c in range(n_tx):
+                want[r] += scipy.signal.lfilter(taps[:, r, c], [1.0], x[c])
+        assert apply_channel(ch, x, None, None).tobytes() == want.tobytes()
 
     def test_mimo_stream_count_checked(self):
         pdp = load_pdp("flat")

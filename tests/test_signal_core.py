@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rclab.signal_core import (
     HermitianEig,
     NonHermitianError,
     SingularChannelError,
+    all_pole_filter,
     as_complex_seq,
     hermitian_eig,
     least_squares,
@@ -52,6 +56,55 @@ class TestToeplitzInverse:
             unit = np.zeros(n)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:n], unit, atol=1e-9)
+
+
+def same_bits(a, b) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestAllPoleFilter:
+    """``all_pole_filter`` against the oracle ``scipy.signal.lfilter(1, a, x)``, to the bit."""
+
+    @given(
+        lengths=st.lists(st.integers(1, 8), min_size=1, max_size=5),
+        pad=st.integers(0, 3),
+        t=st.integers(1, 40),
+        impulse=st.booleans(),
+        monic=st.booleans(),
+        sparse=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[1], pad=0, t=12, impulse=True, monic=False, sparse=False, seed=0)
+    @example(lengths=[13, 1, 4], pad=0, t=30, impulse=True, monic=False, sparse=True, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_lfilter(self, lengths, pad, t, impulse, monic, sparse, seed):
+        rng = np.random.default_rng(seed)
+        batch, width = len(lengths), max(lengths) + pad
+        # the padding after each row's taps holds noise, which must never be read
+        a = rng.standard_normal((batch, width)) + 1j * rng.standard_normal((batch, width))
+        for r, n in enumerate(lengths):
+            if monic:
+                a[r, 0] = 1.0
+            if sparse and n > 2:  # zero interior taps, as in the cdl_d profile
+                a[r, 1 : n - 1][rng.uniform(size=n - 2) < 0.6] = 0.0
+            a[r, 1:n] *= 0.9 * abs(a[r, 0]) / max(np.sum(np.abs(a[r, 1:n])), 1e-9)
+        if impulse:
+            x = np.zeros((batch, t), dtype=complex)
+            x[:, 0] = 1.0
+        else:
+            x = rng.standard_normal((batch, t)) + 1j * rng.standard_normal((batch, t))
+        got = all_pole_filter(a, x, lengths)
+        shared = all_pole_filter(a, x[0], lengths)
+        for r, n in enumerate(lengths):
+            num = np.ones(1, dtype=complex)
+            assert same_bits(got[r], scipy.signal.lfilter(num, a[r, :n], x[r]))
+            assert same_bits(shared[r], scipy.signal.lfilter(num, a[r, :n], x[0]))
+
+    def test_lengths_checked(self):
+        a = np.ones((2, 3), dtype=complex)
+        for lengths in ([0, 3], [1, 4], [2]):
+            with pytest.raises(ValueError):
+                all_pole_filter(a, np.ones(4), lengths)
 
 
 class TestHermitianEig:

@@ -11,6 +11,7 @@ from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.signal_core import hermitian_eig
 from rclab.theory import (
     ApproxErrorReport,
+    _next_fast_len,
     _shift_projection_energies,
     approx_error_report,
     lemma1_error,
@@ -171,6 +172,12 @@ class TestShiftProjectionEnergies:
         got = _shift_projection_energies(f, vectors)
         assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
         np.testing.assert_allclose(got, shift_projection_energies_dense(f, vectors), rtol=1e-12, atol=0)
+
+
+def test_next_fast_len_matches_scipy():
+    assert [_next_fast_len(t) for t in range(1, 5001)] == [
+        scipy.fft.next_fast_len(t) for t in range(1, 5001)
+    ]
 
 
 class TestShiftAccumulatedCovariance:

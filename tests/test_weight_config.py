@@ -2,8 +2,10 @@ import io
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.signal
 
+from rclab import channel, weight_config
 from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.reservoir import run_states, wesn_features
 from rclab.weight_config import (
@@ -13,6 +15,7 @@ from rclab.weight_config import (
     assemble_mimo,
     basis_to_poles,
     collect_equalizer_irs,
+    collect_inverse_responses,
     configure_frequency_domain_report,
     configure_time_domain_report,
     diagnostics_csv,
@@ -54,6 +57,21 @@ class TestCollect:
             unit = np.zeros(64)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
+
+    def test_each_draw_factorized_once(self, monkeypatch):
+        # the phase factorization made while drawing is the one that is used
+        draws, factorizations = [], []
+        sample, factorize = channel.sample_tdl, channel.factorize_by_phase
+        monkeypatch.setattr(channel, "sample_tdl", lambda *a: draws.append(1) or sample(*a))
+        for module in (channel, weight_config):
+            monkeypatch.setattr(
+                module, "factorize_by_phase",
+                lambda h: factorizations.append(1) or factorize(h), raising=False,
+            )
+        pdp = load_pdp("mixed_3tap")
+        collect_equalizer_irs(pdp, 8, 30, np.random.default_rng(3))
+        collect_inverse_responses(pdp, 30, np.random.default_rng(4))
+        assert len(draws) >= 60 and len(factorizations) == len(draws)
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
@@ -159,6 +177,18 @@ class TestReduceOrder:
             )
             errs = [reduce_order(basis.p[:, 0], lf)[1] for lf in (2, 4, 8, 16)]
             assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(3))
+
+
+    def test_columns_match_single_calls(self):
+        rng = np.random.default_rng(8)
+        basis = mp_compensate(
+            (rng.standard_normal((24, 5)) + 1j * rng.standard_normal((24, 5))) / 5
+        )
+        for l_f in (1, 3, 24):
+            q, errs = reduce_order(basis.p, l_f)
+            for col in range(5):
+                q_col, err = reduce_order(basis.p[:, col], l_f)
+                assert np.array_equal(q[col], q_col) and errs[col] == err
 
 
 class TestBasisToPoles:
@@ -327,6 +357,8 @@ class TestAssembleMimo:
         s1, s2 = self.make_siso(4), self.make_siso(4)
         mimo = assemble_mimo([s1, s2], 3, MimoAssembly.PARAMETRIC_DISTINCT)
         assert mimo.n_neurons == 3 * 2 * 4
+        per_stream = scipy.linalg.block_diag(s1.w_res, s2.w_res)
+        np.testing.assert_array_equal(mimo.w_res, scipy.linalg.block_diag(*[per_stream] * 3))
 
     def test_spec_count_mismatch(self):
         with pytest.raises(ValueError):
