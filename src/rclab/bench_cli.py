@@ -30,7 +30,7 @@ import configparser
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -67,7 +67,6 @@ from .reservoir import (
 )
 from .weight_config import (
     ConfigReport,
-    MimoAssembly,
     assemble_mimo,
     configure_frequency_domain_report,
     configure_time_domain_report,
@@ -93,20 +92,26 @@ class ConfigFileError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, with its fields grouped by config-file section.
+
+    :func:`_config_keys` takes each key's section from the field order.
+    """
+
+    # [experiment]
     seed: int = 0
     n_slots: int = 1
     snr_db: tuple = (20.0,)
     detectors: tuple = ("rc-td", "lmmse")
     qam_order: int = 16
     workers: int = 1
-    # ofdm
+    # [ofdm]
     n_sc: int = 1024
     n_cp: int = 160
     n_symbols: int = 14
     rs_spacing: int = 4
-    # channel
+    # [channel]
     pdp: str = "cdl_d"
-    channel_mode: str = "siso"  # "siso" | "mimo"
+    channel_mode: str = "siso"  # key "mode": "siso" | "mimo"
     n_tx: int = 1
     n_rx: int = 1
     n_path: int = 20
@@ -114,7 +119,7 @@ class ExperimentConfig:
     angle_offset_deg: float = 5.0
     element_spacing: float = 0.5
     require_phase: str = "any"  # "any" | "strictly_mp"
-    # reservoir computing
+    # [rc]: reservoir computing
     m: int = 5
     l_f: int = 7
     l_rp: int = 7
@@ -141,8 +146,17 @@ class ExperimentConfig:
             raise ConfigFileError("channel mode must be 'siso' or 'mimo'")
         if self.channel_mode == "siso" and (self.n_tx != 1 or self.n_rx != 1):
             raise ConfigFileError("siso mode requires n_tx = n_rx = 1")
-        if self.channel_mode == "mimo" and self.n_tx != self.n_rx:
-            raise ConfigFileError("the detectors assume a square MIMO system (n_tx = n_rx)")
+        if self.channel_mode == "mimo":
+            if self.n_tx != self.n_rx:
+                raise ConfigFileError("the detectors assume a square MIMO system (n_tx = n_rx)")
+            if self.n_tx < 1:
+                raise ConfigFileError("mimo mode needs n_tx = n_rx >= 1")
+            if self.n_path < 1:
+                raise ConfigFileError("mimo mode needs n_path >= 1")
+            if not self.element_spacing > 0:
+                raise ConfigFileError("mimo mode needs element_spacing > 0")
+            if not self.angle_offset_deg >= 0:
+                raise ConfigFileError("mimo mode needs angle_offset_deg >= 0")
         if self.require_phase not in ("any", "strictly_mp"):
             raise ConfigFileError("require_phase must be 'any' or 'strictly_mp'")
         if self.n_slots < 0 or self.workers < 1:
@@ -172,63 +186,21 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = parser.read(path)
-        if not read:
+        if not parser.read(path):
             raise ConfigFileError(f"config file not found: {path}")
-        spec = {
-            "experiment": {
-                "seed": int,
-                "n_slots": int,
-                "snr_db": _float_list,
-                "detectors": _name_list,
-                "qam_order": int,
-                "workers": int,
-            },
-            "ofdm": {"n_sc": int, "n_cp": int, "n_symbols": int, "rs_spacing": int},
-            "channel": {
-                "pdp": str,
-                "mode": str,
-                "n_tx": int,
-                "n_rx": int,
-                "n_path": int,
-                "sector_deg": float,
-                "angle_offset_deg": float,
-                "element_spacing": float,
-                "require_phase": str,
-            },
-            "rc": {
-                "m": int,
-                "l_f": int,
-                "l_rp": int,
-                "n_window": int,
-                "n_neurons": int,
-                "spectral_radius": float,
-                "sparsity": float,
-                "ridge": float,
-                "d_max": int,
-                "activation": str,
-                "input_scale": float,
-                "stats_n": int,
-                "stats_obs": int,
-            },
-        }
-        rename = {("channel", "mode"): "channel_mode"}
         kwargs = {}
         for section in parser.sections():
-            if section not in spec:
+            if section not in _CONFIG_KEYS:
                 raise ConfigFileError(f"unknown config section [{section}]")
             for key, raw in parser.items(section):
-                if key not in spec[section]:
+                if key not in _CONFIG_KEYS[section]:
                     raise ConfigFileError(f"unknown key {key!r} in section [{section}]")
-                name = rename.get((section, key), key)
+                name, parse = _CONFIG_KEYS[section][key]
                 try:
-                    kwargs[name] = spec[section][key](raw)
+                    kwargs[name] = parse(raw)
                 except ValueError as exc:
                     raise ConfigFileError(f"bad value for {section}.{key}: {raw!r}") from exc
-        try:
-            cfg = cls(**kwargs)
-        except TypeError as exc:
-            raise ConfigFileError(str(exc)) from exc
+        cfg = cls(**kwargs)
         pdp = cfg.load_profile()  # fail early if the referenced PDP is missing
         # the td route's statistics vectors have stats_n samples; the fd route
         # samples its own fixed grid, so fd-only configs skip these rules
@@ -247,6 +219,26 @@ def _float_list(raw: str):
 
 def _name_list(raw: str):
     return tuple(tok.strip() for tok in raw.replace(",", " ").split())
+
+
+def _config_keys() -> dict:
+    """``{section: {key: (field, parser)}}`` of the config file, from the field order.
+
+    A section runs from its first field to the next section's.  Keys are the
+    field names apart from ``channel.mode``; the two list fields have their
+    own parsers and every other field parses as its annotated type.
+    """
+    starts = {"seed": "experiment", "n_sc": "ofdm", "pdp": "channel", "m": "rc"}
+    parsers = {"snr_db": _float_list, "detectors": _name_list}
+    keys, section = {}, None
+    for f in fields(ExperimentConfig):
+        section = starts.get(f.name, section)
+        key = "mode" if f.name == "channel_mode" else f.name
+        keys.setdefault(section, {})[key] = (f.name, parsers.get(f.name, f.type))
+    return keys
+
+
+_CONFIG_KEYS = _config_keys()
 
 
 @dataclass(frozen=True)
@@ -389,11 +381,7 @@ def _configured_specs(cfg: ExperimentConfig) -> dict:
     for det in cfg.detectors:
         if det in ("rc-td", "rc-fd"):
             siso = configure(cfg, det.removeprefix("rc-")).spec
-            specs[det] = (
-                siso
-                if cfg.channel_mode == "siso"
-                else assemble_mimo([siso], cfg.n_tx, MimoAssembly.PARAMETRIC_SHARED)
-            )
+            specs[det] = siso if cfg.channel_mode == "siso" else assemble_mimo([siso], cfg.n_tx)
         elif det in ("rc-random", "vanilla-esn"):
             windowed = det == "rc-random"
             specs[det] = random_reservoir(
@@ -574,6 +562,8 @@ def cmd_configure(args) -> int:
 
 
 def cmd_inspect_channel(args) -> int:
+    if args.draws < 1:
+        raise ConfigFileError(f"--draws must be >= 1, got {args.draws}")
     pdp = load_pdp(args.pdp)
     rng = _stream(_resolve_seed(args, 0), _T_CHANNEL)
     counts = {p.value: 0 for p in Phase}

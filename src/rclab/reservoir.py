@@ -16,7 +16,7 @@ advances a ``(batch, n_neurons)`` state through the received signals, each
 element's readout is trained on the states of the known prefix, and those
 states carry on into the equalization, whose readout is applied
 ``STREAM_CHUNK`` samples at a time.  Each element gets the same bits as it
-would alone; :func:`run_states` and :func:`predict` are batches of one.
+would alone, in a batch of one.
 """
 
 import warnings
@@ -96,14 +96,6 @@ class Readout:
 STREAM_CHUNK = 1024
 
 
-def _inputs(spec: ReservoirSpec, x) -> np.ndarray:
-    """``x`` as a complex ``(batch, d_in, T)`` array, checked against the spec."""
-    xs = np.asarray(x, dtype=np.complex128)
-    if xs.ndim != 3 or xs.shape[1] != spec.d_in:
-        raise ValueError(f"expected input of shape (batch, d_in = {spec.d_in}, T), got {xs.shape}")
-    return xs
-
-
 def _drive(spec: ReservoirSpec, xs: np.ndarray) -> np.ndarray:
     """Input drive ``W_in x[n]`` of a ``(batch, d_in, T)`` input, as ``(T, batch, n_neurons)``."""
     return np.ascontiguousarray(np.matmul(spec.w_in, xs).transpose(2, 0, 1))
@@ -135,25 +127,13 @@ def _advance(spec: ReservoirSpec, drive: np.ndarray, s: np.ndarray, out: np.ndar
     return s.copy()
 
 
-def run_states(spec: ReservoirSpec, x) -> np.ndarray:
-    """State trajectory from a zero initial state; returns ``(n_neurons, T)``.
-
-    The batch-of-one case of the recursion ``s[n] = act(W_res s[n-1] + W_in x[n])``
-    that :func:`train_and_equalize` runs.
-    """
-    xs = _inputs(spec, np.atleast_2d(x)[None])
-    states = np.empty((xs.shape[2], 1, spec.n_neurons), dtype=np.complex128)
-    _advance(spec, _drive(spec, xs), np.zeros((1, spec.n_neurons), dtype=np.complex128), states)
-    return np.ascontiguousarray(states[:, 0].T)
-
-
 def block_states(poles, y) -> np.ndarray:
     """Linear diagonal-reservoir states in one shot: row k is ``(y * psi_k)[:N]``.
 
     ``psi_k`` is the impulse response of ``1 / (1 - p_k z^{-1})`` (unit input
     weight convention), run as one all-pole filter per pole.  Serves as the
-    closed-form oracle for :func:`run_states` with linear activation and a
-    diagonal core.
+    closed-form oracle for the state recursion of :func:`train_and_equalize`
+    with linear activation and a diagonal core.
     """
     p = np.asarray(poles, dtype=np.complex128).ravel()
     yv = np.asarray(y, dtype=np.complex128).ravel()
@@ -178,12 +158,6 @@ def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) 
         rows = slice(n_neurons + k * d_in, n_neurons + (k + 1) * d_in)
         feats[rows, lead:] = xs[:, t0 - w + lead : t0 - w + n]
     return feats
-
-
-def wesn_features(spec: ReservoirSpec, x) -> np.ndarray:
-    """States stacked with the windowed input history, ``(feature_dim, T)``."""
-    xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    return _features(spec, run_states(spec, xs), xs, 0)
 
 
 def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
@@ -262,46 +236,32 @@ def _delay_search(features, target, d_max: int, ridge: float):
     return best, _fit_weights(f, _delayed(tgt, best), ridge)
 
 
-def train_with_delay_search(
-    spec: ReservoirSpec, train_input, train_target, d_max: int, ridge: float = 0.0
-) -> Readout:
-    """Run the reservoir once, search delays, and return the winning readout."""
-    delay, w = _delay_search(wesn_features(spec, train_input), train_target, d_max, ridge)
-    return Readout(w_out=w, delay=delay)
-
-
-def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, head=None):
+def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, feats, s):
     """Readout ``i`` applied to the features of batch element ``i``, advanced by its delay.
 
-    The recursion runs over the ``(batch, d_in, T)`` input and then over
+    ``feats`` (one array per element) and the ``(batch, n_neurons)`` state
+    ``s`` are those of an already-run input prefix.  The recursion carries on
+    over the rest of the ``(batch, d_in, T)`` input and then over
     ``n_pad >= max(delay)`` zero samples, ``STREAM_CHUNK`` samples at a time.
     The blocks, and so the rounding of each output sample, depend on the
-    lengths only, not on which elements share the batch.  ``head`` is
-    ``(features per element, last state)`` of an already-run input prefix.
-    Returns ``(batch, n_out, T)``.
+    lengths only, not on which elements share the batch.  Returns
+    ``(batch, n_out, T)``.
     """
-    for r in readouts:
-        if r.w_out.shape[1] != spec.feature_dim:
-            raise ValueError("readout does not match the spec's feature dimension")
     n_batch, _, t = xs.shape
     end = t + n_pad
     xs = np.concatenate([xs, np.zeros((n_batch, spec.d_in, end - t), dtype=np.complex128)], axis=2)
     out = np.empty((n_batch, readouts[0].w_out.shape[0], t), dtype=np.complex128)
 
-    def emit(i, feats, t0):
+    def emit(i, f, t0):
         # feature sample t0 + j is output sample t0 + j - delay
         d = readouts[i].delay
-        lo, hi = max(t0, d), min(t0 + feats.shape[1], t + d)
+        lo, hi = max(t0, d), min(t0 + f.shape[1], t + d)
         if lo < hi:
-            out[i, :, lo - d : hi - d] = (readouts[i].w_out @ feats)[:, lo - t0 : hi - t0]
+            out[i, :, lo - d : hi - d] = (readouts[i].w_out @ f)[:, lo - t0 : hi - t0]
 
-    if head is None:
-        t0, s = 0, np.zeros((n_batch, spec.n_neurons), dtype=np.complex128)
-    else:
-        feats, s = head
-        for i, f in enumerate(feats):
-            emit(i, f, 0)
-        t0 = feats[0].shape[1]
+    for i, f in enumerate(feats):
+        emit(i, f, 0)
+    t0 = feats[0].shape[1]
     block = np.empty((STREAM_CHUNK, n_batch, spec.n_neurons), dtype=np.complex128)
     while t0 < end:
         n = min(STREAM_CHUNK, end - t0)
@@ -312,27 +272,22 @@ def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, h
     return out
 
 
-def predict(spec: ReservoirSpec, readout: Readout, x) -> np.ndarray:
-    """Readout applied to the features, advanced by the learned delay.
-
-    The recursion runs on over ``delay`` trailing zero samples, so the output
-    stays aligned with the undelayed target and keeps the input's length.
-    """
-    xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    return _stream_readout(spec, xs[None], [readout], readout.delay)[0]
-
-
 def train_and_equalize(spec: ReservoirSpec, x, target, d_max: int, ridge: float = 0.0):
     """Train a readout on the first samples of every batch element, then equalize it whole.
 
     ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out, L)`` waveform
-    known for the first ``L`` samples of every element.  Each element gets
-    the readout of :func:`train_with_delay_search` and the output of
-    :func:`predict`, but the state recursion runs once for the whole batch,
-    and the training states carry on into the equalization.  Returns the
-    ``(batch, n_out, T)`` outputs and the readouts.
+    known for the first ``L`` samples of every element.  Each element's
+    readout wins the delay search over ``[0, d_max]`` on the features of its
+    first ``L`` samples; the output is that readout applied to the features
+    of the whole input, run on over ``d_max`` trailing zero samples and
+    advanced by the learned delay, so it stays aligned with the undelayed
+    target and keeps the input's length.  The state recursion runs once for
+    the whole batch, and the training states carry on into the equalization.
+    Returns the ``(batch, n_out, T)`` outputs and the readouts.
     """
-    xs = _inputs(spec, x)
+    xs = np.asarray(x, dtype=np.complex128)
+    if xs.ndim != 3 or xs.shape[1] != spec.d_in:
+        raise ValueError(f"expected input of shape (batch, d_in = {spec.d_in}, T), got {xs.shape}")
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
     n_train = tgt.shape[1]
     if n_train > xs.shape[2]:
@@ -342,7 +297,7 @@ def train_and_equalize(spec: ReservoirSpec, x, target, d_max: int, ridge: float 
     s = _advance(spec, _drive(spec, xs[:, :, :n_train]), zero, states)
     feats = [_features(spec, states[:, i].T, xi, 0) for i, xi in enumerate(xs)]
     readouts = [Readout(w_out=w, delay=d) for d, w in (_delay_search(f, tgt, d_max, ridge) for f in feats)]
-    return _stream_readout(spec, xs, readouts, d_max, head=(feats, s)), readouts
+    return _stream_readout(spec, xs, readouts, d_max, feats, s), readouts
 
 
 def random_reservoir(

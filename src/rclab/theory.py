@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PowerDelayProfile
+from .filters import Phase
 from .signal_core import hermitian_eig
 from .weight_config import ChannelStatsDataset, collect_equalizer_irs
 
@@ -221,5 +222,5 @@ def reproduce_fig5(
     vanish at full dimension.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, phase_policy="require_mp")
+    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, require=Phase.STRICTLY_MP)
     return approx_error_report(dataset, m_values)

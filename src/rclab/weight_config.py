@@ -22,7 +22,6 @@ replicated along the block diagonal and each block listens to one receive
 stream.
 """
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,12 +42,6 @@ class ConfigurationError(RuntimeError):
     """Weight-configuration pipeline failure (e.g. a diverged rational fit)."""
 
 
-class MimoAssembly(enum.Enum):
-    FACTORIZABLE = "factorizable"
-    PARAMETRIC_DISTINCT = "parametric_distinct"
-    PARAMETRIC_SHARED = "parametric_shared"
-
-
 @dataclass(frozen=True)
 class ChannelStatsDataset:
     """Per-realization statistics vectors feeding PCA.
@@ -58,15 +51,11 @@ class ChannelStatsDataset:
     """
 
     vectors: np.ndarray  # (n_obs, n)
-    domain: str  # "time" | "frequency"
-    pdp_label: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=np.complex128)
         if v.ndim != 2 or v.size == 0:
             raise ValueError("vectors must be a non-empty (n_obs, n) array")
-        if self.domain not in ("time", "frequency"):
-            raise ValueError("domain must be 'time' or 'frequency'")
         object.__setattr__(self, "vectors", v)
 
     @property
@@ -118,19 +107,17 @@ def collect_equalizer_irs(
     n: int,
     n_obs: int,
     rng: np.random.Generator,
-    phase_policy: str = "mp_factor",
+    require: Phase | None = None,
 ) -> ChannelStatsDataset:
     """Zero-forcing equalizer impulse responses for ``n_obs`` channel draws.
 
-    ``phase_policy`` is either ``"mp_factor"`` (mixed/NMP draws contribute the
-    inverse of their minimum-phase factor) or ``"require_mp"`` (draws are
-    resampled until strictly minimum-phase).
+    Draws are resampled until their phase class is ``require`` (any class
+    when ``None``), as in :func:`channel.draw_channel`.  A draw that is not
+    strictly minimum-phase contributes the inverse of its minimum-phase
+    factor.
     """
-    if phase_policy not in ("mp_factor", "require_mp"):
-        raise ValueError("phase_policy must be 'mp_factor' or 'require_mp'")
     if n < pdp.length:
         raise ValueError(f"n = {n} shorter than the channel length {pdp.length}")
-    require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
     # every draw first, then one inverse over the stack of (padded) taps
     taps = np.zeros((n_obs, pdp.length), dtype=np.complex128)
     lengths = np.empty(n_obs, dtype=np.int64)
@@ -139,7 +126,7 @@ def collect_equalizer_irs(
         taps[i, : h.size] = h
         lengths[i] = h.size
     vectors = toeplitz_inverse_first_column(taps, n, lengths)
-    return ChannelStatsDataset(vectors=vectors, domain="time", pdp_label=pdp.label)
+    return ChannelStatsDataset(vectors=vectors)
 
 
 def _draw_mp(pdp: PowerDelayProfile, rng: np.random.Generator, require) -> np.ndarray:
@@ -331,10 +318,10 @@ def configure_time_domain_report(
     n_window: int,
     rng: np.random.Generator,
     activation: str = "tanh",
-    phase_policy: str = "mp_factor",
+    require: Phase | None = None,
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
-    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, phase_policy=phase_policy)
+    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, require=require)
     basis = mp_compensate(pca_basis(dataset, m))
     poles, weights, diagnostics = basis_to_poles(basis, l_f)
     spec = _spec_from_sections(poles, weights, n_window, activation)
@@ -352,16 +339,20 @@ def collect_inverse_responses(
     n_obs: int,
     rng: np.random.Generator,
     grid_size: int = DEFAULT_GRID_SIZE,
-    phase_policy: str = "mp_factor",
+    require: Phase | None = None,
 ) -> ChannelStatsDataset:
-    """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on a uniform grid."""
+    """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on a uniform grid.
+
+    Draws are resampled until their phase class is ``require`` (any class
+    when ``None``); ``H_mp`` is the draw itself when it is strictly
+    minimum-phase and its minimum-phase factor otherwise.
+    """
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    require = Phase.STRICTLY_MP if phase_policy == "require_mp" else None
     vectors = np.empty((n_obs, grid_size), dtype=np.complex128)
     for i in range(n_obs):
         vectors[i] = 1.0 / np.fft.fft(_draw_mp(pdp, rng, require), grid_size)
-    return ChannelStatsDataset(vectors=vectors, domain="frequency", pdp_label=pdp.label)
+    return ChannelStatsDataset(vectors=vectors)
 
 
 def all_pole_fit(values: np.ndarray, order: int, iterations: int = SK_ITERATIONS):
@@ -403,7 +394,7 @@ def configure_frequency_domain_report(
     rng: np.random.Generator,
     grid_size: int = DEFAULT_GRID_SIZE,
     activation: str = "tanh",
-    phase_policy: str = "mp_factor",
+    require: Phase | None = None,
 ) -> ConfigReport:
     """Full frequency-domain pipeline with per-column diagnostics.
 
@@ -411,9 +402,7 @@ def configure_frequency_domain_report(
     ``grid_size``-point frequency grid; ``n`` is not read.  It is kept so the
     signature matches ``configure_time_domain_report``.
     """
-    dataset = collect_inverse_responses(
-        pdp, n_obs, rng, grid_size=grid_size, phase_policy=phase_policy
-    )
+    dataset = collect_inverse_responses(pdp, n_obs, rng, grid_size=grid_size, require=require)
     f = pca_basis(dataset, m)
     poles = np.empty(m * l_rp, dtype=np.complex128)
     weights = np.empty(m * l_rp, dtype=np.complex128)
@@ -442,21 +431,20 @@ def configure_frequency_domain_report(
 # MIMO assembly
 # ---------------------------------------------------------------------------
 
-def assemble_mimo(siso_specs, n_tx: int, mode: MimoAssembly) -> ReservoirSpec:
+def assemble_mimo(siso_specs, n_tx: int) -> ReservoirSpec:
     """Block-diagonal MIMO reservoir from SISO building blocks.
 
-    ``FACTORIZABLE`` and ``PARAMETRIC_SHARED`` replicate a single SISO core
-    once per transmit stream (``n_tx * n_n`` neurons); ``PARAMETRIC_DISTINCT``
-    stacks one core per propagation-path statistic inside each stream block
-    (``n_tx * n_p * n_n`` neurons).  Block ``i`` listens to receive stream
-    ``i`` only; the cross-stream mixing lives in the trained output weights.
+    Each of the ``n_tx`` stream blocks stacks the given SISO cores along its
+    diagonal.  One spec gives the shared layout, which also serves a
+    factorizable channel: one core per stream (``n_tx * n_n`` neurons).
+    Several specs give the distinct layout: one core per propagation-path
+    statistic inside each stream block (``n_tx * n_p * n_n`` neurons).
+    Block ``i`` listens to receive stream ``i`` only; the cross-stream
+    mixing lives in the trained output weights.
     """
     specs = list(siso_specs)
-    if mode in (MimoAssembly.FACTORIZABLE, MimoAssembly.PARAMETRIC_SHARED):
-        if len(specs) != 1:
-            raise ValueError(f"{mode.value} assembly takes exactly one SISO spec")
-    elif len(specs) < 1:
-        raise ValueError("parametric_distinct assembly needs at least one SISO spec")
+    if not specs:
+        raise ValueError("MIMO assembly needs at least one SISO spec")
     for s in specs:
         if s.d_in != 1:
             raise ValueError("SISO building blocks must have d_in = 1")

@@ -1,0 +1,31 @@
+"""One input run alone: the batch-of-one reference of the batched detector core.
+
+Built on the package's own recursion and feature layout (``reservoir._advance``
+and ``reservoir._features``), so a batch element must match it to the bit.
+"""
+
+import numpy as np
+
+from rclab import reservoir
+from rclab.reservoir import Readout
+
+
+def alone_states(spec, x) -> np.ndarray:
+    """States of the ``(d_in, T)`` input ``x`` from a zero initial state, ``(n_neurons, T)``."""
+    xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))[None]
+    states = np.empty((xs.shape[2], 1, spec.n_neurons), dtype=np.complex128)
+    zero = np.zeros((1, spec.n_neurons), dtype=np.complex128)
+    reservoir._advance(spec, reservoir._drive(spec, xs), zero, states)
+    return np.ascontiguousarray(states[:, 0].T)
+
+
+def alone_features(spec, x) -> np.ndarray:
+    """States stacked with the windowed input history, ``(feature_dim, T)``."""
+    xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
+    return reservoir._features(spec, alone_states(spec, xs), xs, 0)
+
+
+def alone_readout(spec, train_input, target, d_max, ridge=0.0) -> Readout:
+    """The delay search's readout on the features of ``train_input``."""
+    delay, w = reservoir._delay_search(alone_features(spec, train_input), target, d_max, ridge)
+    return Readout(w_out=w, delay=delay)

@@ -46,7 +46,7 @@ def test_criterion_01_trace_identity_desk_scale():
     start = time.time()
     pdp = load_pdp("cdl_d")
     rng = np.random.default_rng(1001)
-    dataset = collect_equalizer_irs(pdp, 64, 200, rng, phase_policy="require_mp")
+    dataset = collect_equalizer_irs(pdp, 64, 200, rng, require=Phase.STRICTLY_MP)
     k_hat = dataset.empirical_covariance()
     # both quantities live on the scale of mean ||T(g)||_F^2 (their M=1
     # value); measuring the gap against that scale keeps "relative" well
@@ -89,7 +89,7 @@ def test_criterion_03_tail_eigenvalue_identity():
         n_obs = int(rng.integers(5, 80))
         vectors = rng.standard_normal((n_obs, n)) + 1j * rng.standard_normal((n_obs, n))
         vectors *= np.exp(-0.1 * np.arange(n))[None, :]
-        ds = ChannelStatsDataset(vectors=vectors, domain="time")
+        ds = ChannelStatsDataset(vectors=vectors)
         lam = hermitian_eig(ds.empirical_covariance()).values
         m = int(rng.integers(1, n + 1))
         f = pca_basis(ds, m)

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import os
 import subprocess
@@ -51,6 +52,58 @@ stats_obs = 80
 """
 
 
+# every key set, each to a value other than its default
+FULL_CONFIG_TEXT = """
+[experiment]
+seed = 3
+n_slots = 2
+snr_db = 5 12.5
+detectors = rc-fd, vanilla-esn
+qam_order = 4
+workers = 2
+
+[ofdm]
+n_sc = 512
+n_cp = 64
+n_symbols = 7
+rs_spacing = 8
+
+[channel]
+pdp = cdl_e
+mode = mimo
+n_tx = 2
+n_rx = 2
+n_path = 7
+sector_deg = 45
+angle_offset_deg = 2.5
+element_spacing = 0.75
+require_phase = strictly_mp
+
+[rc]
+m = 4
+l_f = 6
+l_rp = 5
+n_window = 3
+n_neurons = 20
+spectral_radius = 0.7
+sparsity = 0.25
+ridge = 1e-3
+d_max = 9
+activation = linear
+input_scale = 0.5
+stats_n = 96
+stats_obs = 150
+"""
+FULL_CONFIG = dict(
+    seed=3, n_slots=2, snr_db=(5.0, 12.5), detectors=("rc-fd", "vanilla-esn"), qam_order=4,
+    workers=2, n_sc=512, n_cp=64, n_symbols=7, rs_spacing=8, pdp="cdl_e", channel_mode="mimo",
+    n_tx=2, n_rx=2, n_path=7, sector_deg=45.0, angle_offset_deg=2.5, element_spacing=0.75,
+    require_phase="strictly_mp", m=4, l_f=6, l_rp=5, n_window=3, n_neurons=20,
+    spectral_radius=0.7, sparsity=0.25, ridge=1e-3, d_max=9, activation="linear",
+    input_scale=0.5, stats_n=96, stats_obs=150,
+)
+
+
 @pytest.fixture
 def config_file(tmp_path):
     p = tmp_path / "exp.ini"
@@ -72,6 +125,19 @@ class TestExperimentConfig:
         p = tmp_path / "bad.ini"
         p.write_text("[experiment]\nbogus = 1\n")
         with pytest.raises(bc.ConfigFileError, match="bogus"):
+            bc.ExperimentConfig.from_file(p)
+
+    def test_every_key_round_trips(self, tmp_path):
+        for f in dataclasses.fields(bc.ExperimentConfig):
+            assert FULL_CONFIG[f.name] != f.default, f.name
+        p = tmp_path / "full.ini"
+        p.write_text(FULL_CONFIG_TEXT)
+        assert bc.ExperimentConfig.from_file(p) == bc.ExperimentConfig(**FULL_CONFIG)
+
+    def test_key_in_wrong_section(self, tmp_path):
+        p = tmp_path / "bad.ini"
+        p.write_text("[ofdm]\nseed = 1\n")
+        with pytest.raises(bc.ConfigFileError, match=r"unknown key 'seed' in section \[ofdm\]"):
             bc.ExperimentConfig.from_file(p)
 
     def test_unknown_section(self, tmp_path):
@@ -118,6 +184,24 @@ class TestExperimentConfig:
         p = tmp_path / "bad.ini"
         p.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(bc.ConfigFileError):
+            bc.ExperimentConfig.from_file(p)
+
+    # each of these used to load and then fail inside the slot worker
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            ("n_tx = 0\nn_rx = 0", "n_tx = n_rx >= 1"),
+            ("n_path = 0", "n_path >= 1"),
+            ("element_spacing = -0.5", "element_spacing > 0"),
+            ("element_spacing = 0", "element_spacing > 0"),
+            ("angle_offset_deg = -5", "angle_offset_deg >= 0"),
+        ],
+        ids=["n_tx", "n_path", "spacing_negative", "spacing_zero", "angle_offset"],
+    )
+    def test_mimo_channel_rejected_at_load(self, tmp_path, lines, message):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[channel]\nmode = mimo\n{lines}\n")
+        with pytest.raises(bc.ConfigFileError, match=message):
             bc.ExperimentConfig.from_file(p)
 
     # cdl_d is 13 samples long; these rules bind only when rc-td is configured
@@ -329,6 +413,14 @@ class TestCli:
         counts = {ln.split(",")[0]: int(ln.split(",")[1]) for ln in lines[1:]}
         assert counts["strictly_mp"] + counts["strictly_nmp"] + counts["mixed"] == 200
         assert counts["mixed"] > 0
+
+    @pytest.mark.parametrize("draws", ["0", "-3"])
+    def test_inspect_channel_needs_a_draw(self, tmp_path, capsys, draws):
+        out = tmp_path / "phases.csv"
+        rc = bc.main(["inspect-channel", "--pdp", "mixed_3tap", "--draws", draws, "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"rclab: error: --draws must be >= 1, got {draws}\n"
+        assert not out.exists()
 
     def test_ring_redraws_counted(self, tmp_path, monkeypatch):
         # the first k factorizations hit the unit-circle ring

@@ -4,17 +4,24 @@ import numpy as np
 import pytest
 
 from rclab.reservoir import (
-    Readout,
     ReservoirSpec,
     block_states,
     dump_spec_text,
-    predict,
     random_reservoir,
-    run_states,
+    train_and_equalize,
     train_readout,
-    train_with_delay_search,
-    wesn_features,
 )
+from reservoir_reference import alone_features, alone_states
+
+
+def equalize(spec, y, x, d_max):
+    """``train_and_equalize`` on the input ``y`` alone: ``(output, readout)``."""
+    out, (readout,) = train_and_equalize(spec, y[None], x, d_max)
+    return out[0], readout
+
+
+def learned_readout(spec, y, x, d_max):
+    return equalize(spec, y, x, d_max)[1]
 
 
 def diagonal_spec(poles, weights=None, activation="linear", n_window=0):
@@ -34,12 +41,12 @@ class TestRunStates:
         spec = diagonal_spec([0.5])
         impulse = np.zeros((1, 5))
         impulse[0, 0] = 1.0
-        np.testing.assert_allclose(run_states(spec, impulse)[0], [1, 0.5, 0.25, 0.125, 0.0625])
+        np.testing.assert_allclose(alone_states(spec, impulse)[0], [1, 0.5, 0.25, 0.125, 0.0625])
 
     def test_zero_input_weights(self):
         spec = diagonal_spec([0.5, -0.3], weights=[0, 0])
         x = np.random.default_rng(0).standard_normal((1, 20))
-        np.testing.assert_array_equal(run_states(spec, x), np.zeros((2, 20)))
+        np.testing.assert_array_equal(alone_states(spec, x), np.zeros((2, 20)))
 
     def test_block_oracle_equivalence(self):
         rng = np.random.default_rng(1)
@@ -48,7 +55,7 @@ class TestRunStates:
             poles = 0.9 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
             y = rng.standard_normal(40) + 1j * rng.standard_normal(40)
             spec = diagonal_spec(poles)
-            iterative = run_states(spec, y[None, :])
+            iterative = alone_states(spec, y[None, :])
             closed_form = block_states(poles, y)
             np.testing.assert_allclose(iterative, closed_form, atol=1e-10)
 
@@ -56,7 +63,7 @@ class TestRunStates:
         rng = np.random.default_rng(2)
         spec = random_reservoir(6, 0.5, 0.3, 2, 0, rng, activation="tanh")
         x = rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))
-        states = run_states(spec, x)
+        states = alone_states(spec, x)
         s = np.zeros(6, dtype=complex)
         for n in range(15):
             z = spec.w_res @ s + spec.w_in @ x[:, n]
@@ -65,8 +72,8 @@ class TestRunStates:
 
     def test_input_dim_checked(self):
         spec = diagonal_spec([0.5])
-        with pytest.raises(ValueError):
-            run_states(spec, np.zeros((2, 10)))
+        with pytest.raises(ValueError, match="d_in = 1"):
+            train_and_equalize(spec, np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0)
 
 
 class TestBlockStates:
@@ -84,11 +91,11 @@ class TestWesnFeatures:
     def test_vanilla_passthrough(self):
         spec = diagonal_spec([0.5], n_window=0)
         x = np.random.default_rng(3).standard_normal((1, 10))
-        np.testing.assert_array_equal(wesn_features(spec, x), run_states(spec, x))
+        np.testing.assert_array_equal(alone_features(spec, x), alone_states(spec, x))
 
     def test_window_shift(self):
         spec = diagonal_spec([0.0], n_window=2)
-        feats = wesn_features(spec, np.array([[1.0, 2.0, 3.0]]))
+        feats = alone_features(spec, np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(feats[1], [1, 2, 3])
         np.testing.assert_allclose(feats[2], [0, 1, 2])
 
@@ -96,7 +103,7 @@ class TestWesnFeatures:
         spec = diagonal_spec(np.full(35, 0.1), weights=np.ones(35), n_window=5)
         assert spec.feature_dim == 35 + 5
         x = np.zeros((1, 7))
-        assert wesn_features(spec, x).shape == (40, 7)
+        assert alone_features(spec, x).shape == (40, 7)
 
     def test_explicit_skip(self):
         spec = ReservoirSpec(
@@ -106,7 +113,7 @@ class TestWesnFeatures:
             explicit_skip=True,
         )
         x = np.array([[1.0, 2.0, 3.0]])
-        feats = wesn_features(spec, x)
+        feats = alone_features(spec, x)
         assert feats.shape == (3, 3)
         np.testing.assert_allclose(feats[2], x[0])
 
@@ -140,7 +147,7 @@ class TestTrainReadout:
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         y = np.convolve([1, -0.5], x)[:300]
         spec = diagonal_spec([0.5])
-        feats = wesn_features(spec, y[None, :])
+        feats = alone_features(spec, y[None, :])
         ro = train_readout(feats, x[None, :])
         assert np.linalg.norm(ro.w_out @ feats - x[None, :]) <= 1e-8
 
@@ -173,21 +180,21 @@ class TestLearnDelay:
         x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         y = np.concatenate([np.zeros(2, dtype=complex), x[:-2]])
         spec = diagonal_spec([0.1], n_window=3)
-        assert train_with_delay_search(spec, y[None, :], x[None, :], d_max=5).delay == 2
+        assert learned_readout(spec, y[None, :], x[None, :], d_max=5).delay == 2
 
     def test_identity_channel(self):
         rng = np.random.default_rng(9)
         x = rng.standard_normal(200) + 1j * rng.standard_normal(200)
         spec = diagonal_spec([0.1], n_window=3)
-        assert train_with_delay_search(spec, x[None, :], x[None, :], d_max=5).delay == 0
+        assert learned_readout(spec, x[None, :], x[None, :], d_max=5).delay == 0
 
     def test_mixed_phase_prefers_positive_delay(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(400) + 1j * rng.standard_normal(400)
         y = np.convolve([1, -2.5, 1], x)[:400]
         spec = diagonal_spec(np.full(8, 0.4) * np.exp(2j * np.pi * np.arange(8) / 8), n_window=8)
-        feats = wesn_features(spec, y[None, :])
-        d_star = train_with_delay_search(spec, y[None, :], x[None, :], d_max=12).delay
+        feats = alone_features(spec, y[None, :])
+        d_star = learned_readout(spec, y[None, :], x[None, :], d_max=12).delay
         assert d_star > 0
 
         def residual(d):
@@ -205,9 +212,9 @@ class TestLearnDelay:
             h = rng.standard_normal(3) + 1j * rng.standard_normal(3)
             y = np.convolve(h, x)[:150]
             spec = diagonal_spec([0.3, -0.4j], n_window=2)
-            feats = wesn_features(spec, y[None, :])
+            feats = alone_features(spec, y[None, :])
             ro0 = train_readout(feats, x[None, :], delay=0)
-            ro_star = train_with_delay_search(spec, y[None, :], x[None, :], d_max=6)
+            ro_star = learned_readout(spec, y[None, :], x[None, :], d_max=6)
             r0 = np.linalg.norm(ro0.w_out @ feats - x[None, :])
             tgt = np.zeros_like(x[None, :])
             d = ro_star.delay
@@ -218,10 +225,10 @@ class TestLearnDelay:
         spec = diagonal_spec([0.1, 0.2], n_window=3)  # 5 features
         for n_samples, warns in ((5, True), (6, False)):
             x = np.random.default_rng(19).standard_normal((1, n_samples))
-            feats = wesn_features(spec, x)
+            feats = alone_features(spec, x)
             for fit in (
                 lambda: train_readout(feats, x),
-                lambda: train_with_delay_search(spec, x, x, d_max=2),
+                lambda: learned_readout(spec, x, x, d_max=2),
             ):
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
@@ -232,17 +239,18 @@ class TestLearnDelay:
 class TestPredict:
     def test_zero_input(self):
         spec = diagonal_spec([0.5], n_window=1)
-        ro = Readout(w_out=np.ones((1, 2)), delay=0)
-        np.testing.assert_array_equal(predict(spec, ro, np.zeros((1, 10))), np.zeros((1, 10)))
+        target = np.random.default_rng(21).standard_normal((1, 6))
+        out, ro = equalize(spec, np.zeros((1, 10)), target, d_max=2)
+        np.testing.assert_array_equal(ro.w_out, np.zeros((1, 2)))
+        np.testing.assert_array_equal(out, np.zeros((1, 10)))
 
     def test_alignment_with_delay(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         y = np.concatenate([np.zeros(3, dtype=complex), x[:-3]])
         spec = diagonal_spec([0.1], n_window=4)
-        ro = train_with_delay_search(spec, y[None, :], x[None, :], d_max=6)
+        out, ro = equalize(spec, y[None, :], x[None, :], d_max=6)
         assert ro.delay == 3
-        out = predict(spec, ro, y[None, :])
         assert out.shape == (1, 300)
         np.testing.assert_allclose(out[0, : 280], x[:280], atol=1e-8)
 
@@ -251,14 +259,14 @@ class TestPredict:
         x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         y = np.convolve([1, -0.5], x)[:500]
         spec = diagonal_spec([0.5], n_window=1)
-        ro = train_with_delay_search(spec, y[None, :], x[None, :], d_max=4)
-        out = predict(spec, ro, y[None, :])
+        out, _ = equalize(spec, y[None, :], x[None, :], d_max=4)
         assert np.max(np.abs(out[0] - x)) <= 1e-6
 
     def test_dimension_mismatch(self):
+        # a target longer than the input cannot be the input's known prefix
         spec = diagonal_spec([0.5])
-        with pytest.raises(ValueError):
-            predict(spec, Readout(w_out=np.ones((1, 3)), delay=0), np.zeros((1, 5)))
+        with pytest.raises(ValueError, match="6 samples but the input only 5"):
+            train_and_equalize(spec, np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0)
 
 
 class TestRandomReservoir:

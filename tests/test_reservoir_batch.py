@@ -3,8 +3,10 @@
 Every case covers diagonal and dense cores, linear and tanh activations,
 ``n_window`` 0 and 5, ``ridge`` 0 and > 0, and ``d_in`` 1 and 4.  The
 batched arithmetic is the unbatched arithmetic per element, so batched and
-single results must be equal to the bit.  The hand-written recursion, the
-closed-form oracle and the unstreamed readout are compared within rounding.
+single results must be equal to the bit; the single results come from
+``reservoir_reference``, one input run alone through the same recursion.  The
+hand-written recursion, the closed-form oracle and the unstreamed readout are
+compared within rounding.
 """
 
 from unittest import mock
@@ -18,12 +20,10 @@ from rclab.reservoir import (
     ReservoirSpec,
     block_states,
     random_reservoir,
-    run_states,
     train_and_equalize,
     train_readout,
-    train_with_delay_search,
-    wesn_features,
 )
+from reservoir_reference import alone_features, alone_readout, alone_states
 
 CASES = st.fixed_dictionaries(
     {
@@ -80,9 +80,9 @@ def reference_equalize(spec, x, target, d_max, ridge):
     Also returns a rounding bound of the output: the readout's sums of
     ``|w_k f_k|`` times a few hundred ulps.
     """
-    ro = train_with_delay_search(spec, x[:, : target.shape[1]], target, d_max, ridge)
+    ro = alone_readout(spec, x[:, : target.shape[1]], target, d_max, ridge)
     padded = np.concatenate([x, np.zeros((x.shape[0], ro.delay), dtype=complex)], axis=1)
-    feats = wesn_features(spec, padded)
+    feats = alone_features(spec, padded)
     tol = 1e-13 * (np.abs(ro.w_out) @ np.abs(feats)).max()
     return (ro.w_out @ feats)[:, ro.delay :], ro, tol
 
@@ -98,7 +98,7 @@ def test_batched_states_match_recursion_and_oracle(c):
     np.testing.assert_array_equal(last, states[-1])
     for i in range(b):
         got = states[:, i].T
-        np.testing.assert_array_equal(got, run_states(spec, x[i]))
+        np.testing.assert_array_equal(got, alone_states(spec, x[i]))
         np.testing.assert_allclose(got, manual_states(spec, x[i]), rtol=0, atol=1e-12)
         if spec.is_diagonal and spec.activation == "linear":
             poles = np.diagonal(spec.w_res)
@@ -122,7 +122,7 @@ def test_batch_equalizes_each_element_as_alone(c):
             # the streamed readout sums each output sample as one product does,
             # but BLAS kernels round block tails differently from block bodies
             np.testing.assert_allclose(out[i], ref, rtol=0, atol=tol)
-            np.testing.assert_allclose(reservoir.predict(spec, ro_ref, x[i]), ref, rtol=0, atol=tol)
+            np.testing.assert_allclose(alone[0], ref, rtol=0, atol=tol)
 
 
 @given(CASES)
@@ -130,7 +130,7 @@ def test_batch_equalizes_each_element_as_alone(c):
 def test_delay_matches_per_delay_loop(c):
     spec, x, target = make_case(c)
     train = x[0, :, : target.shape[1]]
-    feats = wesn_features(spec, train)
+    feats = alone_features(spec, train)
     tie_tol = 1e-12 * np.linalg.norm(target) ** 2
     best, best_res, best_ro = 0, None, None
     for d in range(c["d_max"] + 1):
@@ -140,6 +140,6 @@ def test_delay_matches_per_delay_loop(c):
         res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
         if best_res is None or res < best_res - tie_tol:
             best, best_res, best_ro = d, res, ro
-    got = train_with_delay_search(spec, train, target, c["d_max"], c["ridge"])
+    _, (got,) = train_and_equalize(spec, x[:1], target, c["d_max"], c["ridge"])
     assert got.delay == best
     np.testing.assert_array_equal(got.w_out, best_ro.w_out)

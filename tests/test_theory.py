@@ -107,7 +107,7 @@ def random_dataset(rng, n_obs, n):
     vectors = rng.standard_normal((n_obs, n)) + 1j * rng.standard_normal((n_obs, n))
     # decaying envelope so the vectors look like equalizer responses
     vectors *= np.exp(-0.2 * np.arange(n))[None, :]
-    return ChannelStatsDataset(vectors=vectors, domain="time")
+    return ChannelStatsDataset(vectors=vectors)
 
 
 class TestToeplitzFrobenius:
@@ -131,7 +131,7 @@ class TestP2Objective:
         n = 4
         g = np.zeros(n, dtype=complex)
         g[3] = 1.0
-        ds = ChannelStatsDataset(vectors=g[None, :], domain="time")
+        ds = ChannelStatsDataset(vectors=g[None, :])
         f = np.zeros((n, 1), dtype=complex)
         f[0, 0] = 1.0
         val = p2_objective_numerical(f, ds)

@@ -7,10 +7,9 @@ import scipy.signal
 
 from rclab import channel, weight_config
 from rclab.channel import PowerDelayProfile, load_pdp
-from rclab.reservoir import run_states, wesn_features
+from rclab.filters import Phase
 from rclab.weight_config import (
     ChannelStatsDataset,
-    MimoAssembly,
     all_pole_fit,
     assemble_mimo,
     basis_to_poles,
@@ -24,6 +23,7 @@ from rclab.weight_config import (
     reduce_order,
     _denominator_to_sections,
 )
+from reservoir_reference import alone_features
 
 
 def random_mp_column(rng, n=24):
@@ -39,17 +39,16 @@ class TestCollect:
     def test_single_tap_profile(self):
         pdp = PowerDelayProfile.from_linear([0], [1.0])
         ds = collect_equalizer_irs(pdp, 8, 20, np.random.default_rng(0))
-        assert ds.domain == "time" and ds.vectors.shape == (20, 8)
+        assert ds.vectors.shape == (20, 8)
         np.testing.assert_allclose(np.abs(ds.vectors[:, 0]), 1.0, atol=1e-12)
         np.testing.assert_allclose(ds.vectors[:, 1:], 0.0, atol=1e-12)
 
     def test_responses_invert_channels(self):
         pdp = load_pdp("cdl_d")
         rng = np.random.default_rng(1)
-        ds = collect_equalizer_irs(pdp, 64, 5, rng, phase_policy="require_mp")
+        ds = collect_equalizer_irs(pdp, 64, 5, rng, require=Phase.STRICTLY_MP)
         # redo the draws to recover the channels this dataset inverted
         from rclab.channel import draw_channel
-        from rclab.filters import Phase
 
         rng2 = np.random.default_rng(1)
         for g in ds.vectors:
@@ -77,15 +76,11 @@ class TestCollect:
         with pytest.raises(ValueError):
             collect_equalizer_irs(load_pdp("cdl_d"), 4, 3, np.random.default_rng(0))
 
-    def test_bad_policy(self):
-        with pytest.raises(ValueError):
-            collect_equalizer_irs(load_pdp("flat"), 8, 3, np.random.default_rng(0), phase_policy="x")
-
 
 class TestPcaBasis:
     def test_identical_vectors(self):
         g = np.array([1.0, 0.5, 0.25, 0.0], dtype=complex)
-        ds = ChannelStatsDataset(vectors=np.tile(g, (10, 1)), domain="time")
+        ds = ChannelStatsDataset(vectors=np.tile(g, (10, 1)))
         f = pca_basis(ds, 1)
         np.testing.assert_allclose(np.abs(f[:, 0]), np.abs(g) / np.linalg.norm(g), atol=1e-12)
         resid = g - f @ (f.conj().T @ g)
@@ -97,14 +92,14 @@ class TestPcaBasis:
         amps = [3.0, 2.0, 1.0, 0.5]
         for i in range(30):
             vectors[i, i % 4] = amps[i % 4]
-        ds = ChannelStatsDataset(vectors=vectors, domain="time")
+        ds = ChannelStatsDataset(vectors=vectors)
         f = pca_basis(ds, 2)
         np.testing.assert_allclose(np.abs(f), np.eye(4)[:, :2], atol=1e-12)
 
     def test_mean_residual_equals_tail_eigenvalues(self):
         rng = np.random.default_rng(2)
         vectors = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
-        ds = ChannelStatsDataset(vectors=vectors, domain="time")
+        ds = ChannelStatsDataset(vectors=vectors)
         from rclab.signal_core import hermitian_eig
 
         lam = hermitian_eig(ds.empirical_covariance()).values
@@ -115,7 +110,7 @@ class TestPcaBasis:
             assert abs(mean_resid - lam[m:].sum()) <= 1e-10 * max(lam.sum(), 1.0)
 
     def test_m_bounds(self):
-        ds = ChannelStatsDataset(vectors=np.ones((3, 4), dtype=complex), domain="time")
+        ds = ChannelStatsDataset(vectors=np.ones((3, 4), dtype=complex))
         with pytest.raises(ValueError):
             pca_basis(ds, 5)
 
@@ -280,7 +275,7 @@ class TestConfigureTimeDomain:
                                             activation="linear").spec
         rng = np.random.default_rng(14)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        feats = wesn_features(spec, x[None, :])
+        feats = alone_features(spec, x[None, :])
         from rclab.reservoir import train_readout
 
         ro = train_readout(feats, x[None, :])
@@ -340,7 +335,7 @@ class TestAssembleMimo:
 
     def test_shared_replication(self):
         siso = self.make_siso()
-        mimo = assemble_mimo([siso], 2, MimoAssembly.PARAMETRIC_SHARED)
+        mimo = assemble_mimo([siso], 2)
         assert mimo.n_neurons == 18 and mimo.d_in == 2
         np.testing.assert_array_equal(mimo.w_res[:9, :9], siso.w_res)
         np.testing.assert_array_equal(mimo.w_res[9:, 9:], siso.w_res)
@@ -350,19 +345,15 @@ class TestAssembleMimo:
 
     def test_reference_mimo_counts(self):
         siso = self.make_siso(n_neurons=9)
-        mimo = assemble_mimo([siso], 4, MimoAssembly.PARAMETRIC_SHARED)
+        mimo = assemble_mimo([siso], 4)
         assert mimo.n_neurons == 36
 
     def test_distinct_path_statistics(self):
         s1, s2 = self.make_siso(4), self.make_siso(4)
-        mimo = assemble_mimo([s1, s2], 3, MimoAssembly.PARAMETRIC_DISTINCT)
+        mimo = assemble_mimo([s1, s2], 3)
         assert mimo.n_neurons == 3 * 2 * 4
         per_stream = scipy.linalg.block_diag(s1.w_res, s2.w_res)
         np.testing.assert_array_equal(mimo.w_res, scipy.linalg.block_diag(*[per_stream] * 3))
-
-    def test_spec_count_mismatch(self):
-        with pytest.raises(ValueError):
-            assemble_mimo([self.make_siso(), self.make_siso()], 2, MimoAssembly.FACTORIZABLE)
 
     def test_factorizable_channel_exact_recovery(self):
         # H(z) = H0 * (1 - 0.5 z^-1); per-stream pole-0.5 neurons deconvolve
@@ -373,13 +364,13 @@ class TestAssembleMimo:
 
         siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([[0.5]], complex),
                              activation="linear", n_window=0)
-        mimo = assemble_mimo([siso], 2, MimoAssembly.FACTORIZABLE)
+        mimo = assemble_mimo([siso], 2)
         t = 400
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
         # apply the factorizable channel
         filtered = np.stack([scipy.signal.lfilter([1, -0.5], [1], x[i]) for i in range(2)])
         y = h0 @ filtered
-        feats = wesn_features(mimo, y)
+        feats = alone_features(mimo, y)
         ro = train_readout(feats, x)
         assert np.linalg.norm(ro.w_out @ feats - x) <= 1e-6
         g = np.linalg.inv(h0)
