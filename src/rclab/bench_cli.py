@@ -41,6 +41,7 @@ from .channel import (
     PowerDelayProfile,
     apply_channel,
     draw_channel,
+    draw_channels,
     load_pdp,
     sample_parametric_mimo,
 )
@@ -175,6 +176,10 @@ class ExperimentConfig:
             raise ConfigFileError("need 0 < spectral_radius < 1")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigFileError("need 0 <= sparsity < 1")
+        if self.n_neurons < 1:
+            raise ConfigFileError("n_neurons must be >= 1")
+        if self.d_max < 0:
+            raise ConfigFileError("d_max must be >= 0")
 
     @property
     def numerology(self) -> OfdmNumerology:
@@ -186,13 +191,18 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        if not parser.read(path):
-            raise ConfigFileError(f"config file not found: {path}")
+        try:
+            if not parser.read(path):
+                raise ConfigFileError(f"config file not found: {path}")
+            items = {section: parser.items(section) for section in parser.sections()}
+        except configparser.Error as exc:
+            # configparser's messages span several lines; the CLI prints one
+            raise ConfigFileError(f"malformed config file: {' '.join(str(exc).split())}") from exc
         kwargs = {}
-        for section in parser.sections():
+        for section, pairs in items.items():
             if section not in _CONFIG_KEYS:
                 raise ConfigFileError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in pairs:
                 if key not in _CONFIG_KEYS[section]:
                     raise ConfigFileError(f"unknown key {key!r} in section [{section}]")
                 name, parse = _CONFIG_KEYS[section][key]
@@ -566,12 +576,9 @@ def cmd_inspect_channel(args) -> int:
         raise ConfigFileError(f"--draws must be >= 1, got {args.draws}")
     pdp = load_pdp(args.pdp)
     rng = _stream(_resolve_seed(args, 0), _T_CHANNEL)
-    counts = {p.value: 0 for p in Phase}
-    ring_hits = 0
-    for _ in range(args.draws):
-        _, fact, redraws = draw_channel(pdp, rng)
-        counts[fact.classification.value] += 1
-        ring_hits += redraws
+    draws = draw_channels(pdp, rng, args.draws)
+    counts = {p.value: draws.phases.count(p) for p in Phase}
+    ring_hits = int(draws.redraws.sum())
 
     def writer(fp):
         fp.write("classification,count,fraction\n")

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import Phase, UnitCircleRootError, factorize_by_phase
+from .filters import Phase, UnitCircleRootError, classify_rows, minimum_phase_factor
 from .signal_core import as_complex_seq
 
 MAX_PHASE_RETRIES = 100
@@ -134,24 +134,101 @@ def normalize_agc(h_raw) -> np.ndarray:
     return h / norm
 
 
-def _raw_taps(pdp: PowerDelayProfile, rng: np.random.Generator) -> np.ndarray:
-    """Draw unnormalized taps: circular Gaussian per tap, Rician mean on tap 0."""
-    h = np.zeros(pdp.length, dtype=np.complex128)
-    scale = np.sqrt(pdp.powers / 2.0)
-    noise = rng.standard_normal(pdp.n_taps) + 1j * rng.standard_normal(pdp.n_taps)
-    h[pdp.delays] = scale * noise
+def _raw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` unnormalized draws, ``(k, L)``: circular Gaussian taps, Rician mean on tap 0.
+
+    Each draw takes its block of normals in turn (real parts, imaginary
+    parts, then the diffuse part of tap 0 when there is a K factor), so the
+    ``k`` rows and the generator's state are those of ``k`` draws of one.
+    """
+    nt = pdp.n_taps
+    z = rng.standard_normal((k, 2 * nt + (2 if pdp.k_factor is not None else 0)))
+    h = np.zeros((k, pdp.length), dtype=np.complex128)
+    h[:, pdp.delays] = np.sqrt(pdp.powers / 2.0) * (z[:, :nt] + 1j * z[:, nt : 2 * nt])
     if pdp.k_factor is not None:
-        k = pdp.k_factor
+        kf = pdp.k_factor
         p0 = pdp.powers[0]
-        mean = np.sqrt(k / (k + 1.0) * p0)
-        diffuse = np.sqrt(p0 / (k + 1.0) / 2.0)
-        h[0] = mean + diffuse * (rng.standard_normal() + 1j * rng.standard_normal())
+        mean = np.sqrt(kf / (kf + 1.0) * p0)
+        diffuse = np.sqrt(p0 / (kf + 1.0) / 2.0)
+        h[:, 0] = mean + diffuse * (z[:, -2] + 1j * z[:, -1])
     return h
+
+
+def _draw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` tapped-delay-line realizations, each AGC-normalized to unit norm."""
+    h = _raw_taps(pdp, rng, k)
+    # one norm per row: np.linalg.norm along an axis sums in another order
+    return h / np.array([np.linalg.norm(row) for row in h])[:, None]
 
 
 def sample_tdl(pdp: PowerDelayProfile, rng: np.random.Generator) -> np.ndarray:
     """One tapped-delay-line realization, AGC-normalized to unit norm."""
-    return normalize_agc(_raw_taps(pdp, rng))
+    return _draw_taps(pdp, rng, 1)[0]
+
+
+@dataclass(frozen=True)
+class ChannelDraws:
+    """Accepted realizations, one row each.
+
+    ``mp_taps`` holds each draw's minimum-phase part, zero-padded to the
+    profile length: the taps themselves when the draw is strictly MP, its
+    minimum-phase factor (as in :func:`filters.factorize_by_phase`)
+    otherwise.  ``mp_lengths`` are the unpadded lengths, ``phases`` the
+    phase classes and ``redraws`` the rejected candidates before each draw.
+    """
+
+    taps: np.ndarray  # (n, L)
+    mp_taps: np.ndarray  # (n, L)
+    mp_lengths: np.ndarray  # (n,)
+    phases: tuple
+    redraws: np.ndarray  # (n,)
+
+
+def draw_channels(
+    pdp: PowerDelayProfile,
+    rng: np.random.Generator,
+    n: int,
+    require: Phase | None = None,
+    max_retries: int = MAX_PHASE_RETRIES,
+) -> ChannelDraws:
+    """Draw ``n`` realizations whose roots avoid the unit-circle ring.
+
+    Candidates hitting the ring (where the MP/NMP split is undefined) are
+    redrawn, as are candidates not matching ``require`` when given; a run of
+    ``max_retries`` rejections raises :class:`filters.UnitCircleRootError`.
+    Each round draws and classifies (:func:`filters.classify_rows`) exactly
+    as many candidates as draws are missing, so no round overshoots: the
+    draws, their redraw counts and the generator's final state are those of
+    ``n`` single draws in sequence.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    taps = np.empty((n, pdp.length), dtype=np.complex128)
+    mp_taps = np.zeros((n, pdp.length), dtype=np.complex128)
+    mp_lengths = np.full(n, pdp.length, dtype=np.int64)
+    phases = [None] * n
+    redraws = np.zeros(n, dtype=np.int64)
+    accepted = run = 0
+    while accepted < n:
+        candidates = _draw_taps(pdp, rng, n - accepted)
+        for h, phase, roots in zip(candidates, *classify_rows(candidates)):
+            if phase is None or (require is not None and phase is not require):
+                run += 1
+                if run == max_retries:
+                    raise UnitCircleRootError(
+                        f"no acceptable realization within {max_retries} draws of "
+                        f"{pdp.label or 'pdp'}"
+                    )
+                continue
+            mp = h if phase is Phase.STRICTLY_MP else minimum_phase_factor(h[0], roots)
+            taps[accepted] = h
+            mp_taps[accepted, : mp.size] = mp
+            mp_lengths[accepted] = mp.size
+            phases[accepted] = phase
+            redraws[accepted] = run
+            accepted += 1
+            run = 0
+    return ChannelDraws(taps, mp_taps, mp_lengths, tuple(phases), redraws)
 
 
 def draw_channel(
@@ -160,25 +237,9 @@ def draw_channel(
     require: Phase | None = None,
     max_retries: int = MAX_PHASE_RETRIES,
 ):
-    """Draw a realization whose roots avoid the unit-circle ring.
-
-    Realizations hitting the ring (where the MP/NMP split is undefined) are
-    redrawn, as are realizations not matching ``require`` when given.
-    Returns ``(taps, factorization, redraws)``: the taps' phase factorization
-    (:func:`filters.factorize_by_phase`, whose ``classification`` is the phase
-    class) and the count of rejected draws before the returned one.
-    """
-    for redraws in range(max_retries):
-        h = sample_tdl(pdp, rng)
-        try:
-            fact = factorize_by_phase(h)
-        except UnitCircleRootError:
-            continue
-        if require is None or fact.classification is require:
-            return h, fact, redraws
-    raise UnitCircleRootError(
-        f"no acceptable realization within {max_retries} draws of {pdp.label or 'pdp'}"
-    )
+    """One realization of :func:`draw_channels`, as ``(taps, phase, redraws)``."""
+    draws = draw_channels(pdp, rng, 1, require, max_retries)
+    return draws.taps[0], draws.phases[0], int(draws.redraws[0])
 
 
 @dataclass(frozen=True)

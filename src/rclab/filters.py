@@ -102,6 +102,27 @@ def _residues_simple(poles: np.ndarray) -> np.ndarray:
     return res
 
 
+def _phase_of_roots(roots: np.ndarray, ring_tol: float) -> Phase | None:
+    """Phase class of a root set, or ``None`` when a root lies in the ring."""
+    mags = np.abs(roots)
+    if np.any((mags > 1.0 - ring_tol) & (mags < 1.0 + ring_tol)):
+        return None
+    n_inside = np.count_nonzero(mags < 1.0)
+    if n_inside == mags.size:
+        return Phase.STRICTLY_MP
+    if n_inside == 0:
+        return Phase.STRICTLY_NMP
+    return Phase.MIXED
+
+
+def minimum_phase_factor(h0: complex, roots: np.ndarray) -> np.ndarray:
+    """``h0 * prod (1 - r z^{-1})`` over the roots strictly inside the unit circle."""
+    # poly() coefficients double as z^{-1}-polynomial coefficients of
+    # prod (1 - r z^{-1}); an empty root list yields [1].
+    inside = roots[np.abs(roots) < 1.0]
+    return h0 * np.atleast_1d(np.poly(inside)).astype(np.complex128)
+
+
 def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:
     """Split FIR taps into minimum-phase and non-minimum-phase factors.
 
@@ -121,22 +142,56 @@ def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:
             classification=Phase.STRICTLY_MP,
         )
     roots = polynomial_roots(trimmed)
-    mags = np.abs(roots)
-    if np.any((mags > 1.0 - ring_tol) & (mags < 1.0 + ring_tol)):
+    classification = _phase_of_roots(roots, ring_tol)
+    if classification is None:
         raise UnitCircleRootError("root within the unit-circle tolerance ring")
-    inside = roots[mags < 1.0]
-    outside = roots[mags >= 1.0]
-    # poly() coefficients double as z^{-1}-polynomial coefficients of
-    # prod (1 - r z^{-1}); an empty root list yields [1].
-    mp = hv[0] * np.atleast_1d(np.poly(inside)).astype(np.complex128)
+    outside = roots[np.abs(roots) >= 1.0]
     nmp = np.atleast_1d(np.poly(outside)).astype(np.complex128)
-    if outside.size == 0:
-        classification = Phase.STRICTLY_MP
-    elif inside.size == 0:
-        classification = Phase.STRICTLY_NMP
-    else:
-        classification = Phase.MIXED
-    return PhaseFactorization(mp_factor=mp, nmp_factor=nmp, classification=classification)
+    return PhaseFactorization(
+        mp_factor=minimum_phase_factor(hv[0], roots), nmp_factor=nmp, classification=classification
+    )
+
+
+def classify_rows(rows, ring_tol: float = RING_TOL):
+    """Phase class of every row of an ``(n, L)`` tap stack, as :func:`factorize_by_phase` gives it.
+
+    Returns ``(phases, roots)``: ``phases[i]`` is ``None`` when a root of
+    row ``i`` lies in the ring, and ``roots[i]`` holds the row's roots in
+    :func:`signal_core.polynomial_roots` order (the input of
+    :func:`minimum_phase_factor`), or ``None`` when the row was certified.
+
+    A row whose first tap dominates, ``|h_0| > sum_{k>=1} |h_k| r^{-(L-1)}``
+    with ``r = 1 - 2 ring_tol``, has every root strictly inside radius ``r``:
+    it is certified strictly minimum-phase without finding its roots.  The
+    other rows get one stacked eigenvalue call on the companion matrices that
+    ``np.roots`` builds, which yields the same roots to the bit.
+    """
+    h = np.asarray(rows, dtype=np.complex128)
+    n, length = h.shape
+    mags = np.abs(h)
+    if np.any(mags[:, 0] == 0.0):
+        raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
+    # rows whose last tap polynomial_roots would keep share one companion size
+    full = mags[:, -1] > 1e-14 * mags.max(axis=1)
+    bound = mags[:, 1:].sum(axis=1) * (1.0 - 2.0 * ring_tol) ** -(length - 1)
+    certified = full & (mags[:, 0] > bound)
+    roots = [None] * n
+    stacked = np.flatnonzero(full & ~certified)
+    if stacked.size:
+        c = h[stacked]
+        companion = np.zeros((stacked.size, length - 1, length - 1), dtype=np.complex128)
+        companion[:, 0, :] = -c[:, 1:] / c[:, :1]
+        sub = np.arange(length - 2)
+        companion[:, sub + 1, sub] = 1.0
+        r = np.linalg.eigvals(companion)
+        r = np.take_along_axis(r, np.lexsort((r.imag, r.real), axis=-1), axis=-1)
+        for i, row_roots in zip(stacked.tolist(), r):
+            roots[i] = row_roots
+    for i in np.flatnonzero(~full).tolist():
+        trimmed = np.trim_zeros(h[i], "b")
+        roots[i] = polynomial_roots(trimmed) if trimmed.size > 1 else np.zeros(0, np.complex128)
+    phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r, ring_tol) for r in roots]
+    return phases, roots
 
 
 def stable_inverse_approx(h, l_ff: int, n: int):

@@ -203,22 +203,12 @@ def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np
     return w / scale[None, :]
 
 
-def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Readout:
-    """Least-squares readout against the target delayed by ``delay`` samples.
-
-    With ``ridge = 0`` this is the plain pseudoinverse fit, so the residual
-    rows are orthogonal to the feature rows.
-    """
-    f, tgt = _fit_inputs(features, target)
-    return Readout(w_out=_fit_weights(f, _delayed(tgt, delay), ridge), delay=delay)
-
-
 def _delay_search(features, target, d_max: int, ridge: float):
     """``(delay, weights)`` of the delay in ``[0, d_max]`` with the least training residual.
 
     One fit covers every delay, with the delayed targets stacked as rows.
-    Only the winner is refitted alone, so its weights are exactly those of
-    ``train_readout(features, target, delay, ridge)``.
+    Only the winner is refitted alone, so its weights are exactly those of a
+    fit against that one delayed target.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import PowerDelayProfile, draw_channel
+from .channel import PowerDelayProfile, draw_channels
 from .filters import Phase, perturb_clustered_poles, _residues_simple
 from .reservoir import ReservoirSpec
 from .signal_core import all_pole_filter, hermitian_eig, toeplitz_inverse_first_column
@@ -112,27 +112,15 @@ def collect_equalizer_irs(
     """Zero-forcing equalizer impulse responses for ``n_obs`` channel draws.
 
     Draws are resampled until their phase class is ``require`` (any class
-    when ``None``), as in :func:`channel.draw_channel`.  A draw that is not
+    when ``None``), as in :func:`channel.draw_channels`.  A draw that is not
     strictly minimum-phase contributes the inverse of its minimum-phase
     factor.
     """
     if n < pdp.length:
         raise ValueError(f"n = {n} shorter than the channel length {pdp.length}")
-    # every draw first, then one inverse over the stack of (padded) taps
-    taps = np.zeros((n_obs, pdp.length), dtype=np.complex128)
-    lengths = np.empty(n_obs, dtype=np.int64)
-    for i in range(n_obs):
-        h = _draw_mp(pdp, rng, require)
-        taps[i, : h.size] = h
-        lengths[i] = h.size
-    vectors = toeplitz_inverse_first_column(taps, n, lengths)
+    draws = draw_channels(pdp, rng, n_obs, require)
+    vectors = toeplitz_inverse_first_column(draws.mp_taps, n, draws.mp_lengths)
     return ChannelStatsDataset(vectors=vectors)
-
-
-def _draw_mp(pdp: PowerDelayProfile, rng: np.random.Generator, require) -> np.ndarray:
-    """One draw's taps, or its minimum-phase factor when it is not strictly MP."""
-    h, fact, _ = draw_channel(pdp, rng, require=require)
-    return h if fact.classification is Phase.STRICTLY_MP else fact.mp_factor
 
 
 def pca_basis(dataset: ChannelStatsDataset, m: int) -> np.ndarray:
@@ -349,9 +337,9 @@ def collect_inverse_responses(
     """
     if grid_size < 8:
         raise ValueError("grid_size must be >= 8")
-    vectors = np.empty((n_obs, grid_size), dtype=np.complex128)
-    for i in range(n_obs):
-        vectors[i] = 1.0 / np.fft.fft(_draw_mp(pdp, rng, require), grid_size)
+    # zero padding to the profile length changes no FFT input
+    mp_taps = draw_channels(pdp, rng, n_obs, require).mp_taps
+    vectors = 1.0 / np.fft.fft(mp_taps, grid_size, axis=-1)
     return ChannelStatsDataset(vectors=vectors)
 
 

@@ -1,7 +1,8 @@
 """One input run alone: the batch-of-one reference of the batched detector core.
 
-Built on the package's own recursion and feature layout (``reservoir._advance``
-and ``reservoir._features``), so a batch element must match it to the bit.
+Built on the package's own recursion, feature layout and fit
+(``reservoir._advance``, ``reservoir._features`` and ``reservoir._fit_weights``),
+so a batch element must match it to the bit.
 """
 
 import numpy as np
@@ -28,4 +29,15 @@ def alone_features(spec, x) -> np.ndarray:
 def alone_readout(spec, train_input, target, d_max, ridge=0.0) -> Readout:
     """The delay search's readout on the features of ``train_input``."""
     delay, w = reservoir._delay_search(alone_features(spec, train_input), target, d_max, ridge)
+    return Readout(w_out=w, delay=delay)
+
+
+def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Readout:
+    """Least-squares readout against the target delayed by ``delay`` samples.
+
+    With ``ridge = 0`` this is the plain pseudoinverse fit, so the residual
+    rows are orthogonal to the feature rows.
+    """
+    f, tgt = reservoir._fit_inputs(features, target)
+    w = reservoir._fit_weights(f, reservoir._delayed(tgt, delay), ridge)
     return Readout(w_out=w, delay=delay)

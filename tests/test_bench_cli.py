@@ -17,7 +17,7 @@ from rclab.channel import (
     load_pdp,
     sample_parametric_mimo,
 )
-from rclab.filters import Phase, UnitCircleRootError
+from rclab.filters import Phase, factorize_by_phase
 from rclab.ofdm import OfdmNumerology, RsMode, build_grid, ofdm_modulate, payload_bit_count
 from rclab.reservoir import random_reservoir
 
@@ -178,6 +178,8 @@ class TestExperimentConfig:
             ("rc", "activation", "relu"),
             ("rc", "spectral_radius", "1.0"),
             ("rc", "sparsity", "1.0"),
+            ("rc", "d_max", "-1"),
+            ("rc", "n_neurons", "0"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, section, key, value):
@@ -422,22 +424,37 @@ class TestCli:
         assert capsys.readouterr().err == f"rclab: error: --draws must be >= 1, got {draws}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[rc]\nm = 3\nm = 4\n", "m = 3\n[rc]\nl_f = 3\n"],
+        ids=["duplicate_key", "key_before_section"],
+    )
+    def test_malformed_file_is_one_error_line(self, tmp_path, capsys, text):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        assert bc.main(["run-ber", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("rclab: error: malformed config file: ")
+        assert err.count("\n") == 1
+
     def test_ring_redraws_counted(self, tmp_path, monkeypatch):
-        # the first k factorizations hit the unit-circle ring
+        # the first k candidates classified hit the unit-circle ring
         k = 3
-        real = channel.factorize_by_phase
+        real = channel.classify_rows
         calls = []
 
-        def ring_then_real(h):
-            calls.append(h)
-            if len(calls) <= k:
-                raise UnitCircleRootError("forced ring root")
-            return real(h)
+        def ring_then_real(rows):
+            phases, roots = real(rows)
+            for i in range(len(rows)):
+                calls.append(rows[i])
+                if len(calls) <= k:
+                    phases[i] = None
+            return phases, roots
 
-        monkeypatch.setattr(channel, "factorize_by_phase", ring_then_real)
-        h, fact, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
+        monkeypatch.setattr(channel, "classify_rows", ring_then_real)
+        h, phase, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
         assert redraws == k and len(calls) == k + 1
-        assert fact.classification is real(h).classification
+        assert phase is factorize_by_phase(h).classification
 
         calls.clear()
         out = tmp_path / "phases.csv"

@@ -9,16 +9,27 @@ from rclab.channel import (
     MimoChannelRealization,
     PowerDelayProfile,
     SteeringConfig,
+    _draw_taps,
     _raw_taps,
     apply_channel,
     draw_channel,
+    draw_channels,
     load_pdp,
     normalize_agc,
     sample_parametric_mimo,
     sample_tdl,
     steering_vector,
 )
-from rclab.filters import Phase, UnitCircleRootError, factorize_by_phase
+from rclab.filters import (
+    RING_TOL,
+    Phase,
+    UnitCircleRootError,
+    classify_rows,
+    factorize_by_phase,
+    minimum_phase_factor,
+)
+
+from channel_reference import reference_draws, reference_taps
 
 
 class TestPowerDelayProfile:
@@ -97,7 +108,7 @@ class TestSampleTdl:
     def test_power_ratio_monte_carlo(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [0.8, 0.2])
         rng = np.random.default_rng(123)
-        raw = np.array([_raw_taps(pdp, rng) for _ in range(10_000)])
+        raw = _raw_taps(pdp, rng, 10_000)
         ratio = np.mean(np.abs(raw[:, 0]) ** 2) / np.mean(np.abs(raw[:, 1]) ** 2)
         assert abs(ratio - 4.0) < 0.2
 
@@ -118,14 +129,123 @@ class TestClassifyPhase:
         pdp = load_pdp("mixed_3tap")
         rng = np.random.default_rng(5)
         for _ in range(10):
-            h, fact, _ = draw_channel(pdp, rng, require=Phase.STRICTLY_MP)
-            assert fact.classification is Phase.STRICTLY_MP
+            h, phase, _ = draw_channel(pdp, rng, require=Phase.STRICTLY_MP)
+            assert phase is Phase.STRICTLY_MP
             assert factorize_by_phase(h).classification is Phase.STRICTLY_MP
 
     def test_draw_channel_retry_exhaustion(self):
-        pdp = load_pdp("flat")  # single tap is always strictly MP
-        with pytest.raises(UnitCircleRootError):
-            draw_channel(pdp, np.random.default_rng(0), require=Phase.STRICTLY_NMP)
+        # a single tap is always strictly MP, and so is every cdl_d draw: its
+        # line-of-sight tap dominates
+        for name in ("flat", "cdl_d"):
+            with pytest.raises(UnitCircleRootError):
+                draw_channel(load_pdp(name), np.random.default_rng(0), require=Phase.STRICTLY_NMP)
+
+
+PROFILES = ("cdl_d", "cdl_e", "mixed_3tap", "flat")
+
+
+class TestDrawChannels:
+    @given(
+        name=st.sampled_from(PROFILES),
+        require=st.sampled_from([None, Phase.STRICTLY_MP]),
+        n=st.one_of(st.just(1), st.integers(300, 400)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_draw_loop(self, name, require, n, seed):
+        pdp = load_pdp(name)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = draw_channels(pdp, rng, n, require)
+        ref = reference_draws(pdp, ref_rng, n, require)
+        assert draws.phases == tuple(r[2] for r in ref)
+        assert draws.redraws.tolist() == [r[3] for r in ref]
+        assert draws.mp_lengths.tolist() == [r[1].size for r in ref]
+        for i, (h, mp, _, _) in enumerate(ref):
+            assert draws.taps[i].tobytes() == h.tobytes()
+            assert draws.mp_taps[i, : mp.size].tobytes() == mp.tobytes()
+            assert not np.any(draws.mp_taps[i, mp.size :])
+        # the generator ends where the per-draw loop leaves it
+        assert rng.standard_normal(4).tobytes() == ref_rng.standard_normal(4).tobytes()
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_candidates_match_single_draws(self, name):
+        pdp = load_pdp(name)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        taps = _draw_taps(pdp, rng, 500)
+        assert taps.tobytes() == np.array([reference_taps(pdp, ref_rng) for _ in range(500)]).tobytes()
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("name", PROFILES)
+    def test_certified_draws_are_strictly_mp(self, name):
+        taps = _draw_taps(load_pdp(name), np.random.default_rng(2), 2000)
+        phases, roots = classify_rows(taps)
+        certified = [h for h, r in zip(taps, roots) if r is None]
+        if name in ("cdl_d", "flat"):
+            assert len(certified) >= 0.99 * len(taps)
+        for h in certified:
+            # no ring root, or factorize_by_phase would raise
+            assert factorize_by_phase(h).classification is Phase.STRICTLY_MP
+
+    @given(
+        tail=st.lists(st.complex_numbers(max_magnitude=10.0), min_size=0, max_size=19),
+        margin=st.floats(1e-9, 1e-3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_certificate_bound(self, tail, margin):
+        # a first tap just above the bound: every root inside 1 - 2 RING_TOL
+        tail = np.asarray(tail, dtype=np.complex128)
+        if tail.size and not np.abs(tail[-1]) > 1e-6:
+            tail[-1] = 1.0
+        bound = np.abs(tail).sum() * (1.0 - 2.0 * RING_TOL) ** -tail.size
+        h = np.concatenate([[max(bound, 1e-3) * (1.0 + margin)], tail])
+        phases, roots = classify_rows(h[None])
+        assert roots == [None] and phases == [Phase.STRICTLY_MP]
+        assert factorize_by_phase(h).classification is Phase.STRICTLY_MP
+
+    def test_negligible_last_tap(self):
+        # a -320 dB last tap is dropped by the root finder, as one draw at a time
+        pdp = PowerDelayProfile.from_linear([0, 1, 2], [1.0, 0.8, 1e-32])
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        draws = draw_channels(pdp, rng, 200)
+        ref = reference_draws(pdp, ref_rng, 200)
+        assert draws.phases == tuple(r[2] for r in ref)
+        for i, (_, mp, _, _) in enumerate(ref):
+            assert draws.mp_taps[i, : mp.size].tobytes() == mp.tobytes()
+
+    @given(
+        n_rows=st.integers(1, 8),
+        degree=st.integers(0, 12),
+        on_ring=st.floats(0.0, 0.3),
+        negligible_tail=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_classify_rows_matches_factorize_by_phase(
+        self, n_rows, degree, on_ring, negligible_tail, seed
+    ):
+        # tap rows built from their roots: small, inside, outside and on the circle
+        rng = np.random.default_rng(seed)
+        mags = rng.uniform(0.0, 1.8, (n_rows, degree)) * rng.choice([0.1, 1.0], (n_rows, 1))
+        mags[rng.uniform(size=mags.shape) < on_ring] = 1.0
+        roots = mags * np.exp(2j * np.pi * rng.uniform(size=mags.shape))
+        gains = rng.standard_normal((n_rows, 1)) + 1j * rng.standard_normal((n_rows, 1))
+        taps = gains * np.array([np.atleast_1d(np.poly(r)) for r in roots])
+        if negligible_tail and degree >= 2:
+            taps[:, -1] *= 1e-20
+        phases, found = classify_rows(taps)
+        for h, phase, r in zip(taps, phases, found):
+            try:
+                fact = factorize_by_phase(h)
+            except UnitCircleRootError:
+                assert phase is None
+                continue
+            assert phase is fact.classification
+            if r is not None:
+                assert minimum_phase_factor(h[0], r).tobytes() == fact.mp_factor.tobytes()
+
+    def test_needs_a_draw(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            draw_channels(load_pdp("flat"), np.random.default_rng(0), 0)
 
 
 class TestSteeringVector:

@@ -9,9 +9,8 @@ from rclab.reservoir import (
     dump_spec_text,
     random_reservoir,
     train_and_equalize,
-    train_readout,
 )
-from reservoir_reference import alone_features, alone_states
+from reservoir_reference import alone_features, alone_states, train_readout
 
 
 def equalize(spec, y, x, d_max):

@@ -21,9 +21,8 @@ from rclab.reservoir import (
     block_states,
     random_reservoir,
     train_and_equalize,
-    train_readout,
 )
-from reservoir_reference import alone_features, alone_readout, alone_states
+from reservoir_reference import alone_features, alone_readout, alone_states, train_readout
 
 CASES = st.fixed_dictionaries(
     {

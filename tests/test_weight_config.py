@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.signal
 
-from rclab import channel, weight_config
+from rclab import channel
 from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.filters import Phase
 from rclab.weight_config import (
@@ -23,7 +23,7 @@ from rclab.weight_config import (
     reduce_order,
     _denominator_to_sections,
 )
-from reservoir_reference import alone_features
+from reservoir_reference import alone_features, train_readout
 
 
 def random_mp_column(rng, n=24):
@@ -58,19 +58,26 @@ class TestCollect:
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
 
     def test_each_draw_factorized_once(self, monkeypatch):
-        # the phase factorization made while drawing is the one that is used
-        draws, factorizations = [], []
-        sample, factorize = channel.sample_tdl, channel.factorize_by_phase
-        monkeypatch.setattr(channel, "sample_tdl", lambda *a: draws.append(1) or sample(*a))
-        for module in (channel, weight_config):
-            monkeypatch.setattr(
-                module, "factorize_by_phase",
-                lambda h: factorizations.append(1) or factorize(h), raising=False,
-            )
+        # each candidate is classified once, and only accepted draws that are
+        # not strictly MP are factored
+        drawn, classified, factored = [], [], []
+        draw, classify, factor = (
+            channel._draw_taps, channel.classify_rows, channel.minimum_phase_factor
+        )
+        monkeypatch.setattr(
+            channel, "_draw_taps", lambda pdp, rng, k: drawn.append(k) or draw(pdp, rng, k)
+        )
+        monkeypatch.setattr(
+            channel, "classify_rows", lambda rows: classified.append(len(rows)) or classify(rows)
+        )
+        monkeypatch.setattr(
+            channel, "minimum_phase_factor", lambda *a: factored.append(1) or factor(*a)
+        )
         pdp = load_pdp("mixed_3tap")
         collect_equalizer_irs(pdp, 8, 30, np.random.default_rng(3))
         collect_inverse_responses(pdp, 30, np.random.default_rng(4))
-        assert len(draws) >= 60 and len(factorizations) == len(draws)
+        assert sum(drawn) >= 60 and classified == drawn
+        assert 0 < len(factored) <= 60
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
@@ -276,8 +283,6 @@ class TestConfigureTimeDomain:
         rng = np.random.default_rng(14)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         feats = alone_features(spec, x[None, :])
-        from rclab.reservoir import train_readout
-
         ro = train_readout(feats, x[None, :])
         assert np.linalg.norm(ro.w_out @ feats - x[None, :]) <= 1e-6
 
@@ -360,7 +365,7 @@ class TestAssembleMimo:
         # the scalar part exactly, so the trained output weights become H0^-1
         rng = np.random.default_rng(19)
         h0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        from rclab.reservoir import ReservoirSpec, train_readout
+        from rclab.reservoir import ReservoirSpec
 
         siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([[0.5]], complex),
                              activation="linear", n_window=0)
