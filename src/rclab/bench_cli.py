@@ -78,6 +78,7 @@ from .theory import reproduce_fig5
 DETECTOR_NAMES = ("rc-td", "rc-fd", "rc-random", "vanilla-esn", "lmmse")
 RC_DETECTOR_NAMES = ("rc-td", "rc-fd", "rc-random", "vanilla-esn")
 LMMSE_ESTIMATION_BACKOFF = 10.0 ** (6.0 / 10.0)  # 6 dB estimation-SNR back-off
+INSPECT_BLOCK = 4096  # draws per round of inspect-channel
 
 # purpose tags for seed streams
 _T_CHANNEL, _T_NOISE, _T_PAYLOAD, _T_RS, _T_STATS_TD, _T_STATS_FD, _T_RANDOM, _T_VANILLA = range(8)
@@ -576,9 +577,15 @@ def cmd_inspect_channel(args) -> int:
         raise ConfigFileError(f"--draws must be >= 1, got {args.draws}")
     pdp = load_pdp(args.pdp)
     rng = _stream(_resolve_seed(args, 0), _T_CHANNEL)
-    draws = draw_channels(pdp, rng, args.draws)
-    counts = {p.value: draws.phases.count(p) for p in Phase}
-    ring_hits = int(draws.redraws.sum())
+    counts = dict.fromkeys((p.value for p in Phase), 0)
+    ring_hits = 0
+    # fixed-size rounds keep memory flat in --draws; k rounds of draws are
+    # the same draws, in the same generator state, as one round of their sum
+    for start in range(0, args.draws, INSPECT_BLOCK):
+        draws = draw_channels(pdp, rng, min(INSPECT_BLOCK, args.draws - start))
+        for p in Phase:
+            counts[p.value] += draws.phases.count(p)
+        ring_hits += int(draws.redraws.sum())
 
     def writer(fp):
         fp.write("classification,count,fraction\n")

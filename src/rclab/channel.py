@@ -161,11 +161,6 @@ def _draw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.n
     return h / np.array([np.linalg.norm(row) for row in h])[:, None]
 
 
-def sample_tdl(pdp: PowerDelayProfile, rng: np.random.Generator) -> np.ndarray:
-    """One tapped-delay-line realization, AGC-normalized to unit norm."""
-    return _draw_taps(pdp, rng, 1)[0]
-
-
 @dataclass(frozen=True)
 class ChannelDraws:
     """Accepted realizations, one row each.
@@ -189,13 +184,12 @@ def draw_channels(
     rng: np.random.Generator,
     n: int,
     require: Phase | None = None,
-    max_retries: int = MAX_PHASE_RETRIES,
 ) -> ChannelDraws:
     """Draw ``n`` realizations whose roots avoid the unit-circle ring.
 
     Candidates hitting the ring (where the MP/NMP split is undefined) are
     redrawn, as are candidates not matching ``require`` when given; a run of
-    ``max_retries`` rejections raises :class:`filters.UnitCircleRootError`.
+    ``MAX_PHASE_RETRIES`` rejections raises :class:`filters.UnitCircleRootError`.
     Each round draws and classifies (:func:`filters.classify_rows`) exactly
     as many candidates as draws are missing, so no round overshoots: the
     draws, their redraw counts and the generator's final state are those of
@@ -214,9 +208,9 @@ def draw_channels(
         for h, phase, roots in zip(candidates, *classify_rows(candidates)):
             if phase is None or (require is not None and phase is not require):
                 run += 1
-                if run == max_retries:
+                if run == MAX_PHASE_RETRIES:
                     raise UnitCircleRootError(
-                        f"no acceptable realization within {max_retries} draws of "
+                        f"no acceptable realization within {MAX_PHASE_RETRIES} draws of "
                         f"{pdp.label or 'pdp'}"
                     )
                 continue
@@ -231,14 +225,9 @@ def draw_channels(
     return ChannelDraws(taps, mp_taps, mp_lengths, tuple(phases), redraws)
 
 
-def draw_channel(
-    pdp: PowerDelayProfile,
-    rng: np.random.Generator,
-    require: Phase | None = None,
-    max_retries: int = MAX_PHASE_RETRIES,
-):
+def draw_channel(pdp: PowerDelayProfile, rng: np.random.Generator, require: Phase | None = None):
     """One realization of :func:`draw_channels`, as ``(taps, phase, redraws)``."""
-    draws = draw_channels(pdp, rng, 1, require, max_retries)
+    draws = draw_channels(pdp, rng, 1, require)
     return draws.taps[0], draws.phases[0], int(draws.redraws[0])
 
 

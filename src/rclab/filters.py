@@ -152,7 +152,7 @@ def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:
     )
 
 
-def classify_rows(rows, ring_tol: float = RING_TOL):
+def classify_rows(rows):
     """Phase class of every row of an ``(n, L)`` tap stack, as :func:`factorize_by_phase` gives it.
 
     Returns ``(phases, roots)``: ``phases[i]`` is ``None`` when a root of
@@ -161,7 +161,7 @@ def classify_rows(rows, ring_tol: float = RING_TOL):
     :func:`minimum_phase_factor`), or ``None`` when the row was certified.
 
     A row whose first tap dominates, ``|h_0| > sum_{k>=1} |h_k| r^{-(L-1)}``
-    with ``r = 1 - 2 ring_tol``, has every root strictly inside radius ``r``:
+    with ``r = 1 - 2 RING_TOL``, has every root strictly inside radius ``r``:
     it is certified strictly minimum-phase without finding its roots.  The
     other rows get one stacked eigenvalue call on the companion matrices that
     ``np.roots`` builds, which yields the same roots to the bit.
@@ -173,7 +173,7 @@ def classify_rows(rows, ring_tol: float = RING_TOL):
         raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
     # rows whose last tap polynomial_roots would keep share one companion size
     full = mags[:, -1] > 1e-14 * mags.max(axis=1)
-    bound = mags[:, 1:].sum(axis=1) * (1.0 - 2.0 * ring_tol) ** -(length - 1)
+    bound = mags[:, 1:].sum(axis=1) * (1.0 - 2.0 * RING_TOL) ** -(length - 1)
     certified = full & (mags[:, 0] > bound)
     roots = [None] * n
     stacked = np.flatnonzero(full & ~certified)
@@ -190,7 +190,7 @@ def classify_rows(rows, ring_tol: float = RING_TOL):
     for i in np.flatnonzero(~full).tolist():
         trimmed = np.trim_zeros(h[i], "b")
         roots[i] = polynomial_roots(trimmed) if trimmed.size > 1 else np.zeros(0, np.complex128)
-    phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r, ring_tol) for r in roots]
+    phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r, RING_TOL) for r in roots]
     return phases, roots
 
 

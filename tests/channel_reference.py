@@ -8,7 +8,7 @@ The batched draws must match them to the bit, generator state included.
 
 import numpy as np
 
-from rclab.channel import normalize_agc
+from rclab.channel import MAX_PHASE_RETRIES, normalize_agc
 from rclab.filters import Phase, UnitCircleRootError, factorize_by_phase
 
 
@@ -26,11 +26,11 @@ def reference_taps(pdp, rng) -> np.ndarray:
     return normalize_agc(h)
 
 
-def reference_draws(pdp, rng, n, require=None, max_retries=100):
+def reference_draws(pdp, rng, n, require=None):
     """``[(taps, mp_taps, phase, redraws)]`` of ``n`` draws made one at a time."""
     out = []
     for _ in range(n):
-        for redraws in range(max_retries):
+        for redraws in range(MAX_PHASE_RETRIES):
             h = reference_taps(pdp, rng)
             try:
                 fact = factorize_by_phase(h)
@@ -41,5 +41,5 @@ def reference_draws(pdp, rng, n, require=None, max_retries=100):
                 out.append((h, mp, fact.classification, redraws))
                 break
         else:
-            raise UnitCircleRootError(f"no acceptable realization within {max_retries} draws")
+            raise UnitCircleRootError(f"no acceptable realization within {MAX_PHASE_RETRIES} draws")
     return out

@@ -416,6 +416,18 @@ class TestCli:
         assert counts["strictly_mp"] + counts["strictly_nmp"] + counts["mixed"] == 200
         assert counts["mixed"] > 0
 
+    def test_inspect_channel_blocks_match_one_round(self, tmp_path, monkeypatch):
+        def run(block):
+            monkeypatch.setattr(bc, "INSPECT_BLOCK", block)
+            out = tmp_path / f"phases_{block}.csv"
+            rc = bc.main(["inspect-channel", "--pdp", "mixed_3tap", "--draws", "300",
+                          "--seed", "4", "--out", str(out)])
+            assert rc == 0
+            return out.read_text()
+
+        # 300 = 4 * 70 + 20 ends on a short round; 4096 draws all 300 in one
+        assert run(70) == run(4096)
+
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_inspect_channel_needs_a_draw(self, tmp_path, capsys, draws):
         out = tmp_path / "phases.csv"

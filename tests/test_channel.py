@@ -17,7 +17,6 @@ from rclab.channel import (
     load_pdp,
     normalize_agc,
     sample_parametric_mimo,
-    sample_tdl,
     steering_vector,
 )
 from rclab.filters import (
@@ -95,13 +94,13 @@ class TestNormalizeAgc:
 class TestSampleTdl:
     def test_pure_los_single_tap(self):
         pdp = PowerDelayProfile.from_linear([0], [1.0], k_factor=1e12)
-        h = sample_tdl(pdp, np.random.default_rng(0))
+        h = _draw_taps(pdp, np.random.default_rng(0), 1)[0]
         np.testing.assert_allclose(h, [1.0], atol=1e-5)
 
     def test_deterministic_and_normalized(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [0.5, 0.5])
-        h1 = sample_tdl(pdp, np.random.default_rng(42))
-        h2 = sample_tdl(pdp, np.random.default_rng(42))
+        h1 = _draw_taps(pdp, np.random.default_rng(42), 1)[0]
+        h2 = _draw_taps(pdp, np.random.default_rng(42), 1)[0]
         np.testing.assert_array_equal(h1, h2)
         assert abs(np.linalg.norm(h1) - 1.0) < 1e-9
 
@@ -114,7 +113,7 @@ class TestSampleTdl:
 
     def test_delay_gaps_are_zero(self):
         pdp = PowerDelayProfile.from_linear([0, 3], [0.5, 0.5])
-        h = sample_tdl(pdp, np.random.default_rng(1))
+        h = _draw_taps(pdp, np.random.default_rng(1), 1)[0]
         assert h.size == 4
         np.testing.assert_array_equal(h[1:3], [0, 0])
 
