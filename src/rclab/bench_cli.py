@@ -37,7 +37,6 @@ import numpy as np
 from . import __version__
 from .channel import (
     AngleModel,
-    MimoChannelRealization,
     PowerDelayProfile,
     apply_channel,
     draw_channel,
@@ -139,6 +138,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.snr_db:
             raise ConfigFileError("snr_db list must be non-empty")
+        # +inf is the noise-free channel; every other float must be finite
+        if any(np.isnan(snr) or snr == -np.inf for snr in self.snr_db):
+            raise ConfigFileError(f"snr_db entries must be finite or inf, got {self.snr_db}")
+        for f in fields(self):
+            if f.type is float and not np.isfinite(getattr(self, f.name)):
+                raise ConfigFileError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if not self.detectors:
             raise ConfigFileError("detector list must be non-empty")
         for d in self.detectors:
@@ -177,8 +182,9 @@ class ExperimentConfig:
             raise ConfigFileError("need 0 < spectral_radius < 1")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigFileError("need 0 <= sparsity < 1")
-        if self.n_neurons < 1:
-            raise ConfigFileError("n_neurons must be >= 1")
+        for key in ("n_neurons", "m", "stats_obs"):
+            if getattr(self, key) < 1:
+                raise ConfigFileError(f"{key} must be >= 1, got {getattr(self, key)}")
         if self.d_max < 0:
             raise ConfigFileError("d_max must be >= 0")
 
@@ -290,8 +296,6 @@ def rc_detect(
     its decision delay), refitted from scratch; no channel estimate is ever
     formed.  The state recursion runs once for the whole batch.
     """
-    if tx_grid.rs_symbol_index != 0:
-        raise ValueError("rc_detect expects the RS symbol at slot position 0")
     target = rs_time_waveform(tx_grid, numerology)
     equalized, _ = train_and_equalize(spec, rx_batch, target, d_max, ridge)
     return [
@@ -315,16 +319,15 @@ def _estimate_channel_freq(
     pdp: PowerDelayProfile,
     noise_var: float,
 ) -> np.ndarray:
-    """LS at RS REs + frequency-domain LMMSE interpolation, per TX-RX pair."""
+    """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair."""
     n_sc, _, n_rx = rx_grid.shape
-    rs_idx = tx_grid.rs_symbol_index
     sigma_est = noise_var * LMMSE_ESTIMATION_BACKOFF
     h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
     for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.kind[:, rs_idx, tx] == ReKind.RS)
+        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
         if ks.size == 0:
             raise ValueError(f"no RS resource elements for antenna {tx}")
-        ls = rx_grid[ks, rs_idx, :] / tx_grid.symbols[ks, rs_idx, tx][:, None]
+        ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
         r_cross = _frequency_correlation(pdp, n_sc, ks)  # (n_sc, n_ks)
         r_rs = r_cross[ks] + sigma_est * np.eye(ks.size)
         coef, _, _, _ = np.linalg.lstsq(r_rs, ls, rcond=None)
@@ -343,16 +346,17 @@ def lmmse_detect(
     """Estimated-CSI LMMSE symbol detection (or perfect CSI via ``true_channel``).
 
     ``true_channel`` short-circuits estimation with the exact per-subcarrier
-    response of the given taps (SISO vector or MIMO realization).
+    response of the given taps (a SISO vector or ``(L, N_r, N_t)`` MIMO taps).
     """
     rx = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
     n_sc = numerology.n_sc
     rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
     if true_channel is not None:
-        if isinstance(true_channel, MimoChannelRealization):
-            h = np.fft.fft(true_channel.taps, n_sc, axis=0)  # (n_sc, n_r, n_t)
+        taps = np.asarray(true_channel, dtype=np.complex128)
+        if taps.ndim == 3:
+            h = np.fft.fft(taps, n_sc, axis=0)  # (n_sc, n_r, n_t)
         else:
-            h = np.fft.fft(np.asarray(true_channel, dtype=np.complex128), n_sc)[:, None, None]
+            h = np.fft.fft(taps, n_sc)[:, None, None]
     else:
         h = _estimate_channel_freq(rx_grid, tx_grid, pdp, noise_var)
 
@@ -455,9 +459,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         x = tx if cfg.channel_mode == "mimo" else tx[0]
         received[name] = []
         for si, snr in enumerate(cfg.snr_db):
-            y, nv = apply_channel(
-                ch, x, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx), return_noise_var=True
-            )
+            y, nv = apply_channel(ch, x, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
             received[name].append((np.atleast_2d(y), nv))
 
     def count(est):

@@ -3,8 +3,9 @@
 Channels are tapped delay lines driven by a power delay profile (PDP).
 Receiver automatic gain control is modeled as per-realization normalization
 ``||h||_2 = 1``, which removes path loss and shadowing from the problem.
-MIMO realizations use the parametric form ``H_l = sum_q c_q a_r a_t^T / sqrt(N_p)``
-built from uniform-linear-array steering vectors.
+A MIMO realization is its ``(L, N_r, N_t)`` tap array, drawn from the
+parametric form ``H_l = sum_q c_q a_r a_t^T / sqrt(N_p)`` built from
+uniform-linear-array steering vectors.
 
 PDP file format: one tap per line as ``delay_samples power_db``, ``#`` comments,
 optional header line ``k_factor_db <value>`` (Rician K applied to tap 0).
@@ -125,15 +126,6 @@ def load_pdp(name_or_path) -> PowerDelayProfile:
     raise FileNotFoundError(f"no PDP file or packaged profile named {name_or_path!r}")
 
 
-def normalize_agc(h_raw) -> np.ndarray:
-    """Scale taps to unit Euclidean norm (receiver AGC model)."""
-    h = as_complex_seq(h_raw, "h_raw")
-    norm = np.linalg.norm(h)
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return h / norm
-
-
 def _raw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
     """``k`` unnormalized draws, ``(k, L)``: circular Gaussian taps, Rician mean on tap 0.
 
@@ -231,25 +223,14 @@ def draw_channel(pdp: PowerDelayProfile, rng: np.random.Generator, require: Phas
     return draws.taps[0], draws.phases[0], int(draws.redraws[0])
 
 
-@dataclass(frozen=True)
-class SteeringConfig:
-    """Uniform linear array response parameters."""
+def steering_vectors(n_elements: int, spacing: float, angles) -> np.ndarray:
+    """ULA responses ``exp(j 2 pi m spacing cos(angle))``, m = 0..N-1, one column per angle.
 
-    n_elements: int
-    spacing_over_wavelength: float
-    angle: float
-
-    def __post_init__(self):
-        if self.n_elements < 1:
-            raise ValueError("n_elements must be >= 1")
-        if self.spacing_over_wavelength <= 0:
-            raise ValueError("element spacing must be positive")
-
-
-def steering_vector(cfg: SteeringConfig) -> np.ndarray:
-    """ULA phase response ``exp(j 2 pi m (d/lambda) cos(angle))`` for m = 0..N-1."""
-    m = np.arange(cfg.n_elements)
-    return np.exp(2j * np.pi * m * cfg.spacing_over_wavelength * np.cos(cfg.angle))
+    ``spacing`` is the element spacing over the wavelength; the result is
+    ``(n_elements, len(angles))``.
+    """
+    m = np.arange(n_elements)[:, None]
+    return np.exp(2j * np.pi * m * spacing * np.cos(np.asarray(angles, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -258,7 +239,7 @@ class AngleModel:
 
     The sector is given in the broadside convention (0 = array normal);
     samples are converted to the axis-referenced angles that
-    :func:`steering_vector` expects, so a +-60 degree sector spans spatial
+    :func:`steering_vectors` expects, so a +-60 degree sector spans spatial
     frequencies ``cos(theta)`` in roughly [-0.87, 0.87].
     """
 
@@ -273,49 +254,6 @@ class AngleModel:
         return np.pi / 2.0 - (centers + offsets)
 
 
-@dataclass(frozen=True)
-class MimoChannelRealization:
-    """Per-tap MIMO matrices, optionally with their parametric decomposition.
-
-    When the parametric form is present,
-    ``taps[l] == a_rx @ diag(path_gains[:, l]) @ a_tx.T / sqrt(N_p)`` holds for
-    every tap ``l``.
-    """
-
-    taps: np.ndarray  # (L, N_r, N_t)
-    a_rx: np.ndarray | None = None  # (N_r, N_p)
-    a_tx: np.ndarray | None = None  # (N_t, N_p)
-    path_gains: np.ndarray | None = None  # (N_p, L)
-
-    def __post_init__(self):
-        t = np.asarray(self.taps, dtype=np.complex128)
-        if t.ndim != 3:
-            raise ValueError("taps must have shape (L, N_r, N_t)")
-        object.__setattr__(self, "taps", t)
-        if self.a_rx is not None:
-            err = self.parametric_mismatch()
-            if err > 1e-9:
-                raise ValueError(f"parametric form inconsistent with taps ({err:.2e})")
-
-    @property
-    def n_rx(self) -> int:
-        return self.taps.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.taps.shape[2]
-
-    @property
-    def length(self) -> int:
-        return self.taps.shape[0]
-
-    def parametric_mismatch(self) -> float:
-        rebuilt = np.einsum(
-            "rq,ql,tq->lrt", self.a_rx, self.path_gains, self.a_tx
-        ) / np.sqrt(self.a_rx.shape[1])
-        return float(np.max(np.abs(rebuilt - self.taps)))
-
-
 def sample_parametric_mimo(
     pdp: PowerDelayProfile,
     angle_model: AngleModel,
@@ -323,12 +261,11 @@ def sample_parametric_mimo(
     n_rx: int,
     n_path: int,
     rng: np.random.Generator,
-) -> MimoChannelRealization:
-    """Draw a parametric MIMO realization ``H_l = sum_q c_q^l a_r,q a_t,q^T / sqrt(N_p)``.
+) -> np.ndarray:
+    """Taps ``(L, n_rx, n_tx)`` of ``H_l = sum_q c_q^l a_r,q a_t,q^T / sqrt(N_p)``.
 
-    Each tap's PDP power is split equally across the ``n_path`` paths; the
-    Rician mean (when the PDP carries a K factor) rides on path 0 of tap 0.
-    The realization is Frobenius-AGC normalized so ``sum_l ||H_l||_F^2 = N_r``.
+    Each tap's PDP power is split equally across the ``n_path`` paths.  The
+    realization is Frobenius-AGC normalized so ``sum_l ||H_l||_F^2 = N_r``.
     """
     if n_path < min(n_tx, n_rx):
         warnings.warn(
@@ -338,12 +275,8 @@ def sample_parametric_mimo(
         )
     aoa = angle_model.sample(n_path, rng)
     aod = angle_model.sample(n_path, rng)
-    a_rx = np.column_stack(
-        [steering_vector(SteeringConfig(n_rx, angle_model.spacing_over_wavelength, th)) for th in aoa]
-    )
-    a_tx = np.column_stack(
-        [steering_vector(SteeringConfig(n_tx, angle_model.spacing_over_wavelength, th)) for th in aod]
-    )
+    a_rx = steering_vectors(n_rx, angle_model.spacing_over_wavelength, aoa)
+    a_tx = steering_vectors(n_tx, angle_model.spacing_over_wavelength, aod)
 
     # Each tap's PDP power splits equally over the paths with circular
     # Gaussian gains.  A SISO Rician K-factor does not transfer here: pinning
@@ -359,47 +292,43 @@ def sample_parametric_mimo(
 
     taps = np.einsum("rq,ql,tq->lrt", a_rx, gains, a_tx) / np.sqrt(n_path)
     total = np.sum(np.abs(taps) ** 2)
-    s = np.sqrt(n_rx / total)
-    return MimoChannelRealization(
-        taps=taps * s, a_rx=a_rx, a_tx=a_tx, path_gains=gains * s
-    )
+    return taps * np.sqrt(n_rx / total)
 
 
-def apply_channel(ch, x, snr_db, rng, return_noise_var: bool = False):
-    """Convolve transmit streams with the channel and add AWGN.
+def apply_channel(ch, x, snr_db, rng):
+    """Convolve transmit streams with the channel and add AWGN; returns ``(y, noise_var)``.
 
-    ``x`` is a 1-D sample vector for SISO or an ``(N_t, T)`` array for MIMO.
+    ``ch`` is a 1-D tap vector with a 1-D sample vector ``x`` for SISO, or
+    ``(L, N_r, N_t)`` taps with an ``(N_t, T)`` array ``x`` for MIMO.
     The SNR is average received signal power over noise power, measured per
     receive antenna on the clean signal; ``snr_db=None`` (or ``inf``) disables
-    noise.  Output is truncated to the input length.
+    noise and gives ``noise_var = 0``.  Output is truncated to the input length.
     """
     # ``h / 1`` and the full convolution cut to length are the exact arithmetic
     # of ``scipy.signal.lfilter(h, [1], x)``, the oracle the tests hold this to
-    if isinstance(ch, MimoChannelRealization):
+    taps = np.asarray(ch, dtype=np.complex128)
+    if taps.ndim == 3:
         xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        if xs.shape[0] != ch.n_tx:
-            raise ValueError(f"expected {ch.n_tx} transmit streams, got {xs.shape[0]}")
+        _, n_rx, n_tx = taps.shape
+        if xs.shape[0] != n_tx:
+            raise ValueError(f"expected {n_tx} transmit streams, got {xs.shape[0]}")
         t = xs.shape[1]
-        y = np.zeros((ch.n_rx, t), dtype=np.complex128)
-        for r in range(ch.n_rx):
-            for c in range(ch.n_tx):
-                y[r] += np.convolve(ch.taps[:, r, c] / 1, xs[c])[:t]
+        y = np.zeros((n_rx, t), dtype=np.complex128)
+        for r in range(n_rx):
+            for c in range(n_tx):
+                y[r] += np.convolve(taps[:, r, c] / 1, xs[c])[:t]
     else:
-        hv = as_complex_seq(ch, "channel taps")
+        hv = as_complex_seq(taps, "channel taps")
         xs = as_complex_seq(x, "x")
         y = np.convolve(hv / 1, xs)[: xs.size]
 
     if snr_db is None or np.isinf(snr_db):
-        noise_var = 0.0
-    else:
-        snr = 10.0 ** (snr_db / 10.0)
-        p_sig = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True)
-        noise_var = p_sig / snr
-        noise = (
-            rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-        ) * np.sqrt(noise_var / 2.0)
-        y = y + noise
-        noise_var = float(np.mean(noise_var))
-    if return_noise_var:
-        return y, noise_var
-    return y
+        return y, 0.0
+    snr = 10.0 ** (snr_db / 10.0)
+    p_sig = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True)
+    noise_var = p_sig / snr
+    noise = (
+        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
+    ) * np.sqrt(noise_var / 2.0)
+    y += noise
+    return y, float(np.mean(noise_var))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import all_pole_filter, as_complex_seq, least_squares, polynomial_roots
+from .signal_core import all_pole_filter, as_complex_seq, polynomial_roots
 
 RING_TOL = 1e-6
 POLE_SEPARATION_TOL = 1e-6
@@ -66,26 +66,22 @@ class PhaseFactorization:
     classification: Phase
 
 
-def perturb_clustered_poles(
-    poles: np.ndarray,
-    min_separation: float = POLE_SEPARATION_TOL,
-    jitter: float = POLE_JITTER,
-) -> np.ndarray:
+def perturb_clustered_poles(poles: np.ndarray) -> np.ndarray:
     """Split pole clusters by a deterministic radial jitter.
 
-    Poles closer than ``min_separation`` to an already-kept pole are pushed
-    radially outward in multiples of ``jitter``; ordering is made stable by
-    sorting on (real, imag) first.
+    Poles closer than ``POLE_SEPARATION_TOL`` to an already-kept pole are
+    pushed radially outward in multiples of ``POLE_JITTER``; ordering is made
+    stable by sorting on (real, imag) first.
     """
     p = np.asarray(poles, dtype=np.complex128).ravel()
     order = np.lexsort((p.imag, p.real))
     adjusted = p[order].copy()
     for i in range(1, adjusted.size):
         bump = 1
-        while np.min(np.abs(adjusted[:i] - adjusted[i])) <= min_separation:
+        while np.min(np.abs(adjusted[:i] - adjusted[i])) <= POLE_SEPARATION_TOL:
             base = p[order][i]
             direction = base / abs(base) if abs(base) > 0 else 1.0
-            adjusted[i] = base + direction * bump * jitter
+            adjusted[i] = base + direction * bump * POLE_JITTER
             bump += 1
     out = np.empty_like(adjusted)
     out[order] = adjusted
@@ -102,10 +98,10 @@ def _residues_simple(poles: np.ndarray) -> np.ndarray:
     return res
 
 
-def _phase_of_roots(roots: np.ndarray, ring_tol: float) -> Phase | None:
-    """Phase class of a root set, or ``None`` when a root lies in the ring."""
+def _phase_of_roots(roots: np.ndarray) -> Phase | None:
+    """Phase class of a root set, or ``None`` when a root lies in the ``RING_TOL`` ring."""
     mags = np.abs(roots)
-    if np.any((mags > 1.0 - ring_tol) & (mags < 1.0 + ring_tol)):
+    if np.any((mags > 1.0 - RING_TOL) & (mags < 1.0 + RING_TOL)):
         return None
     n_inside = np.count_nonzero(mags < 1.0)
     if n_inside == mags.size:
@@ -123,12 +119,12 @@ def minimum_phase_factor(h0: complex, roots: np.ndarray) -> np.ndarray:
     return h0 * np.atleast_1d(np.poly(inside)).astype(np.complex128)
 
 
-def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:
+def factorize_by_phase(h) -> PhaseFactorization:
     """Split FIR taps into minimum-phase and non-minimum-phase factors.
 
     Roots strictly inside the unit circle go to ``mp_factor`` (which also
     carries the overall gain); roots strictly outside go to ``nmp_factor``,
-    monic in z^0.  A root with ``1 - ring_tol < |z| < 1 + ring_tol`` raises
+    monic in z^0.  A root with ``1 - RING_TOL < |z| < 1 + RING_TOL`` raises
     :class:`UnitCircleRootError` since the dichotomy is undefined there.
     """
     hv = as_complex_seq(h, "h")
@@ -142,7 +138,7 @@ def factorize_by_phase(h, ring_tol: float = RING_TOL) -> PhaseFactorization:
             classification=Phase.STRICTLY_MP,
         )
     roots = polynomial_roots(trimmed)
-    classification = _phase_of_roots(roots, ring_tol)
+    classification = _phase_of_roots(roots)
     if classification is None:
         raise UnitCircleRootError("root within the unit-circle tolerance ring")
     outside = roots[np.abs(roots) >= 1.0]
@@ -190,7 +186,7 @@ def classify_rows(rows):
     for i in np.flatnonzero(~full).tolist():
         trimmed = np.trim_zeros(h[i], "b")
         roots[i] = polynomial_roots(trimmed) if trimmed.size > 1 else np.zeros(0, np.complex128)
-    phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r, RING_TOL) for r in roots]
+    phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r) for r in roots]
     return phases, roots
 
 
@@ -231,7 +227,7 @@ def stable_inverse_approx(h, l_ff: int, n: int):
     a = np.column_stack(columns)
     target = np.zeros(n, dtype=np.complex128)
     target[delay] = 1.0
-    sol = least_squares(a, target)
+    sol = np.linalg.lstsq(a, target, rcond=None)[0]
     residues = sol[: mp_roots.size]
     fir = sol[mp_roots.size :]
     return PoleSet(poles=mp_roots, residues=residues), fir, delay

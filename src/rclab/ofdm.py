@@ -2,9 +2,9 @@
 reference-signal (RS) patterns, and cyclic-prefix modulation.
 
 Grids are ``(n_sc, n_sym, n_tx)`` complex arrays with a parallel kind mask
-partitioning resource elements (REs) into data, RS, and empty-RS.  One OFDM
-symbol per slot carries the RS comb; the remaining symbols carry payload.
-Two comb layouts are supported:
+partitioning resource elements (REs) into data, RS, and empty-RS.  The first
+OFDM symbol of each slot carries the RS comb; the remaining symbols carry
+payload.  Two comb layouts are supported:
 
 * ``conventional`` - antenna-orthogonal combs: antenna ``p`` transmits on
   subcarriers ``p * rs_spacing (mod rs_spacing * n_tx)`` while the other
@@ -124,7 +124,6 @@ class ResourceGrid:
 
     symbols: np.ndarray  # (n_sc, n_sym, n_tx) complex
     kind: np.ndarray  # same shape, ReKind values
-    rs_symbol_index: int
     qam_order: int
 
     @property
@@ -166,9 +165,8 @@ def build_grid(
     payload_bits,
     rng: np.random.Generator,
     order: int = 16,
-    rs_symbol: int = 0,
 ) -> ResourceGrid:
-    """Assemble a transmit grid: one RS comb symbol plus payload symbols.
+    """Assemble a transmit grid: the RS comb symbol at position 0, then payload symbols.
 
     RS REs carry unit-modulus QPSK sequences drawn from ``rng`` (distinct per
     antenna); within the RS symbol every non-RS RE is empty, so the whole RS
@@ -176,8 +174,8 @@ def build_grid(
     is identical across modes.
     """
     n_sc = numerology.n_sc
-    if not 0 <= rs_symbol < n_sym or n_sym < 2:
-        raise ValueError("need n_sym >= 2 and a valid rs_symbol index")
+    if n_sym < 2:
+        raise ValueError("need n_sym >= 2: one RS symbol plus payload")
     bits = np.asarray(payload_bits, dtype=np.int64).ravel()
     expected = payload_bit_count(n_sc, n_sym, n_tx, order)
     if bits.size != expected:
@@ -185,17 +183,17 @@ def build_grid(
 
     symbols = np.zeros((n_sc, n_sym, n_tx), dtype=np.complex128)
     kind = np.full((n_sc, n_sym, n_tx), ReKind.DATA, dtype=np.int8)
-    kind[:, rs_symbol, :] = ReKind.EMPTY_RS
+    kind[:, 0, :] = ReKind.EMPTY_RS
     for p in range(n_tx):
         comb = rs_subcarriers(n_sc, n_tx, rs_spacing, mode, p)
         quads = rng.integers(0, 4, size=comb.size)
-        symbols[comb, rs_symbol, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
-        kind[comb, rs_symbol, p] = ReKind.RS
+        symbols[comb, 0, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
+        kind[comb, 0, p] = ReKind.RS
 
     data_syms = qam_map(bits, order)
     pos = data_positions(kind)
     symbols[pos[:, 2], pos[:, 1], pos[:, 0]] = data_syms
-    return ResourceGrid(symbols=symbols, kind=kind, rs_symbol_index=rs_symbol, qam_order=order)
+    return ResourceGrid(symbols=symbols, kind=kind, qam_order=order)
 
 
 def data_positions(kind: np.ndarray) -> np.ndarray:
@@ -238,8 +236,8 @@ def ofdm_demodulate(samples, numerology: OfdmNumerology, n_sym: int) -> np.ndarr
 
 
 def rs_time_waveform(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:
-    """Known transmitted time-domain waveform of the RS symbol, ``(n_tx, symbol_len)``."""
-    col = grid.symbols[:, grid.rs_symbol_index, :]  # (n_sc, n_tx)
+    """Known time-domain waveform of the RS symbol (symbol 0), ``(n_tx, symbol_len)``."""
+    col = grid.symbols[:, 0, :]  # (n_sc, n_tx)
     time = np.fft.ifft(col, axis=0, norm="ortho")
     with_cp = np.concatenate([time[numerology.n_sc - numerology.n_cp :], time], axis=0)
     return with_cp.T.copy()

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import all_pole_filter, least_squares
+from .signal_core import all_pole_filter
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -199,7 +199,7 @@ def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np
         gram = fw @ fw.conj().T + (ridge * t) * np.eye(fw.shape[0])
         w = np.linalg.solve(gram, fw @ target_d.conj().T).conj().T
     else:
-        w = least_squares(fw.T, target_d.T).T
+        w = np.linalg.lstsq(fw.T, target_d.T, rcond=None)[0].T
     return w / scale[None, :]
 
 

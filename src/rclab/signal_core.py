@@ -161,13 +161,16 @@ class HermitianEig:
     vectors: np.ndarray
 
 
-def hermitian_eig(k, herm_tol: float = 1e-8) -> HermitianEig:
-    """Eigen-decomposition of a Hermitian matrix with deterministic ordering."""
+def hermitian_eig(k) -> HermitianEig:
+    """Eigen-decomposition of a Hermitian matrix with deterministic ordering.
+
+    Raises :class:`NonHermitianError` when ``||K - K^H|| > 1e-8 ||K||``.
+    """
     km = np.asarray(k, dtype=np.complex128)
     if km.ndim != 2 or km.shape[0] != km.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {km.shape}")
     scale = np.linalg.norm(km)
-    if np.linalg.norm(km - km.conj().T) > herm_tol * max(scale, 1e-300):
+    if np.linalg.norm(km - km.conj().T) > 1e-8 * max(scale, 1e-300):
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(km)
     values = values[::-1].copy()
@@ -179,21 +182,6 @@ def hermitian_eig(k, herm_tol: float = 1e-8) -> HermitianEig:
             pivot = col[sig[0]]
             vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
     return HermitianEig(values=values, vectors=vectors)
-
-
-def least_squares(a, b) -> np.ndarray:
-    """Least-squares solution of ``a @ x = b`` with minimum-norm semantics.
-
-    ``b`` may be a vector or a matrix of stacked right-hand sides.  The
-    residual is orthogonal to the column space of ``a``; rank-deficient
-    systems get the Moore-Penrose (minimum-norm) solution.
-    """
-    am = np.asarray(a, dtype=np.complex128)
-    bm = np.asarray(b, dtype=np.complex128)
-    if am.ndim != 2:
-        raise ValueError("a must be 2-D")
-    sol, _, _, _ = np.linalg.lstsq(am, bm, rcond=None)
-    return sol
 
 
 def polynomial_roots(coeffs) -> np.ndarray:

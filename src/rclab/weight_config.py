@@ -29,13 +29,19 @@ import numpy as np
 from .channel import PowerDelayProfile, draw_channels
 from .filters import Phase, perturb_clustered_poles, _residues_simple
 from .reservoir import ReservoirSpec
-from .signal_core import all_pole_filter, hermitian_eig, toeplitz_inverse_first_column
+from .signal_core import (
+    all_pole_filter,
+    as_complex_seq,
+    hermitian_eig,
+    polynomial_roots,
+    toeplitz_inverse_first_column,
+)
 
 COMPENSATION_MARGIN = 0.05
 COMPENSATION_FLOOR = 1e-3
 REFLECTION_CAP = 0.99
 SK_ITERATIONS = 10
-DEFAULT_GRID_SIZE = 256
+GRID_SIZE = 256  # frequency-domain route: points of the sampled inverse responses
 
 
 class ConfigurationError(RuntimeError):
@@ -131,19 +137,15 @@ def pca_basis(dataset: ChannelStatsDataset, m: int) -> np.ndarray:
     return eig.vectors[:, :m].copy()
 
 
-def mp_compensate(
-    f: np.ndarray,
-    margin: float = COMPENSATION_MARGIN,
-    floor: float = COMPENSATION_FLOOR,
-) -> ConfiguredBasis:
+def mp_compensate(f: np.ndarray) -> ConfiguredBasis:
     """Lift each column's first tap until it dominates the tail.
 
-    The offset ``b_m = max((1 + margin) * sum_{n>=1} |f[n, m]|, floor)``
-    guarantees every root of the lifted column lies strictly inside the unit
-    circle (first-tap dominance).  Row 0 of ``p`` is exactly the real offset
-    and the stored ``f`` is recomputed as ``p + b``, so the decomposition is
-    exact in floating point (the stored basis differs from the input by at
-    most one rounding in row 0).
+    The offset ``b_m = max((1 + COMPENSATION_MARGIN) * sum_{n>=1} |f[n, m]|,
+    COMPENSATION_FLOOR)`` guarantees every root of the lifted column lies
+    strictly inside the unit circle (first-tap dominance).  Row 0 of ``p`` is
+    exactly the real offset and the stored ``f`` is recomputed as ``p + b``,
+    so the decomposition is exact in floating point (the stored basis differs
+    from the input by at most one rounding in row 0).
     """
     fm = np.asarray(f, dtype=np.complex128)
     if fm.ndim != 2 or fm.size == 0:
@@ -151,7 +153,7 @@ def mp_compensate(
     if not np.all(np.any(fm != 0, axis=0)):
         raise ValueError("f has an all-zero column")
     tails = np.sum(np.abs(fm[1:, :]), axis=0)
-    offsets = np.maximum((1.0 + margin) * tails, floor)
+    offsets = np.maximum((1.0 + COMPENSATION_MARGIN) * tails, COMPENSATION_FLOOR)
     p = fm.copy()
     p[0, :] = offsets
     b = np.zeros_like(fm)
@@ -187,14 +189,14 @@ def reduce_order(p, l_f: int):
     return q, errors
 
 
-def _reflect_unstable(poles: np.ndarray, cap: float = REFLECTION_CAP):
+def _reflect_unstable(poles: np.ndarray):
     """Pull poles on or outside the unit circle back inside; count the events."""
     out = poles.copy()
     mags = np.abs(out)
     unstable = mags >= 1.0
     n_reflected = int(np.count_nonzero(unstable))
     if n_reflected:
-        new_mag = np.minimum(1.0 / mags[unstable], cap)
+        new_mag = np.minimum(1.0 / mags[unstable], REFLECTION_CAP)
         out[unstable] = out[unstable] / mags[unstable] * new_mag
     return out, n_reflected
 
@@ -210,18 +212,14 @@ def _denominator_to_sections(q: np.ndarray, l_f: int):
     lead = q[0]
     if abs(lead) == 0.0:
         raise ConfigurationError("reduced denominator has a zero leading coefficient")
-    monic = q / lead
+    monic = as_complex_seq(q / lead, "reduced denominator")
     mags = np.abs(monic)
-    keep = np.flatnonzero(mags > 1e-14 * mags.max())
-    monic = monic[: keep[-1] + 1]
-    if monic.size == 1:
+    # a denominator whose tail polynomial_roots would strip is a constant: no poles
+    if np.all(mags[1:] <= 1e-14 * mags.max()):
         poles = np.zeros(0, dtype=np.complex128)
         n_reflected = 0
     else:
-        poles = np.roots(monic)
-        order = np.lexsort((poles.imag, poles.real))
-        poles = poles[order]
-        poles, n_reflected = _reflect_unstable(poles)
+        poles, n_reflected = _reflect_unstable(polynomial_roots(monic))
         if poles.size > 1:
             poles = perturb_clustered_poles(poles)
     weights = _residues_simple(poles) / lead if poles.size else np.zeros(0, complex)
@@ -268,12 +266,12 @@ def basis_to_poles(basis: ConfiguredBasis, l_f: int):
 STATE_RMS_TARGET = 0.005
 
 
-def _drive_normalization(poles, weights, target: float = STATE_RMS_TARGET) -> float:
+def _drive_normalization(poles, weights) -> float:
     """Single input gain bounding the RMS state magnitude of every neuron.
 
     For unit-power white input the state of a one-pole neuron has RMS
-    ``|c| / sqrt(1 - |p|^2)``; one global scalar keeps that below ``target``
-    for the worst neuron.  A common scale changes neither the spanned
+    ``|c| / sqrt(1 - |p|^2)``; one global scalar keeps that below
+    ``STATE_RMS_TARGET`` for the worst neuron.  A common scale changes neither the spanned
     subspace nor the per-column recombinations (the trained readout absorbs
     it), but it keeps a tanh reservoir inside its near-linear range, where
     the configured pole bank behaves as designed.
@@ -283,7 +281,7 @@ def _drive_normalization(poles, weights, target: float = STATE_RMS_TARGET) -> fl
     active = c > 0
     if not np.any(active):
         return 1.0
-    return float(np.min(target * np.sqrt(1.0 - p[active] ** 2) / c[active]))
+    return float(np.min(STATE_RMS_TARGET * np.sqrt(1.0 - p[active] ** 2) / c[active]))
 
 
 def _spec_from_sections(poles, weights, n_window, activation) -> ReservoirSpec:
@@ -306,10 +304,9 @@ def configure_time_domain_report(
     n_window: int,
     rng: np.random.Generator,
     activation: str = "tanh",
-    require: Phase | None = None,
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
-    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, require=require)
+    dataset = collect_equalizer_irs(pdp, n, n_obs, rng)
     basis = mp_compensate(pca_basis(dataset, m))
     poles, weights, diagnostics = basis_to_poles(basis, l_f)
     spec = _spec_from_sections(poles, weights, n_window, activation)
@@ -323,32 +320,25 @@ def configure_time_domain_report(
 # ---------------------------------------------------------------------------
 
 def collect_inverse_responses(
-    pdp: PowerDelayProfile,
-    n_obs: int,
-    rng: np.random.Generator,
-    grid_size: int = DEFAULT_GRID_SIZE,
-    require: Phase | None = None,
+    pdp: PowerDelayProfile, n_obs: int, rng: np.random.Generator
 ) -> ChannelStatsDataset:
-    """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on a uniform grid.
+    """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on the ``GRID_SIZE``-point grid.
 
-    Draws are resampled until their phase class is ``require`` (any class
-    when ``None``); ``H_mp`` is the draw itself when it is strictly
-    minimum-phase and its minimum-phase factor otherwise.
+    ``H_mp`` is the draw itself when it is strictly minimum-phase and its
+    minimum-phase factor otherwise.
     """
-    if grid_size < 8:
-        raise ValueError("grid_size must be >= 8")
     # zero padding to the profile length changes no FFT input
-    mp_taps = draw_channels(pdp, rng, n_obs, require).mp_taps
-    vectors = 1.0 / np.fft.fft(mp_taps, grid_size, axis=-1)
+    mp_taps = draw_channels(pdp, rng, n_obs).mp_taps
+    vectors = 1.0 / np.fft.fft(mp_taps, GRID_SIZE, axis=-1)
     return ChannelStatsDataset(vectors=vectors)
 
 
-def all_pole_fit(values: np.ndarray, order: int, iterations: int = SK_ITERATIONS):
+def all_pole_fit(values: np.ndarray, order: int):
     """Fit ``values(w_k) ~= c / Q(e^{j w_k})`` with ``order`` denominator coefficients.
 
-    Iteratively reweighted linear least squares on ``c - values * Q = 0``
-    (weights ``1/|Q_prev|``), denominator pinned monic in z^0.  Returns
-    ``(c, q)`` with ``q[0] = 1``.
+    ``SK_ITERATIONS`` rounds of reweighted linear least squares on
+    ``c - values * Q = 0`` (weights ``1/|Q_prev|``), denominator pinned monic
+    in z^0.  Returns ``(c, q)`` with ``q[0] = 1``.
     """
     v = np.asarray(values, dtype=np.complex128).ravel()
     grid_size = v.size
@@ -359,7 +349,7 @@ def all_pole_fit(values: np.ndarray, order: int, iterations: int = SK_ITERATIONS
     weights = np.ones(grid_size)
     c = np.complex128(0.0)
     q_tail = np.zeros(order - 1, dtype=np.complex128)
-    for _ in range(iterations):
+    for _ in range(SK_ITERATIONS):
         a = np.concatenate([np.ones((grid_size, 1)), -v[:, None] * basis], axis=1)
         sol, _, _, _ = np.linalg.lstsq(a * weights[:, None], v * weights, rcond=None)
         c = sol[0]
@@ -380,22 +370,20 @@ def configure_frequency_domain_report(
     l_rp: int,
     n_window: int,
     rng: np.random.Generator,
-    grid_size: int = DEFAULT_GRID_SIZE,
     activation: str = "tanh",
-    require: Phase | None = None,
 ) -> ConfigReport:
     """Full frequency-domain pipeline with per-column diagnostics.
 
     The statistics are the inverse responses sampled on the fixed
-    ``grid_size``-point frequency grid; ``n`` is not read.  It is kept so the
+    ``GRID_SIZE``-point frequency grid; ``n`` is not read.  It is kept so the
     signature matches ``configure_time_domain_report``.
     """
-    dataset = collect_inverse_responses(pdp, n_obs, rng, grid_size=grid_size, require=require)
+    dataset = collect_inverse_responses(pdp, n_obs, rng)
     f = pca_basis(dataset, m)
     poles = np.empty(m * l_rp, dtype=np.complex128)
     weights = np.empty(m * l_rp, dtype=np.complex128)
     diagnostics = []
-    omega = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    omega = 2.0 * np.pi * np.arange(GRID_SIZE) / GRID_SIZE
     for col in range(m):
         c, q = all_pole_fit(f[:, col], l_rp)
         p_col, w_col, n_ref = _denominator_to_sections(q, l_rp)

@@ -1,15 +1,26 @@
 """Channel draws one at a time: the per-draw reference of ``channel.draw_channels``.
 
-``reference_taps`` draws one realization with its own scalar generator calls,
-and ``reference_draws`` runs the per-draw retry loop on
-``filters.factorize_by_phase`` (``np.roots`` on one companion at a time).
+``reference_taps`` draws one realization with its own scalar generator calls
+and normalizes it with ``normalize_agc``, and ``reference_draws`` runs the
+per-draw retry loop on ``filters.factorize_by_phase`` (``np.roots`` on one
+companion at a time).
 The batched draws must match them to the bit, generator state included.
 """
 
 import numpy as np
 
-from rclab.channel import MAX_PHASE_RETRIES, normalize_agc
+from rclab.channel import MAX_PHASE_RETRIES
 from rclab.filters import Phase, UnitCircleRootError, factorize_by_phase
+from rclab.signal_core import as_complex_seq
+
+
+def normalize_agc(h_raw) -> np.ndarray:
+    """Scale taps to unit Euclidean norm (receiver AGC model)."""
+    h = as_complex_seq(h_raw, "h_raw")
+    norm = np.linalg.norm(h)
+    if norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return h / norm
 
 
 def reference_taps(pdp, rng) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_criterion_05_noiseless_exact_equalization():
         )
         grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, bits,
                           np.random.default_rng((5005, 3, slot)), order=16)
-        y = apply_channel(h, ofdm_modulate(grid, num)[0], None, None)
+        y, _ = apply_channel(h, ofdm_modulate(grid, num)[0], None, None)
         est = bc.rc_detect(np.atleast_2d(y)[None], grid, num, spec, d_max=12, ridge=0.0)[0]
         errors += int(np.count_nonzero(est != bits))
         total += bits.size
@@ -259,8 +259,7 @@ def test_criterion_09_lmmse_awgn_sanity():
         grid = build_grid(num, 1, 14, 4, RsMode.CONVENTIONAL, bits,
                           np.random.default_rng((9009, 2, slot)), order=16)
         tx = ofdm_modulate(grid, num)
-        y, nv = apply_channel(h, tx[0], snr_db, np.random.default_rng((9009, 3, slot)),
-                              return_noise_var=True)
+        y, nv = apply_channel(h, tx[0], snr_db, np.random.default_rng((9009, 3, slot)))
         est = bc.lmmse_detect(y[None, :], grid, num, pdp, nv, true_channel=h)
         errors += int(np.count_nonzero(est != bits))
         total += bits.size

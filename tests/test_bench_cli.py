@@ -206,6 +206,32 @@ class TestExperimentConfig:
         with pytest.raises(bc.ConfigFileError, match=message):
             bc.ExperimentConfig.from_file(p)
 
+    # each of these used to load and then fail later, or run on a wrong value
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[experiment]\nsnr_db = 10, nan", "snr_db"),
+            ("[experiment]\nsnr_db = -inf", "snr_db"),
+            ("[rc]\nridge = nan", "ridge must be finite"),
+            ("[rc]\ninput_scale = inf", "input_scale must be finite"),
+            ("[channel]\nmode = mimo\nsector_deg = nan", "sector_deg must be finite"),
+            ("[rc]\nstats_obs = 0", "stats_obs must be >= 1"),
+            ("[rc]\nm = 0", "m must be >= 1"),
+        ],
+        ids=["snr_nan", "snr_minus_inf", "ridge_nan", "input_scale_inf", "sector_nan",
+             "stats_obs", "m"],
+    )
+    def test_bad_number_rejected_at_load(self, tmp_path, text, message):
+        p = tmp_path / "bad.ini"
+        p.write_text(text + "\n")
+        with pytest.raises(bc.ConfigFileError, match=message):
+            bc.ExperimentConfig.from_file(p)
+
+    def test_infinite_snr_is_noise_free(self, tmp_path):
+        p = tmp_path / "clean.ini"
+        p.write_text("[experiment]\nsnr_db = 10, inf\n")
+        assert bc.ExperimentConfig.from_file(p).snr_db == (10.0, np.inf)
+
     # cdl_d is 13 samples long; these rules bind only when rc-td is configured
     @pytest.mark.parametrize(
         "stats_n, m, message",
@@ -247,15 +273,6 @@ class TestRcDetect:
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
 
-    def test_rs_symbol_position_checked(self):
-        num = OfdmNumerology(64, 8)
-        rng = np.random.default_rng(4)
-        bits = rng.integers(0, 2, payload_bit_count(64, 4, 1, 16))
-        grid = build_grid(num, 1, 4, 4, RsMode.LEARNING, bits, rng, rs_symbol=1)
-        spec = random_reservoir(4, 0.4, 0.5, 1, 1, rng)
-        with pytest.raises(ValueError):
-            bc.rc_detect(np.zeros((1, 4 * 72))[None], grid, num, spec, d_max=2)
-
 
 class TestLmmseDetect:
     def test_dense_rs_noiseless_exact(self):
@@ -266,7 +283,7 @@ class TestLmmseDetect:
         grid_dense = build_grid(num, 1, 4, 1, RsMode.CONVENTIONAL,
                                 bits, np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
-        y = apply_channel(h, tx_dense[0], None, None)
+        y, _ = apply_channel(h, tx_dense[0], None, None)
         est = bc.lmmse_detect(y[None, :], grid_dense, num, pdp, 0.0)
         assert np.count_nonzero(est != bits) == 0
 
@@ -275,15 +292,15 @@ class TestLmmseDetect:
         num, grid, bits, tx = detect_setup(n_sc=256, n_cp=16, n_sym=4, n_tx=4,
                                            mode=RsMode.CONVENTIONAL, seed=7)
         pdp = load_pdp("cdl_d")
-        ch = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
-        y = apply_channel(ch, tx, None, None)
+        taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
+        y, _ = apply_channel(taps, tx, None, None)
         est = bc.lmmse_detect(y, grid, num, pdp, 0.0)
         assert np.count_nonzero(est != bits) == 0
 
     def test_perfect_csi_flat_awgn(self):
         num, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
         h = np.array([1.0 + 0j])
-        y, nv = apply_channel(h, tx[0], 14.0, np.random.default_rng(10), return_noise_var=True)
+        y, nv = apply_channel(h, tx[0], 14.0, np.random.default_rng(10))
         est = bc.lmmse_detect(y[None, :], grid, num, load_pdp("flat"), nv, true_channel=h)
         ber = np.count_nonzero(est != bits) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB

@@ -6,18 +6,15 @@ from hypothesis import strategies as st
 
 from rclab.channel import (
     AngleModel,
-    MimoChannelRealization,
     PowerDelayProfile,
-    SteeringConfig,
     _draw_taps,
     _raw_taps,
     apply_channel,
     draw_channel,
     draw_channels,
     load_pdp,
-    normalize_agc,
     sample_parametric_mimo,
-    steering_vector,
+    steering_vectors,
 )
 from rclab.filters import (
     RING_TOL,
@@ -28,7 +25,7 @@ from rclab.filters import (
     minimum_phase_factor,
 )
 
-from channel_reference import reference_draws, reference_taps
+from channel_reference import normalize_agc, reference_draws, reference_taps
 
 
 class TestPowerDelayProfile:
@@ -249,51 +246,59 @@ class TestDrawChannels:
 
 class TestSteeringVector:
     def test_broadside_all_ones(self):
-        v = steering_vector(SteeringConfig(5, 0.25, np.pi / 2))
+        v = steering_vectors(5, 0.25, [np.pi / 2])[:, 0]
         np.testing.assert_allclose(v, np.ones(5), atol=1e-12)
 
     def test_endfire_alternating(self):
-        v = steering_vector(SteeringConfig(4, 0.5, 0.0))
+        v = steering_vectors(4, 0.5, [0.0])[:, 0]
         np.testing.assert_allclose(v, [1, -1, 1, -1], atol=1e-12)
 
     def test_sixty_degrees(self):
-        v = steering_vector(SteeringConfig(2, 0.5, np.pi / 3))
+        v = steering_vectors(2, 0.5, [np.pi / 3])[:, 0]
         np.testing.assert_allclose(v, [1, 1j], atol=1e-12)
 
     def test_unit_modulus(self):
-        v = steering_vector(SteeringConfig(8, 0.7, 1.234))
+        v = steering_vectors(8, 0.7, [1.234])[:, 0]
         np.testing.assert_allclose(np.abs(v), 1.0)
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SteeringConfig(0, 0.5, 0.0)
+    @given(
+        n=st.integers(1, 8),
+        spacing=st.sampled_from([0.5, 0.37]),
+        angles=st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=33),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_columns_match_one_angle_at_a_time(self, n, spacing, angles):
+        # the channel draws, and so the MIMO golden outputs, rest on these bits
+        want = np.column_stack(
+            [np.exp(2j * np.pi * np.arange(n) * spacing * np.cos(th)) for th in angles]
+        )
+        assert steering_vectors(n, spacing, angles).tobytes() == want.tobytes()
 
 
 class TestParametricMimo:
-    def test_construction_identity(self):
-        pdp = load_pdp("cdl_d")
-        ch = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 2, np.random.default_rng(3))
-        assert ch.parametric_mismatch() <= 1e-12
-
     def test_degenerate_siso_reduces_to_tdl(self):
-        # 1x1 with one path: taps are the path gains rotated by unit-modulus
-        # steering scalars, normalized like any other AGC'd realization
+        # 1x1 with one path: the steering scalars are 1, so the taps are the
+        # path's circular Gaussian gains, AGC-normalized like any realization
         pdp = PowerDelayProfile.from_linear([0, 1], [0.7, 0.3])
-        ch = sample_parametric_mimo(pdp, AngleModel(), 1, 1, 1, np.random.default_rng(30))
-        taps = ch.taps[:, 0, 0]
-        np.testing.assert_allclose(np.abs(taps), np.abs(ch.path_gains[0]), atol=1e-12)
+        taps = sample_parametric_mimo(pdp, AngleModel(), 1, 1, 1, np.random.default_rng(30))
+        rng = np.random.default_rng(30)
+        for _ in range(2):  # the arrival and departure angles come first
+            AngleModel().sample(1, rng)
+        gains = np.sqrt(pdp.powers / 2.0) * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        np.testing.assert_allclose(taps[:, 0, 0], gains / np.linalg.norm(gains), atol=1e-12)
         assert abs(np.linalg.norm(taps) - 1.0) <= 1e-9
 
     def test_frobenius_normalization(self):
         pdp = load_pdp("cdl_d")
-        ch = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(4))
-        assert abs(np.sum(np.abs(ch.taps) ** 2) - 4.0) < 1e-9
+        taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(4))
+        assert taps.shape == (pdp.length, 4, 4)
+        assert abs(np.sum(np.abs(taps) ** 2) - 4.0) < 1e-9
 
     def test_shared_angles_give_rank_one_taps(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [0.6, 0.4])
         model = AngleModel(sector=(0.3, 0.3), offset_scale=0.0)
-        ch = sample_parametric_mimo(pdp, model, 3, 3, 4, np.random.default_rng(5))
-        for tap in ch.taps:
+        taps = sample_parametric_mimo(pdp, model, 3, 3, 4, np.random.default_rng(5))
+        for tap in taps:
             s = np.linalg.svd(tap, compute_uv=False)
             assert s[1] <= 1e-10 * s[0]
 
@@ -302,31 +307,23 @@ class TestParametricMimo:
         with pytest.warns(UserWarning, match="rank deficient"):
             sample_parametric_mimo(pdp, AngleModel(), 4, 4, 2, np.random.default_rng(6))
 
-    def test_inconsistent_parametric_form_rejected(self):
-        taps = np.zeros((1, 2, 2), dtype=complex)
-        with pytest.raises(ValueError):
-            MimoChannelRealization(
-                taps=taps,
-                a_rx=np.ones((2, 2), dtype=complex),
-                a_tx=np.ones((2, 2), dtype=complex),
-                path_gains=np.ones((2, 1), dtype=complex),
-            )
-
 
 class TestApplyChannel:
     def test_identity_no_noise(self):
         x = np.array([1 + 1j, 2, 3])
-        np.testing.assert_allclose(apply_channel([1.0], x, None, None), x)
+        y, nv = apply_channel([1.0], x, None, None)
+        np.testing.assert_allclose(y, x)
+        assert nv == 0.0
 
     def test_pure_delay(self):
-        y = apply_channel([0, 1], np.array([1.0, 2.0, 3.0]), None, None)
+        y, _ = apply_channel([0, 1], np.array([1.0, 2.0, 3.0]), None, None)
         np.testing.assert_allclose(y, [0, 1, 2])
 
     def test_empirical_snr(self):
         rng = np.random.default_rng(8)
         x = np.exp(2j * np.pi * rng.uniform(size=100_000))
-        y_clean = apply_channel([1.0], x, None, None)
-        y, nv = apply_channel([1.0], x, 10.0, np.random.default_rng(9), return_noise_var=True)
+        y_clean, _ = apply_channel([1.0], x, None, None)
+        y, nv = apply_channel([1.0], x, 10.0, np.random.default_rng(9))
         measured = 10 * np.log10(np.mean(np.abs(y_clean) ** 2) / np.mean(np.abs(y - y_clean) ** 2))
         assert abs(measured - 10.0) < 0.2
         assert abs(nv - 0.1) < 0.01
@@ -334,15 +331,15 @@ class TestApplyChannel:
     def test_mimo_matches_dense_oracle(self):
         rng = np.random.default_rng(10)
         pdp = PowerDelayProfile.from_linear([0, 1, 2], [0.5, 0.3, 0.2])
-        ch = sample_parametric_mimo(pdp, AngleModel(), 2, 3, 4, rng)
+        taps = sample_parametric_mimo(pdp, AngleModel(), 2, 3, 4, rng)
         t = 20
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
-        y = apply_channel(ch, x, None, None)
+        y, _ = apply_channel(taps, x, None, None)
         expected = np.zeros((3, t), dtype=complex)
         for n in range(t):
-            for ell in range(ch.length):
+            for ell in range(taps.shape[0]):
                 if n - ell >= 0:
-                    expected[:, n] += ch.taps[ell] @ x[:, n - ell]
+                    expected[:, n] += taps[ell] @ x[:, n - ell]
         np.testing.assert_allclose(y, expected, atol=1e-10)
 
     @given(
@@ -363,17 +360,16 @@ class TestApplyChannel:
         if sparse:  # zero interior taps, as in the cdl_d profile
             taps[1:-1][rng.uniform(size=max(n_taps - 2, 0)) < 0.6] = 0.0
         x = rng.standard_normal((n_tx, t)) + 1j * rng.standard_normal((n_tx, t))
-        siso = apply_channel(taps[:, 0, 0], x[0], None, None)
+        siso, _ = apply_channel(taps[:, 0, 0], x[0], None, None)
         assert siso.tobytes() == scipy.signal.lfilter(taps[:, 0, 0], [1.0 + 0.0j], x[0]).tobytes()
-        ch = MimoChannelRealization(taps=taps)
         want = np.zeros((n_rx, t), dtype=complex)
         for r in range(n_rx):
             for c in range(n_tx):
                 want[r] += scipy.signal.lfilter(taps[:, r, c], [1.0], x[c])
-        assert apply_channel(ch, x, None, None).tobytes() == want.tobytes()
+        assert apply_channel(taps, x, None, None)[0].tobytes() == want.tobytes()
 
     def test_mimo_stream_count_checked(self):
         pdp = load_pdp("flat")
-        ch = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 4, np.random.default_rng(1))
+        taps = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 4, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            apply_channel(ch, np.ones((3, 10)), None, None)
+            apply_channel(taps, np.ones((3, 10)), None, None)

@@ -25,7 +25,8 @@ SMALL = str(GOLDEN / "cli_small.ini")
 
 
 @pytest.mark.parametrize(
-    "name, workers", [("run_ber_siso", 1), ("run_ber_siso", 3), ("run_ber_mimo", 1)]
+    "name, workers",
+    [("run_ber_siso", 1), ("run_ber_siso", 3), ("run_ber_mimo", 1), ("run_ber_mimo", 3)],
 )
 def test_run_ber_matches_golden(tmp_path, name, workers):
     out = tmp_path / f"{name}.csv"

@@ -134,8 +134,7 @@ class TestModulation:
         symbols[0, 0, 0] = 1.0
         from rclab.ofdm import ResourceGrid
 
-        grid = ResourceGrid(symbols=symbols, kind=np.zeros((16, 1, 1), np.int8),
-                            rs_symbol_index=0, qam_order=16)
+        grid = ResourceGrid(symbols=symbols, kind=np.zeros((16, 1, 1), np.int8), qam_order=16)
         samples = ofdm_modulate(grid, num)
         np.testing.assert_allclose(samples, np.full((1, 16), 1 / 4), atol=1e-12)
 

@@ -312,7 +312,7 @@ class TestFrequencyDomain:
     def test_pipeline_output_shape_and_stability(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [1.0, 0.3025], k_factor=None)
         rng = np.random.default_rng(16)
-        report = configure_frequency_domain_report(pdp, 32, 150, 2, 3, 0, rng, grid_size=128)
+        report = configure_frequency_domain_report(pdp, 32, 150, 2, 3, 0, rng)
         assert report.poles.size == 6
         assert np.all(np.abs(report.poles) < 1.0)
         assert len(report.diagnostics) == 2
