@@ -170,6 +170,10 @@ class ExperimentConfig:
             raise ConfigFileError("need n_slots >= 0 and workers >= 1")
         if self.qam_order not in QAM_ORDERS:
             raise ConfigFileError(f"qam_order must be one of {QAM_ORDERS}")
+        try:
+            OfdmNumerology(self.n_sc, self.n_cp)
+        except ValueError as exc:
+            raise ConfigFileError(f"[ofdm] {exc}, got n_sc = {self.n_sc}, n_cp = {self.n_cp}") from exc
         if self.rs_spacing < 1 or self.n_sc % self.rs_spacing:
             raise ConfigFileError("rs_spacing must be a positive divisor of n_sc")
         if self.n_symbols < 2:
@@ -182,11 +186,10 @@ class ExperimentConfig:
             raise ConfigFileError("need 0 < spectral_radius < 1")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigFileError("need 0 <= sparsity < 1")
-        for key in ("n_neurons", "m", "stats_obs"):
-            if getattr(self, key) < 1:
-                raise ConfigFileError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if self.d_max < 0:
-            raise ConfigFileError("d_max must be >= 0")
+        for key, low in (("n_neurons", 1), ("m", 1), ("stats_obs", 1), ("l_f", 1), ("l_rp", 1),
+                         ("n_window", 0), ("d_max", 0)):
+            if getattr(self, key) < low:
+                raise ConfigFileError(f"{key} must be >= {low}, got {getattr(self, key)}")
 
     @property
     def numerology(self) -> OfdmNumerology:
@@ -525,19 +528,12 @@ def _resolve_seed(args, cfg_seed: int) -> int:
     return cfg_seed
 
 
-def _open_out(path):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="\n"), True
-
-
 def _write_to(path, writer) -> None:
-    fp, close = _open_out(path)
-    try:
+    if path is None:
+        writer(sys.stdout)
+        return
+    with open(path, "w", newline="\n") as fp:
         writer(fp)
-    finally:
-        if close:
-            fp.close()
 
 
 def _load_config(args) -> ExperimentConfig:

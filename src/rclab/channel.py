@@ -159,7 +159,7 @@ class ChannelDraws:
 
     ``mp_taps`` holds each draw's minimum-phase part, zero-padded to the
     profile length: the taps themselves when the draw is strictly MP, its
-    minimum-phase factor (as in :func:`filters.factorize_by_phase`)
+    minimum-phase factor (:func:`filters.minimum_phase_factor` of its roots)
     otherwise.  ``mp_lengths`` are the unpadded lengths, ``phases`` the
     phase classes and ``redraws`` the rejected candidates before each draw.
     """

@@ -1,19 +1,19 @@
-"""One-pole decompositions, phase factorization, and approximate stable inverses.
+"""Phase classes of FIR taps, minimum-phase factors and one-pole partial fractions.
 
 An FIR tap vector ``h`` is read as the transfer function ``sum_k h_k z^{-k}``.
 A channel is *strictly minimum-phase* (MP) when every root lies strictly
 inside the unit circle, *strictly non-minimum-phase* (NMP) when every root
 lies strictly outside, and *mixed* otherwise.  Strictly MP channels have a
-stable causal all-pole inverse; anything else needs an FIR correction and a
-decision delay.
+stable causal all-pole inverse; of any other channel the configuration keeps
+the minimum-phase factor.  ``channel.draw_channels`` classifies its draws
+here, and ``weight_config`` splits all-pole filters into one-pole sections.
 """
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .signal_core import all_pole_filter, as_complex_seq, polynomial_roots
+from .signal_core import polynomial_roots
 
 RING_TOL = 1e-6
 POLE_SEPARATION_TOL = 1e-6
@@ -28,42 +28,6 @@ class Phase(enum.Enum):
     STRICTLY_MP = "strictly_mp"
     STRICTLY_NMP = "strictly_nmp"
     MIXED = "mixed"
-
-
-@dataclass(frozen=True)
-class PoleSet:
-    """Parallel one-pole decomposition ``sum_k c_k / (1 - p_k z^{-1})``."""
-
-    poles: np.ndarray
-    residues: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.poles, dtype=np.complex128).ravel()
-        c = np.asarray(self.residues, dtype=np.complex128).ravel()
-        if p.size != c.size:
-            raise ValueError("poles and residues must have equal length")
-        object.__setattr__(self, "poles", p)
-        object.__setattr__(self, "residues", c)
-
-    @property
-    def is_stable(self) -> bool:
-        return bool(np.all(np.abs(self.poles) < 1.0))
-
-    def impulse_response(self, n: int) -> np.ndarray:
-        out = np.zeros(n, dtype=np.complex128)
-        steps = np.arange(n)
-        for p, c in zip(self.poles, self.residues):
-            out += c * p**steps
-        return out
-
-
-@dataclass(frozen=True)
-class PhaseFactorization:
-    """``h = mp_factor * nmp_factor`` with the overall gain carried by the MP part."""
-
-    mp_factor: np.ndarray
-    nmp_factor: np.ndarray
-    classification: Phase
 
 
 def perturb_clustered_poles(poles: np.ndarray) -> np.ndarray:
@@ -119,40 +83,12 @@ def minimum_phase_factor(h0: complex, roots: np.ndarray) -> np.ndarray:
     return h0 * np.atleast_1d(np.poly(inside)).astype(np.complex128)
 
 
-def factorize_by_phase(h) -> PhaseFactorization:
-    """Split FIR taps into minimum-phase and non-minimum-phase factors.
-
-    Roots strictly inside the unit circle go to ``mp_factor`` (which also
-    carries the overall gain); roots strictly outside go to ``nmp_factor``,
-    monic in z^0.  A root with ``1 - RING_TOL < |z| < 1 + RING_TOL`` raises
-    :class:`UnitCircleRootError` since the dichotomy is undefined there.
-    """
-    hv = as_complex_seq(h, "h")
-    if abs(hv[0]) == 0.0:
-        raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
-    trimmed = np.trim_zeros(hv, "b")
-    if trimmed.size == 1:
-        return PhaseFactorization(
-            mp_factor=trimmed.copy(),
-            nmp_factor=np.ones(1, dtype=np.complex128),
-            classification=Phase.STRICTLY_MP,
-        )
-    roots = polynomial_roots(trimmed)
-    classification = _phase_of_roots(roots)
-    if classification is None:
-        raise UnitCircleRootError("root within the unit-circle tolerance ring")
-    outside = roots[np.abs(roots) >= 1.0]
-    nmp = np.atleast_1d(np.poly(outside)).astype(np.complex128)
-    return PhaseFactorization(
-        mp_factor=minimum_phase_factor(hv[0], roots), nmp_factor=nmp, classification=classification
-    )
-
-
 def classify_rows(rows):
-    """Phase class of every row of an ``(n, L)`` tap stack, as :func:`factorize_by_phase` gives it.
+    """Phase class of every row of an ``(n, L)`` tap stack.
 
     Returns ``(phases, roots)``: ``phases[i]`` is ``None`` when a root of
-    row ``i`` lies in the ring, and ``roots[i]`` holds the row's roots in
+    row ``i`` lies in the ring ``1 - RING_TOL < |z| < 1 + RING_TOL``, where
+    the MP/NMP split is undefined, and ``roots[i]`` holds the row's roots in
     :func:`signal_core.polynomial_roots` order (the input of
     :func:`minimum_phase_factor`), or ``None`` when the row was certified.
 
@@ -188,46 +124,3 @@ def classify_rows(rows):
         roots[i] = polynomial_roots(trimmed) if trimmed.size > 1 else np.zeros(0, np.complex128)
     phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r) for r in roots]
     return phases, roots
-
-
-def stable_inverse_approx(h, l_ff: int, n: int):
-    """Approximate stable inverse of mixed-phase taps: one-pole bank plus FIR.
-
-    The pole bank is pinned to the roots of the minimum-phase factor (all
-    strictly inside the unit circle); the ``l_ff`` FIR taps and the pole
-    residues are fitted jointly by least squares against a delayed unit
-    sample over an ``n``-sample horizon.  Non-minimum-phase content forces a
-    decision delay: the fit targets index ``len(h) + l_ff - 2``, the largest
-    the ``l_ff``-tap FIR part can reach, and larger ``l_ff`` buys both more
-    delay and a longer anticausal truncation, so the residual is
-    non-increasing in ``l_ff``.  Strictly MP inputs need no delay at all (the
-    pole bank alone inverts them exactly), so they are fitted at delay 0.
-
-    Returns ``(PoleSet, fir_taps, delay)``.
-    """
-    hv = as_complex_seq(h, "h")
-    if l_ff < 1:
-        raise ValueError("l_ff must be >= 1")
-    fact = factorize_by_phase(hv)
-    length = np.trim_zeros(hv, "b").size
-    if fact.classification is Phase.STRICTLY_MP:
-        delay = 0
-    else:
-        delay = length + l_ff - 2
-    if n <= delay + length:
-        raise ValueError(f"horizon n = {n} too short for delay {delay}")
-
-    mp_roots = polynomial_roots(fact.mp_factor) if fact.mp_factor.size > 1 else np.zeros(0, complex)
-    h_pad = np.zeros(n, dtype=np.complex128)
-    h_pad[: hv.size] = hv
-    sections = np.column_stack([np.ones(mp_roots.size), -mp_roots])
-    columns = list(all_pole_filter(sections, h_pad))
-    for i in range(l_ff):
-        columns.append(np.roll(h_pad, i) * (np.arange(n) >= i))
-    a = np.column_stack(columns)
-    target = np.zeros(n, dtype=np.complex128)
-    target[delay] = 1.0
-    sol = np.linalg.lstsq(a, target, rcond=None)[0]
-    residues = sol[: mp_roots.size]
-    fir = sol[mp_roots.size :]
-    return PoleSet(poles=mp_roots, residues=residues), fir, delay

@@ -27,7 +27,7 @@ import numpy as np
 from .channel import PowerDelayProfile
 from .filters import Phase
 from .signal_core import hermitian_eig
-from .weight_config import ChannelStatsDataset, collect_equalizer_irs
+from .weight_config import collect_equalizer_irs, empirical_covariance
 
 
 def toeplitz_frobenius_sq(g: np.ndarray) -> float:
@@ -71,22 +71,29 @@ def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray
     return out
 
 
-def p2_objective_numerical(f: np.ndarray, dataset) -> float:
+def _monte_carlo_terms(f: np.ndarray, vectors: np.ndarray):
+    """``(mean_r ||T(g_r)||_F^2, e)`` with ``e[m] = mean_r sum_i |<f_m, L_i g_r>|^2``.
+
+    The Monte-Carlo error of the first ``m`` columns is ``mean - sum(e[:m])``.
+    """
+    n_obs = vectors.shape[0]
+    energies = np.sum(_shift_projection_energies(f, vectors), axis=0) / n_obs
+    return sum(toeplitz_frobenius_sq(g) for g in vectors) / n_obs, energies
+
+
+def p2_objective_numerical(f: np.ndarray, vectors) -> float:
     """Monte-Carlo projection error ``mean_r ||F F^H T(g_r) - T(g_r)||_F^2``.
 
-    Works column-by-column over shifted copies of each realization
-    (Pythagoras: ``||(I - FF^H) s||^2 = ||s||^2 - ||F^H s||^2`` for the
-    orthonormal ``F``), so no N x N matrix is ever formed.
+    Works column-by-column over shifted copies of each realization ``g_r``, a
+    row of ``vectors`` (Pythagoras: ``||(I - FF^H) s||^2 = ||s||^2 - ||F^H s||^2``
+    for the orthonormal ``F``), so no N x N matrix is ever formed.
     """
-    vectors = dataset.vectors if isinstance(dataset, ChannelStatsDataset) else np.asarray(dataset)
+    vectors = np.asarray(vectors)
     fm = np.asarray(f, dtype=np.complex128)
-    if fm.ndim != 2 or fm.shape[0] != vectors.shape[1]:
+    if fm.ndim != 2 or vectors.ndim != 2 or fm.shape[0] != vectors.shape[1]:
         raise ValueError("basis and dataset dimensions do not match")
-    energies = _shift_projection_energies(fm, vectors)
-    total = 0.0
-    for g, row in zip(vectors, energies):
-        total += toeplitz_frobenius_sq(g) - float(np.sum(row))
-    return total / vectors.shape[0]
+    mean_norm, energies = _monte_carlo_terms(fm, vectors)
+    return mean_norm - float(np.sum(energies))
 
 
 def shift_accumulated_covariance(k: np.ndarray) -> np.ndarray:
@@ -103,6 +110,17 @@ def shift_accumulated_covariance(k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _closed_form_terms(k: np.ndarray, f: np.ndarray):
+    """``(tr(K sum_i L_i^H L_i), p)`` with ``p[m] = f_m^H (sum_i L_i K L_i^H) f_m``.
+
+    The closed-form error of the first ``m`` columns is ``total - sum(p[:m])``.
+    """
+    n = k.shape[0]
+    total = float(np.real(np.dot(np.arange(n, 0, -1), np.diagonal(k))))
+    z = shift_accumulated_covariance(k)
+    return total, np.real(np.sum(np.conj(f) * (z @ f), axis=0))
+
+
 def theorem1_error(k: np.ndarray, f: np.ndarray) -> float:
     """Closed-form error ``sum_i [tr(K L_i^H L_i) - tr(K L_i^H F F^H L_i)]``.
 
@@ -115,11 +133,8 @@ def theorem1_error(k: np.ndarray, f: np.ndarray) -> float:
         raise ValueError("K must be square")
     if fm.ndim != 2 or fm.shape[0] != km.shape[0]:
         raise ValueError("F rows must match K")
-    n = km.shape[0]
-    total = float(np.real(np.dot(np.arange(n, 0, -1), np.diagonal(km))))
-    z = shift_accumulated_covariance(km)
-    projected = float(np.real(np.sum(np.conj(fm) * (z @ fm))))
-    return total - projected
+    total, projected = _closed_form_terms(km, fm)
+    return total - float(np.sum(projected))
 
 
 def lemma1_error(eigenvalues, m: int) -> float:
@@ -159,8 +174,8 @@ class ApproxErrorReport:
             fp.write(f"{m},{num:.17g},{theo:.17g}\n")
 
 
-def approx_error_report(dataset: ChannelStatsDataset, m_values) -> ApproxErrorReport:
-    """Evaluate both error routes on one dataset for several subspace sizes.
+def approx_error_report(vectors, m_values) -> ApproxErrorReport:
+    """Evaluate both error routes on one ``(n_obs, n)`` dataset for several subspace sizes.
 
     The cumulative structure over the eigenvector index is exploited so the
     whole sweep costs one pass over the realizations plus one covariance
@@ -169,32 +184,20 @@ def approx_error_report(dataset: ChannelStatsDataset, m_values) -> ApproxErrorRe
     forward FFT of each realization and one inverse FFT of its product with
     the basis spectrum.
     """
+    k_hat = empirical_covariance(vectors)
+    vectors = np.asarray(vectors)
+    n_obs, n = vectors.shape
     m_list = sorted(set(int(m) for m in m_values))
-    n = dataset.n
     if m_list[0] < 1 or m_list[-1] > n:
         raise ValueError(f"m values must lie in [1, {n}]")
-    m_max = m_list[-1]
-    vectors = dataset.vectors
-    n_obs = dataset.n_obs
+    v = hermitian_eig(k_hat).vectors[:, : m_list[-1]]
 
-    k_hat = dataset.empirical_covariance()
-    eig = hermitian_eig(k_hat)
-    v = eig.vectors[:, :m_max]
-
-    # Monte-Carlo side: per-eigenvector projection energies, then cumulative sums.
-    energy_sum = np.sum(_shift_projection_energies(v, vectors), axis=0)
-    norm_sum = 0.0
-    for g in vectors:
-        norm_sum += toeplitz_frobenius_sq(g)
-    mean_norm = norm_sum / n_obs
-    cum_energy = np.concatenate([[0.0], np.cumsum(energy_sum / n_obs)])
-    numerical = [(norm_sum / n_obs - cum_energy[m]) / mean_norm for m in m_list]
-
-    # Closed-form side: one shift-accumulated covariance, cumulative traces.
-    z = shift_accumulated_covariance(k_hat)
-    total = float(np.real(np.dot(np.arange(n, 0, -1), np.diagonal(k_hat))))
-    per_vec = np.real(np.sum(np.conj(v) * (z @ v), axis=0))
-    cum_proj = np.concatenate([[0.0], np.cumsum(per_vec)])
+    # both routes are cumulative over the eigenvectors: one pass serves every m
+    mean_norm, energies = _monte_carlo_terms(v, vectors)
+    cum_energy = np.concatenate([[0.0], np.cumsum(energies)])
+    numerical = [(mean_norm - cum_energy[m]) / mean_norm for m in m_list]
+    total, projected = _closed_form_terms(k_hat, v)
+    cum_proj = np.concatenate([[0.0], np.cumsum(projected)])
     theoretical = [(total - cum_proj[m]) / mean_norm for m in m_list]
 
     numerical = [0.0 if abs(val) < 5e-15 else val for val in numerical]
@@ -222,5 +225,5 @@ def reproduce_fig5(
     vanish at full dimension.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    dataset = collect_equalizer_irs(pdp, n, n_obs, rng, require=Phase.STRICTLY_MP)
-    return approx_error_report(dataset, m_values)
+    vectors = collect_equalizer_irs(pdp, n, n_obs, rng, require=Phase.STRICTLY_MP)
+    return approx_error_report(vectors, m_values)

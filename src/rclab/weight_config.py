@@ -48,33 +48,17 @@ class ConfigurationError(RuntimeError):
     """Weight-configuration pipeline failure (e.g. a diverged rational fit)."""
 
 
-@dataclass(frozen=True)
-class ChannelStatsDataset:
-    """Per-realization statistics vectors feeding PCA.
+def empirical_covariance(vectors) -> np.ndarray:
+    """``K = mean_r g_r g_r^H`` of the statistics rows ``g_r``.
 
-    Rows of ``vectors`` are equalizer impulse responses (time domain) or
-    sampled inverse frequency responses (frequency domain).
+    ``vectors`` is the complex ``(n_obs, n)`` array of equalizer impulse
+    responses (time domain) or sampled inverse frequency responses
+    (frequency domain), one realization per row.
     """
-
-    vectors: np.ndarray  # (n_obs, n)
-
-    def __post_init__(self):
-        v = np.asarray(self.vectors, dtype=np.complex128)
-        if v.ndim != 2 or v.size == 0:
-            raise ValueError("vectors must be a non-empty (n_obs, n) array")
-        object.__setattr__(self, "vectors", v)
-
-    @property
-    def n_obs(self) -> int:
-        return self.vectors.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.vectors.shape[1]
-
-    def empirical_covariance(self) -> np.ndarray:
-        g = self.vectors
-        return (g.T @ g.conj()) / g.shape[0]
+    g = np.asarray(vectors, dtype=np.complex128)
+    if g.ndim != 2 or g.size == 0:
+        raise ValueError("statistics must be a non-empty (n_obs, n) array")
+    return (g.T @ g.conj()) / g.shape[0]
 
 
 @dataclass(frozen=True)
@@ -114,8 +98,8 @@ def collect_equalizer_irs(
     n_obs: int,
     rng: np.random.Generator,
     require: Phase | None = None,
-) -> ChannelStatsDataset:
-    """Zero-forcing equalizer impulse responses for ``n_obs`` channel draws.
+) -> np.ndarray:
+    """Zero-forcing equalizer impulse responses of ``n_obs`` channel draws, ``(n_obs, n)``.
 
     Draws are resampled until their phase class is ``require`` (any class
     when ``None``), as in :func:`channel.draw_channels`.  A draw that is not
@@ -125,16 +109,15 @@ def collect_equalizer_irs(
     if n < pdp.length:
         raise ValueError(f"n = {n} shorter than the channel length {pdp.length}")
     draws = draw_channels(pdp, rng, n_obs, require)
-    vectors = toeplitz_inverse_first_column(draws.mp_taps, n, draws.mp_lengths)
-    return ChannelStatsDataset(vectors=vectors)
+    return toeplitz_inverse_first_column(draws.mp_taps, n, draws.mp_lengths)
 
 
-def pca_basis(dataset: ChannelStatsDataset, m: int) -> np.ndarray:
-    """Top-``m`` eigenvectors of the empirical covariance, deterministic order."""
-    if not 1 <= m <= dataset.n:
-        raise ValueError(f"need 1 <= m <= {dataset.n}")
-    eig = hermitian_eig(dataset.empirical_covariance())
-    return eig.vectors[:, :m].copy()
+def pca_basis(vectors, m: int) -> np.ndarray:
+    """Top-``m`` eigenvectors of the statistics' empirical covariance, deterministic order."""
+    k = empirical_covariance(vectors)
+    if not 1 <= m <= k.shape[0]:
+        raise ValueError(f"need 1 <= m <= {k.shape[0]}")
+    return hermitian_eig(k).vectors[:, :m].copy()
 
 
 def mp_compensate(f: np.ndarray) -> ConfiguredBasis:
@@ -306,8 +289,7 @@ def configure_time_domain_report(
     activation: str = "tanh",
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
-    dataset = collect_equalizer_irs(pdp, n, n_obs, rng)
-    basis = mp_compensate(pca_basis(dataset, m))
+    basis = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
     poles, weights, diagnostics = basis_to_poles(basis, l_f)
     spec = _spec_from_sections(poles, weights, n_window, activation)
     return ConfigReport(
@@ -321,7 +303,7 @@ def configure_time_domain_report(
 
 def collect_inverse_responses(
     pdp: PowerDelayProfile, n_obs: int, rng: np.random.Generator
-) -> ChannelStatsDataset:
+) -> np.ndarray:
     """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on the ``GRID_SIZE``-point grid.
 
     ``H_mp`` is the draw itself when it is strictly minimum-phase and its
@@ -329,8 +311,7 @@ def collect_inverse_responses(
     """
     # zero padding to the profile length changes no FFT input
     mp_taps = draw_channels(pdp, rng, n_obs).mp_taps
-    vectors = 1.0 / np.fft.fft(mp_taps, GRID_SIZE, axis=-1)
-    return ChannelStatsDataset(vectors=vectors)
+    return 1.0 / np.fft.fft(mp_taps, GRID_SIZE, axis=-1)
 
 
 def all_pole_fit(values: np.ndarray, order: int):
@@ -378,8 +359,7 @@ def configure_frequency_domain_report(
     ``GRID_SIZE``-point frequency grid; ``n`` is not read.  It is kept so the
     signature matches ``configure_time_domain_report``.
     """
-    dataset = collect_inverse_responses(pdp, n_obs, rng)
-    f = pca_basis(dataset, m)
+    f = pca_basis(collect_inverse_responses(pdp, n_obs, rng), m)
     poles = np.empty(m * l_rp, dtype=np.complex128)
     weights = np.empty(m * l_rp, dtype=np.complex128)
     diagnostics = []

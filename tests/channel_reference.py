@@ -1,17 +1,52 @@
 """Channel draws one at a time: the per-draw reference of ``channel.draw_channels``.
 
-``reference_taps`` draws one realization with its own scalar generator calls
-and normalizes it with ``normalize_agc``, and ``reference_draws`` runs the
-per-draw retry loop on ``filters.factorize_by_phase`` (``np.roots`` on one
-companion at a time).
+``factorize_by_phase`` splits one tap vector into its minimum-phase and
+non-minimum-phase factors with ``np.roots`` on one companion matrix, the
+per-draw oracle of ``filters.classify_rows``.  ``reference_taps`` draws one
+realization with its own scalar generator calls and normalizes it with
+``normalize_agc``, and ``reference_draws`` runs the per-draw retry loop on
+``factorize_by_phase``.
 The batched draws must match them to the bit, generator state included.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
 from rclab.channel import MAX_PHASE_RETRIES
-from rclab.filters import Phase, UnitCircleRootError, factorize_by_phase
-from rclab.signal_core import as_complex_seq
+from rclab.filters import Phase, UnitCircleRootError, _phase_of_roots, minimum_phase_factor
+from rclab.signal_core import as_complex_seq, polynomial_roots
+
+
+class PhaseFactorization(NamedTuple):
+    """``h = mp_factor * nmp_factor`` with the overall gain carried by the MP part."""
+
+    mp_factor: np.ndarray
+    nmp_factor: np.ndarray
+    classification: Phase
+
+
+def factorize_by_phase(h) -> PhaseFactorization:
+    """Split FIR taps into minimum-phase and non-minimum-phase factors.
+
+    Roots strictly inside the unit circle go to ``mp_factor`` (which also
+    carries the overall gain); roots strictly outside go to ``nmp_factor``,
+    monic in z^0.  A root with ``1 - RING_TOL < |z| < 1 + RING_TOL`` raises
+    :class:`UnitCircleRootError` since the dichotomy is undefined there.
+    """
+    hv = as_complex_seq(h, "h")
+    if abs(hv[0]) == 0.0:
+        raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
+    trimmed = np.trim_zeros(hv, "b")
+    if trimmed.size == 1:
+        return PhaseFactorization(trimmed.copy(), np.ones(1, dtype=np.complex128), Phase.STRICTLY_MP)
+    roots = polynomial_roots(trimmed)
+    classification = _phase_of_roots(roots)
+    if classification is None:
+        raise UnitCircleRootError("root within the unit-circle tolerance ring")
+    outside = roots[np.abs(roots) >= 1.0]
+    nmp = np.atleast_1d(np.poly(outside)).astype(np.complex128)
+    return PhaseFactorization(minimum_phase_factor(hv[0], roots), nmp, classification)
 
 
 def normalize_agc(h_raw) -> np.ndarray:

@@ -25,9 +25,9 @@ from rclab.theory import (
 )
 from rclab.signal_core import hermitian_eig
 from rclab.weight_config import (
-    ChannelStatsDataset,
     collect_equalizer_irs,
     configure_time_domain_report,
+    empirical_covariance,
     mp_compensate,
     pca_basis,
 )
@@ -47,13 +47,13 @@ def test_criterion_01_trace_identity_desk_scale():
     pdp = load_pdp("cdl_d")
     rng = np.random.default_rng(1001)
     dataset = collect_equalizer_irs(pdp, 64, 200, rng, require=Phase.STRICTLY_MP)
-    k_hat = dataset.empirical_covariance()
+    k_hat = empirical_covariance(dataset)
     # both quantities live on the scale of mean ||T(g)||_F^2 (their M=1
     # value); measuring the gap against that scale keeps "relative" well
     # defined at M=N, where both sides vanish
     from rclab.theory import toeplitz_frobenius_sq
 
-    scale = float(np.mean([toeplitz_frobenius_sq(g) for g in dataset.vectors]))
+    scale = float(np.mean([toeplitz_frobenius_sq(g) for g in dataset]))
     worst = 0.0
     for m in (1, 4, 16, 64):
         f = pca_basis(dataset, m)
@@ -89,10 +89,9 @@ def test_criterion_03_tail_eigenvalue_identity():
         n_obs = int(rng.integers(5, 80))
         vectors = rng.standard_normal((n_obs, n)) + 1j * rng.standard_normal((n_obs, n))
         vectors *= np.exp(-0.1 * np.arange(n))[None, :]
-        ds = ChannelStatsDataset(vectors=vectors)
-        lam = hermitian_eig(ds.empirical_covariance()).values
+        lam = hermitian_eig(empirical_covariance(vectors)).values
         m = int(rng.integers(1, n + 1))
-        f = pca_basis(ds, m)
+        f = pca_basis(vectors, m)
         resid = vectors.T - f @ (f.conj().T @ vectors.T)
         mean_resid = float(np.mean(np.sum(np.abs(resid) ** 2, axis=0)))
         rel = abs(mean_resid - lemma1_error(lam, m)) / max(lam.sum(), 1e-300)

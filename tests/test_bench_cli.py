@@ -17,9 +17,11 @@ from rclab.channel import (
     load_pdp,
     sample_parametric_mimo,
 )
-from rclab.filters import Phase, factorize_by_phase
+from rclab.filters import Phase
 from rclab.ofdm import OfdmNumerology, RsMode, build_grid, ofdm_modulate, payload_bit_count
 from rclab.reservoir import random_reservoir
+
+from channel_reference import factorize_by_phase
 
 
 CONFIG_TEXT = """
@@ -180,12 +182,17 @@ class TestExperimentConfig:
             ("rc", "sparsity", "1.0"),
             ("rc", "d_max", "-1"),
             ("rc", "n_neurons", "0"),
+            ("rc", "l_f", "0"),
+            ("rc", "l_rp", "0"),
+            ("rc", "n_window", "-1"),
+            ("ofdm", "n_sc", "1000"),
+            ("ofdm", "n_cp", "1024"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, section, key, value):
         p = tmp_path / "bad.ini"
         p.write_text(f"[{section}]\n{key} = {value}\n")
-        with pytest.raises(bc.ConfigFileError):
+        with pytest.raises(bc.ConfigFileError, match=key):
             bc.ExperimentConfig.from_file(p)
 
     # each of these used to load and then fail inside the slot worker

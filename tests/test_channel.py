@@ -16,16 +16,9 @@ from rclab.channel import (
     sample_parametric_mimo,
     steering_vectors,
 )
-from rclab.filters import (
-    RING_TOL,
-    Phase,
-    UnitCircleRootError,
-    classify_rows,
-    factorize_by_phase,
-    minimum_phase_factor,
-)
+from rclab.filters import RING_TOL, Phase, UnitCircleRootError, classify_rows, minimum_phase_factor
 
-from channel_reference import normalize_agc, reference_draws, reference_taps
+from channel_reference import factorize_by_phase, normalize_agc, reference_draws, reference_taps
 
 
 class TestPowerDelayProfile:

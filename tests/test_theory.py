@@ -21,7 +21,7 @@ from rclab.theory import (
     theorem1_error,
     toeplitz_frobenius_sq,
 )
-from rclab.weight_config import ChannelStatsDataset, collect_equalizer_irs, pca_basis
+from rclab.weight_config import collect_equalizer_irs, empirical_covariance, pca_basis
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,7 @@ def random_dataset(rng, n_obs, n):
     vectors = rng.standard_normal((n_obs, n)) + 1j * rng.standard_normal((n_obs, n))
     # decaying envelope so the vectors look like equalizer responses
     vectors *= np.exp(-0.2 * np.arange(n))[None, :]
-    return ChannelStatsDataset(vectors=vectors)
+    return vectors
 
 
 class TestToeplitzFrobenius:
@@ -131,10 +131,9 @@ class TestP2Objective:
         n = 4
         g = np.zeros(n, dtype=complex)
         g[3] = 1.0
-        ds = ChannelStatsDataset(vectors=g[None, :])
         f = np.zeros((n, 1), dtype=complex)
         f[0, 0] = 1.0
-        val = p2_objective_numerical(f, ds)
+        val = p2_objective_numerical(f, g[None, :])
         assert abs(val - sum(np.linalg.norm(shift_matrix(n, i) @ g) ** 2 for i in range(n))) <= 1e-12
 
     def test_matches_brute_force(self):
@@ -143,7 +142,7 @@ class TestP2Objective:
             ds = random_dataset(rng, 7, n)
             f = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, :m]
             got = p2_objective_numerical(f, ds)
-            want = p2_brute(f, ds.vectors)
+            want = p2_brute(f, ds)
             assert abs(got - want) <= 1e-9 * max(want, 1.0)
 
     def test_dimension_mismatch(self):
@@ -168,7 +167,7 @@ class TestShiftProjectionEnergies:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         f = np.linalg.qr(a)[0][:, :m]
-        vectors = random_dataset(rng, n_obs, n).vectors
+        vectors = random_dataset(rng, n_obs, n)
         got = _shift_projection_energies(f, vectors)
         assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
         np.testing.assert_allclose(got, shift_projection_energies_dense(f, vectors), rtol=1e-12, atol=0)
@@ -227,7 +226,7 @@ class TestTheorem1:
         ds = random_dataset(rng, 30, 14)
         f = pca_basis(ds, 4)
         num = p2_objective_numerical(f, ds)
-        theo = theorem1_error(ds.empirical_covariance(), f)
+        theo = theorem1_error(empirical_covariance(ds), f)
         assert abs(num - theo) <= 1e-10 * max(num, 1.0)
 
     def test_shape_validation(self):
@@ -243,10 +242,10 @@ class TestLemma1:
     def test_monte_carlo_identity(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, 60, 10)
-        lam = hermitian_eig(ds.empirical_covariance()).values
+        lam = hermitian_eig(empirical_covariance(ds)).values
         for m in (1, 4, 10):
             f = pca_basis(ds, m)
-            resid = ds.vectors.T - f @ (f.conj().T @ ds.vectors.T)
+            resid = ds.T - f @ (f.conj().T @ ds.T)
             mean_resid = float(np.mean(np.sum(np.abs(resid) ** 2, axis=0)))
             assert abs(mean_resid - lemma1_error(lam, m)) <= 1e-10 * max(lam.sum(), 1.0)
 
@@ -363,3 +362,10 @@ class TestReport:
         ds = random_dataset(rng, 5, 6)
         with pytest.raises(ValueError):
             approx_error_report(ds, [0, 3])
+
+    @pytest.mark.parametrize(
+        "vectors", [np.zeros((0, 6), dtype=complex), np.ones(6, dtype=complex)], ids=["empty", "1d"]
+    )
+    def test_statistics_shape_rejected(self, vectors):
+        with pytest.raises(ValueError, match="non-empty"):
+            approx_error_report(vectors, [1])

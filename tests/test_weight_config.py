@@ -9,7 +9,6 @@ from rclab import channel
 from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.filters import Phase
 from rclab.weight_config import (
-    ChannelStatsDataset,
     all_pole_fit,
     assemble_mimo,
     basis_to_poles,
@@ -18,6 +17,7 @@ from rclab.weight_config import (
     configure_frequency_domain_report,
     configure_time_domain_report,
     diagnostics_csv,
+    empirical_covariance,
     mp_compensate,
     pca_basis,
     reduce_order,
@@ -38,20 +38,20 @@ def random_mp_column(rng, n=24):
 class TestCollect:
     def test_single_tap_profile(self):
         pdp = PowerDelayProfile.from_linear([0], [1.0])
-        ds = collect_equalizer_irs(pdp, 8, 20, np.random.default_rng(0))
-        assert ds.vectors.shape == (20, 8)
-        np.testing.assert_allclose(np.abs(ds.vectors[:, 0]), 1.0, atol=1e-12)
-        np.testing.assert_allclose(ds.vectors[:, 1:], 0.0, atol=1e-12)
+        vectors = collect_equalizer_irs(pdp, 8, 20, np.random.default_rng(0))
+        assert vectors.shape == (20, 8)
+        np.testing.assert_allclose(np.abs(vectors[:, 0]), 1.0, atol=1e-12)
+        np.testing.assert_allclose(vectors[:, 1:], 0.0, atol=1e-12)
 
     def test_responses_invert_channels(self):
         pdp = load_pdp("cdl_d")
         rng = np.random.default_rng(1)
-        ds = collect_equalizer_irs(pdp, 64, 5, rng, require=Phase.STRICTLY_MP)
+        vectors = collect_equalizer_irs(pdp, 64, 5, rng, require=Phase.STRICTLY_MP)
         # redo the draws to recover the channels this dataset inverted
         from rclab.channel import draw_channel
 
         rng2 = np.random.default_rng(1)
-        for g in ds.vectors:
+        for g in vectors:
             h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
             unit = np.zeros(64)
             unit[0] = 1.0
@@ -87,8 +87,7 @@ class TestCollect:
 class TestPcaBasis:
     def test_identical_vectors(self):
         g = np.array([1.0, 0.5, 0.25, 0.0], dtype=complex)
-        ds = ChannelStatsDataset(vectors=np.tile(g, (10, 1)))
-        f = pca_basis(ds, 1)
+        f = pca_basis(np.tile(g, (10, 1)), 1)
         np.testing.assert_allclose(np.abs(f[:, 0]), np.abs(g) / np.linalg.norm(g), atol=1e-12)
         resid = g - f @ (f.conj().T @ g)
         assert np.linalg.norm(resid) <= 1e-10
@@ -99,27 +98,34 @@ class TestPcaBasis:
         amps = [3.0, 2.0, 1.0, 0.5]
         for i in range(30):
             vectors[i, i % 4] = amps[i % 4]
-        ds = ChannelStatsDataset(vectors=vectors)
-        f = pca_basis(ds, 2)
+        f = pca_basis(vectors, 2)
         np.testing.assert_allclose(np.abs(f), np.eye(4)[:, :2], atol=1e-12)
 
     def test_mean_residual_equals_tail_eigenvalues(self):
         rng = np.random.default_rng(2)
         vectors = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
-        ds = ChannelStatsDataset(vectors=vectors)
         from rclab.signal_core import hermitian_eig
 
-        lam = hermitian_eig(ds.empirical_covariance()).values
+        lam = hermitian_eig(empirical_covariance(vectors)).values
         for m in (1, 3, 12):
-            f = pca_basis(ds, m)
+            f = pca_basis(vectors, m)
             resid = vectors.T - f @ (f.conj().T @ vectors.T)
             mean_resid = np.mean(np.sum(np.abs(resid) ** 2, axis=0))
             assert abs(mean_resid - lam[m:].sum()) <= 1e-10 * max(lam.sum(), 1.0)
 
     def test_m_bounds(self):
-        ds = ChannelStatsDataset(vectors=np.ones((3, 4), dtype=complex))
         with pytest.raises(ValueError):
-            pca_basis(ds, 5)
+            pca_basis(np.ones((3, 4), dtype=complex), 5)
+
+    # every consumer of the statistics passes through empirical_covariance
+    @pytest.mark.parametrize(
+        "vectors", [np.zeros((0, 4), dtype=complex), np.ones(4, dtype=complex)], ids=["empty", "1d"]
+    )
+    def test_statistics_shape_rejected(self, vectors):
+        with pytest.raises(ValueError, match="non-empty"):
+            empirical_covariance(vectors)
+        with pytest.raises(ValueError, match="non-empty"):
+            pca_basis(vectors, 1)
 
 
 class TestMpCompensate:
