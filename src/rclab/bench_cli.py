@@ -222,15 +222,18 @@ class ExperimentConfig:
                     raise ConfigFileError(f"bad value for {section}.{key}: {raw!r}") from exc
         cfg = cls(**kwargs)
         pdp = cfg.load_profile()  # fail early if the referenced PDP is missing
-        # the td route's statistics vectors have stats_n samples; the fd route
-        # samples its own fixed grid, so fd-only configs skip these rules
         if "rc-td" in cfg.detectors:
-            if cfg.stats_n < pdp.length:
-                raise ConfigFileError(
-                    f"rc-td needs stats_n >= the channel length {pdp.length}, got {cfg.stats_n}")
-            if cfg.m > cfg.stats_n:
-                raise ConfigFileError(f"rc-td needs m <= stats_n = {cfg.stats_n}, got {cfg.m}")
+            _check_td_statistics(cfg, pdp)
         return cfg
+
+
+def _check_td_statistics(cfg: ExperimentConfig, pdp: PowerDelayProfile) -> None:
+    """Rules of the td route, whose statistics vectors have ``stats_n`` samples."""
+    if cfg.stats_n < pdp.length:
+        raise ConfigFileError(
+            f"the td route needs [rc] stats_n >= the channel length {pdp.length}, got {cfg.stats_n}")
+    if cfg.m > cfg.stats_n:
+        raise ConfigFileError(f"the td route needs [rc] m <= stats_n = {cfg.stats_n}, got {cfg.m}")
 
 
 def _float_list(raw: str):
@@ -288,25 +291,23 @@ def rc_detect(
     rx_batch: np.ndarray,
     tx_grid: ResourceGrid,
     numerology: OfdmNumerology,
-    spec: ReservoirSpec,
+    specs,
     d_max: int,
     ridge: float = 0.0,
 ) -> list:
-    """Train on the RS symbol's known waveform, equalize the slot, demap; per batch element.
+    """Train on the RS symbol's known waveform, equalize the slot, demap; per core and element.
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of one transmitted
-    slot, such as one per SNR.  Each element gets its own readout (including
-    its decision delay), refitted from scratch; no channel estimate is ever
-    formed.  The state recursion runs once for the whole batch.
+    slot, such as one per SNR.  Each element gets its own readout in every
+    core of ``specs`` (including its decision delay), refitted from scratch;
+    no channel estimate is ever formed.  One state recursion advances every
+    core over the whole batch.  Returns, per core, the bits of each element.
     """
     target = rs_time_waveform(tx_grid, numerology)
-    equalized, _ = train_and_equalize(spec, rx_batch, target, d_max, ridge)
-    return [
-        demap_data_bits(
-            ofdm_demodulate(eq, numerology, tx_grid.n_sym), tx_grid.kind, tx_grid.qam_order
-        )
-        for eq in equalized
-    ]
+    equalized, _ = train_and_equalize(specs, rx_batch, target, d_max, ridge)
+    n_sym, kind, order = tx_grid.n_sym, tx_grid.kind, tx_grid.qam_order
+    return [[demap_data_bits(ofdm_demodulate(eq, numerology, n_sym), kind, order) for eq in core]
+            for core in equalized]
 
 
 def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -383,6 +384,7 @@ def configure(cfg: ExperimentConfig, method: str) -> ConfigReport:
     """The SISO reservoir configured from ``cfg``'s statistics by ``method``, "td" or "fd"."""
     pdp = cfg.load_profile()
     if method == "td":
+        _check_td_statistics(cfg, pdp)
         return configure_time_domain_report(
             pdp, cfg.stats_n, cfg.stats_obs, cfg.m, cfg.l_f, cfg.n_window,
             _stream(cfg.seed, _T_STATS_TD), activation=cfg.activation,
@@ -431,9 +433,9 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
 def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:
     """Error/bit counts for one slot: ``{(detector, snr_index): (errors, bits)}``.
 
-    The received learning signals of every SNR form one batch, so each RC
-    detector runs one state recursion per slot.  The batch depends on
-    ``cfg.snr_db`` only, never on ``cfg.workers``.
+    The received learning signals of every SNR form one batch, and one state
+    recursion per slot advances every RC detector's core over it.  The batch
+    depends on ``cfg.snr_db`` only, never on ``cfg.workers``.
     """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
@@ -471,8 +473,9 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     out = {}
     if rc_dets:
         learning = np.stack([y for y, _ in received["learning"]])
-        for det in rc_dets:
-            ests = rc_detect(learning, grids["learning"], num, specs[det], cfg.d_max, cfg.ridge)
+        cores = [specs[det] for det in rc_dets]
+        per_core = rc_detect(learning, grids["learning"], num, cores, cfg.d_max, cfg.ridge)
+        for det, ests in zip(rc_dets, per_core):
             for si, est in enumerate(ests):
                 out[(det, si)] = count(est)
     for si, (y, nv) in enumerate(received.get("conventional", ())):

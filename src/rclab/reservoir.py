@@ -11,16 +11,17 @@ vectors alongside the states, which realizes an explicit FIR tap-delay line
 Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
 
-Detection works on batches (:func:`train_and_equalize`): one recursion
-advances a ``(batch, n_neurons)`` state through the received signals, each
-element's readout is trained on the states of the known prefix, and those
-states carry on into the equalization, whose readout is applied
-``STREAM_CHUNK`` samples at a time.  Each element gets the same bits as it
-would alone, in a batch of one.
+Detection (:func:`train_and_equalize`) trains each core alone on the known
+prefix of a batch of signals; the final states carry on into one recursion
+that advances every core and element together in one flat state row, and
+the readouts are applied ``STREAM_CHUNK`` samples at a time.  Each element
+of each core gets the same bits as it would alone, in a stack of one core
+and a batch of one element.
 """
 
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -91,40 +92,73 @@ class Readout:
 
 
 # Samples per block of the streamed readout: states and features are built
-# and consumed one block at a time, so the equalizer's buffers stay at
-# (STREAM_CHUNK, batch, n_neurons) whatever the input length.
+# and consumed one block at a time, so the equalizer's state buffer stays at
+# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.
 STREAM_CHUNK = 1024
 
 
-def _drive(spec: ReservoirSpec, xs: np.ndarray) -> np.ndarray:
-    """Input drive ``W_in x[n]`` of a ``(batch, d_in, T)`` input, as ``(T, batch, n_neurons)``."""
-    return np.ascontiguousarray(np.matmul(spec.w_in, xs).transpose(2, 0, 1))
+def _stack(specs, n_batch: int):
+    """Layout of a state row holding ``n_batch`` states of every core: ``(cols, diag, dense)``.
 
-
-def _advance(spec: ReservoirSpec, drive: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Run ``s[n] = act(W_res s[n-1] + drive[n])`` from the ``(batch, n_neurons)`` state ``s``.
-
-    Step ``n`` writes straight into the preallocated row ``out[n]``.  A dense
-    core multiplies each batch row by ``W_res`` as its own matrix-vector
-    product, which gives the same bits as the unbatched ``W_res @ s`` (one
-    matrix-matrix product does not).  A diagonal core is tiled to the state's
-    shape: numpy's complex multiply can round differently when one operand is
-    broadcast, as it is for one neuron.  The split tanh is one in-place tanh
-    over the row's float64 view.  Returns a copy of the last state.
+    ``cols[k]`` are core ``k``'s columns, its batch elements one after the
+    other.  The diagonal cores come first, side by side under the one tiled
+    multiplier ``diag``; the dense cores follow, grouped by size, and
+    ``dense`` holds each group's ``(columns, n_neurons, matrices)``, one
+    matrix per row of the group.
     """
-    tanh = spec.activation == "tanh"
-    diag = np.tile(np.diagonal(spec.w_res), (s.shape[0], 1)) if spec.is_diagonal else None
-    w_t = spec.w_res.T
-    for row, drv, flat in zip(out, drive, out.view(np.float64)):
-        if diag is not None:
-            np.multiply(diag, s, out=row)
-        else:
-            np.matmul(s[:, None, :], w_t, out=row[:, None, :])
-        row += drv
+    if len({(s.activation, s.d_in) for s in specs}) != 1:
+        raise ValueError("stacked cores must share one activation and one d_in")
+    is_diag = [s.is_diagonal for s in specs]
+    order = sorted(range(len(specs)), key=lambda k: 0 if is_diag[k] else specs[k].n_neurons)
+    cols, lo = [None] * len(specs), 0
+    for k in order:
+        cols[k] = slice(lo, lo + n_batch * specs[k].n_neurons)
+        lo = cols[k].stop
+    diag = [np.tile(np.diagonal(specs[k].w_res), n_batch) for k in order if is_diag[k]]
+    dense = []
+    for n, group in groupby([k for k in order if not is_diag[k]], key=lambda k: specs[k].n_neurons):
+        group = list(group)
+        mats = np.stack([specs[k].w_res for k in group for _ in range(n_batch)]).transpose(0, 2, 1)
+        dense.append((slice(cols[group[0]].start, cols[group[-1]].stop), n, mats))
+    return cols, np.concatenate(diag or [np.empty(0, dtype=np.complex128)]), dense
+
+
+def _advance(specs, xs: np.ndarray, block: np.ndarray) -> None:
+    """Run ``s[n] = act(W_res s[n-1] + W_in x[n])`` for every core at once, in place.
+
+    ``block`` is ``(n + 1, width)`` in the layout of :func:`_stack`: row 0
+    holds the stacked state, and row ``j + 1`` receives the drive of sample
+    ``j`` of the ``(batch, d_in, n)`` input and then its state.  Each sample
+    takes one tiled multiply for the diagonal cores, one matrix product per
+    dense group (each row by its own matrix, which gives the bits of the
+    unbatched ``W_res @ s``; one matrix-matrix product does not), one add of
+    the products to the drive and one in-place tanh over the row's float64
+    view.
+
+    Two layouts keep every core's bits those of the core run alone, and the
+    stacked-core tests fail if either changes: the diagonal product stays
+    ``np.multiply(diag, s)``, because numpy's complex multiply rounds
+    differently with the operands swapped; and the dense matrices are a
+    C-ordered ``np.stack`` of ``W_res`` viewed ``.transpose(0, 2, 1)``,
+    because a concatenation of broadcast views, or a C copy of ``W_res.T``,
+    reaches BLAS in another order and rounds differently.
+    """
+    cols, diag, dense = _stack(specs, len(xs))
+    n, nd, tanh = xs.shape[2], diag.size, specs[0].activation == "tanh"
+    for spec, c in zip(specs, cols):
+        block[1:, c].reshape(n, len(xs), -1)[...] = np.matmul(spec.w_in, xs).transpose(2, 0, 1)
+    prod = np.empty_like(block[0])
+    prod_diag = prod[:nd]
+    groups = [(prod[c].reshape(-1, 1, k), block[:-1, c].reshape(n, -1, 1, k), w) for c, k, w in dense]
+    rows = zip(block[:-1, :nd], block[1:], block[1:].view(np.float64))
+    for j, (prev, row, flat) in enumerate(rows):
+        if nd:
+            np.multiply(diag, prev, out=prod_diag)
+        for out, states, w in groups:
+            np.matmul(states[j], w, out=out)
+        row += prod
         if tanh:
             np.tanh(flat, out=flat)
-        s = row
-    return s.copy()
 
 
 def block_states(poles, y) -> np.ndarray:
@@ -226,68 +260,71 @@ def _delay_search(features, target, d_max: int, ridge: float):
     return best, _fit_weights(f, _delayed(tgt, best), ridge)
 
 
-def _stream_readout(spec: ReservoirSpec, xs: np.ndarray, readouts, n_pad: int, feats, s):
-    """Readout ``i`` applied to the features of batch element ``i``, advanced by its delay.
+def _emit(out, readout: Readout, feats, t0: int) -> None:
+    """Write the readout of feature samples ``t0 + j`` into ``out`` as samples ``t0 + j - delay``."""
+    d = readout.delay
+    lo, hi = max(t0, d), min(t0 + feats.shape[1], out.shape[1] + d)
+    if lo < hi:
+        out[:, lo - d : hi - d] = (readout.w_out @ feats)[:, lo - t0 : hi - t0]
 
-    ``feats`` (one array per element) and the ``(batch, n_neurons)`` state
-    ``s`` are those of an already-run input prefix.  The recursion carries on
-    over the rest of the ``(batch, d_in, T)`` input and then over
-    ``n_pad >= max(delay)`` zero samples, ``STREAM_CHUNK`` samples at a time.
-    The blocks, and so the rounding of each output sample, depend on the
-    lengths only, not on which elements share the batch.  Returns
-    ``(batch, n_out, T)``.
+
+def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float, out):
+    """One core alone over the ``(batch, d_in, L)`` known prefix: readouts and last state.
+
+    Writes each element's output of the prefix into ``out``.
     """
-    n_batch, _, t = xs.shape
-    end = t + n_pad
-    xs = np.concatenate([xs, np.zeros((n_batch, spec.d_in, end - t), dtype=np.complex128)], axis=2)
-    out = np.empty((n_batch, readouts[0].w_out.shape[0], t), dtype=np.complex128)
-
-    def emit(i, f, t0):
-        # feature sample t0 + j is output sample t0 + j - delay
-        d = readouts[i].delay
-        lo, hi = max(t0, d), min(t0 + f.shape[1], t + d)
-        if lo < hi:
-            out[i, :, lo - d : hi - d] = (readouts[i].w_out @ f)[:, lo - t0 : hi - t0]
-
-    for i, f in enumerate(feats):
-        emit(i, f, 0)
-    t0 = feats[0].shape[1]
-    block = np.empty((STREAM_CHUNK, n_batch, spec.n_neurons), dtype=np.complex128)
-    while t0 < end:
-        n = min(STREAM_CHUNK, end - t0)
-        s = _advance(spec, _drive(spec, xs[:, :, t0 : t0 + n]), s, block[:n])
-        for i in range(n_batch):
-            emit(i, _features(spec, block[:n, i].T, xs[i], t0), t0)
-        t0 += n
-    return out
+    n_batch, _, n_train = xs.shape
+    train = np.zeros((n_train + 1, n_batch * spec.n_neurons), dtype=np.complex128)
+    _advance([spec], xs, train)
+    states = train[1:].reshape(n_train, n_batch, spec.n_neurons)
+    readouts = []
+    for i, xi in enumerate(xs):
+        feats = _features(spec, states[:, i].T, xi, 0)
+        delay, w = _delay_search(feats, target, d_max, ridge)
+        readouts.append(Readout(w, delay))
+        _emit(out[i], readouts[-1], feats, 0)
+    return readouts, train[-1].copy()
 
 
-def train_and_equalize(spec: ReservoirSpec, x, target, d_max: int, ridge: float = 0.0):
-    """Train a readout on the first samples of every batch element, then equalize it whole.
+def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
+    """Train readouts on the first samples of every batch element, then equalize it whole; per core.
 
     ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out, L)`` waveform
-    known for the first ``L`` samples of every element.  Each element's
-    readout wins the delay search over ``[0, d_max]`` on the features of its
-    first ``L`` samples; the output is that readout applied to the features
-    of the whole input, run on over ``d_max`` trailing zero samples and
-    advanced by the learned delay, so it stays aligned with the undelayed
-    target and keeps the input's length.  The state recursion runs once for
-    the whole batch, and the training states carry on into the equalization.
-    Returns the ``(batch, n_out, T)`` outputs and the readouts.
+    known for the first ``L`` samples of every element.  For each core of
+    ``specs`` (one activation and ``d_in``), each element's readout wins the
+    delay search over ``[0, d_max]`` on the features of its first ``L``
+    samples; the output is that readout applied to the features of the whole
+    input, run on over ``d_max`` trailing zero samples and advanced by the
+    learned delay, so it stays aligned with the undelayed target and keeps
+    the input's length.  The blocks of the stacked recursion over the rest,
+    and so the rounding of each output sample, depend on the lengths only.
+    Returns, per core, the ``(batch, n_out, T)`` outputs and the readouts.
     """
     xs = np.asarray(x, dtype=np.complex128)
-    if xs.ndim != 3 or xs.shape[1] != spec.d_in:
-        raise ValueError(f"expected input of shape (batch, d_in = {spec.d_in}, T), got {xs.shape}")
+    cols = _stack(specs, len(xs))[0]
+    if xs.ndim != 3 or xs.shape[1] != specs[0].d_in:
+        raise ValueError(f"expected input of shape (batch, d_in = {specs[0].d_in}, T), got {xs.shape}")
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
-    n_train = tgt.shape[1]
-    if n_train > xs.shape[2]:
-        raise ValueError(f"target has {n_train} samples but the input only {xs.shape[2]}")
-    states = np.empty((n_train, xs.shape[0], spec.n_neurons), dtype=np.complex128)
-    zero = np.zeros((xs.shape[0], spec.n_neurons), dtype=np.complex128)
-    s = _advance(spec, _drive(spec, xs[:, :, :n_train]), zero, states)
-    feats = [_features(spec, states[:, i].T, xi, 0) for i, xi in enumerate(xs)]
-    readouts = [Readout(w_out=w, delay=d) for d, w in (_delay_search(f, tgt, d_max, ridge) for f in feats)]
-    return _stream_readout(spec, xs, readouts, d_max, feats, s), readouts
+    n_batch, _, t = xs.shape
+    n_train, end = tgt.shape[1], t + d_max
+    if n_train > t:
+        raise ValueError(f"target has {n_train} samples but the input only {t}")
+    outs = [np.empty((n_batch, tgt.shape[0], t), dtype=np.complex128) for _ in specs]
+    trained = [_train(s, xs[:, :, :n_train], tgt, d_max, ridge, out) for s, out in zip(specs, outs)]
+    width = max(c.stop for c in cols)
+    block = np.empty((min(STREAM_CHUNK, end - n_train) + 1, width), dtype=np.complex128)
+    for c, (_, last) in zip(cols, trained):
+        block[0, c] = last
+    xs = np.concatenate([xs, np.zeros((n_batch, xs.shape[1], d_max), dtype=np.complex128)], axis=2)
+    for t0 in range(n_train, end, STREAM_CHUNK):
+        n = min(STREAM_CHUNK, end - t0)
+        _advance(specs, xs[:, :, t0 : t0 + n], block[: n + 1])
+        for spec, out, (ros, _), c in zip(specs, outs, trained, cols):
+            states = block[1 : n + 1, c].reshape(n, n_batch, spec.n_neurons)
+            for i, ro in enumerate(ros):
+                _emit(out[i], ro, _features(spec, states[:, i].T, xs[i], t0), t0)
+        block[0] = block[n]
+    return outs, [ros for ros, _ in trained]
 
 
 def random_reservoir(

@@ -1,8 +1,8 @@
 """One input run alone: the batch-of-one reference of the batched detector core.
 
 Built on the package's own recursion, feature layout and fit
-(``reservoir._advance``, ``reservoir._features`` and ``reservoir._fit_weights``),
-so a batch element must match it to the bit.
+(``reservoir._advance`` on a stack of one core, ``reservoir._features`` and
+``reservoir._fit_weights``), so a batch element must match it to the bit.
 """
 
 import numpy as np
@@ -14,10 +14,9 @@ from rclab.reservoir import Readout
 def alone_states(spec, x) -> np.ndarray:
     """States of the ``(d_in, T)`` input ``x`` from a zero initial state, ``(n_neurons, T)``."""
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))[None]
-    states = np.empty((xs.shape[2], 1, spec.n_neurons), dtype=np.complex128)
-    zero = np.zeros((1, spec.n_neurons), dtype=np.complex128)
-    reservoir._advance(spec, reservoir._drive(spec, xs), zero, states)
-    return np.ascontiguousarray(states[:, 0].T)
+    block = np.zeros((xs.shape[2] + 1, spec.n_neurons), dtype=np.complex128)
+    reservoir._advance([spec], xs, block)
+    return np.ascontiguousarray(block[1:].T)
 
 
 def alone_features(spec, x) -> np.ndarray:

@@ -143,7 +143,7 @@ def test_criterion_05_noiseless_exact_equalization():
         grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, bits,
                           np.random.default_rng((5005, 3, slot)), order=16)
         y, _ = apply_channel(h, ofdm_modulate(grid, num)[0], None, None)
-        est = bc.rc_detect(np.atleast_2d(y)[None], grid, num, spec, d_max=12, ridge=0.0)[0]
+        [[est]] = bc.rc_detect(np.atleast_2d(y)[None], grid, num, [spec], d_max=12, ridge=0.0)
         errors += int(np.count_nonzero(est != bits))
         total += bits.size
     gate(5, "noiseless exact equalization", errors == 0, f"{errors} bit errors in {total}")

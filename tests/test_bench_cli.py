@@ -267,7 +267,7 @@ class TestRcDetect:
     def test_identity_channel_noiseless(self):
         num, grid, bits, tx = detect_setup()
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
-        est = bc.rc_detect(tx[None], grid, num, spec, d_max=4)[0]
+        [[est]] = bc.rc_detect(tx[None], grid, num, [spec], d_max=4)
         assert np.count_nonzero(est != bits) == 0
 
     def test_noise_only_input_is_chance_level(self):
@@ -275,7 +275,7 @@ class TestRcDetect:
         rng = np.random.default_rng(2)
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
-        est = bc.rc_detect(noise[None], grid, num, spec, d_max=4)[0]
+        [[est]] = bc.rc_detect(noise[None], grid, num, [spec], d_max=4)
         ber = np.count_nonzero(est != bits) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
@@ -515,6 +515,23 @@ class TestCli:
         assert rc == 0
         text = dump_out.read_text()
         assert "neurons" in text and "max pole magnitude" in text
+
+    # the td route's rules hold whenever it runs, whatever the detector list
+    @pytest.mark.parametrize("command", ["configure", "dump-spec"])
+    @pytest.mark.parametrize(
+        "line, message",
+        [("stats_n = 5", "[rc] stats_n >= the channel length 13, got 5"),
+         ("m = 200", "[rc] m <= stats_n = 128, got 200")],
+        ids=["stats_n", "m"],
+    )
+    def test_td_statistics_checked_before_draws(self, tmp_path, capsys, monkeypatch, command,
+                                                line, message):
+        p = tmp_path / "lmmse.ini"
+        p.write_text(f"[experiment]\ndetectors = lmmse\n[channel]\npdp = cdl_d\n[rc]\n{line}\n")
+        monkeypatch.setattr(bc, "configure_time_domain_report",
+                            lambda *args, **kwargs: pytest.fail("statistics were drawn"))
+        assert bc.main([command, "--config", str(p), "--method", "td"]) == 1
+        assert capsys.readouterr().err == f"rclab: error: the td route needs {message}\n"
 
     def test_runtime_imports_numpy_only(self):
         # scipy is a test-only dependency: the oracle of the filters and FFTs

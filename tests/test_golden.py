@@ -10,9 +10,11 @@ eigensolver's last digits change with the thread count.  Regenerate a file
 only with a CHANGES.md entry that explains why its bytes changed.
 """
 
+import io
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,31 @@ def test_run_ber_matches_golden(tmp_path, name, workers):
     argv = ["run-ber", "--config", str(GOLDEN / f"{name}.ini"), "--out", str(out)]
     assert bc.main(argv + ["--workers", str(workers)]) == 0
     assert out.read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def ber_rows(cfg) -> list:
+    buf = io.StringIO()
+    bc.write_ber_csv(bc.run_ber_experiment(cfg), buf)
+    return buf.getvalue().splitlines()
+
+
+# one recursion advances every RC detector of a slot; a detector's rows must
+# not depend on which detectors share it
+@pytest.mark.parametrize("detectors", [("rc-random",), ("rc-fd", "vanilla-esn")])
+@pytest.mark.parametrize("name", ["run_ber_siso", "run_ber_mimo"])
+def test_detector_rows_match_the_full_sweep(name, detectors):
+    cfg = bc.ExperimentConfig.from_file(GOLDEN / f"{name}.ini")
+    header, *rows = (GOLDEN / f"{name}.csv").read_text().splitlines()
+    want = [header] + [row for row in rows if row.split(",")[0] in detectors]
+    assert ber_rows(replace(cfg, detectors=detectors)) == want
+
+
+def test_unequal_cores_match_per_detector_runs():
+    # rc-td 30, rc-fd 35 and two random cores of 20 neurons
+    cfg = replace(bc.ExperimentConfig.from_file(GOLDEN / "run_ber_siso.ini"), l_f=6, l_rp=7, n_neurons=20)
+    header, *rows = ber_rows(cfg)
+    alone = [row for det in cfg.detectors for row in ber_rows(replace(cfg, detectors=(det,)))[1:]]
+    assert rows == alone
 
 
 # command line -> {output flag: golden file}

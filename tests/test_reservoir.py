@@ -15,7 +15,7 @@ from reservoir_reference import alone_features, alone_states, train_readout
 
 def equalize(spec, y, x, d_max):
     """``train_and_equalize`` on the input ``y`` alone: ``(output, readout)``."""
-    out, (readout,) = train_and_equalize(spec, y[None], x, d_max)
+    [out], [[readout]] = train_and_equalize([spec], y[None], x, d_max)
     return out[0], readout
 
 
@@ -72,7 +72,7 @@ class TestRunStates:
     def test_input_dim_checked(self):
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="d_in = 1"):
-            train_and_equalize(spec, np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0)
+            train_and_equalize([spec], np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0)
 
 
 class TestBlockStates:
@@ -265,7 +265,7 @@ class TestPredict:
         # a target longer than the input cannot be the input's known prefix
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="6 samples but the input only 5"):
-            train_and_equalize(spec, np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0)
+            train_and_equalize([spec], np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0)
 
 
 class TestRandomReservoir:

@@ -7,12 +7,17 @@ single results must be equal to the bit; the single results come from
 ``reservoir_reference``, one input run alone through the same recursion.  The
 hand-written recursion, the closed-form oracle and the unstreamed readout are
 compared within rounding.
+
+Stacks of up to four cores, diagonal and dense of unequal sizes, run in one
+recursion; each core must keep, to the bit, what it gets alone in a batch of
+one, and the states of the per-sample recursion written out plainly.
 """
 
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rclab import reservoir
@@ -91,10 +96,10 @@ def reference_equalize(spec, x, target, d_max, ridge):
 def test_batched_states_match_recursion_and_oracle(c):
     spec, x, _ = make_case(c)
     b, _, t = x.shape
-    states = np.empty((t, b, spec.n_neurons), dtype=complex)
-    zero = np.zeros((b, spec.n_neurons), dtype=complex)
-    last = reservoir._advance(spec, reservoir._drive(spec, x), zero, states)
-    np.testing.assert_array_equal(last, states[-1])
+    block = np.zeros((t + 1, b * spec.n_neurons), dtype=complex)
+    reservoir._advance([spec], x, block)
+    np.testing.assert_array_equal(block[0], 0)
+    states = block[1:].reshape(t, b, spec.n_neurons)
     for i in range(b):
         got = states[:, i].T
         np.testing.assert_array_equal(got, alone_states(spec, x[i]))
@@ -110,10 +115,12 @@ def test_batched_states_match_recursion_and_oracle(c):
 def test_batch_equalizes_each_element_as_alone(c):
     spec, x, target = make_case(c)
     with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
-        out, readouts = train_and_equalize(spec, x, target, c["d_max"], c["ridge"])
+        [out], [readouts] = train_and_equalize([spec], x, target, c["d_max"], c["ridge"])
         assert out.shape == (x.shape[0], target.shape[0], x.shape[2])
         for i in range(x.shape[0]):
-            alone, (ro_alone,) = train_and_equalize(spec, x[i : i + 1], target, c["d_max"], c["ridge"])
+            [alone], [[ro_alone]] = train_and_equalize(
+                [spec], x[i : i + 1], target, c["d_max"], c["ridge"]
+            )
             ref, ro_ref, tol = reference_equalize(spec, x[i], target, c["d_max"], c["ridge"])
             assert readouts[i].delay == ro_alone.delay == ro_ref.delay
             np.testing.assert_array_equal(readouts[i].w_out, ro_ref.w_out)
@@ -139,6 +146,112 @@ def test_delay_matches_per_delay_loop(c):
         res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
         if best_res is None or res < best_res - tie_tol:
             best, best_res, best_ro = d, res, ro
-    _, (got,) = train_and_equalize(spec, x[:1], target, c["d_max"], c["ridge"])
+    _, [[got]] = train_and_equalize([spec], x[:1], target, c["d_max"], c["ridge"])
     assert got.delay == best
     np.testing.assert_array_equal(got.w_out, best_ro.w_out)
+
+
+STACKS = st.fixed_dictionaries(
+    {
+        "seed": st.integers(0, 2**32 - 1),
+        "activation": st.sampled_from(("linear", "tanh")),
+        "ridge": st.sampled_from((0.0, 1e-3)),
+        "d_in": st.sampled_from((1, 4)),
+        # (dense, n_neurons, n_window) per core; few sizes, so equal-size
+        # dense cores share a group often
+        "cores": st.lists(
+            st.tuples(st.booleans(), st.sampled_from((1, 3, 5)), st.sampled_from((0, 5))),
+            min_size=1,
+            max_size=4,
+        ),
+        "batch": st.integers(1, 3),
+        "d_out": st.integers(1, 2),
+        "d_max": st.integers(0, 6),
+        "chunk": st.integers(1, 40),
+    }
+)
+# diagonal and dense cores of unequal sizes, two dense ones of one size
+MIXED_STACK = dict(
+    seed=7, activation="tanh", ridge=0.0, d_in=4,
+    cores=[(False, 5, 5), (True, 3, 0), (False, 5, 0), (False, 3, 5)],
+    batch=3, d_out=1, d_max=4, chunk=17,
+)
+
+
+def make_stack(c):
+    """Specs, ``(batch, d_in, T)`` input and ``(d_out, L)`` target of one stacked case."""
+    rng = np.random.default_rng(c["seed"])
+    specs = []
+    for dense, n, w in c["cores"]:
+        core = dict(c, seed=int(rng.integers(2**32)), dense=dense, n_neurons=n, n_window=w)
+        specs.append(make_case(dict(core, batch=1, d_out=1))[0])
+    n_train = max(s.feature_dim for s in specs) + int(rng.integers(8, 40))
+    t = n_train + int(rng.integers(0, 60))
+    shape = (c["batch"], c["d_in"], t)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    target = rng.standard_normal((c["d_out"], n_train)) + 1j * rng.standard_normal((c["d_out"], n_train))
+    return specs, x, target
+
+
+def plain_states(spec, x):
+    """One core's recursion written out per sample: the bits every stacked core must keep.
+
+    The products are ``diag * s`` and ``s @ W_res.T``, as a detector that
+    runs one core alone forms them.
+    """
+    drive = spec.w_in @ x
+    diag = np.diagonal(spec.w_res) if spec.is_diagonal else None
+    s = np.zeros(spec.n_neurons, dtype=complex)
+    out = np.empty((spec.n_neurons, x.shape[1]), dtype=complex)
+    for n in range(x.shape[1]):
+        s = (diag * s if diag is not None else s @ spec.w_res.T) + drive[:, n]
+        if spec.activation == "tanh":
+            np.tanh(s.view(np.float64), out=s.view(np.float64))
+        out[:, n] = s
+    return out
+
+
+@given(STACKS)
+@example(MIXED_STACK)
+@SETTINGS
+def test_stacked_states_keep_plain_recursion_bits(c):
+    specs, x, _ = make_stack(c)
+    b, _, t = x.shape
+    block = np.zeros((t + 1, b * sum(s.n_neurons for s in specs)), dtype=complex)
+    reservoir._advance(specs, x, block)
+    for spec, cols in zip(specs, reservoir._stack(specs, b)[0]):
+        states = block[1:, cols].reshape(t, b, spec.n_neurons)
+        for i in range(b):
+            np.testing.assert_array_equal(states[:, i].T, plain_states(spec, x[i]))
+
+
+@given(STACKS)
+@example(MIXED_STACK)
+@SETTINGS
+def test_stack_equalizes_each_core_as_alone(c):
+    specs, x, target = make_stack(c)
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
+        outs, readouts = train_and_equalize(specs, x, target, c["d_max"], c["ridge"])
+        assert len(outs) == len(readouts) == len(specs)
+        for spec, out, ros in zip(specs, outs, readouts):
+            assert out.shape == (x.shape[0], target.shape[0], x.shape[2])
+            for i in range(x.shape[0]):
+                [alone], [[ro_alone]] = train_and_equalize(
+                    [spec], x[i : i + 1], target, c["d_max"], c["ridge"]
+                )
+                assert ros[i].delay == ro_alone.delay
+                np.testing.assert_array_equal(ros[i].w_out, ro_alone.w_out)
+                np.testing.assert_array_equal(out[i], alone[0])
+
+
+@pytest.mark.parametrize("field, value", [("activation", "linear"), ("d_in", 2)])
+def test_stack_needs_one_activation_and_d_in(field, value):
+    rng = np.random.default_rng(0)
+    base = dict(activation="tanh", d_in=1)
+    specs = [
+        random_reservoir(4, 0.5, 0.3, base["d_in"], 0, rng, activation=base["activation"]),
+        random_reservoir(4, 0.5, 0.3, **dict(base, **{field: value}), n_window=0, rng=rng),
+    ]
+    x = np.zeros((1, 1, 30), dtype=complex)
+    with pytest.raises(ValueError, match="share one activation and one d_in"):
+        train_and_equalize(specs, x, np.zeros((1, 20)), d_max=0)
