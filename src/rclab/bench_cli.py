@@ -345,24 +345,11 @@ def lmmse_detect(
     numerology: OfdmNumerology,
     pdp: PowerDelayProfile,
     noise_var: float,
-    true_channel=None,
 ) -> np.ndarray:
-    """Estimated-CSI LMMSE symbol detection (or perfect CSI via ``true_channel``).
-
-    ``true_channel`` short-circuits estimation with the exact per-subcarrier
-    response of the given taps (a SISO vector or ``(L, N_r, N_t)`` MIMO taps).
-    """
+    """Estimated-CSI LMMSE symbol detection."""
     rx = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
-    n_sc = numerology.n_sc
     rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
-    if true_channel is not None:
-        taps = np.asarray(true_channel, dtype=np.complex128)
-        if taps.ndim == 3:
-            h = np.fft.fft(taps, n_sc, axis=0)  # (n_sc, n_r, n_t)
-        else:
-            h = np.fft.fft(taps, n_sc)[:, None, None]
-    else:
-        h = _estimate_channel_freq(rx_grid, tx_grid, pdp, noise_var)
+    h = _estimate_channel_freq(rx_grid, tx_grid, pdp, noise_var)
 
     # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1} with bias correction
     n_rx = h.shape[1]
@@ -401,7 +388,7 @@ def _configured_specs(cfg: ExperimentConfig) -> dict:
     for det in cfg.detectors:
         if det in ("rc-td", "rc-fd"):
             siso = configure(cfg, det.removeprefix("rc-")).spec
-            specs[det] = siso if cfg.channel_mode == "siso" else assemble_mimo([siso], cfg.n_tx)
+            specs[det] = siso if cfg.channel_mode == "siso" else assemble_mimo(siso, cfg.n_tx)
         elif det in ("rc-random", "vanilla-esn"):
             windowed = det == "rc-random"
             specs[det] = random_reservoir(
@@ -608,7 +595,7 @@ def cmd_dump_spec(args) -> int:
         fp.write(f"profile            : {cfg.load_profile().label or cfg.pdp}\n")
         fp.write(f"method             : {args.method}\n")
         fp.write(f"neurons            : {spec.n_neurons} ({cfg.m} columns x {sections} sections)\n")
-        fp.write(f"window length      : {spec.n_window}\n")
+        fp.write(f"window length      : {cfg.n_window}\n")
         fp.write(f"activation         : {spec.activation}\n")
         fp.write(f"max pole magnitude : {np.max(np.abs(report.poles)):.6f}\n")
         fp.write("neuron  pole (mag, phase deg)        input weight (mag, phase deg)\n")

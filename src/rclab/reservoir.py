@@ -34,16 +34,14 @@ ACTIVATIONS = ("linear", "tanh")
 class ReservoirSpec:
     """Untrained network: input weights, recurrent weights, window length.
 
-    ``n_window = 0`` is a vanilla ESN.  ``explicit_skip`` appends the raw
-    current input as an extra feature block; it is only meaningful for
-    ``n_window = 0`` (a window already contains the ``z^0`` tap).
+    ``n_window = 0`` is a vanilla ESN; a window of one tap is the ``z^0``
+    skip connection that feeds the readout the raw current input.
     """
 
     w_in: np.ndarray  # (n_neurons, d_in)
     w_res: np.ndarray  # (n_neurons, n_neurons)
     activation: str = "linear"
     n_window: int = 0
-    explicit_skip: bool = False
 
     def __post_init__(self):
         w_in = np.atleast_2d(np.asarray(self.w_in, dtype=np.complex128))
@@ -69,8 +67,7 @@ class ReservoirSpec:
 
     @property
     def feature_dim(self) -> int:
-        extra = self.d_in if (self.explicit_skip and self.n_window == 0) else 0
-        return self.n_neurons + self.d_in * self.n_window + extra
+        return self.n_neurons + self.d_in * self.n_window
 
     @property
     def is_diagonal(self) -> bool:
@@ -177,7 +174,7 @@ def block_states(poles, y) -> np.ndarray:
 def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) -> np.ndarray:
     """Features of samples ``[t0, t0 + n)`` from their ``(n_neurons, n)`` states.
 
-    The window (or skip) rows are read from the whole ``(d_in, T)`` input and
+    The window rows are read from the whole ``(d_in, T)`` input and
     are zero before its start.  The result is C-ordered whatever the layout
     of ``states``: the fit's row sums, and so its weights, round by layout.
     """
@@ -185,11 +182,9 @@ def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) 
     d_in = xs.shape[0]
     feats = np.zeros((spec.feature_dim, n), dtype=np.complex128)
     feats[:n_neurons] = states
-    # an explicit skip is a window of one tap
-    taps = range(spec.n_window) if spec.n_window else range(int(spec.explicit_skip))
-    for k, w in enumerate(taps):
+    for w in range(spec.n_window):
         lead = min(max(w - t0, 0), n)
-        rows = slice(n_neurons + k * d_in, n_neurons + (k + 1) * d_in)
+        rows = slice(n_neurons + w * d_in, n_neurons + (w + 1) * d_in)
         feats[rows, lead:] = xs[:, t0 - w + lead : t0 - w + n]
     return feats
 

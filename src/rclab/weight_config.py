@@ -17,9 +17,10 @@ non-minimum-phase remainder is left to the trained window taps of the
 readout.  Unstable poles produced by truncation or fitting are reflected
 inside the unit circle and counted in the per-column diagnostics.
 
-MIMO reservoirs are assembled from SISO blocks: the per-stream cores are
-replicated along the block diagonal and each block listens to one receive
-stream.
+Both routes end in :func:`pole_bank`, which splits every column's reduced
+all-pole filter into one-pole sections.  MIMO reservoirs copy the SISO core
+once per stream along the block diagonal, and each copy listens to one
+receive stream.
 """
 
 from dataclasses import dataclass
@@ -147,18 +148,18 @@ def mp_compensate(f: np.ndarray) -> ConfiguredBasis:
 
 
 def reduce_order(p, l_f: int):
-    """Truncate the inverse filter of a strictly-MP impulse response.
+    """Truncate the inverse filters of strictly-MP impulse responses, one per column.
 
-    Returns ``(q, error)`` where ``q`` holds the first ``l_f`` coefficients of
-    the exact length-``n`` inverse and ``error`` is the Euclidean mismatch
-    between ``p`` and the impulse response of the reduced all-pole filter
-    ``1/Q(z)``.  ``p`` may also be ``(n, m)``, one response per column; ``q``
-    is then ``(m, l_f)`` and ``error`` a list of ``m`` values.
+    Returns ``(q, errors)`` for the ``(n, m)`` responses ``p``: row ``k`` of
+    ``q`` holds the first ``l_f`` coefficients of column ``k``'s exact
+    length-``n`` inverse, and ``errors[k]`` is the Euclidean mismatch between
+    the column and the impulse response of the reduced all-pole filter
+    ``1/Q(z)``.
     """
     pm = np.asarray(p, dtype=np.complex128)
     if l_f < 1:
         raise ValueError("l_f must be >= 1")
-    cols = pm.reshape(pm.shape[0], -1).T
+    cols = pm.T
     n = cols.shape[1]
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
@@ -166,10 +167,7 @@ def reduce_order(p, l_f: int):
     # of the exact inverse, the same bits as a full-length run
     q = all_pole_filter(cols, impulse[: min(l_f, n)])
     p_hat = all_pole_filter(q, impulse)
-    errors = [float(np.linalg.norm(c - c_hat)) for c, c_hat in zip(cols, p_hat)]
-    if pm.ndim == 1:
-        return q[0], errors[0]
-    return q, errors
+    return q, [float(np.linalg.norm(c - c_hat)) for c, c_hat in zip(cols, p_hat)]
 
 
 def _reflect_unstable(poles: np.ndarray):
@@ -220,32 +218,6 @@ def _denominator_to_sections(q: np.ndarray, l_f: int):
     return poles, weights, n_reflected
 
 
-def basis_to_poles(basis: ConfiguredBasis, l_f: int):
-    """Decompose every compensated basis column into ``l_f`` one-pole sections.
-
-    Returns ``(poles, weights, diagnostics)`` with ``m * l_f`` entries; all
-    pole magnitudes are strictly below one.
-    """
-    n, m = basis.p.shape
-    poles = np.empty(m * l_f, dtype=np.complex128)
-    weights = np.empty(m * l_f, dtype=np.complex128)
-    diagnostics = []
-    qs, errors = reduce_order(basis.p, l_f)
-    for col, (q, err) in enumerate(zip(qs, errors)):
-        p_col, w_col, n_ref = _denominator_to_sections(q, l_f)
-        poles[col * l_f : (col + 1) * l_f] = p_col
-        weights[col * l_f : (col + 1) * l_f] = w_col
-        diagnostics.append(
-            ColumnDiagnostics(
-                m=col,
-                offset=float(basis.offsets[col]),
-                reduce_order_error=err,
-                n_reflected_poles=n_ref,
-            )
-        )
-    return poles, weights, tuple(diagnostics)
-
-
 STATE_RMS_TARGET = 0.005
 
 
@@ -267,15 +239,31 @@ def _drive_normalization(poles, weights) -> float:
     return float(np.min(STATE_RMS_TARGET * np.sqrt(1.0 - p[active] ** 2) / c[active]))
 
 
-def _spec_from_sections(poles, weights, n_window, activation) -> ReservoirSpec:
-    gain = _drive_normalization(poles, weights)
-    return ReservoirSpec(
-        w_in=gain * np.asarray(weights, dtype=np.complex128)[:, None],
-        w_res=np.diag(np.asarray(poles, dtype=np.complex128)),
+def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
+              gains=None, basis=None) -> ConfigReport:
+    """The configured core: each column's ``c / Q(z)`` as ``l_f`` one-pole sections.
+
+    ``qs`` holds every column's reduced denominator, ``gains`` its numerator
+    ``c`` (``None``: no multiply, as a product with 1 can flip the sign of a
+    zero imaginary part), ``errors`` and ``offsets`` its diagnostics.
+    The readout's window holds at least the ``z^0`` skip tap, which carries
+    the first-tap offsets ``b`` of ``F = P + B``; so ``n_window`` 0 and 1 give
+    the same core.
+    """
+    poles, weights, diagnostics = [], [], []
+    for col, (q, err) in enumerate(zip(qs, errors)):
+        p_col, w_col, n_ref = _denominator_to_sections(q, l_f)
+        poles.append(p_col)
+        weights.append(w_col if gains is None else w_col * gains[col])
+        diagnostics.append(ColumnDiagnostics(col, float(offsets[col]), err, n_ref))
+    poles, weights = np.concatenate(poles), np.concatenate(weights)
+    spec = ReservoirSpec(
+        w_in=_drive_normalization(poles, weights) * weights[:, None],
+        w_res=np.diag(poles),
         activation=activation,
-        n_window=n_window,
-        explicit_skip=(n_window == 0),
+        n_window=max(n_window, 1),
     )
+    return ConfigReport(spec, poles, weights, tuple(diagnostics), basis)
 
 
 def configure_time_domain_report(
@@ -290,11 +278,8 @@ def configure_time_domain_report(
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
     basis = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
-    poles, weights, diagnostics = basis_to_poles(basis, l_f)
-    spec = _spec_from_sections(poles, weights, n_window, activation)
-    return ConfigReport(
-        spec=spec, poles=poles, input_weights=weights, diagnostics=diagnostics, basis=basis
-    )
+    qs, errors = reduce_order(basis.p, l_f)
+    return pole_bank(qs, errors, basis.offsets, l_f, n_window, activation, basis=basis)
 
 
 # ---------------------------------------------------------------------------
@@ -360,81 +345,33 @@ def configure_frequency_domain_report(
     signature matches ``configure_time_domain_report``.
     """
     f = pca_basis(collect_inverse_responses(pdp, n_obs, rng), m)
-    poles = np.empty(m * l_rp, dtype=np.complex128)
-    weights = np.empty(m * l_rp, dtype=np.complex128)
-    diagnostics = []
+    gains, qs = zip(*(all_pole_fit(col, l_rp) for col in f.T))
     omega = 2.0 * np.pi * np.arange(GRID_SIZE) / GRID_SIZE
-    for col in range(m):
-        c, q = all_pole_fit(f[:, col], l_rp)
-        p_col, w_col, n_ref = _denominator_to_sections(q, l_rp)
-        w_col = w_col * c
-        fit = c / (np.exp(-1j * np.outer(omega, np.arange(q.size))) @ q)
-        err = float(np.linalg.norm(fit - f[:, col]))
-        poles[col * l_rp : (col + 1) * l_rp] = p_col
-        weights[col * l_rp : (col + 1) * l_rp] = w_col
-        diagnostics.append(
-            ColumnDiagnostics(
-                m=col, offset=float("nan"), reduce_order_error=err, n_reflected_poles=n_ref
-            )
-        )
-    spec = _spec_from_sections(poles, weights, n_window, activation)
-    return ConfigReport(
-        spec=spec, poles=poles, input_weights=weights, diagnostics=diagnostics, basis=None
-    )
+    steer = np.exp(-1j * np.outer(omega, np.arange(l_rp)))
+    errors = [float(np.linalg.norm(c / (steer @ q) - col)) for c, q, col in zip(gains, qs, f.T)]
+    return pole_bank(qs, errors, np.full(m, np.nan), l_rp, n_window, activation, gains=gains)
 
 
 # ---------------------------------------------------------------------------
 # MIMO assembly
 # ---------------------------------------------------------------------------
 
-def assemble_mimo(siso_specs, n_tx: int) -> ReservoirSpec:
-    """Block-diagonal MIMO reservoir from SISO building blocks.
+def assemble_mimo(spec: ReservoirSpec, n_tx: int) -> ReservoirSpec:
+    """Block-diagonal MIMO reservoir: one copy of the SISO core per stream.
 
-    Each of the ``n_tx`` stream blocks stacks the given SISO cores along its
-    diagonal.  One spec gives the shared layout, which also serves a
-    factorizable channel: one core per stream (``n_tx * n_n`` neurons).
-    Several specs give the distinct layout: one core per propagation-path
-    statistic inside each stream block (``n_tx * n_p * n_n`` neurons).
-    Block ``i`` listens to receive stream ``i`` only; the cross-stream
-    mixing lives in the trained output weights.
+    Copy ``i`` listens to receive stream ``i`` only, which also serves a
+    factorizable channel; the cross-stream mixing lives in the trained
+    output weights.
     """
-    specs = list(siso_specs)
-    if not specs:
-        raise ValueError("MIMO assembly needs at least one SISO spec")
-    for s in specs:
-        if s.d_in != 1:
-            raise ValueError("SISO building blocks must have d_in = 1")
-    n_window = specs[0].n_window
-    activation = specs[0].activation
-    if any(s.n_window != n_window or s.activation != activation for s in specs):
-        raise ValueError("SISO specs must share window length and activation")
-
-    per_stream_res = _block_diag([s.w_res for s in specs])
-    per_stream_in = np.vstack([s.w_in for s in specs])  # (n_block, 1)
-    n_block = per_stream_res.shape[0]
-
-    w_res = _block_diag([per_stream_res] * n_tx)
-    w_in = np.zeros((n_block * n_tx, n_tx), dtype=np.complex128)
+    if spec.d_in != 1:
+        raise ValueError("the SISO core must have d_in = 1")
+    n = spec.n_neurons
+    w_res = np.zeros((n_tx * n, n_tx * n), dtype=np.complex128)
+    w_in = np.zeros((n_tx * n, n_tx), dtype=np.complex128)
     for i in range(n_tx):
-        w_in[i * n_block : (i + 1) * n_block, i] = per_stream_in[:, 0]
-    return ReservoirSpec(
-        w_in=w_in,
-        w_res=w_res,
-        activation=activation,
-        n_window=n_window,
-        explicit_skip=(n_window == 0),
-    )
-
-
-def _block_diag(blocks) -> np.ndarray:
-    """Square blocks along the diagonal of an otherwise zero matrix."""
-    size = sum(b.shape[0] for b in blocks)
-    out = np.zeros((size, size), dtype=np.result_type(*blocks))
-    start = 0
-    for b in blocks:
-        out[start : start + b.shape[0], start : start + b.shape[0]] = b
-        start += b.shape[0]
-    return out
+        w_res[i * n : (i + 1) * n, i * n : (i + 1) * n] = spec.w_res
+        w_in[i * n : (i + 1) * n, i] = spec.w_in[:, 0]
+    return ReservoirSpec(w_in=w_in, w_res=w_res, activation=spec.activation, n_window=spec.n_window)
 
 
 def diagnostics_csv(diagnostics, fp) -> None:

@@ -6,11 +6,15 @@ on a reduced numerology.  The ``configure``, ``dump-spec``,
 ``validate-theorem`` and ``inspect-channel`` goldens were written before the
 configure dispatch and the channel-draw loop were folded into one path each.
 Those commands run as ``python -m rclab`` with one BLAS thread, because the
-eigensolver's last digits change with the thread count.  Regenerate a file
-only with a CHANGES.md entry that explains why its bytes changed.
+eigensolver's last digits change with the thread count.  The ``*_skip``
+goldens (``n_window = 0``, the configured cores' skip tap alone) were written
+while the skip tap was a flag of its own; their configure dumps are the
+window's, so those cases share its goldens.  Regenerate a file only with a
+CHANGES.md entry that explains why its bytes changed.
 """
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -24,11 +28,14 @@ from rclab import bench_cli as bc
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = str(GOLDEN / "cli_small.ini")
+SMALL_SKIP = str(GOLDEN / "cli_small_skip.ini")
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.mark.parametrize(
     "name, workers",
-    [("run_ber_siso", 1), ("run_ber_siso", 3), ("run_ber_mimo", 1), ("run_ber_mimo", 3)],
+    [(name, workers) for name in ("run_ber_siso", "run_ber_mimo", "run_ber_siso_skip")
+     for workers in (1, 3)],
 )
 def test_run_ber_matches_golden(tmp_path, name, workers):
     out = tmp_path / f"{name}.csv"
@@ -80,6 +87,22 @@ CLI_CASES = {
         ["dump-spec", "--config", SMALL, "--method", "fd"],
         {"--out": "dump_spec_fd.txt"},
     ),
+    "configure_td_skip": (
+        ["configure", "--config", SMALL_SKIP, "--method", "td"],
+        {"--out": "configure_td.txt", "--diagnostics": "configure_td_diag.csv"},
+    ),
+    "configure_fd_skip": (
+        ["configure", "--config", SMALL_SKIP, "--method", "fd"],
+        {"--out": "configure_fd.txt", "--diagnostics": "configure_fd_diag.csv"},
+    ),
+    "dump_spec_td_skip": (
+        ["dump-spec", "--config", SMALL_SKIP, "--method", "td"],
+        {"--out": "dump_spec_td_skip.txt"},
+    ),
+    "dump_spec_fd_skip": (
+        ["dump-spec", "--config", SMALL_SKIP, "--method", "fd"],
+        {"--out": "dump_spec_fd_skip.txt"},
+    ),
     "validate_theorem": (
         ["validate-theorem", "--n", "32", "--nobs", "40", "--m", "1,4,16,32", "--seed", "7"],
         {"--out": "validate_theorem.csv"},
@@ -91,17 +114,37 @@ CLI_CASES = {
 }
 
 
+def run_python(argv, **kwargs):
+    """``python argv`` with one BLAS thread and this checkout's ``rclab`` importable."""
+    src = str(Path(rclab.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_matches_golden(tmp_path, case):
     argv, outputs = CLI_CASES[case]
     for flag, name in outputs.items():
         argv = argv + [flag, str(tmp_path / name)]
-    src = str(Path(rclab.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "rclab", *argv], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_python(["-m", "rclab", *argv])
     for name in outputs.values():
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+# the benchmark's byte checks at its tiny scale, so that a changed dump or BER
+# byte shows here before a benchmark run reports it as a failed operation
+DIGEST_SCRIPT = """
+import json, workloads
+print(json.dumps({w.key: w.record() for w in (workloads.make(name, seed, "tiny")
+                  for name in workloads.WORKLOADS for seed in (1, 27))}))
+"""
+
+
+def test_perfbench_tiny_digests_match_reference():
+    got = json.loads(run_python(["-c", DIGEST_SCRIPT], cwd=PERFBENCH))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert len(got) == 6
+    assert got == {key: reference[key] for key in got}

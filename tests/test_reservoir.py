@@ -108,8 +108,7 @@ class TestWesnFeatures:
         spec = ReservoirSpec(
             w_in=np.ones((2, 1), dtype=complex),
             w_res=np.diag([0.1, 0.2]).astype(complex),
-            n_window=0,
-            explicit_skip=True,
+            n_window=1,  # the z^0 skip tap
         )
         x = np.array([[1.0, 2.0, 3.0]])
         feats = alone_features(spec, x)

@@ -297,10 +297,11 @@ class TestPObjective:
         n = 12
         ds = collect_equalizer_irs(pdp, n, 40, rng)
         f = pca_basis(ds, 2)
-        from rclab.weight_config import basis_to_poles, mp_compensate
+        from rclab.weight_config import mp_compensate, pole_bank, reduce_order
 
         basis = mp_compensate(f)
-        poles, weights, diags = basis_to_poles(basis, n)
+        report = pole_bank(*reduce_order(basis.p, n), basis.offsets, n, 0, "linear")
+        poles, diags = report.poles, report.diagnostics
         assert all(d.n_reflected_poles == 0 for d in diags)
         poles = np.concatenate([poles, [0.0]])  # skip tap carries the offsets
         channels = []

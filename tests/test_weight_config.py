@@ -11,7 +11,6 @@ from rclab.filters import Phase
 from rclab.weight_config import (
     all_pole_fit,
     assemble_mimo,
-    basis_to_poles,
     collect_equalizer_irs,
     collect_inverse_responses,
     configure_frequency_domain_report,
@@ -20,9 +19,11 @@ from rclab.weight_config import (
     empirical_covariance,
     mp_compensate,
     pca_basis,
+    pole_bank,
     reduce_order,
     _denominator_to_sections,
 )
+from rclab.reservoir import ReservoirSpec
 from reservoir_reference import alone_features, train_readout
 
 
@@ -167,15 +168,15 @@ class TestMpCompensate:
 class TestReduceOrder:
     def test_geometric_exact(self):
         p = (-0.5) ** np.arange(16)
-        q, err = reduce_order(p, 2)
-        np.testing.assert_allclose(q, [1, 0.5], atol=1e-12)
-        assert err <= 1e-10
+        q, err = reduce_order(p[:, None], 2)
+        np.testing.assert_allclose(q[0], [1, 0.5], atol=1e-12)
+        assert err[0] <= 1e-10
 
     def test_full_order_exact(self):
         rng = np.random.default_rng(5)
         p = random_mp_column(rng, 12)
-        q, err = reduce_order(p, 12)
-        assert err <= 1e-9
+        q, err = reduce_order(p[:, None], 12)
+        assert err[0] <= 1e-9
 
     def test_error_monotone(self):
         rng = np.random.default_rng(6)
@@ -183,7 +184,7 @@ class TestReduceOrder:
             basis = mp_compensate(
                 (rng.standard_normal((24, 1)) + 1j * rng.standard_normal((24, 1))) / 5
             )
-            errs = [reduce_order(basis.p[:, 0], lf)[1] for lf in (2, 4, 8, 16)]
+            errs = [reduce_order(basis.p[:, [0]], lf)[1][0] for lf in (2, 4, 8, 16)]
             assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(3))
 
 
@@ -195,8 +196,15 @@ class TestReduceOrder:
         for l_f in (1, 3, 24):
             q, errs = reduce_order(basis.p, l_f)
             for col in range(5):
-                q_col, err = reduce_order(basis.p[:, col], l_f)
-                assert np.array_equal(q[col], q_col) and errs[col] == err
+                q_col, err = reduce_order(basis.p[:, [col]], l_f)
+                assert np.array_equal(q[col], q_col[0]) and errs[col] == err[0]
+
+
+def sections(basis, l_f):
+    """``(poles, weights, diagnostics)`` of the core that ``pole_bank`` builds on the basis."""
+    qs, errors = reduce_order(basis.p, l_f)
+    report = pole_bank(qs, errors, basis.offsets, l_f, 0, "linear", basis=basis)
+    return report.poles, report.input_weights, report.diagnostics
 
 
 class TestBasisToPoles:
@@ -209,7 +217,7 @@ class TestBasisToPoles:
         col = np.asarray((-0.5) ** np.arange(16), dtype=complex)
         basis = ConfiguredBasis(f=col[:, None], p=col[:, None], b=np.zeros((16, 1), complex),
                                 offsets=np.array([1.0]))
-        poles, weights, diags = basis_to_poles(basis, 2)
+        poles, weights, diags = sections(basis, 2)
         order = np.argsort(np.abs(poles))
         np.testing.assert_allclose(poles[order], [0, -0.5], atol=1e-9)
         np.testing.assert_allclose(weights[order], [0, 1], atol=1e-9)
@@ -227,8 +235,8 @@ class TestBasisToPoles:
         for _ in range(10):
             col = random_mp_column(rng)
             basis = mp_compensate(col[:, None])
-            q, _ = reduce_order(basis.p[:, 0], 4)
-            poles, weights, diags = basis_to_poles(basis, 4)
+            q = reduce_order(basis.p, 4)[0][0]
+            poles, weights, diags = sections(basis, 4)
             if diags[0].n_reflected_poles:
                 continue
             monic = q / q[0]
@@ -246,7 +254,7 @@ class TestBasisToPoles:
         rng = np.random.default_rng(8)
         f = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
         basis = mp_compensate(f / np.linalg.norm(f, axis=0))
-        poles, weights, diags = basis_to_poles(basis, 7)
+        poles, weights, diags = sections(basis, 7)
         assert poles.size == weights.size == 35
         assert len(diags) == 5
 
@@ -278,7 +286,9 @@ class TestConfigureTimeDomain:
     def test_explicit_skip_when_no_window(self):
         pdp = load_pdp("flat")
         spec = configure_time_domain_report(pdp, 16, 20, 1, 2, 0, np.random.default_rng(12)).spec
-        assert spec.explicit_skip and spec.feature_dim == 3
+        assert spec.n_window == 1 and spec.feature_dim == 3
+        x = np.array([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(alone_features(spec, x)[2], x[0])
 
     def test_exact_equalization_in_degenerate_case(self):
         # every draw is the same single-tap channel, so the configured bank
@@ -332,13 +342,22 @@ class TestFrequencyDomain:
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
 
+@pytest.mark.parametrize("route", [configure_time_domain_report, configure_frequency_domain_report],
+                         ids=["td", "fd"])
+def test_no_window_configures_the_skip_tap(route):
+    # the configured core's readout always sees z^0: n_window 0 and 1 build one core
+    pdp = load_pdp("cdl_d")
+    a, b = (route(pdp, 32, 40, 3, 4, w, np.random.default_rng(21)).spec for w in (0, 1))
+    np.testing.assert_array_equal(a.w_in, b.w_in)
+    np.testing.assert_array_equal(a.w_res, b.w_res)
+    assert (a.n_window, a.feature_dim, a.activation) == (b.n_window, b.feature_dim, b.activation)
+
+
 class TestAssembleMimo:
     def make_siso(self, n_neurons=9, n_window=5):
         rng = np.random.default_rng(18)
         poles = 0.5 * (rng.uniform(-1, 1, n_neurons) + 1j * rng.uniform(-1, 1, n_neurons))
         return_spec = np.ones(n_neurons, dtype=complex)
-        from rclab.reservoir import ReservoirSpec
-
         return ReservoirSpec(
             w_in=return_spec[:, None], w_res=np.diag(poles), activation="linear",
             n_window=n_window,
@@ -346,7 +365,7 @@ class TestAssembleMimo:
 
     def test_shared_replication(self):
         siso = self.make_siso()
-        mimo = assemble_mimo([siso], 2)
+        mimo = assemble_mimo(siso, 2)
         assert mimo.n_neurons == 18 and mimo.d_in == 2
         np.testing.assert_array_equal(mimo.w_res[:9, :9], siso.w_res)
         np.testing.assert_array_equal(mimo.w_res[9:, 9:], siso.w_res)
@@ -356,26 +375,25 @@ class TestAssembleMimo:
 
     def test_reference_mimo_counts(self):
         siso = self.make_siso(n_neurons=9)
-        mimo = assemble_mimo([siso], 4)
+        mimo = assemble_mimo(siso, 4)
         assert mimo.n_neurons == 36
+        np.testing.assert_array_equal(mimo.w_res, scipy.linalg.block_diag(*[siso.w_res] * 4))
+        assert (mimo.n_window, mimo.activation) == (siso.n_window, siso.activation)
 
-    def test_distinct_path_statistics(self):
-        s1, s2 = self.make_siso(4), self.make_siso(4)
-        mimo = assemble_mimo([s1, s2], 3)
-        assert mimo.n_neurons == 3 * 2 * 4
-        per_stream = scipy.linalg.block_diag(s1.w_res, s2.w_res)
-        np.testing.assert_array_equal(mimo.w_res, scipy.linalg.block_diag(*[per_stream] * 3))
+    def test_multi_input_core_rejected(self):
+        siso = self.make_siso()
+        two_inputs = ReservoirSpec(w_in=np.ones((9, 2), complex), w_res=siso.w_res)
+        with pytest.raises(ValueError, match="d_in = 1"):
+            assemble_mimo(two_inputs, 2)
 
     def test_factorizable_channel_exact_recovery(self):
         # H(z) = H0 * (1 - 0.5 z^-1); per-stream pole-0.5 neurons deconvolve
         # the scalar part exactly, so the trained output weights become H0^-1
         rng = np.random.default_rng(19)
         h0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        from rclab.reservoir import ReservoirSpec
-
         siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([[0.5]], complex),
                              activation="linear", n_window=0)
-        mimo = assemble_mimo([siso], 2)
+        mimo = assemble_mimo(siso, 2)
         t = 400
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
         # apply the factorizable channel
