@@ -186,10 +186,15 @@ class ExperimentConfig:
             raise ConfigFileError("need 0 < spectral_radius < 1")
         if not 0.0 <= self.sparsity < 1.0:
             raise ConfigFileError("need 0 <= sparsity < 1")
-        for key, low in (("n_neurons", 1), ("m", 1), ("stats_obs", 1), ("l_f", 1), ("l_rp", 1),
-                         ("n_window", 0), ("d_max", 0)):
+        for key, low in (("seed", 0), ("n_neurons", 1), ("m", 1), ("stats_obs", 1), ("l_f", 1),
+                         ("l_rp", 1), ("n_window", 0), ("d_max", 0)):
             if getattr(self, key) < low:
                 raise ConfigFileError(f"{key} must be >= {low}, got {getattr(self, key)}")
+        if ({"rc-random", "vanilla-esn"} & set(self.detectors)
+                and round(self.sparsity * self.n_neurons * self.n_neurons) == self.n_neurons ** 2):
+            raise ConfigFileError(
+                f"[rc] sparsity = {self.sparsity} zeroes every recurrent weight when n_neurons = "
+                f"{self.n_neurons}; the random cores need at least one")
 
     @property
     def numerology(self) -> OfdmNumerology:
@@ -346,9 +351,8 @@ def lmmse_detect(
     pdp: PowerDelayProfile,
     noise_var: float,
 ) -> np.ndarray:
-    """Estimated-CSI LMMSE symbol detection."""
-    rx = np.atleast_2d(np.asarray(rx_samples, dtype=np.complex128))
-    rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
+    """Estimated-CSI LMMSE symbol detection of the ``(n_rx, T)`` received samples."""
+    rx_grid = ofdm_demodulate(rx_samples, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
     h = _estimate_channel_freq(rx_grid, tx_grid, pdp, noise_var)
 
     # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1} with bias correction
@@ -387,8 +391,7 @@ def _configured_specs(cfg: ExperimentConfig) -> dict:
     specs: dict[str, ReservoirSpec] = {}
     for det in cfg.detectors:
         if det in ("rc-td", "rc-fd"):
-            siso = configure(cfg, det.removeprefix("rc-")).spec
-            specs[det] = siso if cfg.channel_mode == "siso" else assemble_mimo(siso, cfg.n_tx)
+            specs[det] = assemble_mimo(configure(cfg, det.removeprefix("rc-")).spec, cfg.n_tx)
         elif det in ("rc-random", "vanilla-esn"):
             windowed = det == "rc-random"
             specs[det] = random_reservoir(
@@ -405,6 +408,7 @@ def _configured_specs(cfg: ExperimentConfig) -> dict:
 
 
 def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int):
+    """The slot's ``(L, n_rx, n_tx)`` channel taps; a SISO draw is the ``(L, 1, 1)`` case."""
     rng = _stream(cfg.seed, _T_CHANNEL, slot)
     if cfg.channel_mode == "mimo":
         model = AngleModel(
@@ -414,7 +418,7 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
         )
         return sample_parametric_mimo(pdp, model, cfg.n_tx, cfg.n_rx, cfg.n_path, rng)
     require = Phase.STRICTLY_MP if cfg.require_phase == "strictly_mp" else None
-    return draw_channel(pdp, rng, require=require)[0]
+    return draw_channel(pdp, rng, require=require)[0][:, None, None]
 
 
 def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:
@@ -429,44 +433,26 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(
         0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
     )
-    rc_dets = [d for d in cfg.detectors if d in RC_DETECTOR_NAMES]
-    grids = {}
-    if rc_dets:
-        grids["learning"] = build_grid(
-            num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, RsMode.LEARNING,
-            bits, _stream(cfg.seed, _T_RS, slot, 0), order=cfg.qam_order,
-        )
-    if "lmmse" in cfg.detectors:
-        grids["conventional"] = build_grid(
-            num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL,
-            bits, _stream(cfg.seed, _T_RS, slot, 1), order=cfg.qam_order,
-        )
-
-    # received[name][snr_index] = (samples (n_rx, T), noise variance)
-    received = {}
-    for mode_idx, name in enumerate(("learning", "conventional")):
-        if name not in grids:
-            continue
-        tx = ofdm_modulate(grids[name], num)
-        x = tx if cfg.channel_mode == "mimo" else tx[0]
-        received[name] = []
-        for si, snr in enumerate(cfg.snr_db):
-            y, nv = apply_channel(ch, x, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
-            received[name].append((np.atleast_2d(y), nv))
-
-    def count(est):
-        return int(np.count_nonzero(est != bits)), int(bits.size)
-
+    by_mode = ((RsMode.LEARNING, [d for d in cfg.detectors if d in RC_DETECTOR_NAMES]),
+               (RsMode.CONVENTIONAL, [d for d in cfg.detectors if d == "lmmse"]))
     out = {}
-    if rc_dets:
-        learning = np.stack([y for y, _ in received["learning"]])
-        cores = [specs[det] for det in rc_dets]
-        per_core = rc_detect(learning, grids["learning"], num, cores, cfg.d_max, cfg.ridge)
-        for det, ests in zip(rc_dets, per_core):
-            for si, est in enumerate(ests):
-                out[(det, si)] = count(est)
-    for si, (y, nv) in enumerate(received.get("conventional", ())):
-        out[("lmmse", si)] = count(lmmse_detect(y, grids["conventional"], num, pdp, nv))
+    for mode_idx, (mode, dets) in enumerate(by_mode):
+        if not dets:
+            continue
+        grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, bits,
+                          _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
+        tx = ofdm_modulate(grid, num)
+        # one (samples (n_rx, T), noise variance) pair per SNR
+        received = [apply_channel(ch, tx, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
+                    for si, snr in enumerate(cfg.snr_db)]
+        if mode is RsMode.LEARNING:
+            batch = np.stack([y for y, _ in received])
+            ests = rc_detect(batch, grid, num, [specs[d] for d in dets], cfg.d_max, cfg.ridge)
+        else:
+            ests = [[lmmse_detect(y, grid, num, pdp, nv) for y, nv in received]]
+        for det, per_snr in zip(dets, ests):
+            for si, est in enumerate(per_snr):
+                out[(det, si)] = int(np.count_nonzero(est != bits)), int(bits.size)
     return out
 
 
@@ -507,15 +493,20 @@ def run_ber_experiment(cfg: ExperimentConfig) -> list:
 # ---------------------------------------------------------------------------
 
 def _resolve_seed(args, cfg_seed: int) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
     env = os.environ.get("RC_LAB_SEED")
-    if env is not None:
+    if getattr(args, "seed", None) is not None:
+        source, seed = "--seed", args.seed
+    elif env is not None:
+        source = "RC_LAB_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigFileError(f"RC_LAB_SEED must be an integer, got {env!r}") from exc
-    return cfg_seed
+    else:
+        return cfg_seed
+    if seed < 0:
+        raise ConfigFileError(f"{source} must be >= 0, got {seed}")
+    return seed
 
 
 def _write_to(path, writer) -> None:
@@ -529,7 +520,7 @@ def _write_to(path, writer) -> None:
 def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.from_file(args.config)
     cfg = replace(cfg, seed=_resolve_seed(args, cfg.seed))
-    if getattr(args, "workers", None):
+    if getattr(args, "workers", None) is not None:
         cfg = replace(cfg, workers=args.workers)
     return cfg
 
@@ -542,9 +533,14 @@ def cmd_run_ber(args) -> int:
 
 
 def cmd_validate_theorem(args) -> int:
-    m_values = [int(tok) for tok in args.m.split(",") if tok]
+    try:
+        m_values = [int(tok) for tok in args.m.split(",") if tok]
+    except ValueError as exc:
+        raise ConfigFileError(f"--m must list integers, got {args.m!r}") from exc
     if not m_values:
         raise ConfigFileError("--m must list at least one subspace size")
+    if args.nobs < 1:
+        raise ConfigFileError(f"--nobs must be >= 1, got {args.nobs}")
     pdp = load_pdp(args.pdp)
     seed = _resolve_seed(args, 0)
     report = reproduce_fig5(pdp, args.n, args.nobs, m_values, seed)
@@ -598,7 +594,7 @@ def cmd_dump_spec(args) -> int:
         fp.write(f"window length      : {cfg.n_window}\n")
         fp.write(f"activation         : {spec.activation}\n")
         fp.write(f"max pole magnitude : {np.max(np.abs(report.poles)):.6f}\n")
-        fp.write("neuron  pole (mag, phase deg)        input weight (mag, phase deg)\n")
+        fp.write("neuron  pole (mag, phase deg)        section residue (mag, phase deg)\n")
         for i, (p, c) in enumerate(zip(report.poles, report.input_weights)):
             fp.write(
                 f"{i:>6}  ({np.abs(p):8.5f}, {np.degrees(np.angle(p)):8.2f})"

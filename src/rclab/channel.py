@@ -3,9 +3,11 @@
 Channels are tapped delay lines driven by a power delay profile (PDP).
 Receiver automatic gain control is modeled as per-realization normalization
 ``||h||_2 = 1``, which removes path loss and shadowing from the problem.
-A MIMO realization is its ``(L, N_r, N_t)`` tap array, drawn from the
-parametric form ``H_l = sum_q c_q a_r a_t^T / sqrt(N_p)`` built from
-uniform-linear-array steering vectors.
+:func:`apply_channel` takes a realization as its ``(L, N_r, N_t)`` tap
+array; a single-antenna draw of length ``L`` is the ``(L, 1, 1)`` case.
+A MIMO realization is drawn from the parametric form
+``H_l = sum_q c_q a_r a_t^T / sqrt(N_p)`` built from uniform-linear-array
+steering vectors.
 
 PDP file format: one tap per line as ``delay_samples power_db``, ``#`` comments,
 optional header line ``k_factor_db <value>`` (Rician K applied to tap 0).
@@ -20,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .filters import Phase, UnitCircleRootError, classify_rows, minimum_phase_factor
-from .signal_core import as_complex_seq
 
 MAX_PHASE_RETRIES = 100
 
@@ -298,29 +299,26 @@ def sample_parametric_mimo(
 def apply_channel(ch, x, snr_db, rng):
     """Convolve transmit streams with the channel and add AWGN; returns ``(y, noise_var)``.
 
-    ``ch`` is a 1-D tap vector with a 1-D sample vector ``x`` for SISO, or
-    ``(L, N_r, N_t)`` taps with an ``(N_t, T)`` array ``x`` for MIMO.
-    The SNR is average received signal power over noise power, measured per
-    receive antenna on the clean signal; ``snr_db=None`` (or ``inf``) disables
-    noise and gives ``noise_var = 0``.  Output is truncated to the input length.
+    ``ch`` is the ``(L, N_r, N_t)`` tap array and ``x`` the ``(N_t, T)``
+    transmit streams; ``y`` is ``(N_r, T)``.  A SISO channel is the
+    ``(L, 1, 1)`` case.  The SNR is average received signal power over noise
+    power, measured per receive antenna on the clean signal; ``snr_db=None``
+    (or ``inf``) disables noise and gives ``noise_var = 0``.  Output is
+    truncated to the input length.
     """
     # ``h / 1`` and the full convolution cut to length are the exact arithmetic
     # of ``scipy.signal.lfilter(h, [1], x)``, the oracle the tests hold this to
     taps = np.asarray(ch, dtype=np.complex128)
-    if taps.ndim == 3:
-        xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-        _, n_rx, n_tx = taps.shape
-        if xs.shape[0] != n_tx:
-            raise ValueError(f"expected {n_tx} transmit streams, got {xs.shape[0]}")
-        t = xs.shape[1]
-        y = np.zeros((n_rx, t), dtype=np.complex128)
-        for r in range(n_rx):
-            for c in range(n_tx):
-                y[r] += np.convolve(taps[:, r, c] / 1, xs[c])[:t]
-    else:
-        hv = as_complex_seq(taps, "channel taps")
-        xs = as_complex_seq(x, "x")
-        y = np.convolve(hv / 1, xs)[: xs.size]
+    xs = np.asarray(x, dtype=np.complex128)
+    if taps.ndim != 3 or xs.ndim != 2 or xs.shape[0] != taps.shape[2]:
+        raise ValueError(
+            f"expected (L, N_r, N_t) taps and (N_t, T) streams, got {taps.shape} and {xs.shape}")
+    _, n_rx, n_tx = taps.shape
+    t = xs.shape[1]
+    y = np.zeros((n_rx, t), dtype=np.complex128)
+    for r in range(n_rx):
+        for c in range(n_tx):
+            y[r] += np.convolve(taps[:, r, c] / 1, xs[c])[:t]
 
     if snr_db is None or np.isinf(snr_db):
         return y, 0.0

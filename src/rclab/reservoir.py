@@ -334,16 +334,20 @@ def random_reservoir(
 ) -> ReservoirSpec:
     """Random untrained network: sparse uniform recurrent matrix, rescaled.
 
-    Exactly ``round(sparsity * n_neurons**2)`` recurrent entries are zeroed;
-    the rest are complex uniform on the unit square, rescaled so the largest
-    eigenvalue magnitude equals ``spectral_radius``.  Input weights are
-    complex uniform on [-1, 1]^2, times ``input_scale``.
+    Exactly ``round(sparsity * n_neurons**2)`` recurrent entries are zeroed,
+    which must leave at least one; the rest are complex uniform on the unit
+    square, rescaled so the largest eigenvalue magnitude equals
+    ``spectral_radius``.  Input weights are complex uniform on [-1, 1]^2,
+    times ``input_scale``.
     """
     if not 0.0 < spectral_radius < 1.0:
         raise ValueError("need 0 < spectral_radius < 1")
     if not 0.0 <= sparsity < 1.0:
         raise ValueError("need 0 <= sparsity < 1")
     n_zero = int(round(sparsity * n_neurons * n_neurons))
+    if n_zero == n_neurons * n_neurons:
+        raise ValueError(
+            f"sparsity = {sparsity} zeroes every recurrent weight when n_neurons = {n_neurons}")
     while True:
         w = rng.uniform(-1.0, 1.0, (n_neurons, n_neurons)) + 1j * rng.uniform(
             -1.0, 1.0, (n_neurons, n_neurons)

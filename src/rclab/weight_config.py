@@ -90,7 +90,6 @@ class ConfigReport:
     poles: np.ndarray
     input_weights: np.ndarray
     diagnostics: tuple
-    basis: ConfiguredBasis | None = None
 
 
 def collect_equalizer_irs(
@@ -240,7 +239,7 @@ def _drive_normalization(poles, weights) -> float:
 
 
 def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
-              gains=None, basis=None) -> ConfigReport:
+              gains=None) -> ConfigReport:
     """The configured core: each column's ``c / Q(z)`` as ``l_f`` one-pole sections.
 
     ``qs`` holds every column's reduced denominator, ``gains`` its numerator
@@ -263,7 +262,7 @@ def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
         activation=activation,
         n_window=max(n_window, 1),
     )
-    return ConfigReport(spec, poles, weights, tuple(diagnostics), basis)
+    return ConfigReport(spec, poles, weights, tuple(diagnostics))
 
 
 def configure_time_domain_report(
@@ -279,7 +278,7 @@ def configure_time_domain_report(
     """Full time-domain pipeline with per-column diagnostics."""
     basis = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
     qs, errors = reduce_order(basis.p, l_f)
-    return pole_bank(qs, errors, basis.offsets, l_f, n_window, activation, basis=basis)
+    return pole_bank(qs, errors, basis.offsets, l_f, n_window, activation)
 
 
 # ---------------------------------------------------------------------------

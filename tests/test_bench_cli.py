@@ -187,6 +187,10 @@ class TestExperimentConfig:
             ("rc", "n_window", "-1"),
             ("ofdm", "n_sc", "1000"),
             ("ofdm", "n_cp", "1024"),
+            ("experiment", "seed", "-1"),
+            # round(0.6 * 1 * 1) zeroes the one recurrent weight of a random core
+            pytest.param("rc", "n_neurons", "1\n[experiment]\ndetectors = vanilla-esn",
+                         id="rc-n_neurons-all_zeroed"),
         ],
     )
     def test_rejected_at_load(self, tmp_path, section, key, value):
@@ -290,8 +294,8 @@ class TestLmmseDetect:
         grid_dense = build_grid(num, 1, 4, 1, RsMode.CONVENTIONAL,
                                 bits, np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
-        y, _ = apply_channel(h, tx_dense[0], None, None)
-        est = bc.lmmse_detect(y[None, :], grid_dense, num, pdp, 0.0)
+        y, _ = apply_channel(h[:, None, None], tx_dense, None, None)
+        est = bc.lmmse_detect(y, grid_dense, num, pdp, 0.0)
         assert np.count_nonzero(est != bits) == 0
 
     def test_mimo_orthogonal_combs_noiseless(self):
@@ -307,11 +311,11 @@ class TestLmmseDetect:
     def test_perfect_csi_flat_awgn(self, monkeypatch):
         num, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
         h = np.array([1.0 + 0j])
-        y, nv = apply_channel(h, tx[0], 14.0, np.random.default_rng(10))
+        y, nv = apply_channel(h[:, None, None], tx, 14.0, np.random.default_rng(10))
         # perfect CSI: the estimator returns the exact per-subcarrier response
         monkeypatch.setattr(bc, "_estimate_channel_freq",
                             lambda *_: np.fft.fft(h, num.n_sc)[:, None, None])
-        est = bc.lmmse_detect(y[None, :], grid, num, load_pdp("flat"), nv)
+        est = bc.lmmse_detect(y, grid, num, load_pdp("flat"), nv)
         ber = np.count_nonzero(est != bits) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
 
@@ -431,6 +435,43 @@ class TestCli:
     def test_bad_env_seed(self, config_file, monkeypatch):
         monkeypatch.setenv("RC_LAB_SEED", "not-an-int")
         assert bc.main(["run-ber", "--config", str(config_file)]) == 1
+
+    # each used to fail inside numpy with "expected non-negative integer"
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [
+            (["run-ber", "--seed", "-1"], None, "--seed must be >= 0, got -1"),
+            (["run-ber"], "-2", "RC_LAB_SEED must be >= 0, got -2"),
+            (["validate-theorem", "--n", "16", "--nobs", "10", "--m", "1", "--seed", "-3"], None,
+             "--seed must be >= 0, got -3"),
+            (["inspect-channel", "--pdp", "cdl_d"], "-4", "RC_LAB_SEED must be >= 0, got -4"),
+        ],
+        ids=["run_ber_flag", "run_ber_env", "validate_theorem_flag", "inspect_channel_env"],
+    )
+    def test_negative_seed_named(self, config_file, capsys, monkeypatch, argv, env, message):
+        if env is None:
+            monkeypatch.delenv("RC_LAB_SEED", raising=False)
+        else:
+            monkeypatch.setenv("RC_LAB_SEED", env)
+        if argv[0] == "run-ber":
+            argv = argv + ["--config", str(config_file)]
+        assert bc.main(argv) == 1
+        assert capsys.readouterr().err == f"rclab: error: {message}\n"
+
+    def test_zero_workers_rejected(self, config_file, capsys):
+        # used to be dropped as falsy, running on the config's worker count
+        assert bc.main(["run-ber", "--config", str(config_file), "--workers", "0"]) == 1
+        assert "workers >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "nobs, m, message",
+        [("0", "1,4", "--nobs must be >= 1, got 0"),
+         ("10", "1,x", "--m must list integers, got '1,x'")],
+        ids=["nobs", "m"],
+    )
+    def test_validate_theorem_names_the_flag(self, capsys, nobs, m, message):
+        assert bc.main(["validate-theorem", "--n", "16", "--nobs", nobs, "--m", m]) == 1
+        assert capsys.readouterr().err == f"rclab: error: {message}\n"
 
     def test_inspect_channel(self, tmp_path):
         out = tmp_path / "phases.csv"

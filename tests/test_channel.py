@@ -304,19 +304,21 @@ class TestParametricMimo:
 class TestApplyChannel:
     def test_identity_no_noise(self):
         x = np.array([1 + 1j, 2, 3])
-        y, nv = apply_channel([1.0], x, None, None)
+        (y,), nv = apply_channel(np.array([1.0])[:, None, None], x[None], None, None)
         np.testing.assert_allclose(y, x)
         assert nv == 0.0
 
     def test_pure_delay(self):
-        y, _ = apply_channel([0, 1], np.array([1.0, 2.0, 3.0]), None, None)
+        (y,), _ = apply_channel(np.array([0, 1])[:, None, None], np.array([[1.0, 2.0, 3.0]]),
+                                None, None)
         np.testing.assert_allclose(y, [0, 1, 2])
 
     def test_empirical_snr(self):
         rng = np.random.default_rng(8)
-        x = np.exp(2j * np.pi * rng.uniform(size=100_000))
-        y_clean, _ = apply_channel([1.0], x, None, None)
-        y, nv = apply_channel([1.0], x, 10.0, np.random.default_rng(9))
+        x = np.exp(2j * np.pi * rng.uniform(size=100_000))[None]
+        h = np.array([1.0])[:, None, None]
+        y_clean, _ = apply_channel(h, x, None, None)
+        y, nv = apply_channel(h, x, 10.0, np.random.default_rng(9))
         measured = 10 * np.log10(np.mean(np.abs(y_clean) ** 2) / np.mean(np.abs(y - y_clean) ** 2))
         assert abs(measured - 10.0) < 0.2
         assert abs(nv - 0.1) < 0.01
@@ -353,7 +355,7 @@ class TestApplyChannel:
         if sparse:  # zero interior taps, as in the cdl_d profile
             taps[1:-1][rng.uniform(size=max(n_taps - 2, 0)) < 0.6] = 0.0
         x = rng.standard_normal((n_tx, t)) + 1j * rng.standard_normal((n_tx, t))
-        siso, _ = apply_channel(taps[:, 0, 0], x[0], None, None)
+        siso, _ = apply_channel(taps[:, 0, 0][:, None, None], x[0][None], None, None)
         assert siso.tobytes() == scipy.signal.lfilter(taps[:, 0, 0], [1.0 + 0.0j], x[0]).tobytes()
         want = np.zeros((n_rx, t), dtype=complex)
         for r in range(n_rx):
@@ -366,3 +368,5 @@ class TestApplyChannel:
         taps = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 4, np.random.default_rng(1))
         with pytest.raises(ValueError):
             apply_channel(taps, np.ones((3, 10)), None, None)
+        with pytest.raises(ValueError, match="taps"):
+            apply_channel(np.ones(3), np.ones((1, 10)), None, None)

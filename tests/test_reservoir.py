@@ -291,6 +291,11 @@ class TestRandomReservoir:
         with pytest.raises(ValueError):
             random_reservoir(5, 0.5, 1.0, 1, 0, rng)
 
+    def test_all_weights_zeroed_rejected(self):
+        # round(0.6 * 1 * 1) = 1 zeroes the only weight: no scale reaches the radius
+        with pytest.raises(ValueError, match="n_neurons = 1"):
+            random_reservoir(1, 0.4, 0.6, 1, 0, np.random.default_rng(18))
+
 
 def test_spec_text_roundtrip():
     spec = diagonal_spec([0.5, -0.25 + 0.1j], weights=[1.0, 2.0 - 1j], n_window=3)

@@ -203,7 +203,7 @@ class TestReduceOrder:
 def sections(basis, l_f):
     """``(poles, weights, diagnostics)`` of the core that ``pole_bank`` builds on the basis."""
     qs, errors = reduce_order(basis.p, l_f)
-    report = pole_bank(qs, errors, basis.offsets, l_f, 0, "linear", basis=basis)
+    report = pole_bank(qs, errors, basis.offsets, l_f, 0, "linear")
     return report.poles, report.input_weights, report.diagnostics
 
 
