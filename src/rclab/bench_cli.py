@@ -339,8 +339,7 @@ def _estimate_channel_freq(
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
         r_cross = _frequency_correlation(pdp, n_sc, ks)  # (n_sc, n_ks)
         r_rs = r_cross[ks] + sigma_est * np.eye(ks.size)
-        coef, _, _, _ = np.linalg.lstsq(r_rs, ls, rcond=None)
-        h[:, :, tx] = r_cross @ coef
+        h[:, :, tx] = r_cross @ np.linalg.solve(r_rs, ls)  # R_ks + sigma I is positive definite
     return h
 
 
@@ -542,6 +541,8 @@ def cmd_validate_theorem(args) -> int:
     if args.nobs < 1:
         raise ConfigFileError(f"--nobs must be >= 1, got {args.nobs}")
     pdp = load_pdp(args.pdp)
+    if args.n < pdp.length:
+        raise ConfigFileError(f"--n must be >= the channel length {pdp.length}, got {args.n}")
     seed = _resolve_seed(args, 0)
     report = reproduce_fig5(pdp, args.n, args.nobs, m_values, seed)
     _write_to(args.out, report.write_csv)

@@ -3,7 +3,10 @@
 The recurrent core is fixed (never trained): either a random sparse matrix
 rescaled to a target spectral radius, or a diagonal bank of one-pole filters
 produced by the weight-configuration pipeline.  Only the linear readout is
-fitted, by least squares against a (possibly delayed) target.  The windowed
+fitted, by least squares against a (possibly delayed) target: without a
+ridge penalty one QR of the whitened features serves every candidate delay
+and the winner's weights (a rank-deficient fit warns and takes ``lstsq``'s
+minimum norm instead); with one, a Gram solve.  The windowed
 variant (WESN) feeds the readout the current and ``n_window - 1`` past input
 vectors alongside the states, which realizes an explicit FIR tap-delay line
 ``{z^0, ..., z^-(n_window-1)}``.
@@ -215,36 +218,87 @@ def _fit_inputs(features, target):
     return f, tgt
 
 
-def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np.ndarray:
-    # Rows are whitened to unit RMS before solving (the scales fold back into
-    # the returned weights), so the ridge penalty treats every feature equally
-    # regardless of the drive normalization of the states.
-    f = features
+def _least_squares(f: np.ndarray, ridge: float):
+    """``(weights, residuals)`` of readout fits against the C-ordered features ``f``, factored once.
+
+    ``weights(t)`` solves ``w @ f ≈ t`` for the rows of ``t`` and
+    ``residuals(t)`` gives each row's squared training error.  Rows are
+    whitened to unit RMS before solving (the scales fold back into the
+    weights), so the ridge penalty treats every feature equally regardless of
+    the drive normalization of the states.
+
+    With ``ridge > 0`` each target solves the penalized Gram system of the
+    whitened rows.  With ``ridge = 0`` the rows whose whitening scale is zero
+    get weight exactly 0, the minimum-norm answer for them, and the live rows
+    take one QR, ``fᵀ = QR``: the weights are ``R⁻¹Qᴴt`` and the residual is
+    ``‖t‖² − ‖Qᴴt‖²``.  A live ``|R_jj|`` at or under ``lstsq``'s rank
+    tolerance (``eps · max(shape)`` of the largest) means the fit is
+    rank-deficient: it warns and solves by ``lstsq``'s minimum norm instead.
+    """
     scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
-    scale = np.where(scale > 1e-300, scale, 1.0)
-    fw = f / scale[:, None]
+    live = scale > 1e-300
     if ridge > 0.0:
-        t = fw.shape[1]
-        gram = fw @ fw.conj().T + (ridge * t) * np.eye(fw.shape[0])
-        w = np.linalg.solve(gram, fw @ target_d.conj().T).conj().T
+        scale = np.where(live, scale, 1.0)
+        fw = f / scale[:, None]
+        gram = fw @ fw.conj().T + (ridge * fw.shape[1]) * np.eye(fw.shape[0])
+
+        def weights(t):
+            return np.linalg.solve(gram, fw @ t.conj().T).conj().T / scale[None, :]
+
+        return weights, lambda t: np.sum(np.abs(weights(t) @ f - t) ** 2, axis=1)
+    fw = f[live] / scale[live, None]
+    q, r = np.linalg.qr(fw.T)
+    diag = np.abs(np.diagonal(r))
+    tol = np.finfo(np.float64).eps * max(fw.shape) * diag.max(initial=0.0)
+    full_rank = fw.shape[1] >= fw.shape[0] and not np.any(diag <= tol)
+    if full_rank:
+        qc = q.conj()
+
+        def solve(t):
+            return np.linalg.solve(r, (t @ qc).T).T
     else:
-        w = np.linalg.lstsq(fw.T, target_d.T, rcond=None)[0].T
-    return w / scale[None, :]
+        warnings.warn(
+            f"readout fit is rank-deficient: {np.sum(diag > tol)} of {fw.shape[0]} live feature "
+            f"rows have |R_jj| above the rank tolerance {tol:.3g} over {fw.shape[1]} samples; "
+            "solving by minimum-norm lstsq",
+            stacklevel=3,
+        )
+
+        def solve(t):
+            return np.linalg.lstsq(fw.T, t.T, rcond=None)[0].T
+
+    def weights(t):
+        w = np.zeros((t.shape[0], f.shape[0]), dtype=np.complex128)
+        w[:, live] = solve(t) / scale[live]
+        return w
+
+    def residuals(t):
+        if full_rank:
+            return np.sum(np.abs(t) ** 2, axis=1) - np.sum(np.abs(t @ qc) ** 2, axis=1)
+        return np.sum(np.abs(weights(t) @ f - t) ** 2, axis=1)
+
+    return weights, residuals
+
+
+def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np.ndarray:
+    """Readout weights of the C-ordered ``features`` against the rows of ``target_d``."""
+    return _least_squares(features, ridge)[0](target_d)
 
 
 def _delay_search(features, target, d_max: int, ridge: float):
     """``(delay, weights)`` of the delay in ``[0, d_max]`` with the least training residual.
 
-    One fit covers every delay, with the delayed targets stacked as rows.
-    Only the winner is refitted alone, so its weights are exactly those of a
-    fit against that one delayed target.
+    One factorization of the features serves every delay, with the delayed
+    targets stacked as rows, and the refit of the winner.  The winner's
+    weights are formed from its target alone, so they are exactly those of
+    :func:`_fit_weights` against that one delayed target.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     f, tgt = _fit_inputs(features, target)
+    weights, row_residuals = _least_squares(f, ridge)
     stacked = np.vstack([_delayed(tgt, d) for d in range(d_max + 1)])
-    err = _fit_weights(f, stacked, ridge) @ f - stacked
-    residuals = np.sum(np.abs(err) ** 2, axis=1).reshape(d_max + 1, -1).sum(axis=1)
+    residuals = row_residuals(stacked).reshape(d_max + 1, -1).sum(axis=1)
     # residuals within rounding error of each other count as ties, which go
     # to the smallest delay
     tie_tol = 1e-12 * float(np.linalg.norm(tgt) ** 2)
@@ -252,7 +306,7 @@ def _delay_search(features, target, d_max: int, ridge: float):
     for d in range(1, d_max + 1):
         if residuals[d] < residuals[best] - tie_tol:
             best = d
-    return best, _fit_weights(f, _delayed(tgt, best), ridge)
+    return best, weights(_delayed(tgt, best))
 
 
 def _emit(out, readout: Readout, feats, t0: int) -> None:

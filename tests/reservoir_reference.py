@@ -3,6 +3,8 @@
 Built on the package's own recursion, feature layout and fit
 (``reservoir._advance`` on a stack of one core, ``reservoir._features`` and
 ``reservoir._fit_weights``), so a batch element must match it to the bit.
+The ``ridge = 0`` fit is also checked against ``np.linalg.lstsq``'s
+minimum-norm solve, within rounding (:func:`assert_fit_matches_lstsq`).
 """
 
 import numpy as np
@@ -40,3 +42,27 @@ def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Reado
     f, tgt = reservoir._fit_inputs(features, target)
     w = reservoir._fit_weights(f, reservoir._delayed(tgt, delay), ridge)
     return Readout(w_out=w, delay=delay)
+
+
+def assert_fit_matches_lstsq(features, target):
+    """The ``ridge = 0`` weights and residuals agree with ``lstsq`` on the whitened features.
+
+    The reference is ``lstsq``'s minimum-norm solve of the whitened rows (a
+    row of zero scale keeps scale 1), its weights scaled back.  Both solves
+    are backward stable, so they agree to ``cond · eps · max(shape)``: the
+    condition number of the whitened live rows, times ``lstsq``'s ``rcond``
+    factor.  Weights are compared in whitened units, residuals relative to
+    each target row's energy.
+    """
+    f, tgt = reservoir._fit_inputs(features, target)
+    weights, residuals = reservoir._least_squares(f, 0.0)
+    scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
+    live = scale > 1e-300
+    scale = np.where(live, scale, 1.0)
+    fw = f / scale[:, None]
+    bound = np.linalg.cond(fw[live]) * np.finfo(np.float64).eps * max(fw[live].shape)
+    ref = np.linalg.lstsq(fw.T, tgt.T, rcond=None)[0].T
+    got = weights(tgt) * scale
+    assert np.linalg.norm(got - ref) <= bound * np.linalg.norm(ref)
+    ref_res = np.sum(np.abs(ref @ fw - tgt) ** 2, axis=1)
+    assert np.all(np.abs(residuals(tgt) - ref_res) <= bound * np.sum(np.abs(tgt) ** 2, axis=1))

@@ -464,13 +464,14 @@ class TestCli:
         assert "workers >= 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "nobs, m, message",
-        [("0", "1,4", "--nobs must be >= 1, got 0"),
-         ("10", "1,x", "--m must list integers, got '1,x'")],
-        ids=["nobs", "m"],
+        "n, nobs, m, message",
+        [("16", "0", "1,4", "--nobs must be >= 1, got 0"),
+         ("16", "10", "1,x", "--m must list integers, got '1,x'"),
+         ("5", "5", "1", "--n must be >= the channel length 13, got 5")],
+        ids=["nobs", "m", "n"],
     )
-    def test_validate_theorem_names_the_flag(self, capsys, nobs, m, message):
-        assert bc.main(["validate-theorem", "--n", "16", "--nobs", nobs, "--m", m]) == 1
+    def test_validate_theorem_names_the_flag(self, capsys, n, nobs, m, message):
+        assert bc.main(["validate-theorem", "--n", n, "--nobs", nobs, "--m", m]) == 1
         assert capsys.readouterr().err == f"rclab: error: {message}\n"
 
     def test_inspect_channel(self, tmp_path):

@@ -10,7 +10,8 @@ eigensolver's last digits change with the thread count.  The ``*_skip``
 goldens (``n_window = 0``, the configured cores' skip tap alone) were written
 while the skip tap was a flag of its own; their configure dumps are the
 window's, so those cases share its goldens.  Regenerate a file only with a
-CHANGES.md entry that explains why its bytes changed.
+CHANGES.md entry that explains why its bytes changed.  The configured
+readouts of the SISO sweep's first slot are checked against ``lstsq`` too.
 """
 
 import io
@@ -18,13 +19,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rclab
 from rclab import bench_cli as bc
+from rclab import reservoir
+from reservoir_reference import assert_fit_matches_lstsq
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = str(GOLDEN / "cli_small.ini")
@@ -67,6 +72,48 @@ def test_unequal_cores_match_per_detector_runs():
     header, *rows = ber_rows(cfg)
     alone = [row for det in cfg.detectors for row in ber_rows(replace(cfg, detectors=(det,)))[1:]]
     assert rows == alone
+
+
+def first_slot_searches(monkeypatch, detector):
+    """Spec, and each SNR's ``(args, (delay, weights))`` delay search, in slot 0 of the SISO sweep.
+
+    Fails on any warning, so the golden readouts never take the
+    rank-deficient fallback.
+    """
+    cfg = replace(bc.ExperimentConfig.from_file(GOLDEN / "run_ber_siso.ini"), detectors=(detector,))
+    specs = bc._configured_specs(cfg)
+    searches, search = [], reservoir._delay_search
+
+    def spy(*args):
+        searches.append((args, search(*args)))
+        return searches[-1][1]
+
+    monkeypatch.setattr(reservoir, "_delay_search", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        bc._slot_errors(cfg, specs, cfg.load_profile(), 0)
+    assert len(searches) == len(cfg.snr_db)
+    return specs[detector], searches
+
+
+@pytest.mark.parametrize("detector", ["rc-td", "rc-fd"])
+def test_configured_readout_matches_lstsq(monkeypatch, detector):
+    _, searches = first_slot_searches(monkeypatch, detector)
+    for (feats, target, d_max, _), _ in searches:
+        delayed = np.vstack([reservoir._delayed(target, d) for d in range(d_max + 1)])
+        assert_fit_matches_lstsq(feats, delayed)
+
+
+# the pad section of each configured column is a neuron with zero input
+# weight and zero pole; the fit leaves its all-zero feature row out at weight
+# exactly 0, where an SVD solve puts rounding amplified by the conditioning
+@pytest.mark.parametrize("detector", ["rc-td", "rc-fd"])
+def test_configured_readout_leaves_dead_neurons_at_zero(monkeypatch, detector):
+    spec, searches = first_slot_searches(monkeypatch, detector)
+    dead = np.flatnonzero(~spec.w_in.any(axis=1))
+    assert dead.size > 0
+    for _, (_, weights) in searches:
+        assert not weights[:, dead].any()
 
 
 # command line -> {output flag: golden file}

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rclab import reservoir
 from rclab.reservoir import (
     ReservoirSpec,
     block_states,
@@ -10,7 +11,7 @@ from rclab.reservoir import (
     random_reservoir,
     train_and_equalize,
 )
-from reservoir_reference import alone_features, alone_states, train_readout
+from reservoir_reference import alone_features, alone_states, assert_fit_matches_lstsq, train_readout
 
 
 def equalize(spec, y, x, d_max):
@@ -161,6 +162,33 @@ class TestTrainReadout:
         plain = train_readout(feats, target)
         ridged = train_readout(feats, target, ridge=1e-6)
         assert np.abs(ridged.w_out).max() < np.abs(plain.w_out).max()
+
+    def test_qr_fit_matches_lstsq(self):
+        # whitened rows of condition 1 to 1e9; targets off their span
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, n_out = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+            t = n + int(rng.integers(1, 200))
+            u = np.linalg.qr(rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n)))[0]
+            v = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            graded = (u * np.logspace(0, -rng.uniform(0, 9), n)) @ v.conj().T
+            feats = graded.T * rng.uniform(0.01, 100, n)[:, None]
+            target = rng.standard_normal((n_out, t)) + 1j * rng.standard_normal((n_out, t))
+            assert_fit_matches_lstsq(feats, target)
+
+    def test_equal_live_rows_warn_and_take_minimum_norm(self):
+        rng = np.random.default_rng(24)
+        feats = rng.standard_normal((4, 60)) + 1j * rng.standard_normal((4, 60))
+        feats[3] = feats[1]
+        target = rng.standard_normal((1, 60)) + 1j * rng.standard_normal((1, 60))
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            ro = train_readout(feats, target)
+        ref = np.linalg.lstsq(feats.T, target.T, rcond=None)[0].T
+        np.testing.assert_allclose(ro.w_out, ref, rtol=1e-12)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            delay, w = reservoir._delay_search(feats, target, 3, 0.0)
+        with pytest.warns(UserWarning, match="rank-deficient"):
+            np.testing.assert_array_equal(w, train_readout(feats, target, delay=delay).w_out)
 
     @pytest.mark.parametrize("ridge", [0.0, 1e-6])
     def test_weights_independent_of_layout(self, ridge):
