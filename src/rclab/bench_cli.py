@@ -328,7 +328,15 @@ def _estimate_channel_freq(
     pdp: PowerDelayProfile,
     noise_var: float,
 ) -> np.ndarray:
-    """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair."""
+    """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair.
+
+    ``R_ks`` has rank at most the tap count, so ``R_ks + sigma I`` is
+    singular in floating point once ``sigma`` is under the rank tolerance of
+    ``lstsq`` (``eps · n_ks`` times the trace, which bounds the largest
+    eigenvalue), as at ``noise_var = 0``.  There the estimate is its
+    ``sigma -> 0`` limit, ``lstsq``'s minimum-norm solve against ``R_ks``;
+    above it the matrix is positive definite and one LU solve serves.
+    """
     n_sc, _, n_rx = rx_grid.shape
     sigma_est = noise_var * LMMSE_ESTIMATION_BACKOFF
     h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
@@ -338,8 +346,12 @@ def _estimate_channel_freq(
             raise ValueError(f"no RS resource elements for antenna {tx}")
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
         r_cross = _frequency_correlation(pdp, n_sc, ks)  # (n_sc, n_ks)
-        r_rs = r_cross[ks] + sigma_est * np.eye(ks.size)
-        h[:, :, tx] = r_cross @ np.linalg.solve(r_rs, ls)  # R_ks + sigma I is positive definite
+        r_ks = r_cross[ks]
+        if sigma_est > np.finfo(np.float64).eps * ks.size * np.trace(r_ks).real:
+            x = np.linalg.solve(r_ks + sigma_est * np.eye(ks.size), ls)
+        else:
+            x = np.linalg.lstsq(r_ks, ls, rcond=None)[0]
+        h[:, :, tx] = r_cross @ x
     return h
 
 

@@ -201,7 +201,7 @@ def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
 
 
 def _fit_inputs(features, target):
-    """Features and target as C-ordered complex 2-D arrays; warns when the fit is underdetermined.
+    """Features and target as C-ordered complex 2-D arrays sharing the time axis.
 
     The order is fixed because the fit's row sums, and so its weights, round
     differently over a strided axis.
@@ -210,11 +210,6 @@ def _fit_inputs(features, target):
     tgt = np.atleast_2d(np.ascontiguousarray(target, dtype=np.complex128))
     if f.shape[1] != tgt.shape[1]:
         raise ValueError("features and target must share the time axis")
-    if tgt.shape[1] <= f.shape[0]:
-        warnings.warn(
-            f"only {tgt.shape[1]} samples for {f.shape[0]} features; fit is underdetermined",
-            stacklevel=3,
-        )
     return f, tgt
 
 
@@ -234,7 +229,14 @@ def _least_squares(f: np.ndarray, ridge: float):
     ``‖t‖² − ‖Qᴴt‖²``.  A live ``|R_jj|`` at or under ``lstsq``'s rank
     tolerance (``eps · max(shape)`` of the largest) means the fit is
     rank-deficient: it warns and solves by ``lstsq``'s minimum norm instead.
+    So do fewer samples than live rows, under the one warning that the fit
+    is underdetermined, which any fit with no more samples than rows gets.
     """
+    if f.shape[1] <= f.shape[0]:
+        warnings.warn(
+            f"only {f.shape[1]} samples for {f.shape[0]} features; fit is underdetermined",
+            stacklevel=3,
+        )
     scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
     live = scale > 1e-300
     if ridge > 0.0:
@@ -250,19 +252,21 @@ def _least_squares(f: np.ndarray, ridge: float):
     q, r = np.linalg.qr(fw.T)
     diag = np.abs(np.diagonal(r))
     tol = np.finfo(np.float64).eps * max(fw.shape) * diag.max(initial=0.0)
-    full_rank = fw.shape[1] >= fw.shape[0] and not np.any(diag <= tol)
+    determined = fw.shape[1] >= fw.shape[0]
+    full_rank = determined and not np.any(diag <= tol)
     if full_rank:
         qc = q.conj()
 
         def solve(t):
             return np.linalg.solve(r, (t @ qc).T).T
     else:
-        warnings.warn(
-            f"readout fit is rank-deficient: {np.sum(diag > tol)} of {fw.shape[0]} live feature "
-            f"rows have |R_jj| above the rank tolerance {tol:.3g} over {fw.shape[1]} samples; "
-            "solving by minimum-norm lstsq",
-            stacklevel=3,
-        )
+        if determined:
+            warnings.warn(
+                f"readout fit is rank-deficient: {np.sum(diag > tol)} of {fw.shape[0]} live "
+                f"feature rows have |R_jj| above the rank tolerance {tol:.3g} over "
+                f"{fw.shape[1]} samples; solving by minimum-norm lstsq",
+                stacklevel=3,
+            )
 
         def solve(t):
             return np.linalg.lstsq(fw.T, t.T, rcond=None)[0].T
@@ -280,18 +284,13 @@ def _least_squares(f: np.ndarray, ridge: float):
     return weights, residuals
 
 
-def _fit_weights(features: np.ndarray, target_d: np.ndarray, ridge: float) -> np.ndarray:
-    """Readout weights of the C-ordered ``features`` against the rows of ``target_d``."""
-    return _least_squares(features, ridge)[0](target_d)
-
-
 def _delay_search(features, target, d_max: int, ridge: float):
     """``(delay, weights)`` of the delay in ``[0, d_max]`` with the least training residual.
 
     One factorization of the features serves every delay, with the delayed
     targets stacked as rows, and the refit of the winner.  The winner's
     weights are formed from its target alone, so they are exactly those of
-    :func:`_fit_weights` against that one delayed target.
+    the same fit's ``weights`` against that one delayed target.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")

@@ -2,7 +2,7 @@
 
 Built on the package's own recursion, feature layout and fit
 (``reservoir._advance`` on a stack of one core, ``reservoir._features`` and
-``reservoir._fit_weights``), so a batch element must match it to the bit.
+``reservoir._least_squares``), so a batch element must match it to the bit.
 The ``ridge = 0`` fit is also checked against ``np.linalg.lstsq``'s
 minimum-norm solve, within rounding (:func:`assert_fit_matches_lstsq`).
 """
@@ -40,7 +40,7 @@ def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Reado
     rows are orthogonal to the feature rows.
     """
     f, tgt = reservoir._fit_inputs(features, target)
-    w = reservoir._fit_weights(f, reservoir._delayed(tgt, delay), ridge)
+    w = reservoir._least_squares(f, ridge)[0](reservoir._delayed(tgt, delay))
     return Readout(w_out=w, delay=delay)
 
 

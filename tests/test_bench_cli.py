@@ -308,6 +308,14 @@ class TestLmmseDetect:
         est = bc.lmmse_detect(y, grid, num, pdp, 0.0)
         assert np.count_nonzero(est != bits) == 0
 
+    @pytest.mark.parametrize("noise_var", [0.0, 1e-30])
+    def test_flat_noiseless_estimate(self, noise_var):
+        # every entry of the flat profile's R_ks is 1: R_ks + sigma I is
+        # singular when sigma is zero or lost to rounding
+        num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
+        est = bc.lmmse_detect(0.7j * tx, grid, num, load_pdp("flat"), noise_var)
+        assert np.count_nonzero(est != bits) == 0
+
     def test_perfect_csi_flat_awgn(self, monkeypatch):
         num, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
         h = np.array([1.0 + 0j])
@@ -334,6 +342,12 @@ class TestRunBerExperiment:
         records = bc.run_ber_experiment(cfg)
         assert len(records) == 1
         assert records[0].n_bits == 0 and records[0].ber == 0.0
+
+    def test_flat_noise_free_lmmse(self):
+        cfg = bc.ExperimentConfig(n_slots=2, snr_db=(np.inf,), detectors=("lmmse",), n_sc=64,
+                                  n_cp=8, n_symbols=4, pdp="flat", stats_n=32, stats_obs=10)
+        [record] = bc.run_ber_experiment(cfg)
+        assert record.n_bits > 0 and record.n_errors == 0
 
     def test_byte_identical_reruns_and_workers(self):
         cfg = bc.ExperimentConfig(

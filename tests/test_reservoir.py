@@ -154,6 +154,23 @@ class TestTrainReadout:
         with pytest.warns(UserWarning, match="underdetermined"):
             train_readout(np.ones((5, 3)), np.ones((1, 3)))
 
+    def test_fewer_samples_than_live_rows_warn_once(self):
+        rng = np.random.default_rng(25)
+        feats = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        target = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+        for fit in (
+            lambda: train_readout(feats, target).w_out,
+            lambda: reservoir._delay_search(feats, target, 1, 0.0)[1],
+        ):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                w = fit()
+            assert [str(c.message) for c in caught] == [
+                "only 3 samples for 5 features; fit is underdetermined"
+            ]
+            ref = np.linalg.lstsq(feats.T, target.T, rcond=None)[0].T
+            np.testing.assert_allclose(w @ feats, ref @ feats, atol=1e-12)
+
     def test_ridge_shrinks_weights(self):
         rng = np.random.default_rng(7)
         feats = rng.standard_normal((4, 60))
