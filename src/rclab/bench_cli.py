@@ -38,6 +38,7 @@ from . import __version__
 from .channel import (
     AngleModel,
     PowerDelayProfile,
+    add_awgn,
     apply_channel,
     draw_channel,
     draw_channels,
@@ -306,13 +307,13 @@ def rc_detect(
     slot, such as one per SNR.  Each element gets its own readout in every
     core of ``specs`` (including its decision delay), refitted from scratch;
     no channel estimate is ever formed.  One state recursion advances every
-    core over the whole batch.  Returns, per core, the bits of each element.
+    core over the whole batch.  Returns, per core, the ``(batch, n_bits)``
+    bits.
     """
     target = rs_time_waveform(tx_grid, numerology)
     equalized, _ = train_and_equalize(specs, rx_batch, target, d_max, ridge)
     n_sym, kind, order = tx_grid.n_sym, tx_grid.kind, tx_grid.qam_order
-    return [[demap_data_bits(ofdm_demodulate(eq, numerology, n_sym), kind, order) for eq in core]
-            for core in equalized]
+    return [demap_data_bits(ofdm_demodulate(core, numerology, n_sym), kind, order) for core in equalized]
 
 
 def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -322,31 +323,39 @@ def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) 
     return (steer * pdp.powers) @ steer[cols].conj().T
 
 
-def _estimate_channel_freq(
-    rx_grid: np.ndarray,
-    tx_grid: ResourceGrid,
-    pdp: PowerDelayProfile,
-    noise_var: float,
-) -> np.ndarray:
-    """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair.
-
-    ``R_ks`` has rank at most the tap count, so ``R_ks + sigma I`` is
-    singular in floating point once ``sigma`` is under the rank tolerance of
-    ``lstsq`` (``eps · n_ks`` times the trace, which bounds the largest
-    eigenvalue), as at ``noise_var = 0``.  There the estimate is its
-    ``sigma -> 0`` limit, ``lstsq``'s minimum-norm solve against ``R_ks``;
-    above it the matrix is positive definite and one LU solve serves.
-    """
-    n_sc, _, n_rx = rx_grid.shape
-    sigma_est = noise_var * LMMSE_ESTIMATION_BACKOFF
-    h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
+def _rs_correlations(tx_grid: ResourceGrid, pdp: PowerDelayProfile) -> list:
+    """Per TX antenna: its RS subcarriers ``ks``, ``R[:, ks]`` and ``R_ks``, shared by every SNR."""
+    out = []
     for tx in range(tx_grid.n_tx):
         ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
         if ks.size == 0:
             raise ValueError(f"no RS resource elements for antenna {tx}")
+        r_cross = _frequency_correlation(pdp, tx_grid.n_sc, ks)  # (n_sc, n_ks)
+        out.append((ks, r_cross, r_cross[ks]))
+    return out
+
+
+def _estimate_channel_freq(
+    rx_grid: np.ndarray,
+    tx_grid: ResourceGrid,
+    correlations: list,
+    noise_var: float,
+) -> np.ndarray:
+    """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair.
+
+    ``correlations`` is :func:`_rs_correlations`'s.  ``R_ks`` has rank at
+    most the tap count, so ``R_ks + sigma I`` is singular in floating point
+    once ``sigma`` is under the rank tolerance of ``lstsq`` (``eps · n_ks``
+    times the trace, which bounds the largest eigenvalue), as at
+    ``noise_var = 0``.  There the estimate is its ``sigma -> 0`` limit,
+    ``lstsq``'s minimum-norm solve against ``R_ks``; above it the matrix is
+    positive definite and one LU solve serves.
+    """
+    n_sc, _, n_rx = rx_grid.shape
+    sigma_est = noise_var * LMMSE_ESTIMATION_BACKOFF
+    h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
+    for tx, (ks, r_cross, r_ks) in enumerate(correlations):
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
-        r_cross = _frequency_correlation(pdp, n_sc, ks)  # (n_sc, n_ks)
-        r_ks = r_cross[ks]
         if sigma_est > np.finfo(np.float64).eps * ks.size * np.trace(r_ks).real:
             x = np.linalg.solve(r_ks + sigma_est * np.eye(ks.size), ls)
         else:
@@ -356,25 +365,31 @@ def _estimate_channel_freq(
 
 
 def lmmse_detect(
-    rx_samples: np.ndarray,
+    rx_batch: np.ndarray,
     tx_grid: ResourceGrid,
     numerology: OfdmNumerology,
     pdp: PowerDelayProfile,
-    noise_var: float,
+    noise_vars,
 ) -> np.ndarray:
-    """Estimated-CSI LMMSE symbol detection of the ``(n_rx, T)`` received samples."""
-    rx_grid = ofdm_demodulate(rx_samples, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
-    h = _estimate_channel_freq(rx_grid, tx_grid, pdp, noise_var)
+    """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` bits.
 
-    # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1} with bias correction
-    n_rx = h.shape[1]
-    gram = h @ h.conj().transpose(0, 2, 1) + noise_var * np.eye(n_rx)[None]
-    y = rx_grid.transpose(0, 2, 1)  # (n_sc, n_rx, n_sym)
-    x_hat = h.conj().transpose(0, 2, 1) @ np.linalg.solve(gram, y)  # (n_sc, n_tx, n_sym)
-    gains = np.einsum("kij,kji->ki", h.conj().transpose(0, 2, 1), np.linalg.solve(gram, h))
-    safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
-    x_hat = x_hat / safe[:, :, None]
-    est = x_hat.transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
+    ``rx_batch`` is ``(batch, n_rx, T)``, and each element is equalized at
+    its own entry of ``noise_vars``.  The RS correlations and the demap are
+    shared by the batch.
+    """
+    rx_grids = ofdm_demodulate(rx_batch, numerology, tx_grid.n_sym)  # (batch, n_sc, n_sym, n_rx)
+    correlations = _rs_correlations(tx_grid, pdp)
+    est = np.empty(rx_grids.shape[:-1] + (tx_grid.n_tx,), dtype=np.complex128)
+    for rx_grid, noise_var, out in zip(rx_grids, noise_vars, est):
+        h = _estimate_channel_freq(rx_grid, tx_grid, correlations, noise_var)
+        # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1} with bias correction
+        n_rx = h.shape[1]
+        gram = h @ h.conj().transpose(0, 2, 1) + noise_var * np.eye(n_rx)[None]
+        y = rx_grid.transpose(0, 2, 1)  # (n_sc, n_rx, n_sym)
+        x_hat = h.conj().transpose(0, 2, 1) @ np.linalg.solve(gram, y)  # (n_sc, n_tx, n_sym)
+        gains = np.einsum("kij,kji->ki", h.conj().transpose(0, 2, 1), np.linalg.solve(gram, h))
+        safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
+        out[...] = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
     return demap_data_bits(est, tx_grid.kind, tx_grid.qam_order)
 
 
@@ -435,9 +450,11 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
 def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:
     """Error/bit counts for one slot: ``{(detector, snr_index): (errors, bits)}``.
 
-    The received learning signals of every SNR form one batch, and one state
-    recursion per slot advances every RC detector's core over it.  The batch
-    depends on ``cfg.snr_db`` only, never on ``cfg.workers``.
+    For each RS mode, the received signals of every SNR form one batch: one
+    noise-free convolution, copied per SNR, which adds its own noise.  One
+    state recursion per slot advances every RC detector's core over the
+    learning batch.  The batch depends on ``cfg.snr_db`` only, never on
+    ``cfg.workers``.
     """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
@@ -452,18 +469,19 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
             continue
         grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, bits,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
-        tx = ofdm_modulate(grid, num)
-        # one (samples (n_rx, T), noise variance) pair per SNR
-        received = [apply_channel(ch, tx, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
-                    for si, snr in enumerate(cfg.snr_db)]
+        # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
+        clean, _ = apply_channel(ch, ofdm_modulate(grid, num), None, None)
+        batch = np.repeat(clean[None], len(cfg.snr_db), axis=0)
+        noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
+                      for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
         if mode is RsMode.LEARNING:
-            batch = np.stack([y for y, _ in received])
             ests = rc_detect(batch, grid, num, [specs[d] for d in dets], cfg.d_max, cfg.ridge)
         else:
-            ests = [[lmmse_detect(y, grid, num, pdp, nv) for y, nv in received]]
+            ests = [lmmse_detect(batch, grid, num, pdp, noise_vars)]
         for det, per_snr in zip(dets, ests):
             for si, est in enumerate(per_snr):
                 out[(det, si)] = int(np.count_nonzero(est != bits)), int(bits.size)
+        del ests  # the next mode runs without this one's bits alive
     return out
 
 

@@ -301,10 +301,9 @@ def apply_channel(ch, x, snr_db, rng):
 
     ``ch`` is the ``(L, N_r, N_t)`` tap array and ``x`` the ``(N_t, T)``
     transmit streams; ``y`` is ``(N_r, T)``.  A SISO channel is the
-    ``(L, 1, 1)`` case.  The SNR is average received signal power over noise
-    power, measured per receive antenna on the clean signal; ``snr_db=None``
-    (or ``inf``) disables noise and gives ``noise_var = 0``.  Output is
-    truncated to the input length.
+    ``(L, 1, 1)`` case.  The noise is :func:`add_awgn`'s, measured on the
+    clean signal; ``snr_db=None`` (or ``inf``) disables it and gives
+    ``noise_var = 0``.  Output is truncated to the input length.
     """
     # ``h / 1`` and the full convolution cut to length are the exact arithmetic
     # of ``scipy.signal.lfilter(h, [1], x)``, the oracle the tests hold this to
@@ -319,14 +318,22 @@ def apply_channel(ch, x, snr_db, rng):
     for r in range(n_rx):
         for c in range(n_tx):
             y[r] += np.convolve(taps[:, r, c] / 1, xs[c])[:t]
+    noise_var = add_awgn(y, snr_db, rng)
+    return y, noise_var
 
+
+def add_awgn(y: np.ndarray, snr_db, rng) -> float:
+    """Add complex white Gaussian noise to the ``(N_r, T)`` signal ``y`` in place; returns its variance.
+
+    The SNR is the average power of ``y`` as given over the noise power,
+    per receive antenna, and the returned variance is the mean over the
+    antennas.  ``snr_db=None`` (or ``inf``) leaves ``y`` as it is and
+    returns 0.
+    """
     if snr_db is None or np.isinf(snr_db):
-        return y, 0.0
+        return 0.0
     snr = 10.0 ** (snr_db / 10.0)
     p_sig = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True)
     noise_var = p_sig / snr
-    noise = (
-        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    ) * np.sqrt(noise_var / 2.0)
-    y += noise
-    return y, float(np.mean(noise_var))
+    y += (rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)) * np.sqrt(noise_var / 2.0)
+    return float(np.mean(noise_var))

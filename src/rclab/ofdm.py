@@ -94,24 +94,27 @@ def qam_map(bits, order: int) -> np.ndarray:
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:
-    """Nearest-neighbor hard decisions back to bits (inverse of :func:`qam_map`)."""
+    """Nearest-neighbor hard decisions back to bits (inverse of :func:`qam_map`).
+
+    Each axis rounds to the index of its nearest level, and the index pair
+    looks up the symbol's bits in one table: every bit pattern, placed at
+    the level indices of its :func:`qam_map` symbol.
+    """
     s = np.asarray(symbols, dtype=np.complex128).ravel()
     k = bits_per_symbol(order)
     m = int(np.sqrt(order))
     _, scale = _axis_tables(order)
 
-    def axis_bits(vals):
-        idx = np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
-        gray = idx ^ (idx >> 1)
-        shifts = np.arange(k // 2 - 1, -1, -1)
-        return (gray[:, None] >> shifts) & 1
+    def axis_index(vals):
+        return np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
 
-    i_bits = axis_bits(s.real)
-    q_bits = axis_bits(s.imag)
-    out = np.empty((s.size, k), dtype=np.int64)
-    out[:, 0::2] = i_bits
-    out[:, 1::2] = q_bits
-    return out.ravel()
+    def index(z):
+        return axis_index(z.real) * m + axis_index(z.imag)
+
+    patterns = (np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    table = np.empty_like(patterns)
+    table[index(qam_map(patterns.ravel(), order))] = patterns
+    return np.take(table, index(s), axis=0).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -196,20 +199,31 @@ def build_grid(
     return ResourceGrid(symbols=symbols, kind=kind, qam_order=order)
 
 
+def _data_mask(kind: np.ndarray) -> np.ndarray:
+    """Data REs as an ``(ant, sym, sc)`` mask, whose row-major order is the canonical fill order."""
+    return np.transpose(kind, (2, 1, 0)) == ReKind.DATA
+
+
 def data_positions(kind: np.ndarray) -> np.ndarray:
     """Data-RE coordinates as rows ``(ant, sym, sc)`` in canonical fill order."""
-    mask = np.transpose(kind, (2, 1, 0)) == ReKind.DATA
-    return np.argwhere(mask)
+    return np.argwhere(_data_mask(kind))
 
 
 def extract_data_symbols(symbols: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    """Data-RE values in the canonical order used by :func:`build_grid`."""
-    pos = data_positions(kind)
-    return symbols[pos[:, 2], pos[:, 1], pos[:, 0]]
+    """Data-RE values in the canonical order used by :func:`build_grid`.
+
+    ``symbols`` is ``(..., n_sc, n_sym, n_tx)``; each leading index gets its
+    own row of values.
+    """
+    by_antenna = np.swapaxes(symbols, -1, -3)
+    flat = by_antenna.reshape(*by_antenna.shape[:-3], -1)
+    return np.take(flat, np.flatnonzero(_data_mask(kind)), axis=-1)
 
 
 def demap_data_bits(symbols: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
-    return qam_demap(extract_data_symbols(symbols, kind), order)
+    """Hard-decision bits of the data REs: ``(..., n_bits)`` for ``(..., n_sc, n_sym, n_tx)`` symbols."""
+    data = extract_data_symbols(symbols, kind)
+    return qam_demap(data, order).reshape(*data.shape[:-1], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -226,13 +240,13 @@ def ofdm_modulate(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:
 
 
 def ofdm_demodulate(samples, numerology: OfdmNumerology, n_sym: int) -> np.ndarray:
-    """Strip cyclic prefixes and apply the unitary FFT; returns ``(n_sc, n_sym, n_ant)``."""
+    """Strip cyclic prefixes and apply the unitary FFT: ``(..., n_ant, T)`` to ``(..., n_sc, n_sym, n_ant)``."""
     s = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     sym_len = numerology.symbol_len
-    if s.shape[1] != n_sym * sym_len:
-        raise ValueError(f"expected {n_sym * sym_len} samples per antenna, got {s.shape[1]}")
-    blocks = s.reshape(s.shape[0], n_sym, sym_len)[:, :, numerology.n_cp :]
-    return np.transpose(np.fft.fft(blocks, axis=2, norm="ortho"), (2, 1, 0))
+    if s.shape[-1] != n_sym * sym_len:
+        raise ValueError(f"expected {n_sym * sym_len} samples per antenna, got {s.shape[-1]}")
+    blocks = s.reshape(*s.shape[:-1], n_sym, sym_len)[..., numerology.n_cp :]
+    return np.swapaxes(np.fft.fft(blocks, axis=-1, norm="ortho"), -1, -3)
 
 
 def rs_time_waveform(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:

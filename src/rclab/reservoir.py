@@ -17,13 +17,16 @@ to the linear case for small drive.
 Detection (:func:`train_and_equalize`) trains each core alone on the known
 prefix of a batch of signals; the final states carry on into one recursion
 that advances every core and element together in one flat state row, and
-the readouts are applied ``STREAM_CHUNK`` samples at a time.  Each element
-of each core gets the same bits as it would alone, in a stack of one core
-and a batch of one element.
+the readouts are applied ``STREAM_CHUNK`` samples at a time.  The stream
+builds no feature array: each readout reads its states in place from the
+recursion's block and its input window from one reused buffer.  Each
+element of each core gets the same bits as it would alone, in a stack of
+one core and a batch of one element.
 """
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -72,7 +75,7 @@ class ReservoirSpec:
     def feature_dim(self) -> int:
         return self.n_neurons + self.d_in * self.n_window
 
-    @property
+    @cached_property
     def is_diagonal(self) -> bool:
         off = self.w_res - np.diag(np.diagonal(self.w_res))
         return not np.any(off)
@@ -123,30 +126,36 @@ def _stack(specs, n_batch: int):
     return cols, np.concatenate(diag or [np.empty(0, dtype=np.complex128)]), dense
 
 
-def _advance(specs, xs: np.ndarray, block: np.ndarray) -> None:
+def _advance(specs, layout, xs: np.ndarray, block: np.ndarray) -> None:
     """Run ``s[n] = act(W_res s[n-1] + W_in x[n])`` for every core at once, in place.
 
-    ``block`` is ``(n + 1, width)`` in the layout of :func:`_stack`: row 0
-    holds the stacked state, and row ``j + 1`` receives the drive of sample
-    ``j`` of the ``(batch, d_in, n)`` input and then its state.  Each sample
-    takes one tiled multiply for the diagonal cores, one matrix product per
-    dense group (each row by its own matrix, which gives the bits of the
-    unbatched ``W_res @ s``; one matrix-matrix product does not), one add of
-    the products to the drive and one in-place tanh over the row's float64
-    view.
+    ``layout`` is :func:`_stack`'s for ``specs`` and the batch, and ``block``
+    is ``(n + 1, width)`` in that layout: row 0 holds the stacked state, and
+    row ``j + 1`` receives the drive of sample ``j`` of the ``(batch, d_in,
+    n)`` input and then its state.  The drive is written straight into the
+    block, in row order.  Each sample takes one tiled multiply for the
+    diagonal cores, one matrix product per dense group (each row by its own
+    matrix, which gives the bits of the unbatched ``W_res @ s``; one
+    matrix-matrix product does not), one add of the products to the drive
+    and one in-place tanh over the row's float64 view.
 
-    Two layouts keep every core's bits those of the core run alone, and the
-    stacked-core tests fail if either changes: the diagonal product stays
+    Three layouts keep every core's bits those of the core run alone, and the
+    stacked-core tests fail if any changes: the drive is one ``np.matmul`` of
+    the ``(batch, n, d_in)`` samples by ``W_in.T`` into the block's own
+    ``(batch, n, n_neurons)`` view, the row-order product ``x.T @ W_in.T``
+    (``W_in @ x`` rounds differently); the diagonal product stays
     ``np.multiply(diag, s)``, because numpy's complex multiply rounds
     differently with the operands swapped; and the dense matrices are a
     C-ordered ``np.stack`` of ``W_res`` viewed ``.transpose(0, 2, 1)``,
     because a concatenation of broadcast views, or a C copy of ``W_res.T``,
     reaches BLAS in another order and rounds differently.
     """
-    cols, diag, dense = _stack(specs, len(xs))
-    n, nd, tanh = xs.shape[2], diag.size, specs[0].activation == "tanh"
+    cols, diag, dense = layout
+    n_batch, _, n = xs.shape
+    nd, tanh = diag.size, specs[0].activation == "tanh"
     for spec, c in zip(specs, cols):
-        block[1:, c].reshape(n, len(xs), -1)[...] = np.matmul(spec.w_in, xs).transpose(2, 0, 1)
+        drive = block[1:, c].reshape(n, n_batch, spec.n_neurons).transpose(1, 0, 2)
+        np.matmul(xs.transpose(0, 2, 1), spec.w_in.T, out=drive)
     prod = np.empty_like(block[0])
     prod_diag = prod[:nd]
     groups = [(prod[c].reshape(-1, 1, k), block[:-1, c].reshape(n, -1, 1, k), w) for c, k, w in dense]
@@ -174,21 +183,30 @@ def block_states(poles, y) -> np.ndarray:
     return all_pole_filter(np.column_stack([np.ones(p.size), -p]), yv)
 
 
-def _features(spec: ReservoirSpec, states: np.ndarray, xs: np.ndarray, t0: int) -> np.ndarray:
-    """Features of samples ``[t0, t0 + n)`` from their ``(n_neurons, n)`` states.
+def _window(dst: np.ndarray, x: np.ndarray, t0: int) -> None:
+    """Fill ``dst``, ``(n_window * d_in, n)``, with the input window of samples ``[t0, t0 + n)``.
 
-    The window rows are read from the whole ``(d_in, T)`` input and
-    are zero before its start.  The result is C-ordered whatever the layout
-    of ``states``: the fit's row sums, and so its weights, round by layout.
+    Row block ``w`` is the ``(d_in, T)`` input ``x`` delayed by ``w``
+    samples, zero before its start.
+    """
+    d_in, n = x.shape[0], dst.shape[1]
+    for w in range(dst.shape[0] // d_in):
+        lead = min(max(w - t0, 0), n)
+        rows = dst[w * d_in : (w + 1) * d_in]
+        rows[:, :lead] = 0.0
+        rows[:, lead:] = x[:, t0 - w + lead : t0 - w + n]
+
+
+def _features(spec: ReservoirSpec, states: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Features of the first ``n`` samples of the ``(d_in, T)`` input from their ``(n_neurons, n)`` states.
+
+    The result is C-ordered whatever the layout of ``states``: the fit's row
+    sums, and so its weights, round by layout.
     """
     n_neurons, n = states.shape
-    d_in = xs.shape[0]
-    feats = np.zeros((spec.feature_dim, n), dtype=np.complex128)
+    feats = np.empty((spec.feature_dim, n), dtype=np.complex128)
     feats[:n_neurons] = states
-    for w in range(spec.n_window):
-        lead = min(max(w - t0, 0), n)
-        rows = slice(n_neurons + w * d_in, n_neurons + (w + 1) * d_in)
-        feats[rows, lead:] = xs[:, t0 - w + lead : t0 - w + n]
+    _window(feats[n_neurons:], x, 0)
     return feats
 
 
@@ -308,12 +326,20 @@ def _delay_search(features, target, d_max: int, ridge: float):
     return best, weights(_delayed(tgt, best))
 
 
-def _emit(out, readout: Readout, feats, t0: int) -> None:
-    """Write the readout of feature samples ``t0 + j`` into ``out`` as samples ``t0 + j - delay``."""
-    d = readout.delay
-    lo, hi = max(t0, d), min(t0 + feats.shape[1], out.shape[1] + d)
+def _apply_readout(out, readout: Readout, states, window, t0: int) -> None:
+    """Write the readout of samples ``t0 + j`` into ``out`` as samples ``t0 + j - delay``.
+
+    The features are read where they lie, the ``(n_neurons, n)`` states and
+    the ``(n_window * d_in, n)`` window, as ``w_out[:, :k] @ states + w_out[:,
+    k:] @ window``; no feature array is built.
+    """
+    d, k = readout.delay, states.shape[0]
+    lo, hi = max(t0, d), min(t0 + states.shape[1], out.shape[1] + d)
     if lo < hi:
-        out[:, lo - d : hi - d] = (readout.w_out @ feats)[:, lo - t0 : hi - t0]
+        cols, dst = slice(lo - t0, hi - t0), out[:, lo - d : hi - d]
+        np.matmul(readout.w_out[:, :k], states[:, cols], out=dst)
+        if window.shape[0]:
+            dst += readout.w_out[:, k:] @ window[:, cols]
 
 
 def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float, out):
@@ -323,14 +349,14 @@ def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float, out):
     """
     n_batch, _, n_train = xs.shape
     train = np.zeros((n_train + 1, n_batch * spec.n_neurons), dtype=np.complex128)
-    _advance([spec], xs, train)
+    _advance([spec], _stack([spec], n_batch), xs, train)
     states = train[1:].reshape(n_train, n_batch, spec.n_neurons)
     readouts = []
     for i, xi in enumerate(xs):
-        feats = _features(spec, states[:, i].T, xi, 0)
+        feats = _features(spec, states[:, i].T, xi)
         delay, w = _delay_search(feats, target, d_max, ridge)
         readouts.append(Readout(w, delay))
-        _emit(out[i], readouts[-1], feats, 0)
+        _apply_readout(out[i], readouts[-1], feats[: spec.n_neurons], feats[spec.n_neurons :], 0)
     return readouts, train[-1].copy()
 
 
@@ -349,7 +375,8 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     Returns, per core, the ``(batch, n_out, T)`` outputs and the readouts.
     """
     xs = np.asarray(x, dtype=np.complex128)
-    cols = _stack(specs, len(xs))[0]
+    layout = _stack(specs, len(xs))
+    cols = layout[0]
     if xs.ndim != 3 or xs.shape[1] != specs[0].d_in:
         raise ValueError(f"expected input of shape (batch, d_in = {specs[0].d_in}, T), got {xs.shape}")
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
@@ -363,14 +390,17 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     block = np.empty((min(STREAM_CHUNK, end - n_train) + 1, width), dtype=np.complex128)
     for c, (_, last) in zip(cols, trained):
         block[0, c] = last
+    # one window buffer per core, refilled for each element and block
+    windows = [np.empty((s.feature_dim - s.n_neurons, len(block) - 1), dtype=np.complex128) for s in specs]
     xs = np.concatenate([xs, np.zeros((n_batch, xs.shape[1], d_max), dtype=np.complex128)], axis=2)
     for t0 in range(n_train, end, STREAM_CHUNK):
         n = min(STREAM_CHUNK, end - t0)
-        _advance(specs, xs[:, :, t0 : t0 + n], block[: n + 1])
-        for spec, out, (ros, _), c in zip(specs, outs, trained, cols):
+        _advance(specs, layout, xs[:, :, t0 : t0 + n], block[: n + 1])
+        for spec, out, (ros, _), c, window in zip(specs, outs, trained, cols, windows):
             states = block[1 : n + 1, c].reshape(n, n_batch, spec.n_neurons)
             for i, ro in enumerate(ros):
-                _emit(out[i], ro, _features(spec, states[:, i].T, xs[i], t0), t0)
+                _window(window[:, :n], xs[i], t0)
+                _apply_readout(out[i], ro, states[:, i].T, window[:, :n], t0)
         block[0] = block[n]
     return outs, [ros for ros, _ in trained]
 

@@ -17,14 +17,14 @@ def alone_states(spec, x) -> np.ndarray:
     """States of the ``(d_in, T)`` input ``x`` from a zero initial state, ``(n_neurons, T)``."""
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))[None]
     block = np.zeros((xs.shape[2] + 1, spec.n_neurons), dtype=np.complex128)
-    reservoir._advance([spec], xs, block)
+    reservoir._advance([spec], reservoir._stack([spec], 1), xs, block)
     return np.ascontiguousarray(block[1:].T)
 
 
 def alone_features(spec, x) -> np.ndarray:
     """States stacked with the windowed input history, ``(feature_dim, T)``."""
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    return reservoir._features(spec, alone_states(spec, xs), xs, 0)
+    return reservoir._features(spec, alone_states(spec, xs), xs)
 
 
 def alone_readout(spec, train_input, target, d_max, ridge=0.0) -> Readout:

@@ -264,7 +264,7 @@ def test_criterion_09_lmmse_awgn_sanity(monkeypatch):
                           np.random.default_rng((9009, 2, slot)), order=16)
         tx = ofdm_modulate(grid, num)
         y, nv = apply_channel(h[:, None, None], tx, snr_db, np.random.default_rng((9009, 3, slot)))
-        est = bc.lmmse_detect(y, grid, num, pdp, nv)
+        [est] = bc.lmmse_detect(y[None], grid, num, pdp, [nv])
         errors += int(np.count_nonzero(est != bits))
         total += bits.size
         slot += 1

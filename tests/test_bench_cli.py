@@ -295,7 +295,7 @@ class TestLmmseDetect:
                                 bits, np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
         y, _ = apply_channel(h[:, None, None], tx_dense, None, None)
-        est = bc.lmmse_detect(y, grid_dense, num, pdp, 0.0)
+        [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, [0.0])
         assert np.count_nonzero(est != bits) == 0
 
     def test_mimo_orthogonal_combs_noiseless(self):
@@ -305,7 +305,7 @@ class TestLmmseDetect:
         pdp = load_pdp("cdl_d")
         taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
         y, _ = apply_channel(taps, tx, None, None)
-        est = bc.lmmse_detect(y, grid, num, pdp, 0.0)
+        [est] = bc.lmmse_detect(y[None], grid, num, pdp, [0.0])
         assert np.count_nonzero(est != bits) == 0
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-30])
@@ -313,7 +313,7 @@ class TestLmmseDetect:
         # every entry of the flat profile's R_ks is 1: R_ks + sigma I is
         # singular when sigma is zero or lost to rounding
         num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
-        est = bc.lmmse_detect(0.7j * tx, grid, num, load_pdp("flat"), noise_var)
+        [est] = bc.lmmse_detect(0.7j * tx[None], grid, num, load_pdp("flat"), [noise_var])
         assert np.count_nonzero(est != bits) == 0
 
     def test_perfect_csi_flat_awgn(self, monkeypatch):
@@ -323,7 +323,7 @@ class TestLmmseDetect:
         # perfect CSI: the estimator returns the exact per-subcarrier response
         monkeypatch.setattr(bc, "_estimate_channel_freq",
                             lambda *_: np.fft.fft(h, num.n_sc)[:, None, None])
-        est = bc.lmmse_detect(y, grid, num, load_pdp("flat"), nv)
+        [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), [nv])
         ber = np.count_nonzero(est != bits) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
 
@@ -332,7 +332,7 @@ class TestLmmseDetect:
         # learning grids share one comb: antenna 1's comb is fine, but wipe it
         grid.kind[:, 0, :] = 0
         with pytest.raises(ValueError, match="no RS"):
-            bc.lmmse_detect(tx, grid, num, load_pdp("flat"), 0.0)
+            bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), [0.0])
 
 
 class TestRunBerExperiment:
@@ -390,6 +390,44 @@ class TestRunBerExperiment:
                 bers.setdefault((r.detector, r.snr_db), []).append(r.ber)
         for det in ("rc-random", "lmmse"):
             assert np.median(bers[(det, 25.0)]) <= np.median(bers[(det, 15.0)])
+
+    @pytest.mark.parametrize("mode, n_ant", [("siso", 1), ("mimo", 4)])
+    def test_shared_convolution_gives_per_snr_apply_channel(self, monkeypatch, mode, n_ant):
+        # each SNR's received signal is the one noise-free convolution plus its
+        # own noise, byte for byte what one apply_channel call per SNR gives
+        cfg = bc.ExperimentConfig(
+            seed=4, n_slots=1, snr_db=(5.0, 20.0, np.inf), detectors=("rc-random", "lmmse"),
+            channel_mode=mode, n_tx=n_ant, n_rx=n_ant, n_sc=64, n_cp=16, n_symbols=3,
+            n_neurons=6, n_window=2, d_max=2, stats_n=32, stats_obs=10,
+        )
+        seen, noise_vars = {}, []
+
+        def rc_detect(batch, *_):
+            seen[RsMode.LEARNING] = batch.copy()
+            return [np.zeros((len(batch), 1))]
+
+        def lmmse_detect(batch, grid, num, pdp, nvs):
+            seen[RsMode.CONVENTIONAL] = batch.copy()
+            noise_vars.extend(nvs)
+            return np.zeros((len(batch), 1))
+
+        monkeypatch.setattr(bc, "rc_detect", rc_detect)
+        monkeypatch.setattr(bc, "lmmse_detect", lmmse_detect)
+        pdp = cfg.load_profile()
+        bc._slot_errors(cfg, bc._configured_specs(cfg), pdp, 0)
+        ch = bc._draw_slot_channel(cfg, pdp, 0)
+        bits = bc._stream(cfg.seed, bc._T_PAYLOAD, 0).integers(
+            0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, n_ant, cfg.qam_order))
+        for mode_idx, rs_mode in enumerate((RsMode.LEARNING, RsMode.CONVENTIONAL)):
+            grid = build_grid(cfg.numerology, n_ant, cfg.n_symbols, cfg.rs_spacing, rs_mode, bits,
+                              bc._stream(cfg.seed, bc._T_RS, 0, mode_idx), order=cfg.qam_order)
+            tx = ofdm_modulate(grid, cfg.numerology)
+            want = [apply_channel(ch, tx, snr, bc._stream(cfg.seed, bc._T_NOISE, 0, si, mode_idx))
+                    for si, snr in enumerate(cfg.snr_db)]
+            assert seen[rs_mode].shape == (len(cfg.snr_db), n_ant, tx.shape[1])
+            for got, (y, _) in zip(seen[rs_mode], want):
+                assert got.tobytes() == y.tobytes()
+        assert noise_vars == [nv for _, nv in want]  # the LMMSE mode's, the last one built
 
     def test_grid_mode_wiring(self):
         # with orthogonal (conventional) combs a noiseless 4x4 system is

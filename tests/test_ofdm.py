@@ -20,6 +20,24 @@ from rclab.ofdm import (
 )
 
 
+def per_axis_demap(symbols, order):
+    """The per-axis hard decision: each axis's rounded level index, Gray-coded and split into bits."""
+    s = np.asarray(symbols, dtype=np.complex128).ravel()
+    k = bits_per_symbol(order)
+    m = int(np.sqrt(order))
+    scale = np.sqrt(3.0 / (2.0 * (order - 1)))
+
+    def axis_bits(vals):
+        idx = np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
+        gray = idx ^ (idx >> 1)
+        return (gray[:, None] >> np.arange(k // 2 - 1, -1, -1)) & 1
+
+    out = np.empty((s.size, k), dtype=np.int64)
+    out[:, 0::2] = axis_bits(s.real)
+    out[:, 1::2] = axis_bits(s.imag)
+    return out.ravel()
+
+
 def make_grid(n_sc=64, n_cp=8, n_tx=1, n_sym=4, spacing=4, mode=RsMode.LEARNING, order=16, seed=0):
     num = OfdmNumerology(n_sc, n_cp)
     rng = np.random.default_rng(seed)
@@ -47,6 +65,25 @@ class TestQam:
         bits = qam_demap(np.array([corner]), 16)
         noisy = qam_demap(np.array([corner + 0.01 * (1 + 1j)]), 16)
         np.testing.assert_array_equal(noisy, bits)
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_table_matches_per_axis_decision(self, order):
+        m = int(np.sqrt(order))
+        scale = np.sqrt(3.0 / (2.0 * (order - 1)))
+        # the midpoints between levels (and those one ulp either side), the
+        # outermost levels' far side, and signed zeros
+        edges = scale * np.arange(-(m - 2), m - 1, 2.0)
+        axis = np.concatenate([
+            edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf),
+            scale * np.array([-(m - 1), m - 1, -1e3, 1e3]), [0.0, -0.0, 1e300, -1e300],
+        ])
+        rng = np.random.default_rng(order)
+        noisy = 2.0 * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
+        symbols = np.concatenate([(axis[:, None] + 1j * axis[None, :]).ravel(), noisy])
+        with np.errstate(invalid="ignore"):  # +-1e300 overflow the index cast in both
+            got, want = qam_demap(symbols, order), per_axis_demap(symbols, order)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
 
     def test_bit_count_mismatch(self):
         with pytest.raises(ValueError):
@@ -108,6 +145,17 @@ class TestGrid:
         with pytest.raises(ValueError):
             build_grid(num, 1, 4, 4, RsMode.LEARNING, np.zeros(10, dtype=int), np.random.default_rng(0))
 
+    def test_batched_demap_is_per_element_demap(self):
+        _, grid, bits = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
+        rng = np.random.default_rng(5)
+        batch = grid.symbols + 0.3 * rng.standard_normal((3,) + grid.symbols.shape)
+        got = demap_data_bits(batch, grid.kind, 16)
+        assert got.shape == (3, bits.size)
+        for row, element in zip(got, batch):
+            np.testing.assert_array_equal(row, demap_data_bits(element, grid.kind, 16))
+            pos = data_positions(grid.kind)
+            np.testing.assert_array_equal(row, per_axis_demap(element[pos[:, 2], pos[:, 1], pos[:, 0]], 16))
+
     def test_data_positions_canonical_order(self):
         _, grid, _ = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
         pos = data_positions(grid.kind)
@@ -147,6 +195,16 @@ class TestModulation:
         est = ofdm_demodulate(rx[None, :], num, grid.n_sym)
         h_freq = np.fft.fft(h, num.n_sc)
         np.testing.assert_allclose(est[:, :, 0], h_freq[:, None] * grid.symbols[:, :, 0], atol=1e-9)
+
+    def test_batched_demodulation_is_per_element(self):
+        num, grid, _ = make_grid(n_sc=64, n_cp=8, n_tx=2, mode=RsMode.CONVENTIONAL)
+        tx = ofdm_modulate(grid, num)
+        rng = np.random.default_rng(6)
+        batch = tx + rng.standard_normal((3,) + tx.shape)
+        got = ofdm_demodulate(batch, num, grid.n_sym)
+        assert got.shape == (3,) + grid.symbols.shape
+        for row, element in zip(got, batch):
+            assert row.tobytes() == ofdm_demodulate(element, num, grid.n_sym).tobytes()
 
     def test_sample_count_checked(self):
         num = OfdmNumerology(32, 4)

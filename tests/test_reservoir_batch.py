@@ -97,7 +97,7 @@ def test_batched_states_match_recursion_and_oracle(c):
     spec, x, _ = make_case(c)
     b, _, t = x.shape
     block = np.zeros((t + 1, b * spec.n_neurons), dtype=complex)
-    reservoir._advance([spec], x, block)
+    reservoir._advance([spec], reservoir._stack([spec], b), x, block)
     np.testing.assert_array_equal(block[0], 0)
     states = block[1:].reshape(t, b, spec.n_neurons)
     for i in range(b):
@@ -129,6 +129,60 @@ def test_batch_equalizes_each_element_as_alone(c):
             # but BLAS kernels round block tails differently from block bodies
             np.testing.assert_allclose(out[i], ref, rtol=0, atol=tol)
             np.testing.assert_allclose(alone[0], ref, rtol=0, atol=tol)
+
+
+@given(CASES)
+@SETTINGS
+def test_row_order_drive_matches_column_product(c):
+    # with no recurrence and no activation the states are the drive itself
+    spec, x, _ = make_case(dict(c, activation="linear"))
+    spec = ReservoirSpec(w_in=spec.w_in, w_res=np.zeros((spec.n_neurons, spec.n_neurons)))
+    b, d_in, t = x.shape
+    block = np.zeros((t + 1, b * spec.n_neurons), dtype=complex)
+    reservoir._advance([spec], reservoir._stack([spec], b), x, block)
+    states = block[1:].reshape(t, b, spec.n_neurons)
+    eps = np.finfo(np.float64).eps
+    for i in range(b):
+        want = spec.w_in @ x[i]
+        # the rounding bound of a length-d_in dot product
+        bound = (d_in + 1) * eps * (np.abs(spec.w_in) @ np.abs(x[i]))
+        assert np.all(np.abs(states[:, i].T - want) <= bound)
+
+
+@given(CASES)
+@SETTINGS
+def test_streamed_readout_matches_feature_product(c):
+    # the stream reads its states in place and its window from a reused
+    # buffer; the output is the readout of the feature array of the same
+    # states, within the rounding of a length-feature_dim dot product
+    spec, x, target = make_case(c)
+    states = {}
+
+    def apply_readout(out, readout, st, window, t0):
+        states.setdefault(id(readout), []).append((t0, st.copy()))
+        return apply_readout.real(out, readout, st, window, t0)
+
+    apply_readout.real = reservoir._apply_readout
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), \
+            mock.patch.object(reservoir, "_apply_readout", apply_readout):
+        [out], [readouts] = train_and_equalize([spec], x, target, c["d_max"], c["ridge"])
+    eps = np.finfo(np.float64).eps
+    for i, ro in enumerate(readouts):
+        blocks = sorted(states[id(ro)], key=lambda b: b[0])
+        padded = np.concatenate([x[i], np.zeros((x.shape[1], c["d_max"]), dtype=complex)], axis=1)
+        feats = reservoir._features(spec, np.hstack([b for _, b in blocks]), padded)
+        assert feats.shape[1] == padded.shape[1]
+        want = (ro.w_out @ feats)[:, ro.delay : ro.delay + x.shape[2]]
+        bound = eps * spec.feature_dim * np.linalg.norm(ro.w_out) * np.linalg.norm(feats, axis=0)
+        assert np.all(np.abs(out[i] - want) <= bound[ro.delay : ro.delay + x.shape[2]])
+
+
+def test_stack_layout_built_once_per_call():
+    specs, x, target = make_stack(MIXED_STACK)
+    with mock.patch.object(reservoir, "_stack", wraps=reservoir._stack) as stack:
+        train_and_equalize(specs, x, target, MIXED_STACK["d_max"])
+    # once for the stream and once for each core's training prefix
+    assert stack.call_count == 1 + len(specs)
 
 
 @given(CASES)
@@ -196,10 +250,10 @@ def make_stack(c):
 def plain_states(spec, x):
     """One core's recursion written out per sample: the bits every stacked core must keep.
 
-    The products are ``diag * s`` and ``s @ W_res.T``, as a detector that
-    runs one core alone forms them.
+    The products are the row-order drive ``x.T @ W_in.T``, ``diag * s`` and
+    ``s @ W_res.T``, as a detector that runs one core alone forms them.
     """
-    drive = spec.w_in @ x
+    drive = (x.T @ spec.w_in.T).T
     diag = np.diagonal(spec.w_res) if spec.is_diagonal else None
     s = np.zeros(spec.n_neurons, dtype=complex)
     out = np.empty((spec.n_neurons, x.shape[1]), dtype=complex)
@@ -218,8 +272,9 @@ def test_stacked_states_keep_plain_recursion_bits(c):
     specs, x, _ = make_stack(c)
     b, _, t = x.shape
     block = np.zeros((t + 1, b * sum(s.n_neurons for s in specs)), dtype=complex)
-    reservoir._advance(specs, x, block)
-    for spec, cols in zip(specs, reservoir._stack(specs, b)[0]):
+    layout = reservoir._stack(specs, b)
+    reservoir._advance(specs, layout, x, block)
+    for spec, cols in zip(specs, layout[0]):
         states = block[1:, cols].reshape(t, b, spec.n_neurons)
         for i in range(b):
             np.testing.assert_array_equal(states[:, i].T, plain_states(spec, x[i]))
