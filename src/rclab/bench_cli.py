@@ -308,12 +308,13 @@ def rc_detect(
     core of ``specs`` (including its decision delay), refitted from scratch;
     no channel estimate is ever formed.  One state recursion advances every
     core over the whole batch.  Returns, per core, the ``(batch, n_bits)``
-    bits.
+    ``uint8`` bits; each core's equalized waveform is freed once demodulated.
     """
     target = rs_time_waveform(tx_grid, numerology)
     equalized, _ = train_and_equalize(specs, rx_batch, target, d_max, ridge)
     n_sym, kind, order = tx_grid.n_sym, tx_grid.kind, tx_grid.qam_order
-    return [demap_data_bits(ofdm_demodulate(core, numerology, n_sym), kind, order) for core in equalized]
+    return [demap_data_bits(ofdm_demodulate(equalized.pop(0), numerology, n_sym), kind, order)
+            for _ in specs]
 
 
 def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -371,7 +372,7 @@ def lmmse_detect(
     pdp: PowerDelayProfile,
     noise_vars,
 ) -> np.ndarray:
-    """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` bits.
+    """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` ``uint8`` bits.
 
     ``rx_batch`` is ``(batch, n_rx, T)``, and each element is equalized at
     its own entry of ``noise_vars``.  The RS correlations and the demap are

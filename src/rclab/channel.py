@@ -49,12 +49,14 @@ class PowerDelayProfile:
             raise ValueError("first tap delay must be 0")
         if np.any(np.diff(d) <= 0):
             raise ValueError("delays must be strictly ascending")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"tap powers must be finite, got {p.tolist()}")
         if np.any(p <= 0):
             raise ValueError("tap powers must be positive")
         if abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("tap powers must sum to 1 (use from_linear to normalize)")
-        if self.k_factor is not None and self.k_factor < 0:
-            raise ValueError("k_factor must be non-negative")
+        if self.k_factor is not None and not 0 <= self.k_factor < np.inf:
+            raise ValueError(f"k_factor must be finite and non-negative, got {self.k_factor}")
         object.__setattr__(self, "delays", d)
         object.__setattr__(self, "powers", p)
 
@@ -102,7 +104,10 @@ class PowerDelayProfile:
                 continue
             if len(parts) != 2:
                 raise ValueError(f"{path}:{ln}: expected 'delay_samples power_db'")
-            delays.append(int(float(parts[0])))
+            delay = float(parts[0])
+            if not delay.is_integer():
+                raise ValueError(f"{path}:{ln}: delay {parts[0]} is not a whole number of samples")
+            delays.append(int(delay))
             powers_db.append(float(parts[1]))
         if not delays:
             raise ValueError(f"{path}: no taps found")
@@ -328,10 +333,12 @@ def add_awgn(y: np.ndarray, snr_db, rng) -> float:
     The SNR is the average power of ``y`` as given over the noise power,
     per receive antenna, and the returned variance is the mean over the
     antennas.  ``snr_db=None`` (or ``inf``) leaves ``y`` as it is and
-    returns 0.
+    returns 0; ``-inf`` and NaN raise ``ValueError``.
     """
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return 0.0
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, inf or None, got {snr_db}")
     snr = 10.0 ** (snr_db / 10.0)
     p_sig = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True)
     noise_var = p_sig / snr

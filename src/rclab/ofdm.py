@@ -94,11 +94,12 @@ def qam_map(bits, order: int) -> np.ndarray:
 
 
 def qam_demap(symbols, order: int) -> np.ndarray:
-    """Nearest-neighbor hard decisions back to bits (inverse of :func:`qam_map`).
+    """Nearest-neighbor hard decisions back to ``uint8`` bits (inverse of :func:`qam_map`).
 
     Each axis rounds to the index of its nearest level, and the index pair
     looks up the symbol's bits in one table: every bit pattern, placed at
-    the level indices of its :func:`qam_map` symbol.
+    the level indices of its :func:`qam_map` symbol.  One byte per bit keeps
+    a slot's decisions an eighth of their ``int64`` size.
     """
     s = np.asarray(symbols, dtype=np.complex128).ravel()
     k = bits_per_symbol(order)
@@ -111,7 +112,7 @@ def qam_demap(symbols, order: int) -> np.ndarray:
     def index(z):
         return axis_index(z.real) * m + axis_index(z.imag)
 
-    patterns = (np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    patterns = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
     table = np.empty_like(patterns)
     table[index(qam_map(patterns.ravel(), order))] = patterns
     return np.take(table, index(s), axis=0).ravel()
@@ -221,7 +222,7 @@ def extract_data_symbols(symbols: np.ndarray, kind: np.ndarray) -> np.ndarray:
 
 
 def demap_data_bits(symbols: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
-    """Hard-decision bits of the data REs: ``(..., n_bits)`` for ``(..., n_sc, n_sym, n_tx)`` symbols."""
+    """Hard-decision ``uint8`` bits of the data REs: ``(..., n_bits)`` for ``(..., n_sc, n_sym, n_tx)`` symbols."""
     data = extract_data_symbols(symbols, kind)
     return qam_demap(data, order).reshape(*data.shape[:-1], -1)
 

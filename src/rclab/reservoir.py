@@ -96,8 +96,14 @@ class Readout:
 
 # Samples per block of the streamed readout: states and features are built
 # and consumed one block at a time, so the equalizer's state buffer stays at
-# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.
-STREAM_CHUNK = 1024
+# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.  At 256
+# that block is 4.3 MB for a 4x4 slot's stacked cores at three SNRs (1,050
+# complex columns), against 17.2 MB at 1024.  The value stays a power of two
+# that divides 1024: BLAS rounds the tail columns of a product differently
+# from its body, so the output bits depend on where the blocks end.  Blocks of
+# 256 subdivide blocks of 1024 and keep every bit of a README slot, whose last
+# block is 44 samples either way; a chunk of 99 changes bits in every block.
+STREAM_CHUNK = 256
 
 
 def _stack(specs, n_batch: int):
@@ -342,12 +348,14 @@ def _apply_readout(out, readout: Readout, states, window, t0: int) -> None:
             dst += readout.w_out[:, k:] @ window[:, cols]
 
 
-def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float, out):
-    """One core alone over the ``(batch, d_in, L)`` known prefix: readouts and last state.
+def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float):
+    """One core alone over the ``(batch, d_in, L)`` known prefix: readouts, last state and prefix output.
 
-    Writes each element's output of the prefix into ``out``.
+    The ``(batch, n_out, L)`` prefix output holds each element's readout of
+    the prefix as its samples ``[0, L - delay)``; the rest is left unset.
     """
     n_batch, _, n_train = xs.shape
+    out = np.empty((n_batch, target.shape[0], n_train), dtype=np.complex128)
     train = np.zeros((n_train + 1, n_batch * spec.n_neurons), dtype=np.complex128)
     _advance([spec], _stack([spec], n_batch), xs, train)
     states = train[1:].reshape(n_train, n_batch, spec.n_neurons)
@@ -357,7 +365,7 @@ def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float, out):
         delay, w = _delay_search(feats, target, d_max, ridge)
         readouts.append(Readout(w, delay))
         _apply_readout(out[i], readouts[-1], feats[: spec.n_neurons], feats[spec.n_neurons :], 0)
-    return readouts, train[-1].copy()
+    return readouts, train[-1].copy(), out
 
 
 def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
@@ -384,11 +392,16 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     n_train, end = tgt.shape[1], t + d_max
     if n_train > t:
         raise ValueError(f"target has {n_train} samples but the input only {t}")
-    outs = [np.empty((n_batch, tgt.shape[0], t), dtype=np.complex128) for _ in specs]
-    trained = [_train(s, xs[:, :, :n_train], tgt, d_max, ridge, out) for s, out in zip(specs, outs)]
+    readouts, lasts, prefixes = zip(*[_train(s, xs[:, :, :n_train], tgt, d_max, ridge) for s in specs])
+    # the full-length outputs exist only once training's arrays are gone
+    outs = []
+    for prefix in prefixes:
+        outs.append(np.empty((n_batch, tgt.shape[0], t), dtype=np.complex128))
+        outs[-1][:, :, :n_train] = prefix
+    del prefixes
     width = max(c.stop for c in cols)
     block = np.empty((min(STREAM_CHUNK, end - n_train) + 1, width), dtype=np.complex128)
-    for c, (_, last) in zip(cols, trained):
+    for c, last in zip(cols, lasts):
         block[0, c] = last
     # one window buffer per core, refilled for each element and block
     windows = [np.empty((s.feature_dim - s.n_neurons, len(block) - 1), dtype=np.complex128) for s in specs]
@@ -396,13 +409,13 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     for t0 in range(n_train, end, STREAM_CHUNK):
         n = min(STREAM_CHUNK, end - t0)
         _advance(specs, layout, xs[:, :, t0 : t0 + n], block[: n + 1])
-        for spec, out, (ros, _), c, window in zip(specs, outs, trained, cols, windows):
+        for spec, out, ros, c, window in zip(specs, outs, readouts, cols, windows):
             states = block[1 : n + 1, c].reshape(n, n_batch, spec.n_neurons)
             for i, ro in enumerate(ros):
                 _window(window[:, :n], xs[i], t0)
                 _apply_readout(out[i], ro, states[:, i].T, window[:, :n], t0)
         block[0] = block[n]
-    return outs, [ros for ros, _ in trained]
+    return outs, list(readouts)
 
 
 def random_reservoir(

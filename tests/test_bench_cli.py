@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -428,6 +429,24 @@ class TestRunBerExperiment:
             for got, (y, _) in zip(seen[rs_mode], want):
                 assert got.tobytes() == y.tobytes()
         assert noise_vars == [nv for _, nv in want]  # the LMMSE mode's, the last one built
+
+    def test_mimo_slot_peak_memory_is_bounded(self):
+        # one README-numerology 4x4 slot of every detector at three SNRs peaks
+        # near 27 MiB traced; int64 bits and a 1024-sample stream block, with
+        # the outputs allocated before training, took it to 45 MiB
+        cfg = bc.ExperimentConfig(
+            snr_db=(10.0, 20.0, 30.0), detectors=bc.DETECTOR_NAMES, channel_mode="mimo",
+            n_tx=4, n_rx=4, ridge=1e-6, input_scale=0.3,
+        )
+        specs, pdp = bc._configured_specs(cfg), cfg.load_profile()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bc._slot_errors(cfg, specs, pdp, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / 2**20 <= 32.0
 
     def test_grid_mode_wiring(self):
         # with orthogonal (conventional) combs a noiseless 4x4 system is

@@ -1,3 +1,6 @@
+import re
+from importlib import resources
+
 import numpy as np
 import pytest
 import scipy.signal
@@ -9,6 +12,7 @@ from rclab.channel import (
     PowerDelayProfile,
     _draw_taps,
     _raw_taps,
+    add_awgn,
     apply_channel,
     draw_channel,
     draw_channels,
@@ -59,6 +63,47 @@ class TestPowerDelayProfile:
             pdp = load_pdp(name)
             assert pdp.label == name
             assert abs(pdp.powers.sum() - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("name", ["cdl_d", "cdl_e", "flat", "mixed_3tap"])
+    def test_packaged_profile_matches_its_text(self, name):
+        # every packaged delay is written as an integer, so the strict
+        # delay check leaves each profile as the plain parse builds it
+        k_factor, delays, powers_db = None, [], []
+        for raw in (resources.files("rclab") / "data" / f"{name}.pdp").read_text().splitlines():
+            parts = raw.split("#", 1)[0].split()
+            if parts and parts[0] == "k_factor_db":
+                k_factor = 10.0 ** (float(parts[1]) / 10.0)
+            elif parts:
+                delays.append(int(parts[0]))
+                powers_db.append(float(parts[1]))
+        want = PowerDelayProfile.from_linear(delays, 10.0 ** (np.array(powers_db) / 10.0), k_factor)
+        got = load_pdp(name)
+        assert got.delays.tobytes() == want.delays.tobytes()
+        assert got.powers.tobytes() == want.powers.tobytes()
+        assert got.k_factor == want.k_factor
+
+    def test_non_finite_power_rejected(self, tmp_path):
+        p = tmp_path / "nan.pdp"
+        p.write_text("0 0\n1 nan\n")
+        with pytest.raises(ValueError, match="tap powers must be finite"):
+            PowerDelayProfile.from_file(p)
+        with pytest.raises(ValueError, match="tap powers must be finite"):
+            PowerDelayProfile(delays=[0, 1], powers=[0.5, np.inf])
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_k_factor_rejected(self, tmp_path, value):
+        p = tmp_path / "k.pdp"
+        p.write_text(f"k_factor_db {value}\n0 0\n")
+        with pytest.raises(ValueError, match="k_factor must be finite"):
+            PowerDelayProfile.from_file(p)
+
+    def test_fractional_delay_rejected(self, tmp_path):
+        p = tmp_path / "frac.pdp"
+        p.write_text("0 0\n2.7 -3\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: delay 2.7 is not a whole number")):
+            PowerDelayProfile.from_file(p)
+        p.write_text("0 0\n2.0 -3\n")
+        np.testing.assert_array_equal(PowerDelayProfile.from_file(p).delays, [0, 2])
 
     def test_load_missing(self):
         with pytest.raises(FileNotFoundError):
@@ -322,6 +367,19 @@ class TestApplyChannel:
         measured = 10 * np.log10(np.mean(np.abs(y_clean) ** 2) / np.mean(np.abs(y - y_clean) ** 2))
         assert abs(measured - 10.0) < 0.2
         assert abs(nv - 0.1) < 0.01
+
+    @pytest.mark.parametrize("snr_db", [None, np.inf])
+    def test_awgn_off_leaves_signal(self, snr_db):
+        y = np.array([[1 + 2j, 3 - 1j]])
+        assert add_awgn(y, snr_db, np.random.default_rng(0)) == 0.0
+        np.testing.assert_array_equal(y, [[1 + 2j, 3 - 1j]])
+
+    @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+    def test_awgn_rejects_bad_snr(self, snr_db):
+        y = np.array([[1 + 2j, 3 - 1j]])
+        with pytest.raises(ValueError, match=f"snr_db must be finite, inf or None, got {snr_db}"):
+            add_awgn(y, snr_db, np.random.default_rng(0))
+        np.testing.assert_array_equal(y, [[1 + 2j, 3 - 1j]])
 
     def test_mimo_matches_dense_oracle(self):
         rng = np.random.default_rng(10)

@@ -21,7 +21,7 @@ from rclab.ofdm import (
 
 
 def per_axis_demap(symbols, order):
-    """The per-axis hard decision: each axis's rounded level index, Gray-coded and split into bits."""
+    """The per-axis hard decision: each axis's rounded level index, Gray-coded and split into ``uint8`` bits."""
     s = np.asarray(symbols, dtype=np.complex128).ravel()
     k = bits_per_symbol(order)
     m = int(np.sqrt(order))
@@ -32,7 +32,7 @@ def per_axis_demap(symbols, order):
         gray = idx ^ (idx >> 1)
         return (gray[:, None] >> np.arange(k // 2 - 1, -1, -1)) & 1
 
-    out = np.empty((s.size, k), dtype=np.int64)
+    out = np.empty((s.size, k), dtype=np.uint8)
     out[:, 0::2] = axis_bits(s.real)
     out[:, 1::2] = axis_bits(s.imag)
     return out.ravel()

@@ -13,6 +13,7 @@ recursion; each core must keep, to the bit, what it gets alone in a batch of
 one, and the states of the per-sample recursion written out plainly.
 """
 
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rclab import reservoir
+from rclab import bench_cli, reservoir
 from rclab.reservoir import (
     ReservoirSpec,
     block_states,
@@ -297,6 +298,46 @@ def test_stack_equalizes_each_core_as_alone(c):
                 assert ros[i].delay == ro_alone.delay
                 np.testing.assert_array_equal(ros[i].w_out, ro_alone.w_out)
                 np.testing.assert_array_equal(out[i], alone[0])
+
+
+@pytest.mark.parametrize("ridge", [0.0, 1e-6])
+@pytest.mark.parametrize("n_ant", [1, 4])
+@pytest.mark.parametrize("tail", ["short", "long"])
+def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
+    # the detectors' stack (two configured diagonal cores, two dense random
+    # ones) over a README slot, whose stream after the RS symbol is 15 blocks
+    # of 1024 samples and a last block of 44.  Blocks of 256 subdivide blocks
+    # of 1024, so every output sample keeps its bits.  A last 1024-block of
+    # 256 samples or more ends in a shorter 256-block, whose tail BLAS may
+    # round differently: there only the last block may change, by rounding.
+    cfg = bench_cli.ExperimentConfig(
+        detectors=bench_cli.RC_DETECTOR_NAMES, channel_mode="mimo" if n_ant > 1 else "siso",
+        n_tx=n_ant, n_rx=n_ant, input_scale=0.3,
+    )
+    specs = list(bench_cli._configured_specs(cfg).values())
+    assert [s.is_diagonal for s in specs] == [True, True, False, False]
+    n_train = cfg.numerology.symbol_len
+    t = cfg.n_symbols * n_train - (0 if tail == "short" else 300)
+    last = n_train + (t + cfg.d_max - n_train) // 1024 * 1024 - cfg.d_max
+    rng = np.random.default_rng(n_ant)
+    x = rng.standard_normal((1, n_ant, t)) + 1j * rng.standard_normal((1, n_ant, t))
+    target = rng.standard_normal((n_ant, n_train)) + 1j * rng.standard_normal((n_ant, n_train))
+    runs = []
+    for chunk in (1024, reservoir.STREAM_CHUNK):
+        with mock.patch.object(reservoir, "STREAM_CHUNK", chunk), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # the td core's rank at ridge 0
+            runs.append(train_and_equalize(specs, x, target, cfg.d_max, ridge))
+    assert reservoir.STREAM_CHUNK == 256
+    (outs_1024, ros_1024), (outs, ros) = runs
+    for out_1024, out, core_1024, core in zip(outs_1024, outs, ros_1024, ros):
+        for ro_1024, ro in zip(core_1024, core):
+            assert ro.delay == ro_1024.delay
+            assert ro.w_out.tobytes() == ro_1024.w_out.tobytes()
+        if tail == "short":
+            assert out.tobytes() == out_1024.tobytes()
+        else:
+            assert out[..., :last].tobytes() == out_1024[..., :last].tobytes()
+            np.testing.assert_allclose(out, out_1024, rtol=0, atol=1e-8 * np.abs(out_1024).max())
 
 
 @pytest.mark.parametrize("field, value", [("activation", "linear"), ("d_in", 2)])
