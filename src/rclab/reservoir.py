@@ -101,8 +101,9 @@ class Readout:
 # complex columns), against 17.2 MB at 1024.  The value stays a power of two
 # that divides 1024: BLAS rounds the tail columns of a product differently
 # from its body, so the output bits depend on where the blocks end.  Blocks of
-# 256 subdivide blocks of 1024 and keep every bit of a README slot, whose last
-# block is 44 samples either way; a chunk of 99 changes bits in every block.
+# 256 subdivide blocks of 1024, so only a last 1024-block of 256 samples or
+# more may round differently; a README slot's is 44 samples and keeps every
+# bit.  A chunk of 99 does not keep them.
 STREAM_CHUNK = 256
 
 
