@@ -29,6 +29,7 @@ import argparse
 import configparser
 import os
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -317,51 +318,48 @@ def rc_detect(
             for _ in specs]
 
 
-def _frequency_correlation(pdp: PowerDelayProfile, n_sc: int, cols: np.ndarray) -> np.ndarray:
-    """Channel frequency-correlation columns R[:, cols] from the tap powers."""
-    k = np.arange(n_sc)
-    steer = np.exp(-2j * np.pi * np.outer(k, pdp.delays) / n_sc)  # (n_sc, taps)
-    return (steer * pdp.powers) @ steer[cols].conj().T
+def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
+    """``F diag(√p)``, ``(n_sc, n_taps)``: the PDP's steering matrix, root-power scaled.
 
-
-def _rs_correlations(tx_grid: ResourceGrid, pdp: PowerDelayProfile) -> list:
-    """Per TX antenna: its RS subcarriers ``ks``, ``R[:, ks]`` and ``R_ks``, shared by every SNR."""
-    out = []
-    for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
-        if ks.size == 0:
-            raise ValueError(f"no RS resource elements for antenna {tx}")
-        r_cross = _frequency_correlation(pdp, tx_grid.n_sc, ks)  # (n_sc, n_ks)
-        out.append((ks, r_cross, r_cross[ks]))
-    return out
+    In ``F = exp(-2πi k τ / n_sc)`` the phase ``k τ`` is reduced mod ``n_sc``
+    exactly, so taps aliasing on an RS comb match there to rounding.
+    """
+    phasors = np.exp(-2j * np.pi * np.arange(n_sc) / n_sc)
+    return phasors[np.outer(np.arange(n_sc), pdp.delays) % n_sc] * np.sqrt(pdp.powers)
 
 
 def _estimate_channel_freq(
     rx_grid: np.ndarray,
     tx_grid: ResourceGrid,
-    correlations: list,
+    pdp: PowerDelayProfile,
+    basis: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair.
 
-    ``correlations`` is :func:`_rs_correlations`'s.  ``R_ks`` has rank at
-    most the tap count, so ``R_ks + sigma I`` is singular in floating point
-    once ``sigma`` is under the rank tolerance of ``lstsq`` (``eps · n_ks``
-    times the trace, which bounds the largest eigenvalue), as at
-    ``noise_var = 0``.  There the estimate is its ``sigma -> 0`` limit,
-    ``lstsq``'s minimum-norm solve against ``R_ks``; above it the matrix is
-    positive definite and one LU solve serves.
+    With ``R = basis basisᴴ`` (:func:`_tap_basis`), ``A = basis[ks]`` on an
+    antenna's RS subcarriers and ``σ`` the backed-off noise variance, the
+    push-through identity gives ``R[:, ks] (R_ks + σI)⁻¹ ls = basis z`` for
+    the least-squares ``z`` of ``[A; √σ I] z ≈ [ls; 0]``: one ``lstsq`` for
+    every σ ≥ 0.  At σ = 0, or σ lost to rounding, it is the minimum-norm
+    σ → 0 limit, and a rank below the tap count (aliasing delays) warns.
     """
     n_sc, _, n_rx = rx_grid.shape
-    sigma_est = noise_var * LMMSE_ESTIMATION_BACKOFF
+    n_taps = basis.shape[1]
+    root_sigma = np.sqrt(noise_var * LMMSE_ESTIMATION_BACKOFF)
     h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
-    for tx, (ks, r_cross, r_ks) in enumerate(correlations):
+    for tx in range(tx_grid.n_tx):
+        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
+        if ks.size == 0:
+            raise ValueError(f"no RS resource elements for antenna {tx}")
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
-        if sigma_est > np.finfo(np.float64).eps * ks.size * np.trace(r_ks).real:
-            x = np.linalg.solve(r_ks + sigma_est * np.eye(ks.size), ls)
-        else:
-            x = np.linalg.lstsq(r_ks, ls, rcond=None)[0]
-        h[:, :, tx] = r_cross @ x
+        z, _, rank, _ = np.linalg.lstsq(np.vstack([basis[ks], root_sigma * np.eye(n_taps)]),
+                                        np.vstack([ls, np.zeros((n_taps, n_rx))]), rcond=None)
+        if rank < n_taps:
+            warnings.warn(f"LMMSE channel estimate is rank-deficient: PDP delays "
+                          f"{pdp.delays.tolist()} span rank {rank} of {n_taps} on {ks.size} RS "
+                          "subcarriers; the estimate is the minimum-norm one", stacklevel=3)
+        h[:, :, tx] = basis @ z
     return h
 
 
@@ -375,20 +373,20 @@ def lmmse_detect(
     """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` ``uint8`` bits.
 
     ``rx_batch`` is ``(batch, n_rx, T)``, and each element is equalized at
-    its own entry of ``noise_vars``.  The RS correlations and the demap are
+    its own entry of ``noise_vars``.  The PDP's tap basis and the demap are
     shared by the batch.
     """
     rx_grids = ofdm_demodulate(rx_batch, numerology, tx_grid.n_sym)  # (batch, n_sc, n_sym, n_rx)
-    correlations = _rs_correlations(tx_grid, pdp)
+    basis = _tap_basis(pdp, tx_grid.n_sc)
     est = np.empty(rx_grids.shape[:-1] + (tx_grid.n_tx,), dtype=np.complex128)
     for rx_grid, noise_var, out in zip(rx_grids, noise_vars, est):
-        h = _estimate_channel_freq(rx_grid, tx_grid, correlations, noise_var)
-        # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1} with bias correction
-        n_rx = h.shape[1]
-        gram = h @ h.conj().transpose(0, 2, 1) + noise_var * np.eye(n_rx)[None]
-        y = rx_grid.transpose(0, 2, 1)  # (n_sc, n_rx, n_sym)
-        x_hat = h.conj().transpose(0, 2, 1) @ np.linalg.solve(gram, y)  # (n_sc, n_tx, n_sym)
-        gains = np.einsum("kij,kji->ki", h.conj().transpose(0, 2, 1), np.linalg.solve(gram, h))
+        h = _estimate_channel_freq(rx_grid, tx_grid, pdp, basis, noise_var)
+        # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1}, bias-corrected; one solve for [y | h]
+        hh = h.conj().transpose(0, 2, 1)
+        gram = h @ hh + noise_var * np.eye(h.shape[1])[None]
+        sol = np.linalg.solve(gram, np.concatenate([rx_grid.transpose(0, 2, 1), h], axis=2))
+        x_hat = hh @ sol[:, :, : tx_grid.n_sym]  # (n_sc, n_tx, n_sym)
+        gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
         safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
         out[...] = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
     return demap_data_bits(est, tx_grid.kind, tx_grid.qam_order)

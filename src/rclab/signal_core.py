@@ -161,9 +161,11 @@ class HermitianEig:
     vectors: np.ndarray
 
 
-def hermitian_eig(k) -> HermitianEig:
+def hermitian_eig(k, n_vectors: int | None = None) -> HermitianEig:
     """Eigen-decomposition of a Hermitian matrix with deterministic ordering.
 
+    Returns every eigenvalue and the top ``n_vectors`` eigenvectors (all when
+    ``None``); a kept column is the same to the bit whatever the count.
     Raises :class:`NonHermitianError` when ``||K - K^H|| > 1e-8 ||K||``.
     """
     km = np.asarray(k, dtype=np.complex128)
@@ -174,7 +176,7 @@ def hermitian_eig(k) -> HermitianEig:
         raise NonHermitianError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(km)
     values = values[::-1].copy()
-    vectors = vectors[:, ::-1].copy()
+    vectors = vectors[:, ::-1][:, :n_vectors].copy()
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         sig = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))

@@ -117,7 +117,7 @@ def pca_basis(vectors, m: int) -> np.ndarray:
     k = empirical_covariance(vectors)
     if not 1 <= m <= k.shape[0]:
         raise ValueError(f"need 1 <= m <= {k.shape[0]}")
-    return hermitian_eig(k).vectors[:, :m].copy()
+    return hermitian_eig(k, m).vectors
 
 
 def mp_compensate(f: np.ndarray) -> ConfiguredBasis:

@@ -4,25 +4,37 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab import bench_cli as bc
 from rclab import channel
 from rclab.channel import (
     AngleModel,
     PowerDelayProfile,
+    add_awgn,
     apply_channel,
     load_pdp,
     sample_parametric_mimo,
 )
 from rclab.filters import Phase
-from rclab.ofdm import OfdmNumerology, RsMode, build_grid, ofdm_modulate, payload_bit_count
+from rclab.ofdm import (
+    OfdmNumerology,
+    RsMode,
+    build_grid,
+    ofdm_demodulate,
+    ofdm_modulate,
+    payload_bit_count,
+)
 from rclab.reservoir import random_reservoir
 
 from channel_reference import factorize_by_phase
+from lmmse_reference import reference_estimate
 
 
 CONFIG_TEXT = """
@@ -334,6 +346,61 @@ class TestLmmseDetect:
         grid.kind[:, 0, :] = 0
         with pytest.raises(ValueError, match="no RS"):
             bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), [0.0])
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        delays=st.lists(st.integers(1, 47), max_size=7, unique=True).map(lambda d: [0] + sorted(d)),
+        powers=st.lists(st.floats(0.01, 1.0), min_size=8, max_size=8),
+        comb=st.sampled_from([(1, 64), (4, 64), (4, 256)]),  # (n_tx, n_sc): 16, 4, 16 RS subcarriers
+        sigma=st.sampled_from([0.0, 1e-30, 0.01]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_tap_domain_matches_correlation_oracle(self, delays, powers, comb, sigma, seed):
+        n_tx, n_sc = comb
+        pdp = PowerDelayProfile.from_linear(delays, powers[: len(delays)])
+        num, grid, _, _ = detect_setup(n_sc=n_sc, n_tx=n_tx, mode=RsMode.CONVENTIONAL, seed=seed)
+        rng = np.random.default_rng(seed)
+        rx = rng.standard_normal((n_sc, 2, n_tx)) + 1j * rng.standard_normal((n_sc, 2, n_tx))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = bc._estimate_channel_freq(rx, grid, pdp, bc._tap_basis(pdp, n_sc), sigma)
+        ref = reference_estimate(rx, grid, pdp, sigma)
+        np.testing.assert_allclose(h, ref, rtol=0, atol=1e-9 * max(1.0, np.abs(ref).max()))
+        # the taps are rank-deficient on the comb exactly when two delays alias on it
+        n_ks = n_sc // (4 * n_tx)
+        aliased = len({d % n_ks for d in delays}) < len(delays)
+        assert len(caught) == (n_tx if aliased and sigma < 1e-20 else 0)
+
+    def test_aliasing_delays_warn_and_take_min_norm(self):
+        # delays 0 and 16 are equal modulo the 16 RS subcarriers of a 64-subcarrier comb
+        num, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
+        pdp = PowerDelayProfile.from_linear([0, 5, 16], [0.6, 0.3, 0.1])
+        rx = ofdm_demodulate(tx, num, grid.n_sym)
+        with pytest.warns(UserWarning, match=r"delays \[0, 5, 16\] span rank 2 of 3 on 16 RS "
+                                             r"subcarriers; the estimate is the minimum-norm one"):
+            h = bc._estimate_channel_freq(rx, grid, pdp, bc._tap_basis(pdp, 64), 0.0)
+        np.testing.assert_allclose(h, reference_estimate(rx, grid, pdp, 0.0), rtol=0, atol=1e-12)
+
+    def test_siso_readme_slot_memory(self):
+        # a batch of three SNRs at the README numerology: the tap-domain
+        # estimate forms no (n_sc, n_ks) correlation (8.2 MiB when it did)
+        cfg = bc.ExperimentConfig(snr_db=(10.0, 20.0, 30.0), detectors=("lmmse",))
+        num, pdp = cfg.numerology, cfg.load_profile()
+        rng = np.random.default_rng(13)
+        bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
+        grid = build_grid(num, 1, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL, bits, rng)
+        clean, _ = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num),
+                                 None, None)
+        batch = np.repeat(clean[None], 3, axis=0)
+        noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bc.lmmse_detect(batch, grid, num, pdp, noise_vars)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - start) / 2**20 <= 5.0
 
 
 class TestRunBerExperiment:

@@ -153,6 +153,16 @@ class TestHermitianEig:
             lead = col[np.flatnonzero(np.abs(col) > 1e-12)[0]]
             assert abs(lead.imag) <= 1e-12 and lead.real > 0
 
+    def test_top_vectors_bit_identical(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((32, 32)) + 1j * rng.standard_normal((32, 32))
+        full = hermitian_eig(a @ a.conj().T)
+        for m in (1, 5, 32):
+            top = hermitian_eig(a @ a.conj().T, m)
+            np.testing.assert_array_equal(top.values, full.values)
+            np.testing.assert_array_equal(top.vectors, full.vectors[:, :m])
+            assert top.vectors.flags.c_contiguous
+
 
 class TestLeastSquares:
     """The package's unregularized least squares: the readout fit at ridge 0.
