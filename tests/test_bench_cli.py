@@ -382,8 +382,8 @@ class TestLmmseDetect:
         np.testing.assert_allclose(h, reference_estimate(rx, grid, pdp, 0.0), rtol=0, atol=1e-12)
 
     def test_siso_readme_slot_memory(self):
-        # a batch of three SNRs at the README numerology: the tap-domain
-        # estimate forms no (n_sc, n_ks) correlation (8.2 MiB when it did)
+        # a batch of three SNRs at the README numerology, where one (n_sc, n_ks)
+        # correlation matrix alone is 4.2 MB: the estimate must form none
         cfg = bc.ExperimentConfig(snr_db=(10.0, 20.0, 30.0), detectors=("lmmse",))
         num, pdp = cfg.numerology, cfg.load_profile()
         rng = np.random.default_rng(13)
