@@ -30,7 +30,6 @@ import configparser
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -54,10 +53,12 @@ from .ofdm import (
     ResourceGrid,
     RsMode,
     build_grid,
+    data_bits,
     demap_data_bits,
     ofdm_demodulate,
     ofdm_modulate,
     payload_bit_count,
+    qam_decide,
     rs_time_waveform,
 )
 from .reservoir import (
@@ -308,14 +309,34 @@ def rc_detect(
     slot, such as one per SNR.  Each element gets its own readout in every
     core of ``specs`` (including its decision delay), refitted from scratch;
     no channel estimate is ever formed.  One state recursion advances every
-    core over the whole batch.  Returns, per core, the ``(batch, n_bits)``
-    ``uint8`` bits; each core's equalized waveform is freed once demodulated.
+    core over the whole batch.  The stream's output spans are cut into OFDM
+    symbols; each symbol is demodulated as soon as it is complete and only
+    its ``uint8`` QAM decisions are kept, so no equalized waveform of the
+    slot is ever held.  Returns, per core, the ``(batch, n_bits)`` ``uint8``
+    bits.
     """
     target = rs_time_waveform(tx_grid, numerology)
-    equalized, _ = train_and_equalize(specs, rx_batch, target, d_max, ridge)
-    n_sym, kind, order = tx_grid.n_sym, tx_grid.kind, tx_grid.qam_order
-    return [demap_data_bits(ofdm_demodulate(equalized.pop(0), numerology, n_sym), kind, order)
-            for _ in specs]
+    stream = train_and_equalize(specs, rx_batch, target, d_max, ridge)
+    next(stream)  # the readouts; the buffers below exist only once training's arrays are gone
+    sym_len, order = numerology.symbol_len, tx_grid.qam_order
+    # one OFDM symbol of every core, element and output, and every core's decisions, stored
+    # (n_tx, n_sym, n_sc) in the payload's order so that gathering the bits copies no grid
+    symbol = np.empty((len(specs), len(rx_batch), target.shape[0], sym_len), dtype=np.complex128)
+    decisions = np.zeros(symbol.shape[:2] + tx_grid.symbols.shape[::-1], dtype=np.uint8)
+    pos = sym_len  # the stream starts after the RS symbol, which carries no data
+    for spans in stream:
+        j, n = 0, spans[0].shape[2]
+        while j < n:
+            sym, off = divmod(pos + j, sym_len)
+            m = min(n - j, sym_len - off)
+            for dst, span in zip(symbol, spans):
+                dst[:, :, off : off + m] = span[:, :, j : j + m]
+            if off + m == sym_len:
+                grid = ofdm_demodulate(symbol, numerology, 1)[..., 0, :]  # (..., n_sc, n_tx)
+                decisions[..., sym, :] = qam_decide(grid, order).swapaxes(-1, -2)
+            j += m
+        pos += n
+    return [data_bits(dec.swapaxes(-1, -3), tx_grid.kind, order) for dec in decisions]
 
 
 def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
@@ -328,37 +349,52 @@ def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
     return phasors[np.outer(np.arange(n_sc), pdp.delays) % n_sc] * np.sqrt(pdp.powers)
 
 
+def _rs_combs(tx_grid: ResourceGrid, pdp: PowerDelayProfile, basis: np.ndarray) -> list:
+    """Each TX antenna's RS subcarriers ``ks`` of symbol 0; warns where ``basis[ks]`` loses rank.
+
+    Taps whose delays alias on an antenna's comb give ``A = basis[ks]`` a
+    rank below the tap count, whatever the noise: the comb cannot tell them
+    apart, and the estimate is the minimum-norm (σ = 0) or the prior-weighted
+    (σ > 0) split between them.
+    """
+    combs = []
+    for tx in range(tx_grid.n_tx):
+        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
+        if ks.size == 0:
+            raise ValueError(f"no RS resource elements for antenna {tx}")
+        rank = np.linalg.matrix_rank(basis[ks])
+        if rank < basis.shape[1]:
+            warnings.warn(f"LMMSE channel estimate is rank-deficient: PDP delays "
+                          f"{pdp.delays.tolist()} span rank {rank} of {basis.shape[1]} on {ks.size} "
+                          "RS subcarriers; aliasing taps cannot be told apart", stacklevel=3)
+        combs.append(ks)
+    return combs
+
+
 def _estimate_channel_freq(
     rx_grid: np.ndarray,
     tx_grid: ResourceGrid,
-    pdp: PowerDelayProfile,
+    combs: list,
     basis: np.ndarray,
     noise_var: float,
 ) -> np.ndarray:
     """LS at RS REs of symbol 0 + frequency-domain LMMSE interpolation, per TX-RX pair.
 
     With ``R = basis basisᴴ`` (:func:`_tap_basis`), ``A = basis[ks]`` on an
-    antenna's RS subcarriers and ``σ`` the backed-off noise variance, the
-    push-through identity gives ``R[:, ks] (R_ks + σI)⁻¹ ls = basis z`` for
-    the least-squares ``z`` of ``[A; √σ I] z ≈ [ls; 0]``: one ``lstsq`` for
-    every σ ≥ 0.  At σ = 0, or σ lost to rounding, it is the minimum-norm
-    σ → 0 limit, and a rank below the tap count (aliasing delays) warns.
+    antenna's RS subcarriers ``ks`` (:func:`_rs_combs`) and ``σ`` the
+    backed-off noise variance, the push-through identity gives ``R[:, ks]
+    (R_ks + σI)⁻¹ ls = basis z`` for the least-squares ``z`` of ``[A; √σ I] z
+    ≈ [ls; 0]``: one ``lstsq`` for every σ ≥ 0.  At σ = 0, or σ lost to
+    rounding, it is the minimum-norm σ → 0 limit.
     """
     n_sc, _, n_rx = rx_grid.shape
     n_taps = basis.shape[1]
     root_sigma = np.sqrt(noise_var * LMMSE_ESTIMATION_BACKOFF)
     h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
-    for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
-        if ks.size == 0:
-            raise ValueError(f"no RS resource elements for antenna {tx}")
+    for tx, ks in enumerate(combs):
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
-        z, _, rank, _ = np.linalg.lstsq(np.vstack([basis[ks], root_sigma * np.eye(n_taps)]),
-                                        np.vstack([ls, np.zeros((n_taps, n_rx))]), rcond=None)
-        if rank < n_taps:
-            warnings.warn(f"LMMSE channel estimate is rank-deficient: PDP delays "
-                          f"{pdp.delays.tolist()} span rank {rank} of {n_taps} on {ks.size} RS "
-                          "subcarriers; the estimate is the minimum-norm one", stacklevel=3)
+        z = np.linalg.lstsq(np.vstack([basis[ks], root_sigma * np.eye(n_taps)]),
+                            np.vstack([ls, np.zeros((n_taps, n_rx))]), rcond=None)[0]
         h[:, :, tx] = basis @ z
     return h
 
@@ -372,15 +408,17 @@ def lmmse_detect(
 ) -> np.ndarray:
     """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` ``uint8`` bits.
 
-    ``rx_batch`` is ``(batch, n_rx, T)``, and each element is equalized at
-    its own entry of ``noise_vars``.  The PDP's tap basis and the demap are
-    shared by the batch.
+    ``rx_batch`` is ``(batch, n_rx, T)``, and each element is demodulated,
+    estimated, equalized at its own entry of ``noise_vars`` and demapped
+    alone, so only one element's grids are alive at a time.  The PDP's tap
+    basis and the RS combs are shared by the batch.
     """
-    rx_grids = ofdm_demodulate(rx_batch, numerology, tx_grid.n_sym)  # (batch, n_sc, n_sym, n_rx)
     basis = _tap_basis(pdp, tx_grid.n_sc)
-    est = np.empty(rx_grids.shape[:-1] + (tx_grid.n_tx,), dtype=np.complex128)
-    for rx_grid, noise_var, out in zip(rx_grids, noise_vars, est):
-        h = _estimate_channel_freq(rx_grid, tx_grid, pdp, basis, noise_var)
+    combs = _rs_combs(tx_grid, pdp, basis)
+    bits = []
+    for rx, noise_var in zip(rx_batch, noise_vars):
+        rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
+        h = _estimate_channel_freq(rx_grid, tx_grid, combs, basis, noise_var)
         # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1}, bias-corrected; one solve for [y | h]
         hh = h.conj().transpose(0, 2, 1)
         gram = h @ hh + noise_var * np.eye(h.shape[1])[None]
@@ -388,8 +426,9 @@ def lmmse_detect(
         x_hat = hh @ sol[:, :, : tx_grid.n_sym]  # (n_sc, n_tx, n_sym)
         gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
         safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
-        out[...] = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
-    return demap_data_bits(est, tx_grid.kind, tx_grid.qam_order)
+        est = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
+        bits.append(demap_data_bits(est, tx_grid.kind, tx_grid.qam_order))
+    return np.stack(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +535,9 @@ def run_ber_experiment(cfg: ExperimentConfig) -> list:
     if cfg.n_slots > 0:
         pdp = cfg.load_profile()
         if cfg.workers > 1:
+            # imported here: it loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
                 results = list(
                     pool.map(_slot_errors, *zip(*[(cfg, specs, pdp, s) for s in range(cfg.n_slots)]))

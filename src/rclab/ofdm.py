@@ -16,6 +16,7 @@ payload.  Two comb layouts are supported:
 """
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,29 +94,56 @@ def qam_map(bits, order: int) -> np.ndarray:
     return scale * (levels[i_idx] + 1j * levels[q_idx])
 
 
-def qam_demap(symbols, order: int) -> np.ndarray:
-    """Nearest-neighbor hard decisions back to ``uint8`` bits (inverse of :func:`qam_map`).
-
-    Each axis rounds to the index of its nearest level, and the index pair
-    looks up the symbol's bits in one table: every bit pattern, placed at
-    the level indices of its :func:`qam_map` symbol.  One byte per bit keeps
-    a slot's decisions an eighth of their ``int64`` size.
-    """
-    s = np.asarray(symbols, dtype=np.complex128).ravel()
-    k = bits_per_symbol(order)
+def _axis_index(vals, order: int) -> np.ndarray:
+    """Index of the nearest level on one I or Q axis of a square constellation."""
     m = int(np.sqrt(order))
     _, scale = _axis_tables(order)
+    return np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
 
-    def axis_index(vals):
-        return np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
 
-    def index(z):
-        return axis_index(z.real) * m + axis_index(z.imag)
+@functools.cache
+def _decision_table(order: int) -> np.ndarray:
+    """Read-only ``(m, m)`` table: each point's bit pattern, as an integer, at its level indices."""
+    k = bits_per_symbol(order)
+    patterns = np.arange(order, dtype=np.uint8)
+    points = qam_map((patterns[:, None] >> np.arange(k - 1, -1, -1)) & 1, order)
+    table = np.empty((int(np.sqrt(order)),) * 2, dtype=np.uint8)
+    table[_axis_index(points.real, order), _axis_index(points.imag, order)] = patterns
+    table.flags.writeable = False
+    return table
 
-    patterns = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(np.uint8)
-    table = np.empty_like(patterns)
-    table[index(qam_map(patterns.ravel(), order))] = patterns
-    return np.take(table, index(s), axis=0).ravel()
+
+def qam_decide(symbols, order: int) -> np.ndarray:
+    """Nearest-neighbor hard decisions, one ``uint8`` per symbol, in the shape of ``symbols``.
+
+    Each axis rounds to the index of its nearest level, and the index pair
+    looks up the symbol's bit pattern in one table, where every pattern sits
+    at the level indices of its :func:`qam_map` symbol.  A decision is the
+    integer whose ``k`` bits, most significant first, are the symbol's bits
+    (:func:`decision_bits`).
+    """
+    s = np.asarray(symbols, dtype=np.complex128)
+    return _decision_table(order)[_axis_index(s.real, order), _axis_index(s.imag, order)]
+
+
+def decision_bits(decisions, order: int) -> np.ndarray:
+    """``uint8`` bits of :func:`qam_decide`'s decisions, ``k`` per decision along a new last axis.
+
+    One byte per bit keeps a slot's decisions an eighth of their ``int64``
+    size, and the bits are shifted out without an index array.
+    """
+    d = np.asarray(decisions, dtype=np.uint8)
+    k = bits_per_symbol(order)
+    bits = np.empty(d.shape + (k,), dtype=np.uint8)
+    for b in range(k):
+        np.right_shift(d, k - 1 - b, out=bits[..., b])
+    bits &= 1
+    return bits
+
+
+def qam_demap(symbols, order: int) -> np.ndarray:
+    """Nearest-neighbor hard decisions back to ``uint8`` bits (inverse of :func:`qam_map`)."""
+    return decision_bits(qam_decide(np.ravel(symbols), order), order).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +251,17 @@ def extract_data_symbols(symbols: np.ndarray, kind: np.ndarray) -> np.ndarray:
 
 def demap_data_bits(symbols: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
     """Hard-decision ``uint8`` bits of the data REs: ``(..., n_bits)`` for ``(..., n_sc, n_sym, n_tx)`` symbols."""
-    data = extract_data_symbols(symbols, kind)
-    return qam_demap(data, order).reshape(*data.shape[:-1], -1)
+    return data_bits(qam_decide(symbols, order), kind, order)
+
+
+def data_bits(decisions: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
+    """``uint8`` bits, ``(..., n_bits)``, of the data REs of a :func:`qam_decide` grid.
+
+    ``decisions`` is ``(..., n_sc, n_sym, n_tx)``, and the bits follow
+    :func:`extract_data_symbols`' order.
+    """
+    bits = decision_bits(extract_data_symbols(decisions, kind), order)
+    return bits.reshape(*bits.shape[:-2], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -14,14 +14,17 @@ vectors alongside the states, which realizes an explicit FIR tap-delay line
 Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
 
-Detection (:func:`train_and_equalize`) trains each core alone on the known
-prefix of a batch of signals; the final states carry on into one recursion
-that advances every core and element together in one flat state row, and
-the readouts are applied ``STREAM_CHUNK`` samples at a time.  The stream
-builds no feature array: each readout reads its states in place from the
-recursion's block and its input window from one reused buffer.  Each
-element of each core gets the same bits as it would alone, in a stack of
-one core and a batch of one element.
+Detection (:func:`train_and_equalize`, a generator) trains each core on the
+known prefix of a batch of signals, one element at a time; the final states
+carry on into one recursion that advances every core and element together
+in one flat state row, and the readouts are applied ``STREAM_CHUNK`` samples
+at a time.  After each block the generator yields the output samples that
+every element's readout has finished, and keeps only ``d_max`` samples per
+core for the next block, so no buffer grows with the input length.  The
+stream builds no feature array: each readout reads its states in place from
+the recursion's block and its input window from one buffer per block, which
+every core shares.  Each element of each core gets the same bits as it
+would alone, in a stack of one core and a batch of one element.
 """
 
 import warnings
@@ -166,15 +169,17 @@ def _advance(specs, layout, xs: np.ndarray, block: np.ndarray) -> None:
     prod = np.empty_like(block[0])
     prod_diag = prod[:nd]
     groups = [(prod[c].reshape(-1, 1, k), block[:-1, c].reshape(n, -1, 1, k), w) for c, k, w in dense]
+    # the loop runs once per sample: ufuncs take their output positionally, which calls faster
+    multiply, matmul, add = np.multiply, np.matmul, np.add
     rows = zip(block[:-1, :nd], block[1:], block[1:].view(np.float64))
     for j, (prev, row, flat) in enumerate(rows):
         if nd:
-            np.multiply(diag, prev, out=prod_diag)
+            multiply(diag, prev, prod_diag)
         for out, states, w in groups:
-            np.matmul(states[j], w, out=out)
-        row += prod
+            matmul(states[j], w, out)
+        add(row, prod, row)
         if tanh:
-            np.tanh(flat, out=flat)
+            np.tanh(flat, flat)
 
 
 def block_states(poles, y) -> np.ndarray:
@@ -194,14 +199,16 @@ def _window(dst: np.ndarray, x: np.ndarray, t0: int) -> None:
     """Fill ``dst``, ``(n_window * d_in, n)``, with the input window of samples ``[t0, t0 + n)``.
 
     Row block ``w`` is the ``(d_in, T)`` input ``x`` delayed by ``w``
-    samples, zero before its start.
+    samples, zero before its start and after its end.
     """
-    d_in, n = x.shape[0], dst.shape[1]
+    (d_in, t), n = x.shape, dst.shape[1]
     for w in range(dst.shape[0] // d_in):
         lead = min(max(w - t0, 0), n)
+        stop = max(min(t + w - t0, n), lead)
         rows = dst[w * d_in : (w + 1) * d_in]
         rows[:, :lead] = 0.0
-        rows[:, lead:] = x[:, t0 - w + lead : t0 - w + n]
+        rows[:, lead:stop] = x[:, t0 - w + lead : t0 - w + stop]
+        rows[:, stop:] = 0.0
 
 
 def _features(spec: ReservoirSpec, states: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -333,90 +340,107 @@ def _delay_search(features, target, d_max: int, ridge: float):
     return best, weights(_delayed(tgt, best))
 
 
-def _apply_readout(out, readout: Readout, states, window, t0: int) -> None:
-    """Write the readout of samples ``t0 + j`` into ``out`` as samples ``t0 + j - delay``.
+def _apply_readout(dst, readout: Readout, states, window) -> None:
+    """Write into ``dst`` the readout of ``n`` samples' states and input window.
 
     The features are read where they lie, the ``(n_neurons, n)`` states and
-    the ``(n_window * d_in, n)`` window, as ``w_out[:, :k] @ states + w_out[:,
-    k:] @ window``; no feature array is built.
+    the ``(n_window * d_in, n)`` window, as ``w_out[:, :k] @ states +
+    w_out[:, k:] @ window``; no feature array is built.
     """
-    d, k = readout.delay, states.shape[0]
-    lo, hi = max(t0, d), min(t0 + states.shape[1], out.shape[1] + d)
-    if lo < hi:
-        cols, dst = slice(lo - t0, hi - t0), out[:, lo - d : hi - d]
-        np.matmul(readout.w_out[:, :k], states[:, cols], out=dst)
-        if window.shape[0]:
-            dst += readout.w_out[:, k:] @ window[:, cols]
+    k = states.shape[0]
+    np.matmul(readout.w_out[:, :k], states, out=dst)
+    if window.shape[0]:
+        dst += readout.w_out[:, k:] @ window
 
 
 def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float):
-    """One core alone over the ``(batch, d_in, L)`` known prefix: readouts, last state and prefix output.
+    """One core over the ``(batch, d_in, L)`` known prefix, element by element: readouts and last states.
 
-    The ``(batch, n_out, L)`` prefix output holds each element's readout of
-    the prefix as its samples ``[0, L - delay)``; the rest is left unset.
+    Each element runs alone through an ``(L + 1, n_neurons)`` state block,
+    which is freed once its features and last state are copied out, before
+    the fit.  The last states come back as one row in :func:`_stack`'s
+    layout for the batch.
     """
     n_batch, _, n_train = xs.shape
-    out = np.empty((n_batch, target.shape[0], n_train), dtype=np.complex128)
-    train = np.zeros((n_train + 1, n_batch * spec.n_neurons), dtype=np.complex128)
-    _advance([spec], _stack([spec], n_batch), xs, train)
-    states = train[1:].reshape(n_train, n_batch, spec.n_neurons)
-    readouts = []
+    layout = _stack([spec], 1)
+    readouts, last = [], np.empty(n_batch * spec.n_neurons, dtype=np.complex128)
     for i, xi in enumerate(xs):
-        feats = _features(spec, states[:, i].T, xi)
+        block = np.zeros((n_train + 1, spec.n_neurons), dtype=np.complex128)
+        _advance([spec], layout, xs[i : i + 1], block)
+        feats = _features(spec, block[1:].T, xi)
+        last[i * spec.n_neurons : (i + 1) * spec.n_neurons] = block[-1]
+        del block
         delay, w = _delay_search(feats, target, d_max, ridge)
         readouts.append(Readout(w, delay))
-        _apply_readout(out[i], readouts[-1], feats[: spec.n_neurons], feats[spec.n_neurons :], 0)
-    return readouts, train[-1].copy(), out
+    return readouts, last
 
 
 def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
-    """Train readouts on the first samples of every batch element, then equalize it whole; per core.
+    """Train readouts on the first samples of every batch element, then stream the rest; per core.
 
-    ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out, L)`` waveform
-    known for the first ``L`` samples of every element.  For each core of
-    ``specs`` (one activation and ``d_in``), each element's readout wins the
-    delay search over ``[0, d_max]`` on the features of its first ``L``
-    samples; the output is that readout applied to the features of the whole
-    input, run on over ``d_max`` trailing zero samples and advanced by the
-    learned delay, so it stays aligned with the undelayed target and keeps
-    the input's length.  The blocks of the stacked recursion over the rest,
-    and so the rounding of each output sample, depend on the lengths only.
-    Returns, per core, the ``(batch, n_out, T)`` outputs and the readouts.
+    A generator.  ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out,
+    L)`` waveform known for the first ``L`` samples of every element.  For
+    each core of ``specs`` (one activation and ``d_in``), each element's
+    readout wins the delay search over ``[0, d_max]`` on the features of its
+    first ``L`` samples.  The generator first yields the readouts, per core
+    and element, once every core is trained.  Then it runs the input on over
+    ``d_max`` trailing zero samples, ``STREAM_CHUNK`` samples per block, and
+    after each block yields, per core, the ``(batch, n_out, m)`` output of
+    the next ``m`` samples that every element's readout has finished: each
+    readout's output is advanced by its learned delay, so it stays aligned
+    with the undelayed target.  The spans run consecutively from sample
+    ``L`` to ``T`` (``m`` may be 0); the prefix's own output is never
+    formed.  They are views of buffers of ``STREAM_CHUNK + d_max`` samples
+    that the next block overwrites, so nothing held scales with ``T``.  The
+    blocks, and so the rounding of each output sample, depend on the lengths
+    only.
     """
-    xs = np.asarray(x, dtype=np.complex128)
+    xs = np.ascontiguousarray(x, dtype=np.complex128)
     layout = _stack(specs, len(xs))
     cols = layout[0]
     if xs.ndim != 3 or xs.shape[1] != specs[0].d_in:
         raise ValueError(f"expected input of shape (batch, d_in = {specs[0].d_in}, T), got {xs.shape}")
     tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
-    n_batch, _, t = xs.shape
+    n_batch, d_in, t = xs.shape
     n_train, end = tgt.shape[1], t + d_max
     if n_train > t:
         raise ValueError(f"target has {n_train} samples but the input only {t}")
-    readouts, lasts, prefixes = zip(*[_train(s, xs[:, :, :n_train], tgt, d_max, ridge) for s in specs])
-    # the full-length outputs exist only once training's arrays are gone
-    outs = []
-    for prefix in prefixes:
-        outs.append(np.empty((n_batch, tgt.shape[0], t), dtype=np.complex128))
-        outs[-1][:, :, :n_train] = prefix
-    del prefixes
-    width = max(c.stop for c in cols)
-    block = np.empty((min(STREAM_CHUNK, end - n_train) + 1, width), dtype=np.complex128)
+    readouts, lasts = zip(*[_train(s, xs[:, :, :n_train], tgt, d_max, ridge) for s in specs])
+    yield list(readouts)
+    chunk = min(STREAM_CHUNK, end - n_train)
+    block = np.empty((chunk + 1, max(c.stop for c in cols)), dtype=np.complex128)
     for c, last in zip(cols, lasts):
         block[0, c] = last
-    # one window buffer per core, refilled for each element and block
-    windows = [np.empty((s.feature_dim - s.n_neurons, len(block) - 1), dtype=np.complex128) for s in specs]
-    xs = np.concatenate([xs, np.zeros((n_batch, xs.shape[1], d_max), dtype=np.complex128)], axis=2)
+    # one window buffer, refilled for each element and block; a core reads its first rows
+    rows = [s.feature_dim - s.n_neurons for s in specs]
+    window = np.empty((max(rows), chunk), dtype=np.complex128)
+    # during the block from t0, column p of a core's buffer holds output sample t0 - d_max + p
+    outs = [np.empty((n_batch, tgt.shape[0], chunk + d_max), dtype=np.complex128) for _ in specs]
+    done = n_train
     for t0 in range(n_train, end, STREAM_CHUNK):
-        n = min(STREAM_CHUNK, end - t0)
-        _advance(specs, layout, xs[:, :, t0 : t0 + n], block[: n + 1])
-        for spec, out, ros, c, window in zip(specs, outs, readouts, cols, windows):
-            states = block[1 : n + 1, c].reshape(n, n_batch, spec.n_neurons)
-            for i, ro in enumerate(ros):
-                _window(window[:, :n], xs[i], t0)
-                _apply_readout(out[i], ro, states[:, i].T, window[:, :n], t0)
+        n, base = min(STREAM_CHUNK, end - t0), t0 - d_max
+        xb = xs[:, :, t0 : t0 + n]
+        if xb.shape[2] < n:
+            tail = np.zeros((n_batch, d_in, n - xb.shape[2]), dtype=np.complex128)
+            xb = np.concatenate([xb, tail], axis=2)
+        _advance(specs, layout, xb, block[: n + 1])
+        states = [block[1 : n + 1, c].reshape(n, n_batch, s.n_neurons) for s, c in zip(specs, cols)]
+        for i in range(n_batch):
+            _window(window[:, :n], xs[i], t0)
+            for out, ros, st, r in zip(outs, readouts, states, rows):
+                # samples t0 + j become output samples t0 + j - delay, kept inside [0, T)
+                d = ros[i].delay
+                lo, hi = max(t0, d), min(t0 + n, t + d)
+                if lo < hi:
+                    j = slice(lo - t0, hi - t0)
+                    dst = out[i, :, lo - d - base : hi - d - base]
+                    _apply_readout(dst, ros[i], st[j, i].T, window[:r, j])
+        # every readout has written the output samples before base + n
+        yield [out[:, :, done - base : n] for out in outs]
+        done = max(done, base + n)
+        for out in outs:
+            out[:, :, :d_max] = out[:, :, n : n + d_max]
         block[0] = block[n]
-    return outs, list(readouts)
 
 
 def random_reservoir(

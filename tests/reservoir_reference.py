@@ -3,6 +3,7 @@
 Built on the package's own recursion, feature layout and fit
 (``reservoir._advance`` on a stack of one core, ``reservoir._features`` and
 ``reservoir._least_squares``), so a batch element must match it to the bit.
+:func:`equalized` collects the detector's streamed output into whole arrays.
 The ``ridge = 0`` fit is also checked against ``np.linalg.lstsq``'s
 minimum-norm solve, within rounding (:func:`assert_fit_matches_lstsq`).
 """
@@ -11,6 +12,23 @@ import numpy as np
 
 from rclab import reservoir
 from rclab.reservoir import Readout
+
+
+def equalized(specs, x, target, d_max, ridge=0.0):
+    """Drain :func:`reservoir.train_and_equalize` into whole outputs: ``(outputs, readouts)``.
+
+    Per core, the output is ``(batch, n_out, T - L)``: every span the stream
+    yields, copied before the stream overwrites it, joined in order.  They
+    cover samples ``[L, T)``, after the ``L``-sample training prefix.
+    """
+    stream = reservoir.train_and_equalize(specs, x, target, d_max, ridge)
+    readouts = next(stream)
+    spans = [[span.copy() for span in block] for block in stream]
+    n_batch, n_out = len(readouts[0]), readouts[0][0].w_out.shape[0]
+    empty = np.empty((n_batch, n_out, 0), dtype=np.complex128)
+    outs = [np.concatenate([empty] + [block[k] for block in spans], axis=2) for k in range(len(specs))]
+    assert all(out.shape[2] == np.shape(x)[2] - np.shape(target)[-1] for out in outs)
+    return outs, readouts
 
 
 def alone_states(spec, x) -> np.ndarray:

@@ -11,12 +11,18 @@ from rclab.reservoir import (
     random_reservoir,
     train_and_equalize,
 )
-from reservoir_reference import alone_features, alone_states, assert_fit_matches_lstsq, train_readout
+from reservoir_reference import (
+    alone_features,
+    alone_states,
+    assert_fit_matches_lstsq,
+    equalized,
+    train_readout,
+)
 
 
 def equalize(spec, y, x, d_max):
-    """``train_and_equalize`` on the input ``y`` alone: ``(output, readout)``."""
-    [out], [[readout]] = train_and_equalize([spec], y[None], x, d_max)
+    """``train_and_equalize`` on the input ``y`` alone: ``(output after the prefix, readout)``."""
+    [out], [[readout]] = equalized([spec], y[None], x, d_max)
     return out[0], readout
 
 
@@ -73,7 +79,7 @@ class TestRunStates:
     def test_input_dim_checked(self):
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="d_in = 1"):
-            train_and_equalize([spec], np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0)
+            next(train_and_equalize([spec], np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0))
 
 
 class TestBlockStates:
@@ -285,31 +291,32 @@ class TestPredict:
         target = np.random.default_rng(21).standard_normal((1, 6))
         out, ro = equalize(spec, np.zeros((1, 10)), target, d_max=2)
         np.testing.assert_array_equal(ro.w_out, np.zeros((1, 2)))
-        np.testing.assert_array_equal(out, np.zeros((1, 10)))
+        np.testing.assert_array_equal(out, np.zeros((1, 4)))
 
     def test_alignment_with_delay(self):
         rng = np.random.default_rng(12)
         x = rng.standard_normal(300) + 1j * rng.standard_normal(300)
         y = np.concatenate([np.zeros(3, dtype=complex), x[:-3]])
         spec = diagonal_spec([0.1], n_window=4)
-        out, ro = equalize(spec, y[None, :], x[None, :], d_max=6)
+        # trained on the first 200 samples, streamed over the other 100
+        out, ro = equalize(spec, y[None, :], x[None, :200], d_max=6)
         assert ro.delay == 3
-        assert out.shape == (1, 300)
-        np.testing.assert_allclose(out[0, : 280], x[:280], atol=1e-8)
+        assert out.shape == (1, 100)
+        np.testing.assert_allclose(out[0, :97], x[200:297], atol=1e-8)
 
     def test_noiseless_equalization_end_to_end(self):
         rng = np.random.default_rng(13)
         x = rng.standard_normal(500) + 1j * rng.standard_normal(500)
         y = np.convolve([1, -0.5], x)[:500]
         spec = diagonal_spec([0.5], n_window=1)
-        out, _ = equalize(spec, y[None, :], x[None, :], d_max=4)
-        assert np.max(np.abs(out[0] - x)) <= 1e-6
+        out, _ = equalize(spec, y[None, :], x[None, :300], d_max=4)
+        assert np.max(np.abs(out[0] - x[300:])) <= 1e-6
 
     def test_dimension_mismatch(self):
         # a target longer than the input cannot be the input's known prefix
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="6 samples but the input only 5"):
-            train_and_equalize([spec], np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0)
+            next(train_and_equalize([spec], np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0))
 
 
 class TestRandomReservoir:

@@ -13,6 +13,7 @@ recursion; each core must keep, to the bit, what it gets alone in a batch of
 one, and the states of the per-sample recursion written out plainly.
 """
 
+import re
 import warnings
 from unittest import mock
 
@@ -28,7 +29,13 @@ from rclab.reservoir import (
     random_reservoir,
     train_and_equalize,
 )
-from reservoir_reference import alone_features, alone_readout, alone_states, train_readout
+from reservoir_reference import (
+    alone_features,
+    alone_readout,
+    alone_states,
+    equalized,
+    train_readout,
+)
 
 CASES = st.fixed_dictionaries(
     {
@@ -115,14 +122,14 @@ def test_batched_states_match_recursion_and_oracle(c):
 @SETTINGS
 def test_batch_equalizes_each_element_as_alone(c):
     spec, x, target = make_case(c)
+    n_train = target.shape[1]
     with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
-        [out], [readouts] = train_and_equalize([spec], x, target, c["d_max"], c["ridge"])
-        assert out.shape == (x.shape[0], target.shape[0], x.shape[2])
+        [out], [readouts] = equalized([spec], x, target, c["d_max"], c["ridge"])
+        assert out.shape == (x.shape[0], target.shape[0], x.shape[2] - n_train)
         for i in range(x.shape[0]):
-            [alone], [[ro_alone]] = train_and_equalize(
-                [spec], x[i : i + 1], target, c["d_max"], c["ridge"]
-            )
+            [alone], [[ro_alone]] = equalized([spec], x[i : i + 1], target, c["d_max"], c["ridge"])
             ref, ro_ref, tol = reference_equalize(spec, x[i], target, c["d_max"], c["ridge"])
+            ref = ref[:, n_train:]
             assert readouts[i].delay == ro_alone.delay == ro_ref.delay
             np.testing.assert_array_equal(readouts[i].w_out, ro_ref.w_out)
             np.testing.assert_array_equal(out[i], alone[0])
@@ -150,38 +157,49 @@ def test_row_order_drive_matches_column_product(c):
         assert np.all(np.abs(states[:, i].T - want) <= bound)
 
 
+def delayed_window(x, n_window, lo, n):
+    """Input window of samples ``[lo, lo + n)``: row block ``w`` is ``x`` delayed by ``w``, zero outside."""
+    d_in, t = x.shape
+    padded = np.concatenate([np.zeros((d_in, n_window)), x, np.zeros((d_in, lo + n))], axis=1)
+    rows = [padded[:, n_window + lo - w : n_window + lo - w + n] for w in range(n_window)]
+    return np.vstack(rows or [np.empty((0, n))])
+
+
 @given(CASES)
 @SETTINGS
 def test_streamed_readout_matches_feature_product(c):
-    # the stream reads its states in place and its window from a reused
+    # the stream reads its states in place and its window from a shared
     # buffer; the output is the readout of the feature array of the same
     # states, within the rounding of a length-feature_dim dot product
     spec, x, target = make_case(c)
     states = {}
 
-    def apply_readout(out, readout, st, window, t0):
-        states.setdefault(id(readout), []).append((t0, st.copy()))
-        return apply_readout.real(out, readout, st, window, t0)
+    def apply_readout(dst, readout, st, window):
+        states.setdefault(id(readout), []).append(st.copy())
+        return apply_readout.real(dst, readout, st, window)
 
     apply_readout.real = reservoir._apply_readout
     with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), \
             mock.patch.object(reservoir, "_apply_readout", apply_readout):
-        [out], [readouts] = train_and_equalize([spec], x, target, c["d_max"], c["ridge"])
+        [out], [readouts] = equalized([spec], x, target, c["d_max"], c["ridge"])
     eps = np.finfo(np.float64).eps
+    n_train, t = target.shape[1], x.shape[2]
     for i, ro in enumerate(readouts):
-        blocks = sorted(states[id(ro)], key=lambda b: b[0])
-        padded = np.concatenate([x[i], np.zeros((x.shape[1], c["d_max"]), dtype=complex)], axis=1)
-        feats = reservoir._features(spec, np.hstack([b for _, b in blocks]), padded)
-        assert feats.shape[1] == padded.shape[1]
-        want = (ro.w_out @ feats)[:, ro.delay : ro.delay + x.shape[2]]
+        # the stream reads input samples [lo, T + delay): output samples [lo - delay, T)
+        lo = max(n_train, ro.delay)
+        st = np.hstack(states.get(id(ro), [np.empty((spec.n_neurons, 0))]))
+        assert st.shape[1] == t + ro.delay - lo
+        feats = np.vstack([st, delayed_window(x[i], spec.n_window, lo, st.shape[1])])
+        skip = n_train + ro.delay - lo  # outputs before sample L are made but never yielded
+        want = (ro.w_out @ feats)[:, skip:]
         bound = eps * spec.feature_dim * np.linalg.norm(ro.w_out) * np.linalg.norm(feats, axis=0)
-        assert np.all(np.abs(out[i] - want) <= bound[ro.delay : ro.delay + x.shape[2]])
+        assert np.all(np.abs(out[i] - want) <= bound[skip:])
 
 
 def test_stack_layout_built_once_per_call():
     specs, x, target = make_stack(MIXED_STACK)
     with mock.patch.object(reservoir, "_stack", wraps=reservoir._stack) as stack:
-        train_and_equalize(specs, x, target, MIXED_STACK["d_max"])
+        equalized(specs, x, target, MIXED_STACK["d_max"])
     # once for the stream and once for each core's training prefix
     assert stack.call_count == 1 + len(specs)
 
@@ -201,7 +219,7 @@ def test_delay_matches_per_delay_loop(c):
         res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
         if best_res is None or res < best_res - tie_tol:
             best, best_res, best_ro = d, res, ro
-    _, [[got]] = train_and_equalize([spec], x[:1], target, c["d_max"], c["ridge"])
+    _, [[got]] = equalized([spec], x[:1], target, c["d_max"], c["ridge"])
     assert got.delay == best
     np.testing.assert_array_equal(got.w_out, best_ro.w_out)
 
@@ -286,18 +304,24 @@ def test_stacked_states_keep_plain_recursion_bits(c):
 @SETTINGS
 def test_stack_equalizes_each_core_as_alone(c):
     specs, x, target = make_stack(c)
-    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
-        outs, readouts = train_and_equalize(specs, x, target, c["d_max"], c["ridge"])
+    # a drawn stack may make a fit rank-deficient or underdetermined: those
+    # documented warnings are expected here, and no other
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        outs, readouts = equalized(specs, x, target, c["d_max"], c["ridge"])
         assert len(outs) == len(readouts) == len(specs)
         for spec, out, ros in zip(specs, outs, readouts):
-            assert out.shape == (x.shape[0], target.shape[0], x.shape[2])
+            assert out.shape == (x.shape[0], target.shape[0], x.shape[2] - target.shape[1])
             for i in range(x.shape[0]):
-                [alone], [[ro_alone]] = train_and_equalize(
-                    [spec], x[i : i + 1], target, c["d_max"], c["ridge"]
-                )
+                [alone], [[ro_alone]] = equalized([spec], x[i : i + 1], target, c["d_max"], c["ridge"])
                 assert ros[i].delay == ro_alone.delay
                 np.testing.assert_array_equal(ros[i].w_out, ro_alone.w_out)
                 np.testing.assert_array_equal(out[i], alone[0])
+    for w in caught:
+        assert w.category is UserWarning
+        assert re.match(r"readout fit is rank-deficient: |only \d+ samples for \d+ features; "
+                        r"fit is underdetermined$", str(w.message)), str(w.message)
 
 
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
@@ -326,7 +350,7 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
     for chunk in (1024, reservoir.STREAM_CHUNK):
         with mock.patch.object(reservoir, "STREAM_CHUNK", chunk), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the td core's rank at ridge 0
-            runs.append(train_and_equalize(specs, x, target, cfg.d_max, ridge))
+            runs.append(equalized(specs, x, target, cfg.d_max, ridge))
     assert reservoir.STREAM_CHUNK == 256
     (outs_1024, ros_1024), (outs, ros) = runs
     for out_1024, out, core_1024, core in zip(outs_1024, outs, ros_1024, ros):
@@ -336,7 +360,7 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
         if tail == "short":
             assert out.tobytes() == out_1024.tobytes()
         else:
-            assert out[..., :last].tobytes() == out_1024[..., :last].tobytes()
+            assert out[..., : last - n_train].tobytes() == out_1024[..., : last - n_train].tobytes()
             np.testing.assert_allclose(out, out_1024, rtol=0, atol=1e-8 * np.abs(out_1024).max())
 
 
@@ -350,4 +374,4 @@ def test_stack_needs_one_activation_and_d_in(field, value):
     ]
     x = np.zeros((1, 1, 30), dtype=complex)
     with pytest.raises(ValueError, match="share one activation and one d_in"):
-        train_and_equalize(specs, x, np.zeros((1, 20)), d_max=0)
+        next(train_and_equalize(specs, x, np.zeros((1, 20)), d_max=0))
