@@ -430,7 +430,7 @@ class TestLmmseDetect:
         # the same aliasing comb at sigma > 0, where the estimate is no
         # minimum-norm limit but just as ambiguous: one warning per antenna and
         # detector call, not one per SNR
-        num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
+        num, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
         pdp = PowerDelayProfile.from_linear([0, 5, 16], [0.6, 0.3, 0.1])
         batch = np.repeat(tx[None], 3, axis=0)
         with warnings.catch_warnings(record=True) as caught:
@@ -775,29 +775,29 @@ class TestCli:
         assert bc.main([command, "--config", str(p), "--method", "td"]) == 1
         assert capsys.readouterr().err == f"rclab: error: the td route needs {message}\n"
 
-    def test_runtime_imports_numpy_only(self):
-        # scipy is a test-only dependency: the oracle of the filters and FFTs
+    @staticmethod
+    def fresh_output(code):
+        """Stdout of ``code`` run by a fresh interpreter that imports this checkout's rclab."""
         src = str(Path(bc.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_runtime_imports_numpy_only(self):
+        # scipy is a test-only dependency: the oracle of the filters and FFTs
         code = (
             "import sys, rclab.bench_cli, rclab.theory; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.fresh_output(code) == "[]"
 
     def test_import_leaves_out_multiprocessing(self):
         # the process pool is imported by run_ber_experiment, only when workers > 1
-        src = str(Path(bc.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = ("import sys, rclab; "
                 "print(sorted(m for m in ('multiprocessing', 'socket') if m in sys.modules))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        assert self.fresh_output(code) == "[]"
 
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "c.csv"
