@@ -6,7 +6,7 @@ Detectors
     Windowed echo-state detector whose untrained weights come from the
     time/frequency-domain configuration pipeline.  Trained per slot on the
     known time-domain waveform of the reference-signal (RS) symbol, applied
-    to the whole slot, then hard-demapped in the frequency domain.
+    to the whole slot, then hard-decided in the frequency domain.
 ``rc-random`` / ``vanilla-esn``
     Same detection flow with randomly generated weights (``vanilla-esn``
     additionally drops the input window).
@@ -14,7 +14,7 @@ Detectors
     Classical baseline: least-squares channel estimates on the RS comb,
     frequency-domain LMMSE interpolation to all subcarriers (block fading
     makes the time dimension constant), per-RE linear MMSE equalization with
-    bias correction, hard demapping.
+    bias correction, hard decisions.
 
 Seeding
 -------
@@ -52,11 +52,11 @@ from .ofdm import (
     ReKind,
     ResourceGrid,
     RsMode,
+    bits_per_symbol,
     build_grid,
-    data_bits,
-    demap_data_bits,
     ofdm_demodulate,
     ofdm_modulate,
+    payload,
     payload_bit_count,
     qam_decide,
     rs_time_waveform,
@@ -302,8 +302,8 @@ def rc_detect(
     specs,
     d_max: int,
     ridge: float = 0.0,
-) -> list:
-    """Train on the RS symbol's known waveform, equalize the slot, demap; per core and element.
+) -> np.ndarray:
+    """Train on the RS symbol's known waveform, equalize the slot, decide; per core and element.
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of one transmitted
     slot, such as one per SNR.  Each element gets its own readout in every
@@ -312,17 +312,16 @@ def rc_detect(
     core over the whole batch.  The stream's output spans are cut into OFDM
     symbols; each symbol is demodulated as soon as it is complete and only
     its ``uint8`` QAM decisions are kept, so no equalized waveform of the
-    slot is ever held.  Returns, per core, the ``(batch, n_bits)`` ``uint8``
-    bits.
+    slot is ever held.  Returns the ``(len(specs), batch, n_payload)``
+    decisions in :func:`~rclab.ofdm.payload` order.
     """
     target = rs_time_waveform(tx_grid, numerology)
     stream = train_and_equalize(specs, rx_batch, target, d_max, ridge)
     next(stream)  # the readouts; the buffers below exist only once training's arrays are gone
     sym_len, order = numerology.symbol_len, tx_grid.qam_order
-    # one OFDM symbol of every core, element and output, and every core's decisions, stored
-    # (n_tx, n_sym, n_sc) in the payload's order so that gathering the bits copies no grid
+    # one OFDM symbol of every core, element and output, and every core's decision grid
     symbol = np.empty((len(specs), len(rx_batch), target.shape[0], sym_len), dtype=np.complex128)
-    decisions = np.zeros(symbol.shape[:2] + tx_grid.symbols.shape[::-1], dtype=np.uint8)
+    decisions = np.zeros(symbol.shape[:2] + tx_grid.symbols.shape, dtype=np.uint8)
     pos = sym_len  # the stream starts after the RS symbol, which carries no data
     for spans in stream:
         j, n = 0, spans[0].shape[2]
@@ -333,10 +332,10 @@ def rc_detect(
                 dst[:, :, off : off + m] = span[:, :, j : j + m]
             if off + m == sym_len:
                 grid = ofdm_demodulate(symbol, numerology, 1)[..., 0, :]  # (..., n_sc, n_tx)
-                decisions[..., sym, :] = qam_decide(grid, order).swapaxes(-1, -2)
+                decisions[..., sym, :] = qam_decide(grid, order)
             j += m
         pos += n
-    return [data_bits(dec.swapaxes(-1, -3), tx_grid.kind, order) for dec in decisions]
+    return payload(decisions)
 
 
 def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
@@ -406,16 +405,16 @@ def lmmse_detect(
     pdp: PowerDelayProfile,
     noise_vars,
 ) -> np.ndarray:
-    """Estimated-CSI LMMSE symbol detection; the ``(batch, n_bits)`` ``uint8`` bits.
+    """Estimated-CSI LMMSE symbol detection; the ``(batch, n_payload)`` ``uint8`` decisions.
 
     ``rx_batch`` is ``(batch, n_rx, T)``, and each element is demodulated,
-    estimated, equalized at its own entry of ``noise_vars`` and demapped
+    estimated, equalized at its own entry of ``noise_vars`` and decided
     alone, so only one element's grids are alive at a time.  The PDP's tap
     basis and the RS combs are shared by the batch.
     """
     basis = _tap_basis(pdp, tx_grid.n_sc)
     combs = _rs_combs(tx_grid, pdp, basis)
-    bits = []
+    decisions = []
     for rx, noise_var in zip(rx_batch, noise_vars):
         rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
         h = _estimate_channel_freq(rx_grid, tx_grid, combs, basis, noise_var)
@@ -427,8 +426,8 @@ def lmmse_detect(
         gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
         safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
         est = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
-        bits.append(demap_data_bits(est, tx_grid.kind, tx_grid.qam_order))
-    return np.stack(bits)
+        decisions.append(qam_decide(payload(est), tx_grid.qam_order))
+    return np.stack(decisions)
 
 
 # ---------------------------------------------------------------------------
@@ -492,13 +491,16 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     noise-free convolution, copied per SNR, which adds its own noise.  One
     state recursion per slot advances every RC detector's core over the
     learning batch.  The batch depends on ``cfg.snr_db`` only, never on
-    ``cfg.workers``.
+    ``cfg.workers``.  A detector's bit errors are the popcount of its
+    decisions XOR the sent payload bits, packed as :func:`~rclab.ofdm.qam_decide`'s.
     """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
     bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(
         0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
     )
+    k = bits_per_symbol(cfg.qam_order)
+    sent = (bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))).astype(np.uint8)
     by_mode = ((RsMode.LEARNING, [d for d in cfg.detectors if d in RC_DETECTOR_NAMES]),
                (RsMode.CONVENTIONAL, [d for d in cfg.detectors if d == "lmmse"]))
     out = {}
@@ -508,7 +510,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, bits,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
-        clean, _ = apply_channel(ch, ofdm_modulate(grid, num), None, None)
+        clean = apply_channel(ch, ofdm_modulate(grid, num))
         batch = np.repeat(clean[None], len(cfg.snr_db), axis=0)
         noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
                       for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
@@ -517,9 +519,9 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         else:
             ests = [lmmse_detect(batch, grid, num, pdp, noise_vars)]
         for det, per_snr in zip(dets, ests):
-            for si, est in enumerate(per_snr):
-                out[(det, si)] = int(np.count_nonzero(est != bits)), int(bits.size)
-        del ests  # the next mode runs without this one's bits alive
+            for si, decisions in enumerate(per_snr):
+                out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), int(bits.size)
+        del ests  # the next mode runs without this one's decisions alive
     return out
 
 

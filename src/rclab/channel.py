@@ -301,14 +301,13 @@ def sample_parametric_mimo(
     return taps * np.sqrt(n_rx / total)
 
 
-def apply_channel(ch, x, snr_db, rng):
-    """Convolve transmit streams with the channel and add AWGN; returns ``(y, noise_var)``.
+def apply_channel(ch, x) -> np.ndarray:
+    """Convolve transmit streams with the channel; the noise-free received streams ``y``.
 
     ``ch`` is the ``(L, N_r, N_t)`` tap array and ``x`` the ``(N_t, T)``
     transmit streams; ``y`` is ``(N_r, T)``.  A SISO channel is the
-    ``(L, 1, 1)`` case.  The noise is :func:`add_awgn`'s, measured on the
-    clean signal; ``snr_db=None`` (or ``inf``) disables it and gives
-    ``noise_var = 0``.  Output is truncated to the input length.
+    ``(L, 1, 1)`` case.  Output is truncated to the input length; the noise
+    is :func:`add_awgn`'s.
     """
     # ``h / 1`` and the full convolution cut to length are the exact arithmetic
     # of ``scipy.signal.lfilter(h, [1], x)``, the oracle the tests hold this to
@@ -323,8 +322,7 @@ def apply_channel(ch, x, snr_db, rng):
     for r in range(n_rx):
         for c in range(n_tx):
             y[r] += np.convolve(taps[:, r, c] / 1, xs[c])[:t]
-    noise_var = add_awgn(y, snr_db, rng)
-    return y, noise_var
+    return y
 
 
 def add_awgn(y: np.ndarray, snr_db, rng) -> float:

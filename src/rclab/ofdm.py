@@ -57,9 +57,7 @@ class OfdmNumerology:
 
 def _axis_tables(order: int):
     """(levels_by_gray_value, scale) for one I/Q axis of a square constellation."""
-    if order not in QAM_ORDERS:
-        raise ValueError(f"unsupported QAM order {order}")
-    m = int(np.sqrt(order))
+    m = 1 << (bits_per_symbol(order) // 2)
     levels = np.empty(m, dtype=np.float64)
     for idx in range(m):
         gray = idx ^ (idx >> 1)
@@ -119,31 +117,10 @@ def qam_decide(symbols, order: int) -> np.ndarray:
     Each axis rounds to the index of its nearest level, and the index pair
     looks up the symbol's bit pattern in one table, where every pattern sits
     at the level indices of its :func:`qam_map` symbol.  A decision is the
-    integer whose ``k`` bits, most significant first, are the symbol's bits
-    (:func:`decision_bits`).
+    integer whose ``k`` bits, most significant first, are the symbol's bits.
     """
     s = np.asarray(symbols, dtype=np.complex128)
     return _decision_table(order)[_axis_index(s.real, order), _axis_index(s.imag, order)]
-
-
-def decision_bits(decisions, order: int) -> np.ndarray:
-    """``uint8`` bits of :func:`qam_decide`'s decisions, ``k`` per decision along a new last axis.
-
-    One byte per bit keeps a slot's decisions an eighth of their ``int64``
-    size, and the bits are shifted out without an index array.
-    """
-    d = np.asarray(decisions, dtype=np.uint8)
-    k = bits_per_symbol(order)
-    bits = np.empty(d.shape + (k,), dtype=np.uint8)
-    for b in range(k):
-        np.right_shift(d, k - 1 - b, out=bits[..., b])
-    bits &= 1
-    return bits
-
-
-def qam_demap(symbols, order: int) -> np.ndarray:
-    """Nearest-neighbor hard decisions back to ``uint8`` bits (inverse of :func:`qam_map`)."""
-    return decision_bits(qam_decide(np.ravel(symbols), order), order).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -222,46 +199,19 @@ def build_grid(
         symbols[comb, 0, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
         kind[comb, 0, p] = ReKind.RS
 
-    data_syms = qam_map(bits, order)
-    pos = data_positions(kind)
-    symbols[pos[:, 2], pos[:, 1], pos[:, 0]] = data_syms
+    data = np.swapaxes(symbols, -1, -3)[..., 1:, :]  # payload()'s view, before its reshape
+    data[...] = qam_map(bits, order).reshape(data.shape)
     return ResourceGrid(symbols=symbols, kind=kind, qam_order=order)
 
 
-def _data_mask(kind: np.ndarray) -> np.ndarray:
-    """Data REs as an ``(ant, sym, sc)`` mask, whose row-major order is the canonical fill order."""
-    return np.transpose(kind, (2, 1, 0)) == ReKind.DATA
+def payload(grid: np.ndarray) -> np.ndarray:
+    """The payload REs, ``(..., n_payload)``, of ``(..., n_sc, n_sym, n_tx)`` grid values.
 
-
-def data_positions(kind: np.ndarray) -> np.ndarray:
-    """Data-RE coordinates as rows ``(ant, sym, sc)`` in canonical fill order."""
-    return np.argwhere(_data_mask(kind))
-
-
-def extract_data_symbols(symbols: np.ndarray, kind: np.ndarray) -> np.ndarray:
-    """Data-RE values in the canonical order used by :func:`build_grid`.
-
-    ``symbols`` is ``(..., n_sc, n_sym, n_tx)``; each leading index gets its
-    own row of values.
+    Every RE of symbols ``1 … n_sym − 1``, by antenna, then symbol, then
+    subcarrier: the order in which :func:`build_grid` fills them.
     """
-    by_antenna = np.swapaxes(symbols, -1, -3)
-    flat = by_antenna.reshape(*by_antenna.shape[:-3], -1)
-    return np.take(flat, np.flatnonzero(_data_mask(kind)), axis=-1)
-
-
-def demap_data_bits(symbols: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
-    """Hard-decision ``uint8`` bits of the data REs: ``(..., n_bits)`` for ``(..., n_sc, n_sym, n_tx)`` symbols."""
-    return data_bits(qam_decide(symbols, order), kind, order)
-
-
-def data_bits(decisions: np.ndarray, kind: np.ndarray, order: int) -> np.ndarray:
-    """``uint8`` bits, ``(..., n_bits)``, of the data REs of a :func:`qam_decide` grid.
-
-    ``decisions`` is ``(..., n_sc, n_sym, n_tx)``, and the bits follow
-    :func:`extract_data_symbols`' order.
-    """
-    bits = decision_bits(extract_data_symbols(decisions, kind), order)
-    return bits.reshape(*bits.shape[:-2], -1)
+    data = np.swapaxes(grid, -1, -3)[..., 1:, :]
+    return data.reshape(*data.shape[:-3], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import scipy.stats
 
 from rclab import bench_cli as bc
-from rclab.channel import PowerDelayProfile, apply_channel, draw_channel, load_pdp
+from rclab.channel import PowerDelayProfile, add_awgn, apply_channel, draw_channel, load_pdp
 from rclab.filters import Phase
 from rclab.ofdm import OfdmNumerology, RsMode, build_grid, ofdm_modulate, payload_bit_count
 from rclab.theory import (
@@ -33,6 +33,8 @@ from rclab.weight_config import (
     pole_bank,
     reduce_order,
 )
+
+from qam_reference import bit_errors
 
 
 def gate(num, name, ok, detail):
@@ -145,9 +147,9 @@ def test_criterion_05_noiseless_exact_equalization():
         )
         grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, bits,
                           np.random.default_rng((5005, 3, slot)), order=16)
-        y, _ = apply_channel(h[:, None, None], ofdm_modulate(grid, num), None, None)
+        y = apply_channel(h[:, None, None], ofdm_modulate(grid, num))
         [[est]] = bc.rc_detect(y[None], grid, num, [spec], d_max=12, ridge=0.0)
-        errors += int(np.count_nonzero(est != bits))
+        errors += bit_errors(est, bits, 4)
         total += bits.size
     gate(5, "noiseless exact equalization", errors == 0, f"{errors} bit errors in {total}")
 
@@ -263,9 +265,10 @@ def test_criterion_09_lmmse_awgn_sanity(monkeypatch):
         grid = build_grid(num, 1, 14, 4, RsMode.CONVENTIONAL, bits,
                           np.random.default_rng((9009, 2, slot)), order=16)
         tx = ofdm_modulate(grid, num)
-        y, nv = apply_channel(h[:, None, None], tx, snr_db, np.random.default_rng((9009, 3, slot)))
+        y = apply_channel(h[:, None, None], tx)
+        nv = add_awgn(y, snr_db, np.random.default_rng((9009, 3, slot)))
         [est] = bc.lmmse_detect(y[None], grid, num, pdp, [nv])
-        errors += int(np.count_nonzero(est != bits))
+        errors += bit_errors(est, bits, 4)
         total += bits.size
         slot += 1
     empirical = errors / total

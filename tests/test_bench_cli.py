@@ -27,16 +27,18 @@ from rclab.ofdm import (
     OfdmNumerology,
     RsMode,
     build_grid,
-    demap_data_bits,
     ofdm_demodulate,
     ofdm_modulate,
+    payload,
     payload_bit_count,
+    qam_decide,
     rs_time_waveform,
 )
 from rclab.reservoir import random_reservoir
 
 from channel_reference import factorize_by_phase
 from lmmse_reference import reference_estimate
+from qam_reference import bit_errors
 from reservoir_reference import equalized
 
 
@@ -288,7 +290,7 @@ class TestRcDetect:
         num, grid, bits, tx = detect_setup()
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
         [[est]] = bc.rc_detect(tx[None], grid, num, [spec], d_max=4)
-        assert np.count_nonzero(est != bits) == 0
+        assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("n_ant, d_max, chunk", [(1, 4, 256), (4, 12, 7), (4, 0, 300)])
     def test_symbol_decisions_match_whole_slot_demap(self, monkeypatch, n_ant, d_max, chunk):
@@ -303,11 +305,11 @@ class TestRcDetect:
         monkeypatch.setattr(reservoir, "STREAM_CHUNK", chunk)
         got = bc.rc_detect(rx, grid, num, specs, d_max=d_max)
         outs, _ = equalized(specs, rx, rs_time_waveform(grid, num), d_max)
-        for bits, out in zip(got, outs):
+        for decisions, out in zip(got, outs):
             whole = np.concatenate([np.zeros(out.shape[:2] + (num.symbol_len,)), out], axis=2)
-            want = demap_data_bits(ofdm_demodulate(whole, num, grid.n_sym), grid.kind, 16)
-            assert bits.dtype == np.uint8
-            assert bits.tobytes() == want.tobytes()
+            want = qam_decide(payload(ofdm_demodulate(whole, num, grid.n_sym)), 16)
+            assert decisions.dtype == np.uint8
+            assert decisions.tobytes() == want.tobytes()
 
     def test_peak_memory_does_not_grow_with_the_slot(self):
         # doubling a 4x4 slot's length may grow rc_detect's traced peak by at
@@ -333,7 +335,7 @@ class TestRcDetect:
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
         [[est]] = bc.rc_detect(noise[None], grid, num, [spec], d_max=4)
-        ber = np.count_nonzero(est != bits) / bits.size
+        ber = bit_errors(est, bits, 4) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
 
@@ -347,9 +349,9 @@ class TestLmmseDetect:
         grid_dense = build_grid(num, 1, 4, 1, RsMode.CONVENTIONAL,
                                 bits, np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
-        y, _ = apply_channel(h[:, None, None], tx_dense, None, None)
+        y = apply_channel(h[:, None, None], tx_dense)
         [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, [0.0])
-        assert np.count_nonzero(est != bits) == 0
+        assert bit_errors(est, bits, 4) == 0
 
     def test_mimo_orthogonal_combs_noiseless(self):
         # 256/(4*4) = 16 RS observations per antenna pair >= 13 channel taps
@@ -357,9 +359,9 @@ class TestLmmseDetect:
                                            mode=RsMode.CONVENTIONAL, seed=7)
         pdp = load_pdp("cdl_d")
         taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
-        y, _ = apply_channel(taps, tx, None, None)
+        y = apply_channel(taps, tx)
         [est] = bc.lmmse_detect(y[None], grid, num, pdp, [0.0])
-        assert np.count_nonzero(est != bits) == 0
+        assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-30])
     def test_flat_noiseless_estimate(self, noise_var):
@@ -367,17 +369,18 @@ class TestLmmseDetect:
         # singular when sigma is zero or lost to rounding
         num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
         [est] = bc.lmmse_detect(0.7j * tx[None], grid, num, load_pdp("flat"), [noise_var])
-        assert np.count_nonzero(est != bits) == 0
+        assert bit_errors(est, bits, 4) == 0
 
     def test_perfect_csi_flat_awgn(self, monkeypatch):
         num, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
         h = np.array([1.0 + 0j])
-        y, nv = apply_channel(h[:, None, None], tx, 14.0, np.random.default_rng(10))
+        y = apply_channel(h[:, None, None], tx)
+        nv = add_awgn(y, 14.0, np.random.default_rng(10))
         # perfect CSI: the estimator returns the exact per-subcarrier response
         monkeypatch.setattr(bc, "_estimate_channel_freq",
                             lambda *_: np.fft.fft(h, num.n_sc)[:, None, None])
         [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), [nv])
-        ber = np.count_nonzero(est != bits) / bits.size
+        ber = bit_errors(est, bits, 4) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
 
     def test_missing_rs_detected(self):
@@ -448,8 +451,7 @@ class TestLmmseDetect:
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
         grid = build_grid(num, 1, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL, bits, rng)
-        clean, _ = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num),
-                                 None, None)
+        clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
         tracemalloc.start()
@@ -521,7 +523,7 @@ class TestRunBerExperiment:
     @pytest.mark.parametrize("mode, n_ant", [("siso", 1), ("mimo", 4)])
     def test_shared_convolution_gives_per_snr_apply_channel(self, monkeypatch, mode, n_ant):
         # each SNR's received signal is the one noise-free convolution plus its
-        # own noise, byte for byte what one apply_channel call per SNR gives
+        # own noise, byte for byte what apply_channel and add_awgn per SNR give
         cfg = bc.ExperimentConfig(
             seed=4, n_slots=1, snr_db=(5.0, 20.0, np.inf), detectors=("rc-random", "lmmse"),
             channel_mode=mode, n_tx=n_ant, n_rx=n_ant, n_sc=64, n_cp=16, n_symbols=3,
@@ -531,12 +533,12 @@ class TestRunBerExperiment:
 
         def rc_detect(batch, *_):
             seen[RsMode.LEARNING] = batch.copy()
-            return [np.zeros((len(batch), 1))]
+            return [np.zeros((len(batch), 1), dtype=np.uint8)]
 
         def lmmse_detect(batch, grid, num, pdp, nvs):
             seen[RsMode.CONVENTIONAL] = batch.copy()
             noise_vars.extend(nvs)
-            return np.zeros((len(batch), 1))
+            return np.zeros((len(batch), 1), dtype=np.uint8)
 
         monkeypatch.setattr(bc, "rc_detect", rc_detect)
         monkeypatch.setattr(bc, "lmmse_detect", lmmse_detect)
@@ -549,12 +551,15 @@ class TestRunBerExperiment:
             grid = build_grid(cfg.numerology, n_ant, cfg.n_symbols, cfg.rs_spacing, rs_mode, bits,
                               bc._stream(cfg.seed, bc._T_RS, 0, mode_idx), order=cfg.qam_order)
             tx = ofdm_modulate(grid, cfg.numerology)
-            want = [apply_channel(ch, tx, snr, bc._stream(cfg.seed, bc._T_NOISE, 0, si, mode_idx))
-                    for si, snr in enumerate(cfg.snr_db)]
+            want, want_vars = [], []
+            for si, snr in enumerate(cfg.snr_db):
+                want.append(apply_channel(ch, tx))
+                want_vars.append(add_awgn(want[-1], snr,
+                                          bc._stream(cfg.seed, bc._T_NOISE, 0, si, mode_idx)))
             assert seen[rs_mode].shape == (len(cfg.snr_db), n_ant, tx.shape[1])
-            for got, (y, _) in zip(seen[rs_mode], want):
+            for got, y in zip(seen[rs_mode], want):
                 assert got.tobytes() == y.tobytes()
-        assert noise_vars == [nv for _, nv in want]  # the LMMSE mode's, the last one built
+        assert noise_vars == want_vars  # the LMMSE mode's, the last one built
 
     def test_mimo_slot_peak_memory_is_bounded(self):
         # one README-numerology 4x4 slot of every detector at three SNRs peaks

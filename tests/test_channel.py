@@ -349,21 +349,22 @@ class TestParametricMimo:
 class TestApplyChannel:
     def test_identity_no_noise(self):
         x = np.array([1 + 1j, 2, 3])
-        (y,), nv = apply_channel(np.array([1.0])[:, None, None], x[None], None, None)
-        np.testing.assert_allclose(y, x)
-        assert nv == 0.0
+        y = apply_channel(np.array([1.0])[:, None, None], x[None])
+        np.testing.assert_allclose(y, x[None])
+        assert add_awgn(y, None, None) == 0.0 and add_awgn(y, np.inf, None) == 0.0
+        np.testing.assert_array_equal(y, x[None])
 
     def test_pure_delay(self):
-        (y,), _ = apply_channel(np.array([0, 1])[:, None, None], np.array([[1.0, 2.0, 3.0]]),
-                                None, None)
+        (y,) = apply_channel(np.array([0, 1])[:, None, None], np.array([[1.0, 2.0, 3.0]]))
         np.testing.assert_allclose(y, [0, 1, 2])
 
     def test_empirical_snr(self):
         rng = np.random.default_rng(8)
         x = np.exp(2j * np.pi * rng.uniform(size=100_000))[None]
         h = np.array([1.0])[:, None, None]
-        y_clean, _ = apply_channel(h, x, None, None)
-        y, nv = apply_channel(h, x, 10.0, np.random.default_rng(9))
+        y_clean = apply_channel(h, x)
+        y = apply_channel(h, x)
+        nv = add_awgn(y, 10.0, np.random.default_rng(9))
         measured = 10 * np.log10(np.mean(np.abs(y_clean) ** 2) / np.mean(np.abs(y - y_clean) ** 2))
         assert abs(measured - 10.0) < 0.2
         assert abs(nv - 0.1) < 0.01
@@ -381,7 +382,7 @@ class TestApplyChannel:
         taps = sample_parametric_mimo(pdp, AngleModel(), 2, 3, 4, rng)
         t = 20
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
-        y, _ = apply_channel(taps, x, None, None)
+        y = apply_channel(taps, x)
         expected = np.zeros((3, t), dtype=complex)
         for n in range(t):
             for ell in range(taps.shape[0]):
@@ -407,18 +408,18 @@ class TestApplyChannel:
         if sparse:  # zero interior taps, as in the cdl_d profile
             taps[1:-1][rng.uniform(size=max(n_taps - 2, 0)) < 0.6] = 0.0
         x = rng.standard_normal((n_tx, t)) + 1j * rng.standard_normal((n_tx, t))
-        siso, _ = apply_channel(taps[:, 0, 0][:, None, None], x[0][None], None, None)
+        (siso,) = apply_channel(taps[:, 0, 0][:, None, None], x[0][None])
         assert siso.tobytes() == scipy.signal.lfilter(taps[:, 0, 0], [1.0 + 0.0j], x[0]).tobytes()
         want = np.zeros((n_rx, t), dtype=complex)
         for r in range(n_rx):
             for c in range(n_tx):
                 want[r] += scipy.signal.lfilter(taps[:, r, c], [1.0], x[c])
-        assert apply_channel(taps, x, None, None)[0].tobytes() == want.tobytes()
+        assert apply_channel(taps, x).tobytes() == want.tobytes()
 
     def test_mimo_stream_count_checked(self):
         pdp = load_pdp("flat")
         taps = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 4, np.random.default_rng(1))
         with pytest.raises(ValueError):
-            apply_channel(taps, np.ones((3, 10)), None, None)
+            apply_channel(taps, np.ones((3, 10)))
         with pytest.raises(ValueError, match="taps"):
-            apply_channel(np.ones(3), np.ones((1, 10)), None, None)
+            apply_channel(np.ones(3), np.ones((1, 10)))

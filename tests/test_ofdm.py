@@ -1,27 +1,30 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rclab.ofdm import (
+    QAM_ORDERS,
     OfdmNumerology,
     ReKind,
     RsMode,
     bits_per_symbol,
     build_grid,
-    data_positions,
-    demap_data_bits,
-    extract_data_symbols,
     ofdm_demodulate,
     ofdm_modulate,
+    payload,
     payload_bit_count,
-    qam_demap,
+    qam_decide,
     qam_map,
     rs_subcarriers,
     rs_time_waveform,
 )
 
+from qam_reference import pack, unpack
 
-def per_axis_demap(symbols, order):
-    """The per-axis hard decision: each axis's rounded level index, Gray-coded and split into ``uint8`` bits."""
+
+def per_axis_decide(symbols, order):
+    """The per-axis hard decision: each axis's rounded level index, Gray-coded, packed into a ``uint8``."""
     s = np.asarray(symbols, dtype=np.complex128).ravel()
     k = bits_per_symbol(order)
     m = int(np.sqrt(order))
@@ -32,10 +35,10 @@ def per_axis_demap(symbols, order):
         gray = idx ^ (idx >> 1)
         return (gray[:, None] >> np.arange(k // 2 - 1, -1, -1)) & 1
 
-    out = np.empty((s.size, k), dtype=np.uint8)
-    out[:, 0::2] = axis_bits(s.real)
-    out[:, 1::2] = axis_bits(s.imag)
-    return out.ravel()
+    bits = np.empty((s.size, k), dtype=np.int64)
+    bits[:, 0::2] = axis_bits(s.real)
+    bits[:, 1::2] = axis_bits(s.imag)
+    return pack(bits, k)
 
 
 def make_grid(n_sc=64, n_cp=8, n_tx=1, n_sym=4, spacing=4, mode=RsMode.LEARNING, order=16, seed=0):
@@ -51,7 +54,25 @@ class TestQam:
     def test_roundtrip_exhaustive(self, order):
         k = bits_per_symbol(order)
         bits = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
-        np.testing.assert_array_equal(qam_demap(qam_map(bits, order), order), bits)
+        decisions = qam_decide(qam_map(bits, order), order)
+        assert decisions.dtype == np.uint8
+        np.testing.assert_array_equal(decisions, pack(bits, k))
+        np.testing.assert_array_equal(decisions, np.arange(order))
+
+    @settings(max_examples=60, deadline=None)
+    @given(order=st.sampled_from(QAM_ORDERS), n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
+    def test_popcount_counts_bit_errors(self, order, n, seed):
+        # the popcount of decisions XOR the packed bits is the count of
+        # differing bits, and a noiseless decision packs the bits it was sent
+        k = bits_per_symbol(order)
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, n * k)
+        decisions = rng.integers(0, order, n).astype(np.uint8)
+        sent = pack(bits, k)
+        assert sent.dtype == np.uint8 and sent.shape == (n,)
+        assert int(np.bitwise_count(decisions ^ sent).sum()) == np.count_nonzero(
+            unpack(decisions, k) != bits)
+        np.testing.assert_array_equal(qam_decide(qam_map(bits, order), order), sent)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_unit_average_energy(self, order):
@@ -62,9 +83,9 @@ class TestQam:
 
     def test_nearest_neighbor_decision(self):
         corner = (-3 - 3j) / np.sqrt(10)
-        bits = qam_demap(np.array([corner]), 16)
-        noisy = qam_demap(np.array([corner + 0.01 * (1 + 1j)]), 16)
-        np.testing.assert_array_equal(noisy, bits)
+        decision = qam_decide(np.array([corner]), 16)
+        noisy = qam_decide(np.array([corner + 0.01 * (1 + 1j)]), 16)
+        np.testing.assert_array_equal(noisy, decision)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_table_matches_per_axis_decision(self, order):
@@ -81,7 +102,7 @@ class TestQam:
         noisy = 2.0 * (rng.standard_normal(5000) + 1j * rng.standard_normal(5000))
         symbols = np.concatenate([(axis[:, None] + 1j * axis[None, :]).ravel(), noisy])
         with np.errstate(invalid="ignore"):  # +-1e300 overflow the index cast in both
-            got, want = qam_demap(symbols, order), per_axis_demap(symbols, order)
+            got, want = qam_decide(symbols, order), per_axis_decide(symbols, order)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
@@ -133,7 +154,7 @@ class TestGrid:
 
     def test_payload_roundtrip(self):
         _, grid, bits = make_grid(order=16)
-        np.testing.assert_array_equal(demap_data_bits(grid.symbols, grid.kind, 16), bits)
+        np.testing.assert_array_equal(qam_decide(payload(grid.symbols), 16), pack(bits, 4))
 
     def test_spacing_must_divide(self):
         num = OfdmNumerology(64, 8)
@@ -149,19 +170,20 @@ class TestGrid:
         _, grid, bits = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
         rng = np.random.default_rng(5)
         batch = grid.symbols + 0.3 * rng.standard_normal((3,) + grid.symbols.shape)
-        got = demap_data_bits(batch, grid.kind, 16)
-        assert got.shape == (3, bits.size)
+        got = qam_decide(payload(batch), 16)
+        assert got.shape == (3, bits.size // 4)
         for row, element in zip(got, batch):
-            np.testing.assert_array_equal(row, demap_data_bits(element, grid.kind, 16))
-            pos = data_positions(grid.kind)
-            np.testing.assert_array_equal(row, per_axis_demap(element[pos[:, 2], pos[:, 1], pos[:, 0]], 16))
+            np.testing.assert_array_equal(row, qam_decide(payload(element), 16))
+            np.testing.assert_array_equal(row, per_axis_decide(payload(element), 16))
 
-    def test_data_positions_canonical_order(self):
-        _, grid, _ = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
-        pos = data_positions(grid.kind)
-        assert pos.shape[1] == 3
-        # antenna-major, then symbol, then subcarrier
-        assert np.all(np.diff(pos[:, 0]) >= 0)
+    def test_payload_is_build_grid_fill_order(self):
+        _, grid, bits = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
+        got = payload(grid.symbols)
+        assert got.tobytes() == qam_map(bits, 16).tobytes()
+        # antenna-major, then symbol, then subcarrier, over every RE after the RS symbol
+        want = [grid.symbols[k, s, a] for a in range(2) for s in range(1, 3) for k in range(16)]
+        np.testing.assert_array_equal(got, want)
+        assert np.all(grid.kind[:, 1:, :] == ReKind.DATA)
 
 
 class TestModulation:
@@ -218,5 +240,5 @@ class TestModulation:
 
     def test_average_data_power(self):
         _, grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)
-        data = extract_data_symbols(grid.symbols, grid.kind)
+        data = payload(grid.symbols)
         assert abs(np.mean(np.abs(data) ** 2) - 1.0) < 0.05
