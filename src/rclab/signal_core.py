@@ -53,16 +53,22 @@ def all_pole_filter(a, x, lengths=None) -> np.ndarray:
     if np.any(av[:, 0] == 0.0):
         raise SingularChannelError("a[0] = 0: the leading tap makes 1 / A(z) singular")
     xv = np.asarray(x, dtype=np.complex128)
+    if xv.ndim not in (1, 2) or (xv.ndim == 2 and xv.shape[0] != batch):
+        raise ValueError(
+            f"x must be (T,) or ({batch}, T) for a of shape {av.shape}, got shape {xv.shape}"
+        )
     xv = np.broadcast_to(xv, (batch, xv.shape[-1]))
     sizes = np.full(batch, width) if lengths is None else np.asarray(lengths, dtype=np.int64)
     if sizes.shape != (batch,) or np.any(sizes < 1) or np.any(sizes > width):
         raise ValueError(f"lengths must be {batch} values in [1, {width}]")
+    rows = np.flatnonzero(sizes > 1)
+    if batch and rows.size == batch:
+        return _transposed_direct_form(av[:, : sizes.max()], xv, sizes)
     out = np.empty(xv.shape, dtype=np.complex128)
     for r in np.flatnonzero(sizes == 1):
         b = np.ones(1, dtype=np.complex128)
         b /= av[r, 0]
         out[r] = np.convolve(b, xv[r])[: xv.shape[1]]
-    rows = np.flatnonzero(sizes > 1)
     if rows.size:
         out[rows] = _transposed_direct_form(av[rows, : sizes[rows].max()], xv[rows], sizes[rows])
     return out
@@ -75,10 +81,12 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
     elementwise step runs over long contiguous rows.  A row of ``n`` taps uses
     delays ``0 .. n - 2``; the delays after them stay ``-0.0``, the exact
     identity of addition, so a row's last delay gets ``b_k x - a_k y`` with
-    nothing added from beyond its own length.
+    nothing added from beyond its own length.  Each step forms the input
+    terms of its own sample and writes its output into the complex result,
+    so apart from the result the memory is a few ``(2, L, batch)`` arrays
+    whatever the input's length.
     """
     batch, width = a.shape
-    t_len = x.shape[1]
     a0r = a[:, 0].real
     a0i = a[:, 0].imag
     mag = a0r * a0r + a0i * a0i
@@ -87,13 +95,18 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
         # real and imaginary parts of c conj(a_0), before the division by |a_0|^2
         return cr * a0r + ci * a0i, ci * a0r - cr * a0i
 
-    def times(cr, ci, vr, vi):
-        return (cr * vr - ci * vi) / mag, (ci * vr + cr * vi) / mag
-
-    # the numerator b = [1, 0, ..., 0] contributes terms of the input alone
+    # the numerator b = [1, 0, ..., 0] contributes terms of the input alone,
+    # b_k conj(a_0) x / |a_0|^2 for k = 0 (head) and k > 0 (rest); each step
+    # forms [re head, re rest, im head, im rest] as (cr xr - ci xi, ci xr + cr xi)
+    (b0r, b0i), (bkr, bki) = scaled(1.0, 0.0), scaled(0.0, 0.0)
+    x_coef = np.stack([b0r, bkr, b0i, bki])
+    y_coef = np.stack([b0i, bki, b0r, bkr])
     xr, xi = x.real.T, x.imag.T  # (T, batch)
-    head = np.stack(times(*scaled(1.0, 0.0), xr, xi), axis=1)  # (T, 2, batch)
-    rest = np.stack(times(*scaled(0.0, 0.0), xr, xi), axis=1)[:, :, None, :]
+    s1 = np.empty((4, batch))
+    s2 = np.empty((4, batch))
+    terms = np.empty((4, batch))
+    head = terms.reshape(2, 2, batch)[:, 0]  # (part, batch)
+    rest = terms.reshape(2, 2, batch)[:, 1, None]  # (part, 1, batch)
 
     ar, ai = scaled(a.real[:, 1:].T, a.imag[:, 1:].T)  # (width - 1, batch)
     # (ti yr + tr yi) is computed as (ti yr - (-tr) yi), which rounds identically
@@ -106,22 +119,25 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
     z_next = z.copy()
     t1 = np.empty_like(p)
     t2 = np.empty_like(p)
-    y = np.empty((t_len, 2, batch))
-    for t in range(t_len):
-        yt = y[t]
-        np.add(z[:, 0], head[t], out=yt)
+    out = np.empty(x.shape, dtype=np.complex128)
+    y = out.view(np.float64).reshape(batch, -1, 2).T  # (part, T, batch) view of out
+    for t in range(x.shape[1]):
+        np.multiply(x_coef, xr[t], out=s1)
+        np.multiply(y_coef, xi[t], out=s2)
+        np.subtract(s1[:2], s2[:2], out=terms[:2])
+        np.add(s1[2:], s2[2:], out=terms[2:])
+        np.divide(terms, mag, out=terms)
+        yt = y[:, t]
+        np.add(z[:, 0], head, out=yt)
         np.multiply(p, yt[0], out=t1)
         np.multiply(q, yt[1], out=t2)
         np.subtract(t1, t2, out=t1)
         np.divide(t1, mag, out=t1)
-        np.add(z[:, 1:], rest[t], out=z_next[:, :-1])
+        np.add(z[:, 1:], rest, out=z_next[:, :-1])
         np.subtract(z_next[:, :-1], t1, out=z_next[:, :-1])
         if padded:
             np.copyto(z_next, -0.0, where=tail)
         z, z_next = z_next, z
-    out = np.empty((batch, t_len), dtype=np.complex128)
-    out.real = y[:, 0].T
-    out.imag = y[:, 1].T
     return out
 
 

@@ -10,8 +10,9 @@ candidate reservoir subspace.  Two independent evaluation routes are provided:
 
 * a Monte-Carlo route that projects every shifted copy of every realization
   (computed via FFT cross-correlations, never materializing T(g) densely:
-  one FFT of the basis, then one forward and one inverse FFT per
-  realization), and
+  the basis in blocks of columns, each block one FFT of its columns, then
+  one forward and one inverse FFT per realization, so its working memory
+  is a few 2N x block arrays besides the N x M basis), and
 * a closed-form route using the empirical covariance and lower shift matrices,
   ``sum_i [tr(K L_i^H L_i) - tr(K L_i^H F F^H L_i)]``, evaluated through the
   diagonal-cumulative-sum structure of ``sum_i L_i K L_i^H``.
@@ -28,6 +29,12 @@ from .channel import PowerDelayProfile
 from .filters import Phase
 from .signal_core import hermitian_eig
 from .weight_config import collect_equalizer_irs, empirical_covariance
+
+
+# Basis columns per block of the Monte-Carlo route.  A block's spectrum and
+# product buffer are each about 2N x 64 complex (2 MB at N = 1000) instead of
+# 2N x m; blocks of 16 to 128 columns give the same bits.
+MC_BLOCK_COLUMNS = 64
 
 
 def toeplitz_frobenius_sq(g: np.ndarray) -> float:
@@ -55,19 +62,27 @@ def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray
 
     ``<f_m, L_i g> = sum_k conj(F[k+i, m]) g[k]`` is the cross-correlation of
     column ``m`` with ``g`` at lag ``i``; only lags ``0..N-1`` contribute.
-    The spectrum of the reversed basis is computed once; each realization
-    then costs one forward FFT of ``g`` and one inverse FFT of the product.
+    The basis is taken ``MC_BLOCK_COLUMNS`` columns at a time: the spectrum
+    of a block's reversed columns is computed once, and each realization
+    then costs one forward FFT of ``g`` and one inverse FFT of the product
+    per block.  Every FFT and sum runs per column, so the blocks change no bit.
     """
     n, m = f.shape
     nfft = _next_fast_len(2 * n - 1)
-    ff = np.fft.fft(np.conj(f[::-1, :]), nfft, axis=0)
-    prod = np.empty_like(ff)
     out = np.empty((vectors.shape[0], m))
-    for r, g in enumerate(vectors):
-        gf = np.fft.fft(g, nfft)
-        np.multiply(ff, gf[:, None], out=prod)
-        conv = np.fft.ifft(prod, axis=0, out=prod)
-        out[r] = np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
+    starts = list(range(0, m, MC_BLOCK_COLUMNS))
+    if m > 1 and m % MC_BLOCK_COLUMNS == 1:
+        # numpy sums a lone column pairwise and wider blocks row by row, so
+        # the last column joins the block before it
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        ff = np.fft.fft(np.conj(f[::-1, lo:hi]), nfft, axis=0)
+        prod = np.empty_like(ff)
+        for r, g in enumerate(vectors):
+            gf = np.fft.fft(g, nfft)
+            np.multiply(ff, gf[:, None], out=prod)
+            conv = np.fft.ifft(prod, axis=0, out=prod)
+            out[r, lo:hi] = np.sum(np.abs(conv[:n, :]) ** 2, axis=0)
     return out
 
 
@@ -89,6 +104,8 @@ def p2_objective_numerical(f: np.ndarray, vectors) -> float:
     for the orthonormal ``F``), so no N x N matrix is ever formed.
     """
     vectors = np.asarray(vectors)
+    if vectors.ndim == 2 and vectors.size == 0:
+        raise ValueError(f"statistics must be a non-empty (n_obs, n) array, got shape {vectors.shape}")
     fm = np.asarray(f, dtype=np.complex128)
     if fm.ndim != 2 or vectors.ndim != 2 or fm.shape[0] != vectors.shape[1]:
         raise ValueError("basis and dataset dimensions do not match")
@@ -180,9 +197,9 @@ def approx_error_report(vectors, m_values) -> ApproxErrorReport:
     The cumulative structure over the eigenvector index is exploited so the
     whole sweep costs one pass over the realizations plus one covariance
     decomposition, regardless of how many ``m`` values are requested.  The
-    Monte-Carlo pass costs one FFT of the ``N x m_max`` basis, plus one
-    forward FFT of each realization and one inverse FFT of its product with
-    the basis spectrum.
+    Monte-Carlo pass takes the ``N x m_max`` basis ``MC_BLOCK_COLUMNS``
+    columns at a time: one FFT of the block, then one forward FFT of each
+    realization and one inverse FFT of its product with the block spectrum.
     """
     k_hat = empirical_covariance(vectors)
     vectors = np.asarray(vectors)

@@ -3,7 +3,6 @@ import io
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -38,6 +37,7 @@ from rclab.reservoir import random_reservoir
 
 from channel_reference import factorize_by_phase
 from lmmse_reference import reference_estimate
+from memory_guard import traced_peak
 from qam_reference import bit_errors
 from reservoir_reference import equalized
 
@@ -319,13 +319,7 @@ class TestRcDetect:
         for n_sym in (8, 16):
             num, grid, _, tx = detect_setup(n_sc=256, n_cp=32, n_sym=n_sym, n_tx=4, seed=19)
             batch = np.repeat(tx[None], 3, axis=0)
-            tracemalloc.start()
-            try:
-                start = tracemalloc.get_traced_memory()[0]
-                bc.rc_detect(batch, grid, num, specs, d_max=4)
-                peaks[n_sym] = tracemalloc.get_traced_memory()[1] - start
-            finally:
-                tracemalloc.stop()
+            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, num, specs, d_max=4)
         one_output = batch.size * 16 // 2  # (3, 4, T) complex at n_sym = 8
         assert peaks[16] - peaks[8] <= one_output / 4
 
@@ -454,14 +448,8 @@ class TestLmmseDetect:
         clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            bc.lmmse_detect(batch, grid, num, pdp, noise_vars)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / 2**20 <= 5.0
+        peak = traced_peak(bc.lmmse_detect, batch, grid, num, pdp, noise_vars)
+        assert peak / 2**20 <= 5.0
 
 
 class TestRunBerExperiment:
@@ -570,14 +558,7 @@ class TestRunBerExperiment:
             n_tx=4, n_rx=4, ridge=1e-6, input_scale=0.3,
         )
         specs, pdp = bc._configured_specs(cfg), cfg.load_profile()
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            bc._slot_errors(cfg, specs, pdp, 0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - start) / 2**20 <= 18.0
+        assert traced_peak(bc._slot_errors, cfg, specs, pdp, 0) / 2**20 <= 18.0
 
     def test_grid_mode_wiring(self):
         # with orthogonal (conventional) combs a noiseless 4x4 system is

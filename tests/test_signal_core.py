@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,6 +18,8 @@ from rclab.signal_core import (
     polynomial_roots,
     toeplitz_inverse_first_column,
 )
+
+from signal_reference import whole_input_all_pole_filter
 
 
 class TestToeplitzInverse:
@@ -102,11 +105,46 @@ class TestAllPoleFilter:
             assert same_bits(got[r], scipy.signal.lfilter(num, a[r, :n], x[r]))
             assert same_bits(shared[r], scipy.signal.lfilter(num, a[r, :n], x[0]))
 
+    @given(
+        lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
+        t=st.integers(1, 30),
+        impulse=st.booleans(),
+        shared=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(lengths=[3, 1, 2], t=9, impulse=True, shared=True, seed=0)
+    @example(lengths=[4, 4], t=17, impulse=False, shared=False, seed=1)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_whole_input_recursion(self, lengths, t, impulse, shared, seed):
+        # signed zeros count: tobytes() tells -0.0 from 0.0
+        rng = np.random.default_rng(seed)
+        batch, width = len(lengths), max(lengths)
+        a = rng.standard_normal((batch, width)) + 1j * rng.standard_normal((batch, width))
+        a[:, 1:][rng.uniform(size=(batch, width - 1)) < 0.3] = -0.0
+        a[:, 1:] *= 0.3
+        rows = 1 if shared else batch
+        if impulse:
+            x = np.zeros((rows, t), dtype=complex)
+            x[:, 0] = 1.0
+        else:
+            x = rng.standard_normal((rows, t)) + 1j * rng.standard_normal((rows, t))
+        x = x[0] if shared else x
+        got = all_pole_filter(a, x, lengths)
+        assert got.tobytes() == whole_input_all_pole_filter(a, x, lengths).tobytes()
+
     def test_lengths_checked(self):
         a = np.ones((2, 3), dtype=complex)
         for lengths in ([0, 3], [1, 4], [2]):
             with pytest.raises(ValueError):
                 all_pole_filter(a, np.ones(4), lengths)
+
+    @pytest.mark.parametrize("x", [np.complex128(1.0), np.ones((3, 4)), np.ones((1, 2, 4))],
+                             ids=["0-d", "rows", "3-d"])
+    def test_input_shape_checked(self, x):
+        a = np.ones((2, 3), dtype=complex)
+        want = rf"x must be \(T,\) or \(2, T\) for a of shape \(2, 3\), got shape {re.escape(str(x.shape))}"
+        with pytest.raises(ValueError, match=want):
+            all_pole_filter(a, x)
 
 
 class TestHermitianEig:

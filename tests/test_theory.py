@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from rclab.channel import PowerDelayProfile, load_pdp
 from rclab.signal_core import hermitian_eig
 from rclab.theory import (
+    MC_BLOCK_COLUMNS,
     ApproxErrorReport,
     _next_fast_len,
+    _monte_carlo_terms,
     _shift_projection_energies,
     approx_error_report,
     lemma1_error,
@@ -22,6 +25,8 @@ from rclab.theory import (
     toeplitz_frobenius_sq,
 )
 from rclab.weight_config import collect_equalizer_irs, empirical_covariance, pca_basis
+
+from memory_guard import traced_peak
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +155,12 @@ class TestP2Objective:
         with pytest.raises(ValueError):
             p2_objective_numerical(np.eye(5)[:, :2], ds)
 
+    def test_empty_dataset(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"non-empty \(n_obs, n\) array, got shape \(0, 6\)"):
+                p2_objective_numerical(np.eye(6)[:, :2], np.zeros((0, 6), dtype=complex))
+
 
 class TestShiftProjectionEnergies:
     # n = 7, 9, 10 and 12 pad the correlation: next_fast_len(2n - 1) > 2n - 1
@@ -171,6 +182,28 @@ class TestShiftProjectionEnergies:
         got = _shift_projection_energies(f, vectors)
         assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
         np.testing.assert_allclose(got, shift_projection_energies_dense(f, vectors), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, MC_BLOCK_COLUMNS + 1], ids=["under", "equal", "over", "twice"])
+    def test_blocks_of_columns_change_no_bit(self, extra):
+        # the basis runs in blocks of MC_BLOCK_COLUMNS columns; one column over
+        # a multiple of it leaves a lone last column, which numpy would sum
+        # pairwise while the whole basis at once sums every column row by row
+        m = MC_BLOCK_COLUMNS + extra
+        n = m + 5
+        rng = np.random.default_rng(m)
+        f = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0][:, :m]
+        vectors = random_dataset(rng, 3, n)
+        got = _shift_projection_energies(f, vectors)
+        assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # N = m = n_obs = 300: the whole basis's spectrum and product buffer
+        # are 2.7 MiB each (7.0 MiB traced with the sums); by blocks of
+        # columns the (n_obs, m) energies and one block's buffers remain
+        rng = np.random.default_rng(5)
+        f = np.linalg.qr(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))[0]
+        vectors = random_dataset(rng, 300, 300)
+        assert traced_peak(_monte_carlo_terms, f, vectors) / 2**20 <= 4.5
 
 
 def test_next_fast_len_matches_scipy():

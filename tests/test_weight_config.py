@@ -24,6 +24,7 @@ from rclab.weight_config import (
     _denominator_to_sections,
 )
 from rclab.reservoir import ReservoirSpec
+from memory_guard import traced_peak
 from reservoir_reference import alone_features, train_readout
 
 
@@ -57,6 +58,14 @@ class TestCollect:
             unit = np.zeros(64)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
+
+    def test_peak_memory_is_near_the_result(self):
+        # 1000 draws at n = 128: the (1000, 128) complex result is 1.95 MiB;
+        # the inverses' input terms and float output for the whole length
+        # took the traced peak to 13.7 MiB, a step at a time leaves about 4
+        pdp = load_pdp("cdl_d")
+        peak = traced_peak(collect_equalizer_irs, pdp, 128, 1000, np.random.default_rng(6))
+        assert peak / 2**20 <= 6.0
 
     def test_each_draw_factorized_once(self, monkeypatch):
         # each candidate is classified once, and only accepted draws that are
