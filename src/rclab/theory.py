@@ -65,7 +65,8 @@ def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray
     The basis is taken ``MC_BLOCK_COLUMNS`` columns at a time: the spectrum
     of a block's reversed columns is computed once, and each realization
     then costs one forward FFT of ``g`` and one inverse FFT of the product
-    per block.  Every FFT and sum runs per column, so the blocks change no bit.
+    per block.  FFTs and sums run per column, and no block but a one-column
+    basis is one column wide, so the blocks change no bit.
     """
     n, m = f.shape
     nfft = _next_fast_len(2 * n - 1)

@@ -197,9 +197,9 @@ class TestShiftProjectionEnergies:
         assert np.array_equal(got, np.array([shift_projection_energies_one(f, g) for g in vectors]))
 
     def test_peak_memory_is_bounded_by_the_block(self):
-        # N = m = n_obs = 300: the whole basis's spectrum and product buffer
-        # are 2.7 MiB each (7.0 MiB traced with the sums); by blocks of
-        # columns the (n_obs, m) energies and one block's buffers remain
+        # N = m = n_obs = 300: a spectrum and a product buffer of the whole
+        # basis are 2.7 MiB each. 4.5 MiB holds the 0.7 MiB (n_obs, m)
+        # energies and one block's buffers, but not those two
         rng = np.random.default_rng(5)
         f = np.linalg.qr(rng.standard_normal((300, 300)) + 1j * rng.standard_normal((300, 300)))[0]
         vectors = random_dataset(rng, 300, 300)

@@ -60,9 +60,9 @@ class TestCollect:
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
 
     def test_peak_memory_is_near_the_result(self):
-        # 1000 draws at n = 128: the (1000, 128) complex result is 1.95 MiB;
-        # the inverses' input terms and float output for the whole length
-        # took the traced peak to 13.7 MiB, a step at a time leaves about 4
+        # 1000 draws at n = 128: the (1000, 128) complex result is 1.95 MiB.
+        # 6 MiB holds it, the draws and one more result-sized array, but not
+        # the recursion's input terms and float output for every step at once
         pdp = load_pdp("cdl_d")
         peak = traced_peak(collect_equalizer_irs, pdp, 128, 1000, np.random.default_rng(6))
         assert peak / 2**20 <= 6.0
