@@ -49,7 +49,6 @@ from .filters import Phase
 from .ofdm import (
     QAM_ORDERS,
     OfdmNumerology,
-    ReKind,
     ResourceGrid,
     RsMode,
     bits_per_symbol,
@@ -59,7 +58,6 @@ from .ofdm import (
     payload,
     payload_bit_count,
     qam_decide,
-    rs_time_waveform,
 )
 from .reservoir import (
     ACTIVATIONS,
@@ -203,9 +201,6 @@ class ExperimentConfig:
     def numerology(self) -> OfdmNumerology:
         return OfdmNumerology(self.n_sc, self.n_cp)
 
-    def load_profile(self) -> PowerDelayProfile:
-        return load_pdp(self.pdp)
-
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
@@ -229,7 +224,7 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigFileError(f"bad value for {section}.{key}: {raw!r}") from exc
         cfg = cls(**kwargs)
-        pdp = cfg.load_profile()  # fail early if the referenced PDP is missing
+        pdp = load_pdp(cfg.pdp)  # fail early if the referenced PDP is missing
         if "rc-td" in cfg.detectors:
             _check_td_statistics(cfg, pdp)
         return cfg
@@ -315,7 +310,9 @@ def rc_detect(
     slot is ever held.  Returns the ``(len(specs), batch, n_payload)``
     decisions in :func:`~rclab.ofdm.payload` order.
     """
-    target = rs_time_waveform(tx_grid, numerology)
+    # the RS symbol's known waveform: symbol 0 modulated alone, so no slot waveform is formed
+    rs_symbol = ResourceGrid(symbols=tx_grid.symbols[:, :1], qam_order=tx_grid.qam_order)
+    target = np.ascontiguousarray(ofdm_modulate(rs_symbol, numerology))
     stream = train_and_equalize(specs, rx_batch, target, d_max, ridge)
     next(stream)  # the readouts; the buffers below exist only once training's arrays are gone
     sym_len, order = numerology.symbol_len, tx_grid.qam_order
@@ -351,14 +348,15 @@ def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
 def _rs_combs(tx_grid: ResourceGrid, pdp: PowerDelayProfile, basis: np.ndarray) -> list:
     """Each TX antenna's RS subcarriers ``ks`` of symbol 0; warns where ``basis[ks]`` loses rank.
 
-    Taps whose delays alias on an antenna's comb give ``A = basis[ks]`` a
-    rank below the tap count, whatever the noise: the comb cannot tell them
-    apart, and the estimate is the minimum-norm (σ = 0) or the prior-weighted
-    (σ > 0) split between them.
+    An antenna's ``ks`` are the nonzero subcarriers of its symbol 0.  Taps
+    whose delays alias on an antenna's comb give ``A = basis[ks]`` a rank
+    below the tap count, whatever the noise: the comb cannot tell them apart,
+    and the estimate is the minimum-norm (σ = 0) or the prior-weighted (σ > 0)
+    split between them.
     """
     combs = []
     for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
+        ks = np.flatnonzero(tx_grid.symbols[:, 0, tx])
         if ks.size == 0:
             raise ValueError(f"no RS resource elements for antenna {tx}")
         rank = np.linalg.matrix_rank(basis[ks])
@@ -436,7 +434,7 @@ def lmmse_detect(
 
 def configure(cfg: ExperimentConfig, method: str) -> ConfigReport:
     """The SISO reservoir configured from ``cfg``'s statistics by ``method``, "td" or "fd"."""
-    pdp = cfg.load_profile()
+    pdp = load_pdp(cfg.pdp)
     if method == "td":
         _check_td_statistics(cfg, pdp)
         return configure_time_domain_report(
@@ -491,8 +489,10 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     noise-free convolution, copied per SNR, which adds its own noise.  One
     state recursion per slot advances every RC detector's core over the
     learning batch.  The batch depends on ``cfg.snr_db`` only, never on
-    ``cfg.workers``.  A detector's bit errors are the popcount of its
-    decisions XOR the sent payload bits, packed as :func:`~rclab.ofdm.qam_decide`'s.
+    ``cfg.workers``.  The payload bits are packed once into the ``k``-bit
+    patterns that :func:`~rclab.ofdm.build_grid` maps and
+    :func:`~rclab.ofdm.qam_decide` returns, so a detector's bit errors are
+    the popcount of its decisions XOR the sent patterns.
     """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
@@ -507,7 +507,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     for mode_idx, (mode, dets) in enumerate(by_mode):
         if not dets:
             continue
-        grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, bits,
+        grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, sent,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
         clean = apply_channel(ch, ofdm_modulate(grid, num))
@@ -535,7 +535,7 @@ def run_ber_experiment(cfg: ExperimentConfig) -> list:
     specs = _configured_specs(cfg)
     totals = {(det, si): [0, 0] for det in cfg.detectors for si in range(len(cfg.snr_db))}
     if cfg.n_slots > 0:
-        pdp = cfg.load_profile()
+        pdp = load_pdp(cfg.pdp)
         if cfg.workers > 1:
             # imported here: it loads multiprocessing, which a serial run never needs
             from concurrent.futures import ProcessPoolExecutor
@@ -662,7 +662,7 @@ def cmd_dump_spec(args) -> int:
     def writer(fp):
         spec = report.spec
         sections = report.poles.size // cfg.m
-        fp.write(f"profile            : {cfg.load_profile().label or cfg.pdp}\n")
+        fp.write(f"profile            : {load_pdp(cfg.pdp).label or cfg.pdp}\n")
         fp.write(f"method             : {args.method}\n")
         fp.write(f"neurons            : {spec.n_neurons} ({cfg.m} columns x {sections} sections)\n")
         fp.write(f"window length      : {cfg.n_window}\n")

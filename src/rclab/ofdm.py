@@ -1,10 +1,11 @@
 """OFDM transmit/receive chain: square-QAM mapping, resource grids with comb
 reference-signal (RS) patterns, and cyclic-prefix modulation.
 
-Grids are ``(n_sc, n_sym, n_tx)`` complex arrays with a parallel kind mask
-partitioning resource elements (REs) into data, RS, and empty-RS.  The first
-OFDM symbol of each slot carries the RS comb; the remaining symbols carry
-payload.  Two comb layouts are supported:
+Grids are ``(n_sc, n_sym, n_tx)`` complex arrays of resource elements (REs).
+The first OFDM symbol of each slot carries the RS combs: unit-modulus QPSK on
+each antenna's comb and exact zeros on every other RE, so an antenna's comb is
+the nonzero subcarriers of its symbol 0.  The remaining symbols carry payload.
+Two comb layouts are supported:
 
 * ``conventional`` - antenna-orthogonal combs: antenna ``p`` transmits on
   subcarriers ``p * rs_spacing (mod rs_spacing * n_tx)`` while the other
@@ -22,12 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 QAM_ORDERS = (4, 16, 64)
-
-
-class ReKind(enum.IntEnum):
-    DATA = 0
-    RS = 1
-    EMPTY_RS = 2
 
 
 class RsMode(enum.Enum):
@@ -55,15 +50,9 @@ class OfdmNumerology:
 # Gray-coded square QAM with unit average energy
 # ---------------------------------------------------------------------------
 
-def _axis_tables(order: int):
-    """(levels_by_gray_value, scale) for one I/Q axis of a square constellation."""
-    m = 1 << (bits_per_symbol(order) // 2)
-    levels = np.empty(m, dtype=np.float64)
-    for idx in range(m):
-        gray = idx ^ (idx >> 1)
-        levels[gray] = 2 * idx - (m - 1)
-    scale = np.sqrt(3.0 / (2.0 * (order - 1)))
-    return levels, scale
+def _scale(order: int) -> float:
+    """The level spacing of a square constellation with unit average energy, halved."""
+    return np.sqrt(3.0 / (2.0 * (order - 1)))
 
 
 def bits_per_symbol(order: int) -> int:
@@ -72,41 +61,50 @@ def bits_per_symbol(order: int) -> int:
     return int(np.log2(order))
 
 
-def qam_map(bits, order: int) -> np.ndarray:
-    """Map bits to unit-average-energy Gray-coded QAM symbols.
+@functools.cache
+def _constellation(order: int) -> np.ndarray:
+    """Read-only ``(order,)`` table: the symbol of each ``k``-bit pattern.
 
-    Bits are consumed ``k`` at a time (``k = log2(order)``); even-position
-    bits address the I axis, odd-position bits the Q axis.
+    A pattern's bits, most significant first, alternate between the I axis
+    (even positions) and the Q axis (odd positions).
     """
-    b = np.asarray(bits, dtype=np.int64).ravel()
     k = bits_per_symbol(order)
-    if b.size % k != 0:
-        raise ValueError(f"bit count {b.size} not divisible by {k}")
-    if b.size and (b.min() < 0 or b.max() > 1):
-        raise ValueError("bits must be 0/1")
-    levels, scale = _axis_tables(order)
-    groups = b.reshape(-1, k)
+    idx = np.arange(1 << (k // 2))
+    levels = np.empty(idx.size)
+    levels[idx ^ (idx >> 1)] = 2 * idx - (idx.size - 1)  # by Gray value
+    groups = (np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1
     weights = 1 << np.arange(k // 2 - 1, -1, -1)
-    i_idx = groups[:, 0::2] @ weights
-    q_idx = groups[:, 1::2] @ weights
-    return scale * (levels[i_idx] + 1j * levels[q_idx])
+    i, q = groups[:, 0::2] @ weights, groups[:, 1::2] @ weights
+    table = _scale(order) * (levels[i] + 1j * levels[q])
+    table.flags.writeable = False
+    return table
+
+
+def qam_map(patterns, order: int) -> np.ndarray:
+    """Unit-average-energy Gray-coded QAM symbols of ``k``-bit patterns, in their shape.
+
+    A pattern is the integer whose ``k = log2(order)`` bits, most significant
+    first, are the symbol's bits: the form :func:`qam_decide` returns.
+    """
+    table = _constellation(order)
+    p = np.asarray(patterns)
+    if not np.issubdtype(p.dtype, np.integer) or (p.size and (p.min() < 0 or p.max() >= order)):
+        raise ValueError(f"patterns must be integers in [0, {order})")
+    return table[p]
 
 
 def _axis_index(vals, order: int) -> np.ndarray:
     """Index of the nearest level on one I or Q axis of a square constellation."""
     m = int(np.sqrt(order))
-    _, scale = _axis_tables(order)
-    return np.clip(np.round((vals / scale + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
+    return np.clip(np.round((vals / _scale(order) + (m - 1)) / 2.0).astype(np.int64), 0, m - 1)
 
 
 @functools.cache
 def _decision_table(order: int) -> np.ndarray:
     """Read-only ``(m, m)`` table: each point's bit pattern, as an integer, at its level indices."""
-    k = bits_per_symbol(order)
-    patterns = np.arange(order, dtype=np.uint8)
-    points = qam_map((patterns[:, None] >> np.arange(k - 1, -1, -1)) & 1, order)
+    points = _constellation(order)
     table = np.empty((int(np.sqrt(order)),) * 2, dtype=np.uint8)
-    table[_axis_index(points.real, order), _axis_index(points.imag, order)] = patterns
+    table[_axis_index(points.real, order), _axis_index(points.imag, order)] = np.arange(order)
     table.flags.writeable = False
     return table
 
@@ -129,10 +127,9 @@ def qam_decide(symbols, order: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ResourceGrid:
-    """Subcarrier x symbol x antenna grid with an RE-kind mask."""
+    """Subcarrier x symbol x antenna grid; symbol 0 is zero outside the RS combs."""
 
     symbols: np.ndarray  # (n_sc, n_sym, n_tx) complex
-    kind: np.ndarray  # same shape, ReKind values
     qam_order: int
 
     @property
@@ -171,37 +168,35 @@ def build_grid(
     n_sym: int,
     rs_spacing: int,
     mode: RsMode,
-    payload_bits,
+    payload_patterns,
     rng: np.random.Generator,
     order: int = 16,
 ) -> ResourceGrid:
     """Assemble a transmit grid: the RS comb symbol at position 0, then payload symbols.
 
-    RS REs carry unit-modulus QPSK sequences drawn from ``rng`` (distinct per
-    antenna); within the RS symbol every non-RS RE is empty, so the whole RS
-    waveform is known to the receiver in both comb modes and payload capacity
-    is identical across modes.
+    ``payload_patterns`` holds one :func:`qam_map` pattern per payload RE, in
+    :func:`payload` order.  RS REs carry unit-modulus QPSK sequences drawn
+    from ``rng`` (distinct per antenna); within the RS symbol every non-RS RE
+    is empty, so the whole RS waveform is known to the receiver in both comb
+    modes and payload capacity is identical across modes.
     """
     n_sc = numerology.n_sc
     if n_sym < 2:
         raise ValueError("need n_sym >= 2: one RS symbol plus payload")
-    bits = np.asarray(payload_bits, dtype=np.int64).ravel()
-    expected = payload_bit_count(n_sc, n_sym, n_tx, order)
-    if bits.size != expected:
-        raise ValueError(f"expected {expected} payload bits, got {bits.size}")
+    patterns = np.asarray(payload_patterns).ravel()
+    expected = n_sc * (n_sym - 1) * n_tx
+    if patterns.size != expected:
+        raise ValueError(f"expected {expected} payload patterns, got {patterns.size}")
 
     symbols = np.zeros((n_sc, n_sym, n_tx), dtype=np.complex128)
-    kind = np.full((n_sc, n_sym, n_tx), ReKind.DATA, dtype=np.int8)
-    kind[:, 0, :] = ReKind.EMPTY_RS
     for p in range(n_tx):
         comb = rs_subcarriers(n_sc, n_tx, rs_spacing, mode, p)
         quads = rng.integers(0, 4, size=comb.size)
         symbols[comb, 0, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
-        kind[comb, 0, p] = ReKind.RS
 
     data = np.swapaxes(symbols, -1, -3)[..., 1:, :]  # payload()'s view, before its reshape
-    data[...] = qam_map(bits, order).reshape(data.shape)
-    return ResourceGrid(symbols=symbols, kind=kind, qam_order=order)
+    data[...] = qam_map(patterns, order).reshape(data.shape)
+    return ResourceGrid(symbols=symbols, qam_order=order)
 
 
 def payload(grid: np.ndarray) -> np.ndarray:
@@ -236,10 +231,3 @@ def ofdm_demodulate(samples, numerology: OfdmNumerology, n_sym: int) -> np.ndarr
     blocks = s.reshape(*s.shape[:-1], n_sym, sym_len)[..., numerology.n_cp :]
     return np.swapaxes(np.fft.fft(blocks, axis=-1, norm="ortho"), -1, -3)
 
-
-def rs_time_waveform(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:
-    """Known time-domain waveform of the RS symbol (symbol 0), ``(n_tx, symbol_len)``."""
-    col = grid.symbols[:, 0, :]  # (n_sc, n_tx)
-    time = np.fft.ifft(col, axis=0, norm="ortho")
-    with_cp = np.concatenate([time[numerology.n_sc - numerology.n_cp :], time], axis=0)
-    return with_cp.T.copy()

@@ -65,7 +65,7 @@ def all_pole_filter(a, x, lengths=None) -> np.ndarray:
     if batch and rows.size == batch:
         return _transposed_direct_form(av[:, : sizes.max()], xv, sizes)
     out = np.empty(xv.shape, dtype=np.complex128)
-    for r in np.flatnonzero(sizes == 1):
+    for r in np.flatnonzero(sizes == 1) if xv.shape[1] else ():  # np.convolve rejects empty input
         b = np.ones(1, dtype=np.complex128)
         b /= av[r, 0]
         out[r] = np.convolve(b, xv[r])[: xv.shape[1]]

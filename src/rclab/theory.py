@@ -170,8 +170,6 @@ class ApproxErrorReport:
     m_values: tuple
     numerical_normalized: tuple
     theoretical_normalized: tuple
-    n: int
-    n_obs: int
 
     def __post_init__(self):
         if not (len(self.m_values) == len(self.numerical_normalized) == len(self.theoretical_normalized)):
@@ -204,7 +202,7 @@ def approx_error_report(vectors, m_values) -> ApproxErrorReport:
     """
     k_hat = empirical_covariance(vectors)
     vectors = np.asarray(vectors)
-    n_obs, n = vectors.shape
+    n = vectors.shape[1]
     m_list = sorted(set(int(m) for m in m_values))
     if m_list[0] < 1 or m_list[-1] > n:
         raise ValueError(f"m values must lie in [1, {n}]")
@@ -224,8 +222,6 @@ def approx_error_report(vectors, m_values) -> ApproxErrorReport:
         m_values=tuple(m_list),
         numerical_normalized=tuple(numerical),
         theoretical_normalized=tuple(theoretical),
-        n=n,
-        n_obs=n_obs,
     )
 
 

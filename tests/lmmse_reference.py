@@ -14,7 +14,6 @@ rounding.
 import numpy as np
 
 from rclab.bench_cli import LMMSE_ESTIMATION_BACKOFF
-from rclab.ofdm import ReKind
 
 
 def frequency_correlation(delays, powers, n_sc: int, cols: np.ndarray) -> np.ndarray:
@@ -29,7 +28,7 @@ def reference_estimate(rx_grid: np.ndarray, tx_grid, pdp, noise_var: float) -> n
     sigma = noise_var * LMMSE_ESTIMATION_BACKOFF
     h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
     for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.kind[:, 0, tx] == ReKind.RS)
+        ks = np.flatnonzero(tx_grid.symbols[:, 0, tx])  # the RS REs: symbol 0 is zero elsewhere
         r_cross = frequency_correlation(pdp.delays, pdp.powers, n_sc, ks)  # (n_sc, n_ks)
         r_ks = r_cross[ks]
         ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]

@@ -20,7 +20,7 @@ def whole_input_all_pole_filter(a, x, lengths) -> np.ndarray:
     xv = np.broadcast_to(xv, (batch, xv.shape[-1]))
     sizes = np.asarray(lengths, dtype=np.int64)
     out = np.empty(xv.shape, dtype=np.complex128)
-    for r in np.flatnonzero(sizes == 1):
+    for r in np.flatnonzero(sizes == 1) if xv.shape[1] else ():
         b = np.ones(1, dtype=np.complex128)
         b /= av[r, 0]
         out[r] = np.convolve(b, xv[r])[: xv.shape[1]]

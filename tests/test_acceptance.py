@@ -34,7 +34,7 @@ from rclab.weight_config import (
     reduce_order,
 )
 
-from qam_reference import bit_errors
+from qam_reference import bit_errors, pack
 
 
 def gate(num, name, ok, detail):
@@ -145,7 +145,7 @@ def test_criterion_05_noiseless_exact_equalization():
         bits = np.random.default_rng((5005, 2, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )
-        grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, bits,
+        grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, pack(bits, 4),
                           np.random.default_rng((5005, 3, slot)), order=16)
         y = apply_channel(h[:, None, None], ofdm_modulate(grid, num))
         [[est]] = bc.rc_detect(y[None], grid, num, [spec], d_max=12, ridge=0.0)
@@ -262,7 +262,7 @@ def test_criterion_09_lmmse_awgn_sanity(monkeypatch):
         bits = np.random.default_rng((9009, 1, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )
-        grid = build_grid(num, 1, 14, 4, RsMode.CONVENTIONAL, bits,
+        grid = build_grid(num, 1, 14, 4, RsMode.CONVENTIONAL, pack(bits, 4),
                           np.random.default_rng((9009, 2, slot)), order=16)
         tx = ofdm_modulate(grid, num)
         y = apply_channel(h[:, None, None], tx)

@@ -25,20 +25,20 @@ from rclab.filters import Phase
 from rclab.ofdm import (
     OfdmNumerology,
     RsMode,
+    bits_per_symbol,
     build_grid,
     ofdm_demodulate,
     ofdm_modulate,
     payload,
     payload_bit_count,
     qam_decide,
-    rs_time_waveform,
 )
 from rclab.reservoir import random_reservoir
 
 from channel_reference import factorize_by_phase
 from lmmse_reference import reference_estimate
 from memory_guard import traced_peak
-from qam_reference import bit_errors
+from qam_reference import bit_errors, pack
 from reservoir_reference import equalized
 
 
@@ -280,7 +280,7 @@ def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0,
     num = OfdmNumerology(n_sc, n_cp)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, payload_bit_count(n_sc, n_sym, n_tx, order))
-    grid = build_grid(num, n_tx, n_sym, 4, mode, bits, rng, order=order)
+    grid = build_grid(num, n_tx, n_sym, 4, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
     tx = ofdm_modulate(grid, num)
     return num, grid, bits, tx
 
@@ -304,7 +304,7 @@ class TestRcDetect:
                  random_reservoir(5, 0.4, 0.5, n_ant, 0, np.random.default_rng(17))]
         monkeypatch.setattr(reservoir, "STREAM_CHUNK", chunk)
         got = bc.rc_detect(rx, grid, num, specs, d_max=d_max)
-        outs, _ = equalized(specs, rx, rs_time_waveform(grid, num), d_max)
+        outs, _ = equalized(specs, rx, tx[:, : num.symbol_len], d_max)
         for decisions, out in zip(got, outs):
             whole = np.concatenate([np.zeros(out.shape[:2] + (num.symbol_len,)), out], axis=2)
             want = qam_decide(payload(ofdm_demodulate(whole, num, grid.n_sym)), 16)
@@ -341,7 +341,7 @@ class TestLmmseDetect:
         # interpolation uses the operating profile: same delay support as h
         pdp = PowerDelayProfile.from_linear([0, 1, 2], [1.0, 0.2, 0.01])
         grid_dense = build_grid(num, 1, 4, 1, RsMode.CONVENTIONAL,
-                                bits, np.random.default_rng(6), order=16)
+                                pack(bits, 4), np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
         y = apply_channel(h[:, None, None], tx_dense)
         [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, [0.0])
@@ -380,7 +380,7 @@ class TestLmmseDetect:
     def test_missing_rs_detected(self):
         num, grid, bits, tx = detect_setup(mode=RsMode.LEARNING, n_tx=2, n_sc=64)
         # learning grids share one comb: antenna 1's comb is fine, but wipe it
-        grid.kind[:, 0, :] = 0
+        grid.symbols[:, 0, :] = 0
         with pytest.raises(ValueError, match="no RS"):
             bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), [0.0])
 
@@ -441,10 +441,11 @@ class TestLmmseDetect:
         # a batch of three SNRs at the README numerology, where one (n_sc, n_ks)
         # correlation matrix alone is 4.2 MB: the estimate must form none
         cfg = bc.ExperimentConfig(snr_db=(10.0, 20.0, 30.0), detectors=("lmmse",))
-        num, pdp = cfg.numerology, cfg.load_profile()
+        num, pdp = cfg.numerology, load_pdp(cfg.pdp)
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
-        grid = build_grid(num, 1, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL, bits, rng)
+        grid = build_grid(num, 1, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4),
+                          rng)
         clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
@@ -530,13 +531,14 @@ class TestRunBerExperiment:
 
         monkeypatch.setattr(bc, "rc_detect", rc_detect)
         monkeypatch.setattr(bc, "lmmse_detect", lmmse_detect)
-        pdp = cfg.load_profile()
+        pdp = load_pdp(cfg.pdp)
         bc._slot_errors(cfg, bc._configured_specs(cfg), pdp, 0)
         ch = bc._draw_slot_channel(cfg, pdp, 0)
         bits = bc._stream(cfg.seed, bc._T_PAYLOAD, 0).integers(
             0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, n_ant, cfg.qam_order))
         for mode_idx, rs_mode in enumerate((RsMode.LEARNING, RsMode.CONVENTIONAL)):
-            grid = build_grid(cfg.numerology, n_ant, cfg.n_symbols, cfg.rs_spacing, rs_mode, bits,
+            grid = build_grid(cfg.numerology, n_ant, cfg.n_symbols, cfg.rs_spacing, rs_mode,
+                              pack(bits, bits_per_symbol(cfg.qam_order)),
                               bc._stream(cfg.seed, bc._T_RS, 0, mode_idx), order=cfg.qam_order)
             tx = ofdm_modulate(grid, cfg.numerology)
             want, want_vars = [], []
@@ -557,7 +559,7 @@ class TestRunBerExperiment:
             snr_db=(10.0, 20.0, 30.0), detectors=bc.DETECTOR_NAMES, channel_mode="mimo",
             n_tx=4, n_rx=4, ridge=1e-6, input_scale=0.3,
         )
-        specs, pdp = bc._configured_specs(cfg), cfg.load_profile()
+        specs, pdp = bc._configured_specs(cfg), load_pdp(cfg.pdp)
         assert traced_peak(bc._slot_errors, cfg, specs, pdp, 0) / 2**20 <= 18.0
 
     def test_grid_mode_wiring(self):

@@ -29,6 +29,7 @@ import pytest
 import rclab
 from rclab import bench_cli as bc
 from rclab import reservoir
+from rclab.channel import load_pdp
 from reservoir_reference import assert_fit_matches_lstsq
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -91,7 +92,7 @@ def first_slot_searches(monkeypatch, detector):
     monkeypatch.setattr(reservoir, "_delay_search", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        bc._slot_errors(cfg, specs, cfg.load_profile(), 0)
+        bc._slot_errors(cfg, specs, load_pdp(cfg.pdp), 0)
     assert len(searches) == len(cfg.snr_db)
     return specs[detector], searches
 

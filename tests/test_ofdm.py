@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from rclab.ofdm import (
     QAM_ORDERS,
     OfdmNumerology,
-    ReKind,
+    ResourceGrid,
     RsMode,
     bits_per_symbol,
     build_grid,
@@ -17,7 +17,6 @@ from rclab.ofdm import (
     qam_decide,
     qam_map,
     rs_subcarriers,
-    rs_time_waveform,
 )
 
 from qam_reference import pack, unpack
@@ -41,23 +40,47 @@ def per_axis_decide(symbols, order):
     return pack(bits, k)
 
 
+def bitwise_map(bits, order):
+    """QAM symbols from bits, axis by axis: each axis's Gray value decoded to its level."""
+    k = bits_per_symbol(order)
+    m = int(np.sqrt(order))
+    scale = np.sqrt(3.0 / (2.0 * (order - 1)))
+    groups = np.asarray(bits, dtype=np.int64).reshape(-1, k)
+
+    def axis_levels(axis_bits):
+        idx = axis_bits @ (1 << np.arange(k // 2 - 1, -1, -1))  # the Gray value
+        shift = idx >> 1
+        while np.any(shift):  # Gray to binary: XOR of every right shift
+            idx, shift = idx ^ shift, shift >> 1
+        return (2 * idx - (m - 1)).astype(np.float64)
+
+    return scale * (axis_levels(groups[:, 0::2]) + 1j * axis_levels(groups[:, 1::2]))
+
+
 def make_grid(n_sc=64, n_cp=8, n_tx=1, n_sym=4, spacing=4, mode=RsMode.LEARNING, order=16, seed=0):
     num = OfdmNumerology(n_sc, n_cp)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, payload_bit_count(n_sc, n_sym, n_tx, order))
-    grid = build_grid(num, n_tx, n_sym, spacing, mode, bits, rng, order=order)
+    grid = build_grid(num, n_tx, n_sym, spacing, mode, pack(bits, bits_per_symbol(order)), rng,
+                      order=order)
     return num, grid, bits
 
 
 class TestQam:
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_roundtrip_exhaustive(self, order):
-        k = bits_per_symbol(order)
-        bits = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
-        decisions = qam_decide(qam_map(bits, order), order)
+        decisions = qam_decide(qam_map(np.arange(order), order), order)
         assert decisions.dtype == np.uint8
-        np.testing.assert_array_equal(decisions, pack(bits, k))
         np.testing.assert_array_equal(decisions, np.arange(order))
+
+    @pytest.mark.parametrize("order", [4, 16, 64])
+    def test_map_is_the_bitwise_gray_mapping(self, order):
+        # the table lookup gives the bits of mapping each symbol's bits axis by axis
+        k = bits_per_symbol(order)
+        bits = np.random.default_rng(order).integers(0, 2, 3000 * k)
+        assert qam_map(pack(bits, k), order).tobytes() == bitwise_map(bits, order).tobytes()
+        patterns = pack(bits, k).reshape(30, 100)
+        assert qam_map(patterns, order).shape == (30, 100)
 
     @settings(max_examples=60, deadline=None)
     @given(order=st.sampled_from(QAM_ORDERS), n=st.integers(0, 200), seed=st.integers(0, 2**32 - 1))
@@ -72,13 +95,11 @@ class TestQam:
         assert sent.dtype == np.uint8 and sent.shape == (n,)
         assert int(np.bitwise_count(decisions ^ sent).sum()) == np.count_nonzero(
             unpack(decisions, k) != bits)
-        np.testing.assert_array_equal(qam_decide(qam_map(bits, order), order), sent)
+        np.testing.assert_array_equal(qam_decide(qam_map(sent, order), order), sent)
 
     @pytest.mark.parametrize("order", [4, 16, 64])
     def test_unit_average_energy(self, order):
-        k = bits_per_symbol(order)
-        bits = ((np.arange(order)[:, None] >> np.arange(k - 1, -1, -1)) & 1).ravel()
-        symbols = qam_map(bits, order)
+        symbols = qam_map(np.arange(order), order)
         assert abs(np.mean(np.abs(symbols) ** 2) - 1.0) < 1e-12
 
     def test_nearest_neighbor_decision(self):
@@ -106,12 +127,13 @@ class TestQam:
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
 
-    def test_bit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            qam_map([0, 1, 0], 16)
+    def test_pattern_out_of_range(self):
+        for patterns in ([0, 16], [-1], np.zeros(2)):
+            with pytest.raises(ValueError, match="patterns must be integers"):
+                qam_map(patterns, 16)
 
     def test_qpsk_example(self):
-        sym = qam_map([0, 0], 4)
+        sym = qam_map([0], 4)
         np.testing.assert_allclose(sym, [(-1 - 1j) / np.sqrt(2)])
 
     def test_unsupported_order(self):
@@ -126,30 +148,30 @@ class TestGrid:
 
     def test_conventional_combs_disjoint(self):
         num, grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
-        rs0 = np.flatnonzero(grid.kind[:, 0, 0] == ReKind.RS)
-        rs1 = np.flatnonzero(grid.kind[:, 0, 1] == ReKind.RS)
-        assert len(set(rs0) & set(rs1)) == 0
+        rs0, rs1 = (np.flatnonzero(grid.symbols[:, 0, a]) for a in range(2))
+        np.testing.assert_array_equal(rs0, rs_subcarriers(64, 2, 4, RsMode.CONVENTIONAL, 0))
+        np.testing.assert_array_equal(rs1, rs_subcarriers(64, 2, 4, RsMode.CONVENTIONAL, 1))
         # the other antenna is silent on each comb
-        assert np.all(grid.kind[rs0, 0, 1] == ReKind.EMPTY_RS)
-        assert np.all(grid.symbols[rs0, 0, 1] == 0)
+        assert len(set(rs0) & set(rs1)) == 0
 
     def test_learning_combs_shared(self):
         num, grid, _ = make_grid(n_sc=64, n_tx=4, mode=RsMode.LEARNING)
-        combs = [np.flatnonzero(grid.kind[:, 0, a] == ReKind.RS) for a in range(4)]
-        for c in combs[1:]:
-            np.testing.assert_array_equal(c, combs[0])
+        for a in range(4):
+            np.testing.assert_array_equal(np.flatnonzero(grid.symbols[:, 0, a]),
+                                          rs_subcarriers(64, 4, 4, RsMode.LEARNING, a))
 
     def test_partition_exhaustive_and_disjoint(self):
+        # symbol 0 is the RS combs and exact zeros; every later RE holds a
+        # QAM symbol, which is never 0
         _, grid, _ = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL)
-        kinds = grid.kind
-        assert np.all((kinds == 0) | (kinds == 1) | (kinds == 2))
-        # RS symbol holds no data; data symbols hold only data
-        assert not np.any(kinds[:, 0, :] == ReKind.DATA)
-        assert np.all(kinds[:, 1:, :] == ReKind.DATA)
+        for a in range(2):
+            rs = rs_subcarriers(32, 2, 4, RsMode.CONVENTIONAL, a)
+            np.testing.assert_array_equal(np.flatnonzero(grid.symbols[:, 0, a]), rs)
+        assert np.all(grid.symbols[:, 1:, :] != 0)
 
     def test_rs_unit_energy(self):
         _, grid, _ = make_grid()
-        rs = grid.symbols[grid.kind == ReKind.RS]
+        rs = grid.symbols[rs_subcarriers(64, 1, 4, RsMode.LEARNING, 0), 0, 0]
         np.testing.assert_allclose(np.abs(rs), 1.0)
 
     def test_payload_roundtrip(self):
@@ -179,11 +201,10 @@ class TestGrid:
     def test_payload_is_build_grid_fill_order(self):
         _, grid, bits = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
         got = payload(grid.symbols)
-        assert got.tobytes() == qam_map(bits, 16).tobytes()
+        assert got.tobytes() == qam_map(pack(bits, 4), 16).tobytes()
         # antenna-major, then symbol, then subcarrier, over every RE after the RS symbol
         want = [grid.symbols[k, s, a] for a in range(2) for s in range(1, 3) for k in range(16)]
         np.testing.assert_array_equal(got, want)
-        assert np.all(grid.kind[:, 1:, :] == ReKind.DATA)
 
 
 class TestModulation:
@@ -202,9 +223,7 @@ class TestModulation:
         num = OfdmNumerology(16, 0)
         symbols = np.zeros((16, 1, 1), dtype=complex)
         symbols[0, 0, 0] = 1.0
-        from rclab.ofdm import ResourceGrid
-
-        grid = ResourceGrid(symbols=symbols, kind=np.zeros((16, 1, 1), np.int8), qam_order=16)
+        grid = ResourceGrid(symbols=symbols, qam_order=16)
         samples = ofdm_modulate(grid, num)
         np.testing.assert_allclose(samples, np.full((1, 16), 1 / 4), atol=1e-12)
 
@@ -235,8 +254,10 @@ class TestModulation:
 
     def test_rs_waveform_matches_slot_prefix(self):
         num, grid, _ = make_grid(n_sc=64, n_cp=8, n_tx=2, mode=RsMode.LEARNING)
+        # the RS symbol modulated alone is the slot's first symbol_len samples, to the bit
         tx = ofdm_modulate(grid, num)
-        np.testing.assert_allclose(rs_time_waveform(grid, num), tx[:, : num.symbol_len], atol=1e-12)
+        alone = ofdm_modulate(ResourceGrid(symbols=grid.symbols[:, :1], qam_order=16), num)
+        assert alone.tobytes() == tx[:, : num.symbol_len].tobytes()
 
     def test_average_data_power(self):
         _, grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)

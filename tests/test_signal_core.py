@@ -107,12 +107,13 @@ class TestAllPoleFilter:
 
     @given(
         lengths=st.lists(st.integers(1, 6), min_size=1, max_size=5),
-        t=st.integers(1, 30),
+        t=st.integers(0, 30),
         impulse=st.booleans(),
         shared=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
     @example(lengths=[3, 1, 2], t=9, impulse=True, shared=True, seed=0)
+    @example(lengths=[2, 1], t=0, impulse=False, shared=False, seed=2)
     @example(lengths=[4, 4], t=17, impulse=False, shared=False, seed=1)
     @settings(max_examples=80, deadline=None)
     def test_matches_whole_input_recursion(self, lengths, t, impulse, shared, seed):
@@ -123,13 +124,14 @@ class TestAllPoleFilter:
         a[:, 1:][rng.uniform(size=(batch, width - 1)) < 0.3] = -0.0
         a[:, 1:] *= 0.3
         rows = 1 if shared else batch
-        if impulse:
+        if impulse and t:
             x = np.zeros((rows, t), dtype=complex)
             x[:, 0] = 1.0
         else:
             x = rng.standard_normal((rows, t)) + 1j * rng.standard_normal((rows, t))
         x = x[0] if shared else x
         got = all_pole_filter(a, x, lengths)
+        assert got.shape == (batch, t)
         assert got.tobytes() == whole_input_all_pole_filter(a, x, lengths).tobytes()
 
     def test_lengths_checked(self):

@@ -381,7 +381,6 @@ class TestReport:
                 m_values=(1, 2),
                 numerical_normalized=(0.1, 0.2),
                 theoretical_normalized=(0.1, 0.05),
-                n=4, n_obs=2,
             )
 
     def test_reproduce_fig5_desk_scale(self):
