@@ -58,6 +58,7 @@ from .ofdm import (
     payload,
     payload_bit_count,
     qam_decide,
+    rs_subcarriers,
 )
 from .reservoir import (
     ACTIVATIONS,
@@ -165,6 +166,8 @@ class ExperimentConfig:
                 raise ConfigFileError("mimo mode needs element_spacing > 0")
             if not self.angle_offset_deg >= 0:
                 raise ConfigFileError("mimo mode needs angle_offset_deg >= 0")
+            if not self.sector_deg >= 0:
+                raise ConfigFileError("mimo mode needs sector_deg >= 0")
         if self.require_phase not in ("any", "strictly_mp"):
             raise ConfigFileError("require_phase must be 'any' or 'strictly_mp'")
         if self.n_slots < 0 or self.workers < 1:
@@ -175,8 +178,13 @@ class ExperimentConfig:
             OfdmNumerology(self.n_sc, self.n_cp)
         except ValueError as exc:
             raise ConfigFileError(f"[ofdm] {exc}, got n_sc = {self.n_sc}, n_cp = {self.n_cp}") from exc
-        if self.rs_spacing < 1 or self.n_sc % self.rs_spacing:
-            raise ConfigFileError("rs_spacing must be a positive divisor of n_sc")
+        try:
+            for mode, dets in _rs_modes(self.detectors):
+                if dets:
+                    rs_subcarriers(self.n_sc, self.n_tx, self.rs_spacing, mode, 0)
+        except ValueError as exc:
+            raise ConfigFileError(
+                f"[ofdm] {exc}, got rs_spacing = {self.rs_spacing}, n_tx = {self.n_tx}") from exc
         if self.n_symbols < 2:
             raise ConfigFileError("need n_symbols >= 2 (one RS symbol plus payload)")
         if self.ridge < 0:
@@ -191,7 +199,13 @@ class ExperimentConfig:
                          ("l_rp", 1), ("n_window", 0), ("d_max", 0)):
             if getattr(self, key) < low:
                 raise ConfigFileError(f"{key} must be >= {low}, got {getattr(self, key)}")
-        if ({"rc-random", "vanilla-esn"} & set(self.detectors)
+        rc = set(RC_DETECTOR_NAMES) & set(self.detectors)
+        if rc and self.d_max >= self.numerology.symbol_len:
+            raise ConfigFileError(f"[rc] d_max must be below the RS symbol's "
+                                  f"{self.numerology.symbol_len} samples, got {self.d_max}")
+        if {"rc-td", "rc-fd"} & rc and self.stats_obs < self.m:
+            raise ConfigFileError(f"[rc] stats_obs must be >= m = {self.m}, got {self.stats_obs}")
+        if ({"rc-random", "vanilla-esn"} & rc
                 and round(self.sparsity * self.n_neurons * self.n_neurons) == self.n_neurons ** 2):
             raise ConfigFileError(
                 f"[rc] sparsity = {self.sparsity} zeroes every recurrent weight when n_neurons = "
@@ -228,6 +242,12 @@ class ExperimentConfig:
         if "rc-td" in cfg.detectors:
             _check_td_statistics(cfg, pdp)
         return cfg
+
+
+def _rs_modes(detectors):
+    """``(mode, detectors)`` of each RS mode: RC detectors train on the learning comb, LMMSE on the other."""
+    return ((RsMode.LEARNING, [d for d in detectors if d in RC_DETECTOR_NAMES]),
+            (RsMode.CONVENTIONAL, [d for d in detectors if d == "lmmse"]))
 
 
 def _check_td_statistics(cfg: ExperimentConfig, pdp: PowerDelayProfile) -> None:
@@ -501,10 +521,8 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     )
     k = bits_per_symbol(cfg.qam_order)
     sent = (bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))).astype(np.uint8)
-    by_mode = ((RsMode.LEARNING, [d for d in cfg.detectors if d in RC_DETECTOR_NAMES]),
-               (RsMode.CONVENTIONAL, [d for d in cfg.detectors if d == "lmmse"]))
     out = {}
-    for mode_idx, (mode, dets) in enumerate(by_mode):
+    for mode_idx, (mode, dets) in enumerate(_rs_modes(cfg.detectors)):
         if not dets:
             continue
         grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, sent,

@@ -52,7 +52,7 @@ def perturb_clustered_poles(poles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _residues_simple(poles: np.ndarray) -> np.ndarray:
+def section_residues(poles: np.ndarray) -> np.ndarray:
     """Residues of ``1 / prod_k (1 - p_k z^{-1})`` at simple nonzero poles."""
     k = poles.size
     res = np.empty(k, dtype=np.complex128)
@@ -120,7 +120,6 @@ def classify_rows(rows):
         for i, row_roots in zip(stacked.tolist(), r):
             roots[i] = row_roots
     for i in np.flatnonzero(~full).tolist():
-        trimmed = np.trim_zeros(h[i], "b")
-        roots[i] = polynomial_roots(trimmed) if trimmed.size > 1 else np.zeros(0, np.complex128)
+        roots[i] = polynomial_roots(h[i])
     phases = [Phase.STRICTLY_MP if r is None else _phase_of_roots(r) for r in roots]
     return phases, roots

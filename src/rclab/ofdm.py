@@ -147,8 +147,8 @@ class ResourceGrid:
 
 def rs_subcarriers(n_sc: int, n_tx: int, rs_spacing: int, mode: RsMode, antenna: int) -> np.ndarray:
     """Comb subcarrier indices carrying RS for one antenna."""
-    if n_sc % rs_spacing != 0:
-        raise ValueError("rs_spacing must divide n_sc")
+    if rs_spacing < 1 or n_sc % rs_spacing != 0:
+        raise ValueError("rs_spacing must be a positive divisor of n_sc")
     if mode is RsMode.CONVENTIONAL:
         period = rs_spacing * n_tx
         if n_sc % period != 0:

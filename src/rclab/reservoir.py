@@ -232,19 +232,6 @@ def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
     return out
 
 
-def _fit_inputs(features, target):
-    """Features and target as C-ordered complex 2-D arrays sharing the time axis.
-
-    The order is fixed because the fit's row sums, and so its weights, round
-    differently over a strided axis.
-    """
-    f = np.atleast_2d(np.ascontiguousarray(features, dtype=np.complex128))
-    tgt = np.atleast_2d(np.ascontiguousarray(target, dtype=np.complex128))
-    if f.shape[1] != tgt.shape[1]:
-        raise ValueError("features and target must share the time axis")
-    return f, tgt
-
-
 def _least_squares(f: np.ndarray, ridge: float):
     """``(weights, residuals)`` of readout fits against the C-ordered features ``f``, factored once.
 
@@ -322,22 +309,23 @@ def _delay_search(features, target, d_max: int, ridge: float):
     One factorization of the features serves every delay, with the delayed
     targets stacked as rows, and the refit of the winner.  The winner's
     weights are formed from its target alone, so they are exactly those of
-    the same fit's ``weights`` against that one delayed target.
+    the same fit's ``weights`` against that one delayed target.  Both inputs
+    are C-ordered complex ``(rows, L)`` arrays, as :func:`_features` and
+    :func:`train_and_equalize` make them, since the fit rounds by layout.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
-    f, tgt = _fit_inputs(features, target)
-    weights, row_residuals = _least_squares(f, ridge)
-    stacked = np.vstack([_delayed(tgt, d) for d in range(d_max + 1)])
+    weights, row_residuals = _least_squares(features, ridge)
+    stacked = np.vstack([_delayed(target, d) for d in range(d_max + 1)])
     residuals = row_residuals(stacked).reshape(d_max + 1, -1).sum(axis=1)
     # residuals within rounding error of each other count as ties, which go
     # to the smallest delay
-    tie_tol = 1e-12 * float(np.linalg.norm(tgt) ** 2)
+    tie_tol = 1e-12 * float(np.linalg.norm(target) ** 2)
     best = 0
     for d in range(1, d_max + 1):
         if residuals[d] < residuals[best] - tie_tol:
             best = d
-    return best, weights(_delayed(tgt, best))
+    return best, weights(_delayed(target, best))
 
 
 def _apply_readout(dst, readout: Readout, states, window) -> None:
@@ -400,7 +388,7 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     cols = layout[0]
     if xs.ndim != 3 or xs.shape[1] != specs[0].d_in:
         raise ValueError(f"expected input of shape (batch, d_in = {specs[0].d_in}, T), got {xs.shape}")
-    tgt = np.atleast_2d(np.asarray(target, dtype=np.complex128))
+    tgt = np.atleast_2d(np.ascontiguousarray(target, dtype=np.complex128))
     n_batch, d_in, t = xs.shape
     n_train, end = tgt.shape[1], t + d_max
     if n_train > t:

@@ -145,7 +145,8 @@ def toeplitz_inverse_first_column(h, n: int, lengths=None) -> np.ndarray:
     """First column of the inverse of the N x N lower-triangular Toeplitz of ``h``.
 
     This is the impulse response of the exact deconvolution (zero-forcing)
-    filter ``g`` with ``h * g = [1, 0, ..., 0]`` over the first ``n`` samples.
+    filter ``g`` with ``h * g = [1, 0, ..., 0]`` over the first ``n >= 1`` samples,
+    so a shorter ``n`` gives the prefix of a longer one, bit for bit.
     Computed by forward substitution on the banded first column in O(n * len(h)).
     ``h`` may also be a ``(batch, L)`` stack of tap vectors, row ``r`` holding
     ``lengths[r]`` taps as in :func:`all_pole_filter`; the result is then
@@ -155,8 +156,8 @@ def toeplitz_inverse_first_column(h, n: int, lengths=None) -> np.ndarray:
     rows = as_complex_seq(hv, "h")[None] if hv.ndim == 1 else hv
     if rows.ndim != 2 or not np.all(np.isfinite(rows)):
         raise ValueError("h must be a finite 1-D sequence or (batch, L) stack")
-    if n < rows.shape[1]:
-        raise ValueError(f"n = {n} must be >= len(h) = {rows.shape[1]}")
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
     # forward substitution on the first column is the recursion of 1 / H(z)
@@ -207,14 +208,14 @@ def polynomial_roots(coeffs) -> np.ndarray:
 
     Trailing (high-order) coefficients that are negligible relative to the
     largest coefficient are stripped first, so pure delays do not masquerade
-    as roots at the origin.  Roots are sorted by (real, imag) for stable
-    downstream ordering.
+    as roots at the origin; a nonzero constant is left, which has no roots.
+    Roots are sorted by (real, imag) for stable downstream ordering.
     """
     c = as_complex_seq(coeffs, "coeffs")
     mags = np.abs(c)
     keep = np.flatnonzero(mags > 1e-14 * mags.max())
-    if keep.size == 0 or keep[-1] == 0:
-        raise ValueError("constant polynomial has no roots")
+    if keep.size == 0:
+        raise ValueError("the zero polynomial has no defined roots")
     c = c[: keep[-1] + 1]
     if abs(c[0]) == 0.0:
         raise ValueError("leading coefficient must be nonzero")

@@ -28,15 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PowerDelayProfile, draw_channels
-from .filters import Phase, perturb_clustered_poles, _residues_simple
+from .filters import Phase, perturb_clustered_poles, section_residues
 from .reservoir import ReservoirSpec
-from .signal_core import (
-    all_pole_filter,
-    as_complex_seq,
-    hermitian_eig,
-    polynomial_roots,
-    toeplitz_inverse_first_column,
-)
+from .signal_core import hermitian_eig, polynomial_roots, toeplitz_inverse_first_column
 
 COMPENSATION_MARGIN = 0.05
 COMPENSATION_FLOOR = 1e-3
@@ -160,12 +154,8 @@ def reduce_order(p, l_f: int):
         raise ValueError("l_f must be >= 1")
     cols = pm.T
     n = cols.shape[1]
-    impulse = np.zeros(n, dtype=np.complex128)
-    impulse[0] = 1.0
-    # the recursion is causal: its first l_f steps give the first l_f samples
-    # of the exact inverse, the same bits as a full-length run
-    q = all_pole_filter(cols, impulse[: min(l_f, n)])
-    p_hat = all_pole_filter(q, impulse)
+    q = toeplitz_inverse_first_column(cols, min(l_f, n))
+    p_hat = toeplitz_inverse_first_column(q, n)
     return q, [float(np.linalg.norm(c - c_hat)) for c, c_hat in zip(cols, p_hat)]
 
 
@@ -192,29 +182,17 @@ def _denominator_to_sections(q: np.ndarray, l_f: int):
     lead = q[0]
     if abs(lead) == 0.0:
         raise ConfigurationError("reduced denominator has a zero leading coefficient")
-    monic = as_complex_seq(q / lead, "reduced denominator")
-    mags = np.abs(monic)
-    # a denominator whose tail polynomial_roots would strip is a constant: no poles
-    if np.all(mags[1:] <= 1e-14 * mags.max()):
-        poles = np.zeros(0, dtype=np.complex128)
-        n_reflected = 0
-    else:
-        poles, n_reflected = _reflect_unstable(polynomial_roots(monic))
-        if poles.size > 1:
-            poles = perturb_clustered_poles(poles)
-    weights = _residues_simple(poles) / lead if poles.size else np.zeros(0, complex)
-    pad = l_f - poles.size
-    if pad < 0:
-        raise ConfigurationError("more poles than sections; check l_f")
-    if pad:
-        if poles.size == 0:
-            # constant filter 1/lead: carry it on a zero pole
-            weights = np.array([1.0 / lead], dtype=np.complex128)
-            poles = np.zeros(1, dtype=np.complex128)
-            pad -= 1
-        poles = np.concatenate([poles, np.zeros(pad, dtype=np.complex128)])
-        weights = np.concatenate([weights, np.zeros(pad, dtype=np.complex128)])
-    return poles, weights, n_reflected
+    poles, n_reflected = _reflect_unstable(polynomial_roots(q / lead))
+    if poles.size > 1:
+        poles = perturb_clustered_poles(poles)
+    weights = section_residues(poles) / lead
+    if poles.size == 0:
+        # constant filter 1/lead: carry it on a zero pole
+        weights = np.array([1.0 / lead], dtype=np.complex128)
+        poles = np.zeros(1, dtype=np.complex128)
+    # q has at most l_f coefficients, so at most l_f - 1 roots: the padding is never negative
+    pad = np.zeros(l_f - poles.size, dtype=np.complex128)
+    return np.concatenate([poles, pad]), np.concatenate([weights, pad]), n_reflected
 
 
 STATE_RMS_TARGET = 0.005

@@ -37,10 +37,7 @@ def factorize_by_phase(h) -> PhaseFactorization:
     hv = as_complex_seq(h, "h")
     if abs(hv[0]) == 0.0:
         raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
-    trimmed = np.trim_zeros(hv, "b")
-    if trimmed.size == 1:
-        return PhaseFactorization(trimmed.copy(), np.ones(1, dtype=np.complex128), Phase.STRICTLY_MP)
-    roots = polynomial_roots(trimmed)
+    roots = polynomial_roots(hv)
     classification = _phase_of_roots(roots)
     if classification is None:
         raise UnitCircleRootError("root within the unit-circle tolerance ring")

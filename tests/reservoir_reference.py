@@ -45,9 +45,15 @@ def alone_features(spec, x) -> np.ndarray:
     return reservoir._features(spec, alone_states(spec, xs), xs)
 
 
+def c_ordered(a) -> np.ndarray:
+    """``a`` as the C-ordered complex 2-D array the package's fits take."""
+    return np.atleast_2d(np.ascontiguousarray(a, dtype=np.complex128))
+
+
 def alone_readout(spec, train_input, target, d_max, ridge=0.0) -> Readout:
     """The delay search's readout on the features of ``train_input``."""
-    delay, w = reservoir._delay_search(alone_features(spec, train_input), target, d_max, ridge)
+    feats = alone_features(spec, train_input)
+    delay, w = reservoir._delay_search(feats, c_ordered(target), d_max, ridge)
     return Readout(w_out=w, delay=delay)
 
 
@@ -57,7 +63,7 @@ def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Reado
     With ``ridge = 0`` this is the plain pseudoinverse fit, so the residual
     rows are orthogonal to the feature rows.
     """
-    f, tgt = reservoir._fit_inputs(features, target)
+    f, tgt = c_ordered(features), c_ordered(target)
     w = reservoir._least_squares(f, ridge)[0](reservoir._delayed(tgt, delay))
     return Readout(w_out=w, delay=delay)
 
@@ -72,7 +78,7 @@ def assert_fit_matches_lstsq(features, target):
     factor.  Weights are compared in whitened units, residuals relative to
     each target row's energy.
     """
-    f, tgt = reservoir._fit_inputs(features, target)
+    f, tgt = c_ordered(features), c_ordered(target)
     weights, residuals = reservoir._least_squares(f, 0.0)
     scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
     live = scale > 1e-300

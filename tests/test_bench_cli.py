@@ -226,14 +226,40 @@ class TestExperimentConfig:
             ("element_spacing = -0.5", "element_spacing > 0"),
             ("element_spacing = 0", "element_spacing > 0"),
             ("angle_offset_deg = -5", "angle_offset_deg >= 0"),
+            ("sector_deg = -5", "sector_deg >= 0"),
+            ("n_tx = 3\nn_rx = 3\n[experiment]\ndetectors = lmmse",
+             "rs_spacing \\* n_tx must divide n_sc .*got rs_spacing = 4, n_tx = 3"),
         ],
-        ids=["n_tx", "n_path", "spacing_negative", "spacing_zero", "angle_offset"],
+        ids=["n_tx", "n_path", "spacing_negative", "spacing_zero", "angle_offset", "sector",
+             "lmmse_comb"],
     )
     def test_mimo_channel_rejected_at_load(self, tmp_path, lines, message):
         p = tmp_path / "bad.ini"
         p.write_text(f"[channel]\nmode = mimo\n{lines}\n")
         with pytest.raises(bc.ConfigFileError, match=message):
             bc.ExperimentConfig.from_file(p)
+
+    def test_learning_comb_needs_no_n_tx_period(self, tmp_path):
+        # the RC detectors' comb is shared by every antenna, so n_tx = 3 loads without lmmse
+        p = tmp_path / "rc.ini"
+        p.write_text("[channel]\nmode = mimo\nn_tx = 3\nn_rx = 3\n"
+                     "[experiment]\ndetectors = rc-td, rc-random\n")
+        assert bc.ExperimentConfig.from_file(p).n_tx == 3
+
+    # each of these used to run silently near chance level
+    @pytest.mark.parametrize("rc", ["d_max = 5000", "d_max = 1184", "stats_obs = 4"],
+                             ids=["d_max", "d_max_symbol_len", "stats_obs_below_m"])
+    def test_rc_statistics_and_delay_rejected_at_load(self, tmp_path, rc):
+        key = rc.split()[0]
+        for detectors, rejected in (("rc-td", True), ("rc-fd", True), ("lmmse", False),
+                                    ("rc-random", key == "d_max")):
+            p = tmp_path / "bad.ini"
+            p.write_text(f"[experiment]\ndetectors = {detectors}\n[rc]\n{rc}\n")
+            if rejected:
+                with pytest.raises(bc.ConfigFileError, match=f"{key} must be"):
+                    bc.ExperimentConfig.from_file(p)
+            else:
+                bc.ExperimentConfig.from_file(p)
 
     # each of these used to load and then fail later, or run on a wrong value
     @pytest.mark.parametrize(
@@ -681,6 +707,14 @@ class TestCli:
 
         # 300 = 4 * 70 + 20 ends on a short round; 4096 draws all 300 in one
         assert run(70) == run(4096)
+
+    def test_inspect_channel_negligible_last_tap(self, tmp_path):
+        # the root finder strips the -300 dB tap: every draw is a constant, strictly MP
+        pdp = tmp_path / "negligible.pdp"
+        pdp.write_text("0 0\n1 -300\n")
+        out = tmp_path / "phases.csv"
+        assert bc.main(["inspect-channel", "--pdp", str(pdp), "--draws", "20", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1] == "strictly_mp,20,1"
 
     @pytest.mark.parametrize("draws", ["0", "-3"])
     def test_inspect_channel_needs_a_draw(self, tmp_path, capsys, draws):

@@ -246,6 +246,10 @@ class TestDrawChannels:
         for i, (_, mp, _, _) in enumerate(ref):
             assert draws.mp_taps[i, : mp.size].tobytes() == mp.tobytes()
 
+    def test_negligible_tail_leaves_a_constant(self):
+        phases, roots = classify_rows([[1, 1e-20]])
+        assert phases == [Phase.STRICTLY_MP] and roots[0].size == 0
+
     @given(
         n_rows=st.integers(1, 8),
         degree=st.integers(0, 12),
@@ -264,7 +268,7 @@ class TestDrawChannels:
         roots = mags * np.exp(2j * np.pi * rng.uniform(size=mags.shape))
         gains = rng.standard_normal((n_rows, 1)) + 1j * rng.standard_normal((n_rows, 1))
         taps = gains * np.array([np.atleast_1d(np.poly(r)) for r in roots])
-        if negligible_tail and degree >= 2:
+        if negligible_tail and degree >= 1:
             taps[:, -1] *= 1e-20
         phases, found = classify_rows(taps)
         for h, phase, r in zip(taps, phases, found):

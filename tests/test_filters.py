@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from rclab.filters import Phase, UnitCircleRootError, _residues_simple, perturb_clustered_poles
+from rclab.filters import Phase, UnitCircleRootError, perturb_clustered_poles, section_residues
 
 from channel_reference import factorize_by_phase
 
@@ -22,14 +22,14 @@ class TestPartialFractions:
     """Residues of ``1 / prod_k (1 - p_k z^{-1})``, the step both configuration routes run."""
 
     def test_single_pole(self):
-        np.testing.assert_allclose(_residues_simple(np.array([0.5 + 0j])), [1.0])
+        np.testing.assert_allclose(section_residues(np.array([0.5 + 0j])), [1.0])
 
     def test_two_pole_residues(self):
-        res = _residues_simple(np.array([0.25, 0.5], dtype=complex))
+        res = section_residues(np.array([0.25, 0.5], dtype=complex))
         np.testing.assert_allclose(res, [-1.0, 2.0], atol=1e-12)
 
     def test_symmetric_pair(self):
-        res = _residues_simple(np.array([-0.5, 0.5], dtype=complex))
+        res = section_residues(np.array([-0.5, 0.5], dtype=complex))
         np.testing.assert_allclose(res, [0.5, 0.5], atol=1e-12)
 
     def test_recombination(self):
@@ -41,7 +41,7 @@ class TestPartialFractions:
         for _ in range(25):
             poles = random_poles_in_disk(rng, rng.integers(1, 11))
             # sum_k c_k p_k^t, the impulse response of the parallel one-pole sections
-            parallel = np.sum(_residues_simple(poles)[:, None] * poles[:, None] ** steps, axis=0)
+            parallel = np.sum(section_residues(poles)[:, None] * poles[:, None] ** steps, axis=0)
             direct = scipy.signal.lfilter([1.0], np.atleast_1d(np.poly(poles)), impulse)
             assert np.max(np.abs(parallel - direct)) <= 1e-6
 

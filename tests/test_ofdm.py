@@ -146,6 +146,12 @@ class TestGrid:
         ks = rs_subcarriers(16, 1, 4, RsMode.LEARNING, 0)
         np.testing.assert_array_equal(ks, [0, 4, 8, 12])
 
+    @pytest.mark.parametrize("mode", list(RsMode))
+    @pytest.mark.parametrize("spacing", [0, -4, 3])
+    def test_spacing_must_divide_n_sc(self, mode, spacing):
+        with pytest.raises(ValueError, match="positive divisor"):
+            rs_subcarriers(16, 1, spacing, mode, 0)
+
     def test_conventional_combs_disjoint(self):
         num, grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
         rs0, rs1 = (np.flatnonzero(grid.symbols[:, 0, a]) for a in range(2))

@@ -215,12 +215,15 @@ class TestTrainReadout:
 
     @pytest.mark.parametrize("ridge", [0.0, 1e-6])
     def test_weights_independent_of_layout(self, ridge):
+        # the detector's readouts do not depend on the layout of the caller's arrays
         rng = np.random.default_rng(20)
-        feats = rng.standard_normal((9, 300)) + 1j * rng.standard_normal((9, 300))
-        target = rng.standard_normal((1, 300)) + 1j * rng.standard_normal((1, 300))
-        c_order = train_readout(feats, target, ridge=ridge).w_out
-        f_order = train_readout(np.asfortranarray(feats), np.asfortranarray(target), ridge=ridge).w_out
-        np.testing.assert_array_equal(c_order, f_order)
+        spec = diagonal_spec(rng.uniform(-0.9, 0.9, 6), activation="tanh", n_window=3)
+        y = rng.standard_normal((2, 1, 400)) + 1j * rng.standard_normal((2, 1, 400))
+        target = rng.standard_normal((3, 300)) + 1j * rng.standard_normal((3, 300))
+        (c_order,) = equalized([spec], y, target, 2, ridge)[1]
+        (f_order,) = equalized([spec], np.asfortranarray(y), np.asfortranarray(target), 2, ridge)[1]
+        for c, f in zip(c_order, f_order):
+            assert c.delay == f.delay and c.w_out.tobytes() == f.w_out.tobytes()
 
 
 class TestLearnDelay:

@@ -58,6 +58,18 @@ def test_documented_oracles_exist():
     assert DOCUMENTED_ORACLES <= {name for _, name in defined}
 
 
+def test_no_module_imports_another_modules_private_name():
+    # a name one module needs from another is part of that module's interface
+    crossing = sorted(
+        f"{path.stem} imports {node.module}.{alias.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("rclab"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    )
+    assert crossing == []
+
 
 def _is_dataclass(decorator) -> bool:
     target = decorator.func if isinstance(decorator, ast.Call) else decorator
