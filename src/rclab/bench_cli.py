@@ -238,7 +238,10 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ConfigFileError(f"bad value for {section}.{key}: {raw!r}") from exc
         cfg = cls(**kwargs)
-        pdp = load_pdp(cfg.pdp)  # fail early if the referenced PDP is missing
+        try:
+            pdp = load_pdp(cfg.pdp)  # fail early if the referenced PDP is missing or malformed
+        except (FileNotFoundError, ValueError) as exc:
+            raise ConfigFileError(f"[channel] pdp: {exc}") from exc
         if "rc-td" in cfg.detectors:
             _check_td_statistics(cfg, pdp)
         return cfg
@@ -439,7 +442,12 @@ def lmmse_detect(
         # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1}, bias-corrected; one solve for [y | h]
         hh = h.conj().transpose(0, 2, 1)
         gram = h @ hh + noise_var * np.eye(h.shape[1])[None]
-        sol = np.linalg.solve(gram, np.concatenate([rx_grid.transpose(0, 2, 1), h], axis=2))
+        rhs = np.concatenate([rx_grid.transpose(0, 2, 1), h], axis=2)
+        try:
+            sol = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:  # noise-free and rank-deficient: the sigma -> 0 limit
+            warnings.warn("LMMSE equalizer is singular; using its pseudo-inverse", stacklevel=2)
+            sol = np.linalg.pinv(gram) @ rhs
         x_hat = hh @ sol[:, :, : tx_grid.n_sym]  # (n_sc, n_tx, n_sym)
         gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
         safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)

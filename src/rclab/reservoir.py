@@ -250,6 +250,7 @@ def _least_squares(f: np.ndarray, ridge: float):
     rank-deficient: it warns and solves by ``lstsq``'s minimum norm instead.
     So do fewer samples than live rows, under the one warning that the fit
     is underdetermined, which any fit with no more samples than rows gets.
+    Features that are all zero warn too: the readout can only output zero.
     """
     if f.shape[1] <= f.shape[0]:
         warnings.warn(
@@ -258,6 +259,8 @@ def _least_squares(f: np.ndarray, ridge: float):
         )
     scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
     live = scale > 1e-300
+    if not np.any(live):
+        warnings.warn("every feature row is zero; the readout outputs zero", stacklevel=3)
     if ridge > 0.0:
         scale = np.where(live, scale, 1.0)
         fw = f / scale[:, None]

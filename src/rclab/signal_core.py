@@ -31,13 +31,11 @@ def as_complex_seq(x, name: str = "sequence") -> np.ndarray:
     return arr
 
 
-def all_pole_filter(a, x, lengths=None) -> np.ndarray:
-    """Each row of ``x`` filtered by ``1 / A(z)``, ``A`` the matching row of ``a``.
+def all_pole_filter(a, x) -> np.ndarray:
+    """The input ``x`` filtered by ``1 / A(z)`` for every row ``A`` of ``a``.
 
-    ``a`` is ``(batch, L)``: row ``r`` holds ``A_r(z) = sum_k a[r, k] z^{-k}``
-    in its first ``lengths[r]`` entries (all ``L`` by default) and padding,
-    which does not affect the result, after them.  ``x`` is ``(batch, T)``, or ``(T,)`` for
-    one input shared by every row; the result is ``(batch, T)``.
+    ``a`` is ``(batch, L)``: row ``r`` holds ``A_r(z) = sum_k a[r, k] z^{-k}``.
+    ``x`` is one ``(T,)`` input shared by every row; the result is ``(batch, T)``.
 
     The recursion is the direct form II transposed one, in complex arithmetic
     written out as real operations: every coefficient enters as
@@ -49,42 +47,29 @@ def all_pole_filter(a, x, lengths=None) -> np.ndarray:
     av = np.asarray(a, dtype=np.complex128)
     if av.ndim != 2 or av.shape[1] == 0:
         raise ValueError(f"a must be a non-empty (batch, L) array, got shape {av.shape}")
-    batch, width = av.shape
     if np.any(av[:, 0] == 0.0):
         raise SingularChannelError("a[0] = 0: the leading tap makes 1 / A(z) singular")
     xv = np.asarray(x, dtype=np.complex128)
-    if xv.ndim not in (1, 2) or (xv.ndim == 2 and xv.shape[0] != batch):
-        raise ValueError(
-            f"x must be (T,) or ({batch}, T) for a of shape {av.shape}, got shape {xv.shape}"
-        )
-    xv = np.broadcast_to(xv, (batch, xv.shape[-1]))
-    sizes = np.full(batch, width) if lengths is None else np.asarray(lengths, dtype=np.int64)
-    if sizes.shape != (batch,) or np.any(sizes < 1) or np.any(sizes > width):
-        raise ValueError(f"lengths must be {batch} values in [1, {width}]")
-    rows = np.flatnonzero(sizes > 1)
-    if batch and rows.size == batch:
-        return _transposed_direct_form(av[:, : sizes.max()], xv, sizes)
-    out = np.empty(xv.shape, dtype=np.complex128)
-    for r in np.flatnonzero(sizes == 1) if xv.shape[1] else ():  # np.convolve rejects empty input
-        b = np.ones(1, dtype=np.complex128)
-        b /= av[r, 0]
-        out[r] = np.convolve(b, xv[r])[: xv.shape[1]]
-    if rows.size:
-        out[rows] = _transposed_direct_form(av[rows, : sizes[rows].max()], xv[rows], sizes[rows])
+    if xv.ndim != 1:
+        raise ValueError(f"x must be (T,), got shape {xv.shape}")
+    if av.shape[1] > 1:
+        return _transposed_direct_form(av, xv)
+    out = np.empty((av.shape[0], xv.size), dtype=np.complex128)
+    for r in range(av.shape[0]) if xv.size else ():  # np.convolve rejects empty input
+        out[r] = np.convolve(1 / av[r, :1], xv)
     return out
 
 
-def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _transposed_direct_form(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """:func:`all_pole_filter` for rows of at least two taps.
 
     The delay line is ``z[part, k, row]`` with the batch innermost, so each
-    elementwise step runs over long contiguous rows.  A row of ``n`` taps uses
-    delays ``0 .. n - 2``; the delays after them stay ``-0.0``, the exact
-    identity of addition, so a row's last delay gets ``b_k x - a_k y`` with
-    nothing added from beyond its own length.  Each step forms the input
-    terms of its own sample and writes its output into the complex result,
-    so apart from the result the memory is a few ``(2, L, batch)`` arrays
-    whatever the input's length.
+    elementwise step runs over long contiguous rows.  A row of ``L`` taps uses
+    delays ``0 .. L - 2``; the top delay stays ``-0.0``, the exact identity of
+    addition, so delay ``L - 2`` gets ``b_k x - a_k y`` with nothing added.
+    Each step forms the input terms of its own sample and writes its output
+    into the complex result, so apart from the result the memory is a few
+    ``(2, L, batch)`` arrays whatever the input's length.
     """
     batch, width = a.shape
     a0r = a[:, 0].real
@@ -101,7 +86,7 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
     (b0r, b0i), (bkr, bki) = scaled(1.0, 0.0), scaled(0.0, 0.0)
     x_coef = np.stack([b0r, bkr, b0i, bki])
     y_coef = np.stack([b0i, bki, b0r, bkr])
-    xr, xi = x.real.T, x.imag.T  # (T, batch)
+    xr, xi = x.real, x.imag
     s1 = np.empty((4, batch))
     s2 = np.empty((4, batch))
     terms = np.empty((4, batch))
@@ -112,16 +97,14 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
     # (ti yr + tr yi) is computed as (ti yr - (-tr) yi), which rounds identically
     p = np.stack([ar, ai])
     q = np.stack([ai, -ar])
-    tail = np.arange(width)[:, None] >= lengths - 1  # (width, batch)
-    padded = bool(np.any(tail[:-1]))
     z = np.zeros((2, width, batch))
-    z[:, tail] = -0.0
+    z[:, -1] = -0.0
     z_next = z.copy()
     t1 = np.empty_like(p)
     t2 = np.empty_like(p)
-    out = np.empty(x.shape, dtype=np.complex128)
-    y = out.view(np.float64).reshape(batch, -1, 2).T  # (part, T, batch) view of out
-    for t in range(x.shape[1]):
+    out = np.empty((batch, x.size), dtype=np.complex128)
+    y = out.view(np.float64).reshape(batch, x.size, 2).T  # (part, T, batch) view of out
+    for t in range(x.size):
         np.multiply(x_coef, xr[t], out=s1)
         np.multiply(y_coef, xi[t], out=s2)
         np.subtract(s1[:2], s2[:2], out=terms[:2])
@@ -135,21 +118,18 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray, lengths: np.ndarray) -
         np.divide(t1, mag, out=t1)
         np.add(z[:, 1:], rest, out=z_next[:, :-1])
         np.subtract(z_next[:, :-1], t1, out=z_next[:, :-1])
-        if padded:
-            np.copyto(z_next, -0.0, where=tail)
         z, z_next = z_next, z
     return out
 
 
-def toeplitz_inverse_first_column(h, n: int, lengths=None) -> np.ndarray:
+def toeplitz_inverse_first_column(h, n: int) -> np.ndarray:
     """First column of the inverse of the N x N lower-triangular Toeplitz of ``h``.
 
     This is the impulse response of the exact deconvolution (zero-forcing)
     filter ``g`` with ``h * g = [1, 0, ..., 0]`` over the first ``n >= 1`` samples,
     so a shorter ``n`` gives the prefix of a longer one, bit for bit.
     Computed by forward substitution on the banded first column in O(n * len(h)).
-    ``h`` may also be a ``(batch, L)`` stack of tap vectors, row ``r`` holding
-    ``lengths[r]`` taps as in :func:`all_pole_filter`; the result is then
+    ``h`` may also be a ``(batch, L)`` stack of tap vectors; the result is then
     ``(batch, n)``, one inverse per row.
     """
     hv = np.asarray(h, dtype=np.complex128)
@@ -161,7 +141,7 @@ def toeplitz_inverse_first_column(h, n: int, lengths=None) -> np.ndarray:
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
     # forward substitution on the first column is the recursion of 1 / H(z)
-    out = all_pole_filter(rows, impulse, lengths)
+    out = all_pole_filter(rows, impulse)
     return out[0] if hv.ndim == 1 else out
 
 

@@ -23,6 +23,7 @@ once per stream along the block diagonal, and each copy listens to one
 receive stream.
 """
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,12 +99,17 @@ def collect_equalizer_irs(
     Draws are resampled until their phase class is ``require`` (any class
     when ``None``), as in :func:`channel.draw_channels`.  A draw that is not
     strictly minimum-phase contributes the inverse of its minimum-phase
-    factor.
+    factor; a factor shorter than the profile is inverted again at its own
+    length, since its zero padding would change the signs of zeros.
     """
     if n < pdp.length:
         raise ValueError(f"n = {n} shorter than the channel length {pdp.length}")
     draws = draw_channels(pdp, rng, n_obs, require)
-    return toeplitz_inverse_first_column(draws.mp_taps, n, draws.mp_lengths)
+    irs = toeplitz_inverse_first_column(draws.mp_taps, n)
+    for length in set(draws.mp_lengths.tolist()) - {pdp.length}:  # np.unique would import numpy.ma
+        rows = np.flatnonzero(draws.mp_lengths == length)
+        irs[rows] = toeplitz_inverse_first_column(draws.mp_taps[rows, :length], n)
+    return irs
 
 
 def pca_basis(vectors, m: int) -> np.ndarray:
@@ -111,6 +117,8 @@ def pca_basis(vectors, m: int) -> np.ndarray:
     k = empirical_covariance(vectors)
     if not 1 <= m <= k.shape[0]:
         raise ValueError(f"need 1 <= m <= {k.shape[0]}")
+    if len(vectors) < m:
+        warnings.warn(f"{m} PCA columns from only {len(vectors)} observations", stacklevel=2)
     return hermitian_eig(k, m).vectors
 
 

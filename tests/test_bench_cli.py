@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -206,6 +207,7 @@ class TestExperimentConfig:
             ("ofdm", "n_sc", "1000"),
             ("ofdm", "n_cp", "1024"),
             ("experiment", "seed", "-1"),
+            ("channel", "pdp", "no_such_profile"),
             # round(0.6 * 1 * 1) zeroes the one recurrent weight of a random core
             pytest.param("rc", "n_neurons", "1\n[experiment]\ndetectors = vanilla-esn",
                          id="rc-n_neurons-all_zeroed"),
@@ -300,6 +302,93 @@ class TestExperimentConfig:
             bc.ExperimentConfig.from_file(p)
         p.write_text("[experiment]\ndetectors = rc-fd, lmmse\n" + rest)
         assert bc.ExperimentConfig.from_file(p).detectors == ("rc-fd", "lmmse")
+
+
+# a valid value for every config key but n_slots and workers, at a numerology
+# small enough to run a slot in well under a second, then edge or invalid
+# values for up to three keys
+FUZZ_VALID = {
+    "experiment": {
+        "seed": st.integers(0, 3),
+        "snr_db": st.sampled_from(["10", "5, 30", "inf"]),
+        "detectors": st.lists(st.sampled_from(bc.DETECTOR_NAMES), min_size=1, max_size=3,
+                              unique=True).map(", ".join),
+        "qam_order": st.sampled_from([4, 16, 64]),
+    },
+    "ofdm": {
+        "n_sc": st.sampled_from([32, 64]),
+        "n_cp": st.integers(0, 16),
+        "n_symbols": st.integers(2, 3),
+        "rs_spacing": st.sampled_from([1, 2, 4]),
+    },
+    "channel": {
+        "pdp": st.sampled_from(["cdl_d", "cdl_e", "flat", "mixed_3tap"]),
+        "mode": st.sampled_from(["siso", "mimo"]),
+        "n_tx": st.just(1),
+        "n_rx": st.just(1),
+        "n_path": st.integers(1, 4),
+        "sector_deg": st.floats(0.0, 90.0),
+        "angle_offset_deg": st.floats(0.0, 10.0),
+        "element_spacing": st.floats(0.1, 1.0),
+        "require_phase": st.sampled_from(["any", "strictly_mp"]),
+    },
+    "rc": {
+        "m": st.integers(1, 4),
+        "l_f": st.integers(1, 4),
+        "l_rp": st.integers(1, 4),
+        "n_window": st.integers(0, 3),
+        "n_neurons": st.integers(1, 12),
+        "spectral_radius": st.floats(0.05, 0.95),
+        "sparsity": st.floats(0.0, 0.9),
+        "ridge": st.sampled_from([0.0, 1e-6]),
+        "d_max": st.integers(0, 10),
+        "activation": st.sampled_from(["linear", "tanh"]),
+        "input_scale": st.sampled_from([0.0, 0.3, 1.0]),
+        "stats_n": st.integers(20, 40),
+        "stats_obs": st.integers(5, 30),
+    },
+}
+FUZZ_EDGES = {
+    "seed": [-1], "snr_db": ["nan", "-inf", "-300"], "detectors": ["bogus", "lmmse, lmmse"],
+    "qam_order": [2, 8], "n_sc": [1, 6, 48], "n_cp": [-1, 31, 64], "n_symbols": [0, 1],
+    "rs_spacing": [-1, 0, 3, 64], "pdp": ["nope"], "mode": ["siso", "miso"],
+    "n_tx": [0, 2, 3], "n_rx": [0, 2, 3], "n_path": [0], "sector_deg": [-5.0, 0.0, 360.0],
+    "angle_offset_deg": [-1.0, 0.0], "element_spacing": [-0.5, 0.0], "require_phase": ["minimum"],
+    "m": [0, 6, 50], "l_f": [0, 1, 12], "l_rp": [0, 12], "n_window": [-1, 0, 40],
+    "n_neurons": [0, 1, 60], "spectral_radius": [0.0, 1.0, 1e-300], "sparsity": [-0.1, 0.999, 1.0],
+    "ridge": [-1e-3, 1e300], "d_max": [-1, 0, 31, 500], "activation": ["relu"],
+    "input_scale": [-1.0, 1e6], "stats_n": [0, 1, 5, 13], "stats_obs": [0, 1, 2],
+}
+
+
+@st.composite
+def fuzz_config_text(draw):
+    values = {key: draw(value) for keys in FUZZ_VALID.values() for key, value in keys.items()}
+    if values["mode"] == "mimo":  # a square array, as the detectors assume
+        values["n_tx"] = values["n_rx"] = draw(st.integers(1, 2))
+    for key in draw(st.lists(st.sampled_from(sorted(FUZZ_EDGES)), max_size=3, unique=True)):
+        values[key] = draw(st.sampled_from(FUZZ_EDGES[key]))
+    lines = ["[experiment]", "n_slots = 1"]
+    for section, keys in FUZZ_VALID.items():
+        lines += [] if section == "experiment" else [f"[{section}]"]
+        lines += [f"{key} = {values[key]}" for key in keys]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=fuzz_config_text())
+def test_config_fails_at_load_or_runs_a_slot(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ini"
+        path.write_text(text)
+        try:
+            cfg = bc.ExperimentConfig.from_file(path)
+        except bc.ConfigFileError:
+            return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # degenerate draws may warn; only an exception fails
+        rows = bc.run_ber_experiment(cfg)
+    assert len(rows) == len(cfg.detectors) * len(cfg.snr_db)
 
 
 def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0, order=16):
@@ -402,6 +491,17 @@ class TestLmmseDetect:
         [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), [nv])
         ber = bit_errors(est, bits, 4) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
+
+    @pytest.mark.filterwarnings("ignore:n_path = 1")
+    def test_noise_free_rank_deficient_channel_warns(self):
+        # one path makes every 2x2 channel rank one, so without noise H H^H is
+        # singular on every subcarrier: the sigma -> 0 limit still decides
+        cfg = bc.ExperimentConfig(snr_db=(np.inf,), detectors=("lmmse",), n_sc=32, n_cp=8,
+                                  n_symbols=3, rs_spacing=1, channel_mode="mimo", n_tx=2, n_rx=2,
+                                  n_path=1)
+        with pytest.warns(UserWarning, match="singular; using its pseudo-inverse"):
+            [row] = bc.run_ber_experiment(cfg)
+        assert 0 < row.n_errors < row.n_bits
 
     def test_missing_rs_detected(self):
         num, grid, bits, tx = detect_setup(mode=RsMode.LEARNING, n_tx=2, n_sc=64)

@@ -292,7 +292,8 @@ class TestPredict:
     def test_zero_input(self):
         spec = diagonal_spec([0.5], n_window=1)
         target = np.random.default_rng(21).standard_normal((1, 6))
-        out, ro = equalize(spec, np.zeros((1, 10)), target, d_max=2)
+        with pytest.warns(UserWarning, match="every feature row is zero"):
+            out, ro = equalize(spec, np.zeros((1, 10)), target, d_max=2)
         np.testing.assert_array_equal(ro.w_out, np.zeros((1, 2)))
         np.testing.assert_array_equal(out, np.zeros((1, 4)))
 

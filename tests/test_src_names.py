@@ -101,3 +101,65 @@ def test_every_dataclass_field_is_read_in_src():
 def test_documented_fields_exist():
     fields, _ = _fields_and_reads()
     assert DOCUMENTED_FIELDS <= {f"{cls}.{name}" for cls, name in fields}
+
+
+# optional parameters kept for callers outside src: the CLI's argument list
+DOCUMENTED_PARAMETERS = {"bench_cli.main.argv"}
+
+
+def _optional_parameters():
+    """``{(module.function.parameter, function, position)}`` of every optional parameter.
+
+    Covers top-level functions and methods; ``position`` counts the
+    positional arguments of a call before it (``self`` or ``cls`` excluded),
+    and is None for a keyword-only parameter.
+    """
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            defs = [(top, 0)] if isinstance(top, ast.FunctionDef) else []
+            if isinstance(top, ast.ClassDef):  # a method's call passes self or cls implicitly
+                defs = [(d, 1) for d in top.body if isinstance(d, ast.FunctionDef)]
+            for fn, skip in defs:
+                positional = fn.args.posonlyargs + fn.args.args
+                first_optional = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first_optional:], first_optional):
+                    found.add((f"{path.stem}.{fn.name}.{arg.arg}", fn.name, i - skip))
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                    if default is not None:
+                        found.add((f"{path.stem}.{fn.name}.{arg.arg}", fn.name, None))
+    return found
+
+
+def _calls():
+    """``{name: [(positional count, keyword names)]}`` of every src call, matched by name.
+
+    A ``*args`` splat counts as every position and a ``**kwargs`` splat as
+    the keyword None.
+    """
+    calls = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(name, []).append(
+                    (float("inf") if starred else len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_optional_parameter_is_passed_in_src():
+    # an optional parameter that no src call passes is a knob for tests alone
+    calls = _calls()
+    unpassed = sorted(
+        qualified for qualified, name, position in _optional_parameters()
+        if qualified not in DOCUMENTED_PARAMETERS and not any(
+            keywords & {qualified.rsplit(".", 1)[1], None}
+            or (position is not None and n_positional > position)
+            for n_positional, keywords in calls.get(name, []))
+    )
+    assert unpassed == []
+
+
+def test_documented_parameters_exist():
+    assert DOCUMENTED_PARAMETERS <= {qualified for qualified, _, _ in _optional_parameters()}

@@ -1,4 +1,5 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,20 @@ class TestCollect:
             unit = np.zeros(64)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 40])
+    def test_shorter_factors_match_lfilter(self, n):
+        # most mixed_3tap draws have a 1- or 2-tap minimum-phase factor; each
+        # row must be the bits of its own unpadded factor's recursion
+        pdp = load_pdp("mixed_3tap")
+        vectors = collect_equalizer_irs(pdp, n, 60, np.random.default_rng(5))
+        draws = channel.draw_channels(pdp, np.random.default_rng(5), 60)
+        assert set(draws.mp_lengths.tolist()) == {1, 2, 3}
+        impulse = np.zeros(n, dtype=complex)
+        impulse[0] = 1.0
+        for g, mp, length in zip(vectors, draws.mp_taps, draws.mp_lengths):
+            want = scipy.signal.lfilter(np.ones(1, dtype=complex), mp[:length], impulse)
+            assert g.tobytes() == want.tobytes()
 
     def test_peak_memory_is_near_the_result(self):
         # 1000 draws at n = 128: the (1000, 128) complex result is 1.95 MiB.
@@ -126,6 +141,14 @@ class TestPcaBasis:
     def test_m_bounds(self):
         with pytest.raises(ValueError):
             pca_basis(np.ones((3, 4), dtype=complex), 5)
+
+    def test_fewer_observations_than_columns_warn(self):
+        vectors = np.random.default_rng(3).standard_normal((2, 6)) + 0j
+        with pytest.warns(UserWarning, match="3 PCA columns from only 2 observations"):
+            pca_basis(vectors, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pca_basis(vectors, 2)
 
     # every consumer of the statistics passes through empirical_covariance
     @pytest.mark.parametrize(
