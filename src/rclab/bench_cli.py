@@ -443,16 +443,18 @@ def lmmse_detect(
         hh = h.conj().transpose(0, 2, 1)
         gram = h @ hh + noise_var * np.eye(h.shape[1])[None]
         rhs = np.concatenate([rx_grid.transpose(0, 2, 1), h], axis=2)
+        del rx_grid
         try:
             sol = np.linalg.solve(gram, rhs)
         except np.linalg.LinAlgError:  # noise-free and rank-deficient: the sigma -> 0 limit
             warnings.warn("LMMSE equalizer is singular; using its pseudo-inverse", stacklevel=2)
             sol = np.linalg.pinv(gram) @ rhs
+        del rhs
         x_hat = hh @ sol[:, :, : tx_grid.n_sym]  # (n_sc, n_tx, n_sym)
         gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
-        safe = np.where(np.abs(gains) > 1e-12, gains, 1.0)
-        est = (x_hat / safe[:, :, None]).transpose(0, 2, 1)  # (n_sc, n_sym, n_tx)
-        decisions.append(qam_decide(payload(est), tx_grid.qam_order))
+        del sol
+        x_hat /= np.where(np.abs(gains) > 1e-12, gains, 1.0)[:, :, None]
+        decisions.append(qam_decide(payload(x_hat.transpose(0, 2, 1)), tx_grid.qam_order))
     return np.stack(decisions)
 
 
@@ -524,11 +526,11 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     """
     num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
-    bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(
-        0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
-    )
+    n_bits = payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
+    bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(0, 2, n_bits)
     k = bits_per_symbol(cfg.qam_order)
     sent = (bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))).astype(np.uint8)
+    del bits  # the int64 draw; only its packed patterns live through the detectors
     out = {}
     for mode_idx, (mode, dets) in enumerate(_rs_modes(cfg.detectors)):
         if not dets:
@@ -536,8 +538,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, sent,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
-        clean = apply_channel(ch, ofdm_modulate(grid, num))
-        batch = np.repeat(clean[None], len(cfg.snr_db), axis=0)
+        batch = np.repeat(apply_channel(ch, ofdm_modulate(grid, num))[None], len(cfg.snr_db), axis=0)
         noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
                       for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
         if mode is RsMode.LEARNING:
@@ -546,7 +547,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
             ests = [lmmse_detect(batch, grid, num, pdp, noise_vars)]
         for det, per_snr in zip(dets, ests):
             for si, decisions in enumerate(per_snr):
-                out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), int(bits.size)
+                out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), n_bits
         del ests  # the next mode runs without this one's decisions alive
     return out
 

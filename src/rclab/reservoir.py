@@ -6,10 +6,10 @@ produced by the weight-configuration pipeline.  Only the linear readout is
 fitted, by least squares against a (possibly delayed) target: without a
 ridge penalty one QR of the whitened features serves every candidate delay
 and the winner's weights (a rank-deficient fit warns and takes ``lstsq``'s
-minimum norm instead); with one, a Gram solve.  The windowed
-variant (WESN) feeds the readout the current and ``n_window - 1`` past input
-vectors alongside the states, which realizes an explicit FIR tap-delay line
-``{z^0, ..., z^-(n_window-1)}``.
+minimum norm instead); with one, a Gram solve of the features, whitened in
+place.  The windowed variant (WESN) feeds the readout the current and
+``n_window - 1`` past input vectors alongside the states, which realizes an
+explicit FIR tap-delay line ``{z^0, ..., z^-(n_window-1)}``.
 
 Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
@@ -224,14 +224,6 @@ def _features(spec: ReservoirSpec, states: np.ndarray, x: np.ndarray) -> np.ndar
     return feats
 
 
-def _delayed(target: np.ndarray, delay: int) -> np.ndarray:
-    if delay == 0:
-        return target
-    out = np.zeros_like(target)
-    out[:, delay:] = target[:, :-delay]
-    return out
-
-
 def _least_squares(f: np.ndarray, ridge: float):
     """``(weights, residuals)`` of readout fits against the C-ordered features ``f``, factored once.
 
@@ -239,10 +231,13 @@ def _least_squares(f: np.ndarray, ridge: float):
     ``residuals(t)`` gives each row's squared training error.  Rows are
     whitened to unit RMS before solving (the scales fold back into the
     weights), so the ridge penalty treats every feature equally regardless of
-    the drive normalization of the states.
+    the drive normalization of the states.  The fit consumes ``f``: its
+    contents after the call are unspecified.
 
-    With ``ridge > 0`` each target solves the penalized Gram system of the
-    whitened rows.  With ``ridge = 0`` the rows whose whitening scale is zero
+    With ``ridge > 0`` the rows are whitened in place, and each target solves
+    the penalized Gram system of the whitened rows; a residual is that of the
+    whitened fit, ``‖v @ fw − t‖²`` for the solution ``v`` whose scaled-back
+    ``v / scale`` are the weights.  With ``ridge = 0`` the rows whose whitening scale is zero
     get weight exactly 0, the minimum-norm answer for them, and the live rows
     take one QR, ``fᵀ = QR``: the weights are ``R⁻¹Qᴴt`` and the residual is
     ``‖t‖² − ‖Qᴴt‖²``.  A live ``|R_jj|`` at or under ``lstsq``'s rank
@@ -263,13 +258,14 @@ def _least_squares(f: np.ndarray, ridge: float):
         warnings.warn("every feature row is zero; the readout outputs zero", stacklevel=3)
     if ridge > 0.0:
         scale = np.where(live, scale, 1.0)
-        fw = f / scale[:, None]
+        fw = np.divide(f, scale[:, None], out=f)
         gram = fw @ fw.conj().T + (ridge * fw.shape[1]) * np.eye(fw.shape[0])
 
-        def weights(t):
-            return np.linalg.solve(gram, fw @ t.conj().T).conj().T / scale[None, :]
+        def solve(t):
+            return np.linalg.solve(gram, fw @ t.conj().T).conj().T
 
-        return weights, lambda t: np.sum(np.abs(weights(t) @ f - t) ** 2, axis=1)
+        return (lambda t: solve(t) / scale[None, :],
+                lambda t: np.sum(np.abs(solve(t) @ fw - t) ** 2, axis=1))
     fw = f[live] / scale[live, None]
     q, r = np.linalg.qr(fw.T)
     diag = np.abs(np.diagonal(r))
@@ -310,17 +306,23 @@ def _delay_search(features, target, d_max: int, ridge: float):
     """``(delay, weights)`` of the delay in ``[0, d_max]`` with the least training residual.
 
     One factorization of the features serves every delay, with the delayed
-    targets stacked as rows, and the refit of the winner.  The winner's
-    weights are formed from its target alone, so they are exactly those of
-    the same fit's ``weights`` against that one delayed target.  Both inputs
-    are C-ordered complex ``(rows, L)`` arrays, as :func:`_features` and
-    :func:`train_and_equalize` make them, since the fit rounds by layout.
+    targets stacked as rows of one array, and the refit of the winner.  The
+    winner's weights are formed from its target alone, so they are exactly
+    those of the same fit's ``weights`` against that one delayed target.
+    Both inputs are C-ordered complex ``(rows, L)`` arrays, as
+    :func:`_features` and :func:`train_and_equalize` make them, since the fit
+    rounds by layout.  Like :func:`_least_squares`, the search consumes
+    ``features``: their contents after the call are unspecified.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
     weights, row_residuals = _least_squares(features, ridge)
-    stacked = np.vstack([_delayed(target, d) for d in range(d_max + 1)])
-    residuals = row_residuals(stacked).reshape(d_max + 1, -1).sum(axis=1)
+    n_out, n = target.shape
+    # row block d is the target delayed by d samples, zero before its start
+    delayed = np.zeros((d_max + 1, n_out, n), dtype=np.complex128)
+    for d, rows in enumerate(delayed):
+        rows[:, d:] = target[:, : max(n - d, 0)]
+    residuals = row_residuals(delayed.reshape(-1, n)).reshape(d_max + 1, -1).sum(axis=1)
     # residuals within rounding error of each other count as ties, which go
     # to the smallest delay
     tie_tol = 1e-12 * float(np.linalg.norm(target) ** 2)
@@ -328,7 +330,7 @@ def _delay_search(features, target, d_max: int, ridge: float):
     for d in range(1, d_max + 1):
         if residuals[d] < residuals[best] - tie_tol:
             best = d
-    return best, weights(_delayed(target, best))
+    return best, weights(delayed[best])
 
 
 def _apply_readout(dst, readout: Readout, states, window) -> None:

@@ -57,14 +57,22 @@ def alone_readout(spec, train_input, target, d_max, ridge=0.0) -> Readout:
     return Readout(w_out=w, delay=delay)
 
 
+def delayed(target, delay: int) -> np.ndarray:
+    """The ``(n_out, L)`` target delayed by ``delay`` samples, zero before its start."""
+    out = np.zeros_like(target)
+    out[:, delay:] = target[:, : max(target.shape[1] - delay, 0)]
+    return out
+
+
 def train_readout(features, target, delay: int = 0, ridge: float = 0.0) -> Readout:
     """Least-squares readout against the target delayed by ``delay`` samples.
 
     With ``ridge = 0`` this is the plain pseudoinverse fit, so the residual
-    rows are orthogonal to the feature rows.
+    rows are orthogonal to the feature rows.  The fit consumes its features,
+    so it gets a copy and ``features`` stays as it was.
     """
-    f, tgt = c_ordered(features), c_ordered(target)
-    w = reservoir._least_squares(f, ridge)[0](reservoir._delayed(tgt, delay))
+    f, tgt = c_ordered(features).copy(), c_ordered(target)
+    w = reservoir._least_squares(f, ridge)[0](delayed(tgt, delay))
     return Readout(w_out=w, delay=delay)
 
 

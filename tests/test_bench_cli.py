@@ -677,16 +677,17 @@ class TestRunBerExperiment:
                 assert got.tobytes() == y.tobytes()
         assert noise_vars == want_vars  # the LMMSE mode's, the last one built
 
-    def test_mimo_slot_peak_memory_is_bounded(self):
+    def test_mimo_readme_slot_memory(self):
         # one README-numerology 4x4 slot of every detector at three SNRs peaks
-        # near 15 MiB traced; whole-slot equalizer outputs, a batched training
-        # block and all SNRs' LMMSE grids at once took it to 27 MiB
+        # near 12.5 MiB traced, in its ridge fit and its stream alike; a fit
+        # that copies its features, or a slot that holds its int64 payload bits
+        # or noise-free signal through training, reaches 15.9 MiB
         cfg = bc.ExperimentConfig(
-            snr_db=(10.0, 20.0, 30.0), detectors=bc.DETECTOR_NAMES, channel_mode="mimo",
+            seed=1, snr_db=(10.0, 20.0, 30.0), detectors=bc.DETECTOR_NAMES, channel_mode="mimo",
             n_tx=4, n_rx=4, ridge=1e-6, input_scale=0.3,
         )
         specs, pdp = bc._configured_specs(cfg), load_pdp(cfg.pdp)
-        assert traced_peak(bc._slot_errors, cfg, specs, pdp, 0) / 2**20 <= 18.0
+        assert traced_peak(bc._slot_errors, cfg, specs, pdp, 0) / 2**20 <= 13.0
 
     def test_grid_mode_wiring(self):
         # with orthogonal (conventional) combs a noiseless 4x4 system is

@@ -30,7 +30,7 @@ import rclab
 from rclab import bench_cli as bc
 from rclab import reservoir
 from rclab.channel import load_pdp
-from reservoir_reference import assert_fit_matches_lstsq
+from reservoir_reference import assert_fit_matches_lstsq, delayed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 SMALL = str(GOLDEN / "cli_small.ini")
@@ -85,8 +85,9 @@ def first_slot_searches(monkeypatch, detector):
     specs = bc._configured_specs(cfg)
     searches, search = [], reservoir._delay_search
 
-    def spy(*args):
-        searches.append((args, search(*args)))
+    def spy(feats, *args):
+        # the search consumes its features: keep them as they came in
+        searches.append(((feats.copy(), *args), search(feats, *args)))
         return searches[-1][1]
 
     monkeypatch.setattr(reservoir, "_delay_search", spy)
@@ -101,8 +102,8 @@ def first_slot_searches(monkeypatch, detector):
 def test_configured_readout_matches_lstsq(monkeypatch, detector):
     _, searches = first_slot_searches(monkeypatch, detector)
     for (feats, target, d_max, _), _ in searches:
-        delayed = np.vstack([reservoir._delayed(target, d) for d in range(d_max + 1)])
-        assert_fit_matches_lstsq(feats, delayed)
+        stacked = np.vstack([delayed(target, d) for d in range(d_max + 1)])
+        assert_fit_matches_lstsq(feats, stacked)
 
 
 # the pad section of each configured column is a neuron with zero input

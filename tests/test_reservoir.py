@@ -166,7 +166,7 @@ class TestTrainReadout:
         target = rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
         for fit in (
             lambda: train_readout(feats, target).w_out,
-            lambda: reservoir._delay_search(feats, target, 1, 0.0)[1],
+            lambda: reservoir._delay_search(feats.copy(), target, 1, 0.0)[1],
         ):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
@@ -209,7 +209,7 @@ class TestTrainReadout:
         ref = np.linalg.lstsq(feats.T, target.T, rcond=None)[0].T
         np.testing.assert_allclose(ro.w_out, ref, rtol=1e-12)
         with pytest.warns(UserWarning, match="rank-deficient"):
-            delay, w = reservoir._delay_search(feats, target, 3, 0.0)
+            delay, w = reservoir._delay_search(feats.copy(), target, 3, 0.0)
         with pytest.warns(UserWarning, match="rank-deficient"):
             np.testing.assert_array_equal(w, train_readout(feats, target, delay=delay).w_out)
 
