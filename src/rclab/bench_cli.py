@@ -538,7 +538,9 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, sent,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
-        batch = np.repeat(apply_channel(ch, ofdm_modulate(grid, num))[None], len(cfg.snr_db), axis=0)
+        clean = apply_channel(ch, ofdm_modulate(grid, num))
+        batch = np.repeat(clean[None], len(cfg.snr_db), axis=0)
+        del clean  # each SNR's copy is in the batch
         noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
                       for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
         if mode is RsMode.LEARNING:

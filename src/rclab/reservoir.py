@@ -237,10 +237,10 @@ def _least_squares(f: np.ndarray, ridge: float):
     With ``ridge > 0`` the rows are whitened in place, and each target solves
     the penalized Gram system of the whitened rows; a residual is that of the
     whitened fit, ``‖v @ fw − t‖²`` for the solution ``v`` whose scaled-back
-    ``v / scale`` are the weights.  With ``ridge = 0`` the rows whose whitening scale is zero
-    get weight exactly 0, the minimum-norm answer for them, and the live rows
-    take one QR, ``fᵀ = QR``: the weights are ``R⁻¹Qᴴt`` and the residual is
-    ``‖t‖² − ‖Qᴴt‖²``.  A live ``|R_jj|`` at or under ``lstsq``'s rank
+    ``v / scale`` are the weights.  With ``ridge = 0`` the rows whose
+    whitening scale is zero get weight exactly 0, the minimum-norm answer for
+    them, and the live rows take one QR, ``fᵀ = QR``: the weights are
+    ``R⁻¹Qᴴt`` and the residual is ``‖t‖² − ‖Qᴴt‖²``.  A live ``|R_jj|`` at or under ``lstsq``'s rank
     tolerance (``eps · max(shape)`` of the largest) means the fit is
     rank-deficient: it warns and solves by ``lstsq``'s minimum norm instead.
     So do fewer samples than live rows, under the one warning that the fit
