@@ -34,7 +34,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .signal_core import all_pole_filter
+from .signal_core import all_pole_filter, hermitian_product
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -235,8 +235,9 @@ def _least_squares(f: np.ndarray, ridge: float):
     contents after the call are unspecified.
 
     With ``ridge > 0`` the rows are whitened in place, and each target solves
-    the penalized Gram system of the whitened rows; a residual is that of the
-    whitened fit, ``‖v @ fw − t‖²`` for the solution ``v`` whose scaled-back
+    the penalized Gram system of the whitened rows (a
+    :func:`signal_core.hermitian_product`, with no conjugate copy of them);
+    a residual is that of the whitened fit, ``‖v @ fw − t‖²`` for the solution ``v`` whose scaled-back
     ``v / scale`` are the weights.  With ``ridge = 0`` the rows whose
     whitening scale is zero get weight exactly 0, the minimum-norm answer for
     them, and the live rows take one QR, ``fᵀ = QR``: the weights are
@@ -259,7 +260,8 @@ def _least_squares(f: np.ndarray, ridge: float):
     if ridge > 0.0:
         scale = np.where(live, scale, 1.0)
         fw = np.divide(f, scale[:, None], out=f)
-        gram = fw @ fw.conj().T + (ridge * fw.shape[1]) * np.eye(fw.shape[0])
+        gram = hermitian_product(fw)
+        gram += (ridge * fw.shape[1]) * np.eye(fw.shape[0])
 
         def solve(t):
             return np.linalg.solve(gram, fw @ t.conj().T).conj().T

@@ -145,6 +145,41 @@ def toeplitz_inverse_first_column(h, n: int) -> np.ndarray:
     return out[0] if hv.ndim == 1 else out
 
 
+# Rows of ``a`` per column block of :func:`hermitian_product`: each block holds
+# a (32, k) conjugate instead of a conjugate of all of ``a``.
+HERMITIAN_BLOCK_ROWS = 32
+
+
+def column_blocks(n: int, width: int) -> list:
+    """``(lo, hi)`` bounds of consecutive ``width``-column blocks of ``n`` columns.
+
+    A lone last column joins the block before it: numpy takes a one-column
+    product (``gemv``) or sum (pairwise) down another path than a wider block,
+    which rounds differently.  So a block is one column wide only when ``n`` is.
+    """
+    starts = list(range(0, n, width))
+    if n > 1 and n % width == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def hermitian_product(a) -> np.ndarray:
+    """``a @ a.conj().T`` of a complex ``(n, k)`` array, filled in column blocks.
+
+    The columns ``lo:hi`` of each :func:`column_blocks` block of
+    ``HERMITIAN_BLOCK_ROWS`` are ``a @ a[lo:hi].conj().T``, so besides the
+    ``(n, n)`` result only one block's ``(hi - lo, k)`` conjugate and
+    ``(n, hi - lo)`` product are held, never a conjugate copy of ``a``.
+    ``a`` may be any strided view, such as the transpose of an ``(k, n)``
+    array.  Every block keeps the bits of the whole product (checked at one
+    BLAS thread).
+    """
+    out = np.empty((a.shape[0], a.shape[0]), dtype=np.complex128)
+    for lo, hi in column_blocks(a.shape[0], HERMITIAN_BLOCK_ROWS):
+        out[:, lo:hi] = a @ a[lo:hi].conj().T
+    return out
+
+
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigen-pairs of a Hermitian matrix, eigenvalues sorted descending.

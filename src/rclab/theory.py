@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import PowerDelayProfile
 from .filters import Phase
-from .signal_core import hermitian_eig
+from .signal_core import column_blocks, hermitian_eig
 from .weight_config import collect_equalizer_irs, empirical_covariance
 
 
@@ -71,12 +71,7 @@ def _shift_projection_energies(f: np.ndarray, vectors: np.ndarray) -> np.ndarray
     n, m = f.shape
     nfft = _next_fast_len(2 * n - 1)
     out = np.empty((vectors.shape[0], m))
-    starts = list(range(0, m, MC_BLOCK_COLUMNS))
-    if m > 1 and m % MC_BLOCK_COLUMNS == 1:
-        # numpy sums a lone column pairwise and wider blocks row by row, so
-        # the last column joins the block before it
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [m]):
+    for lo, hi in column_blocks(m, MC_BLOCK_COLUMNS):
         ff = np.fft.fft(np.conj(f[::-1, lo:hi]), nfft, axis=0)
         prod = np.empty_like(ff)
         for r, g in enumerate(vectors):
@@ -135,8 +130,8 @@ def _closed_form_terms(k: np.ndarray, f: np.ndarray):
     """
     n = k.shape[0]
     total = float(np.real(np.dot(np.arange(n, 0, -1), np.diagonal(k))))
-    z = shift_accumulated_covariance(k)
-    return total, np.real(np.sum(np.conj(f) * (z @ f), axis=0))
+    zf = shift_accumulated_covariance(k) @ f
+    return total, np.real(np.sum(np.multiply(np.conj(f), zf, out=zf), axis=0))
 
 
 def theorem1_error(k: np.ndarray, f: np.ndarray) -> float:

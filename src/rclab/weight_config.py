@@ -21,6 +21,10 @@ Both routes end in :func:`pole_bank`, which splits every column's reduced
 all-pole filter into one-pole sections.  MIMO reservoirs copy the SISO core
 once per stream along the block diagonal, and each copy listens to one
 receive stream.
+
+Memory: a route holds one statistics array at a time and, while it forms the
+covariance, one column block of the covariance product.  The statistics are
+released once the covariance holds them, before its eigen-decomposition.
 """
 
 import warnings
@@ -31,7 +35,12 @@ import numpy as np
 from .channel import PowerDelayProfile, draw_channels
 from .filters import Phase, perturb_clustered_poles, section_residues
 from .reservoir import ReservoirSpec
-from .signal_core import hermitian_eig, polynomial_roots, toeplitz_inverse_first_column
+from .signal_core import (
+    hermitian_eig,
+    hermitian_product,
+    polynomial_roots,
+    toeplitz_inverse_first_column,
+)
 
 COMPENSATION_MARGIN = 0.05
 COMPENSATION_FLOOR = 1e-3
@@ -49,12 +58,16 @@ def empirical_covariance(vectors) -> np.ndarray:
 
     ``vectors`` is the complex ``(n_obs, n)`` array of equalizer impulse
     responses (time domain) or sampled inverse frequency responses
-    (frequency domain), one realization per row.
+    (frequency domain), one realization per row.  Besides the statistics it
+    holds the ``(n, n)`` result and one column block of
+    :func:`signal_core.hermitian_product`, never a conjugate copy of the
+    statistics.
     """
     g = np.asarray(vectors, dtype=np.complex128)
     if g.ndim != 2 or g.size == 0:
         raise ValueError("statistics must be a non-empty (n_obs, n) array")
-    return (g.T @ g.conj()) / g.shape[0]
+    k = hermitian_product(g.T)
+    return np.divide(k, g.shape[0], out=k)
 
 
 @dataclass(frozen=True)
@@ -113,12 +126,18 @@ def collect_equalizer_irs(
 
 
 def pca_basis(vectors, m: int) -> np.ndarray:
-    """Top-``m`` eigenvectors of the statistics' empirical covariance, deterministic order."""
+    """Top-``m`` eigenvectors of the statistics' empirical covariance, deterministic order.
+
+    The statistics are dropped once their covariance is formed, so statistics
+    that the caller passes as a temporary are freed before the ``eigh``.
+    """
     k = empirical_covariance(vectors)
+    n_obs = len(vectors)
+    del vectors
     if not 1 <= m <= k.shape[0]:
         raise ValueError(f"need 1 <= m <= {k.shape[0]}")
-    if len(vectors) < m:
-        warnings.warn(f"{m} PCA columns from only {len(vectors)} observations", stacklevel=2)
+    if n_obs < m:
+        warnings.warn(f"{m} PCA columns from only {n_obs} observations", stacklevel=2)
     return hermitian_eig(k, m).vectors
 
 
@@ -277,11 +296,12 @@ def collect_inverse_responses(
     """Inverse frequency responses ``1 / H_mp(e^{j w_k})`` on the ``GRID_SIZE``-point grid.
 
     ``H_mp`` is the draw itself when it is strictly minimum-phase and its
-    minimum-phase factor otherwise.
+    minimum-phase factor otherwise.  The reciprocal is taken in place.
     """
     # zero padding to the profile length changes no FFT input
     mp_taps = draw_channels(pdp, rng, n_obs).mp_taps
-    return 1.0 / np.fft.fft(mp_taps, GRID_SIZE, axis=-1)
+    spectra = np.fft.fft(mp_taps, GRID_SIZE, axis=-1)
+    return np.divide(1.0, spectra, out=spectra)
 
 
 def all_pole_fit(values: np.ndarray, order: int):

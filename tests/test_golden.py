@@ -14,11 +14,9 @@ CHANGES.md entry that explains why its bytes changed.  The configured
 readouts of the SISO sweep's first slot are checked against ``lstsq`` too.
 """
 
+import hashlib
 import io
 import json
-import os
-import subprocess
-import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -26,10 +24,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import rclab
 from rclab import bench_cli as bc
 from rclab import reservoir
 from rclab.channel import load_pdp
+from one_blas_thread import run_python
 from reservoir_reference import assert_fit_matches_lstsq, delayed
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -163,16 +161,6 @@ CLI_CASES = {
 }
 
 
-def run_python(argv, **kwargs):
-    """``python argv`` with one BLAS thread and this checkout's ``rclab`` importable."""
-    src = str(Path(rclab.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env, **kwargs)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 @pytest.mark.parametrize("case", sorted(CLI_CASES))
 def test_cli_matches_golden(tmp_path, case):
     argv, outputs = CLI_CASES[case]
@@ -197,3 +185,32 @@ def test_perfbench_tiny_digests_match_reference():
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     assert len(got) == 6
     assert got == {key: reference[key] for key in got}
+
+
+# full-size configure, where the covariance spans several column blocks
+# (stats_n = 128 in td, the 256-point grid in fd)
+FULL_CONFIGURE_SCRIPT = """
+import json, workloads
+w = workloads.make("subspace", 1)
+print(json.dumps({w.key: {op: workloads.digest(w.configure(op[-2:]))
+                          for op in ("configure_td", "configure_fd")}}))
+"""
+
+
+def test_perfbench_full_configure_digests_match_reference():
+    got = json.loads(run_python(["-c", FULL_CONFIGURE_SCRIPT], cwd=PERFBENCH))
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert got == {"subspace/full/1": reference["subspace/full/1"]}
+
+
+# validate-theorem at the subspace workload's N = nobs = 300, where the last
+# covariance block ends part-way (9 blocks of 32 and one of 12)
+@pytest.mark.parametrize("seed, sha256", [
+    (1, "779947d609adf43b81e37fcad517f325cf5890f560f1b0951b36b6f4697b3581"),
+    (27, "d267a73b5bf31b1464d06867ffc5128f0b27d9c3384d1eca6df9279ec8ad060f"),
+])
+def test_validate_theorem_n300_bytes(tmp_path, seed, sha256):
+    out = tmp_path / "curves.csv"
+    run_python(["-m", "rclab", "validate-theorem", "--n", "300", "--nobs", "300",
+                "--m", "1,2,5,10,20,50,100,300", "--seed", str(seed), "--out", str(out)])
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256

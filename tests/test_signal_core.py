@@ -9,15 +9,18 @@ from hypothesis import strategies as st
 
 from rclab.reservoir import _least_squares
 from rclab.signal_core import (
+    HERMITIAN_BLOCK_ROWS,
     HermitianEig,
     NonHermitianError,
     SingularChannelError,
     all_pole_filter,
     as_complex_seq,
+    column_blocks,
     hermitian_eig,
     polynomial_roots,
     toeplitz_inverse_first_column,
 )
+from one_blas_thread import run_python
 
 
 class TestToeplitzInverse:
@@ -169,6 +172,38 @@ class TestHermitianEig:
             np.testing.assert_array_equal(top.values, full.values)
             np.testing.assert_array_equal(top.vectors, full.vectors[:, :m])
             assert top.vectors.flags.c_contiguous
+
+
+# row counts around the block width: one block, a lone last row, a part block
+PRODUCT_ROWS = (1, 31, 32, 33, 65, 137, 160, 300)
+
+PRODUCT_SCRIPT = """
+import numpy as np
+from rclab.signal_core import hermitian_product
+rng = np.random.default_rng(6)
+for n in {rows}:
+    g = rng.standard_normal((90, n)) + 1j * rng.standard_normal((90, n))
+    # C-ordered rows (the ridge Gram) and the transposed (n_obs, n) view (the covariance)
+    for layout, a in (("rows", np.ascontiguousarray(g.T)), ("view", g.T)):
+        same = hermitian_product(a).tobytes() == (a @ a.conj().T).tobytes()
+        print(n, layout, same)
+"""
+
+
+class TestHermitianProduct:
+    def test_bits_of_the_whole_product(self):
+        lines = run_python(["-c", PRODUCT_SCRIPT.format(rows=PRODUCT_ROWS)]).split()
+        got = {(int(n), layout): same for n, layout, same in zip(lines[::3], lines[1::3], lines[2::3])}
+        assert got == {(n, layout): "True" for n in PRODUCT_ROWS for layout in ("rows", "view")}
+
+    @pytest.mark.parametrize("n", PRODUCT_ROWS)
+    def test_blocks_cover_the_rows_without_a_lone_last_one(self, n):
+        blocks = column_blocks(n, HERMITIAN_BLOCK_ROWS)
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == n
+        widths = [hi - lo for lo, hi in blocks]
+        if n > 1:
+            assert min(widths) > 1 and max(widths) <= HERMITIAN_BLOCK_ROWS + 1
 
 
 class TestLeastSquares:

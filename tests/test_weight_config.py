@@ -161,6 +161,24 @@ class TestPcaBasis:
             pca_basis(vectors, 1)
 
 
+class TestStatisticsMemory:
+    """One statistics array and one covariance block at a time."""
+
+    def test_covariance_holds_its_result_and_one_block(self):
+        g = np.random.default_rng(7).standard_normal((1000, 256)) + 0j
+        result = 256 * 256 * 16
+        # a block's (32, 1000) conjugate and (256, 32) product, and a little bookkeeping
+        block = 32 * (1000 + 256) * 16
+        assert traced_peak(empirical_covariance, g) <= result + block + 2**14
+
+    def test_fd_configure_peak(self):
+        # the statistics are (1000, 256) complex, 3.9 MiB: the reciprocal is
+        # taken in place and the array is freed before the eigh
+        peak = traced_peak(configure_frequency_domain_report, load_pdp("cdl_d"), 128, 1000,
+                           m=5, l_rp=7, n_window=5, rng=np.random.default_rng(1))
+        assert peak / 2**20 <= 6.0
+
+
 class TestMpCompensate:
     def test_worked_example(self):
         f = np.array([[0.5], [0.4], [0.3]], dtype=complex)
