@@ -35,12 +35,7 @@ import numpy as np
 from .channel import PowerDelayProfile, draw_channels
 from .filters import Phase, perturb_clustered_poles, section_residues
 from .reservoir import ReservoirSpec
-from .signal_core import (
-    hermitian_eig,
-    hermitian_product,
-    polynomial_roots,
-    toeplitz_inverse_first_column,
-)
+from .signal_core import hermitian_eig, hermitian_product, polynomial_roots, toeplitz_inverse_first_column
 
 COMPENSATION_MARGIN = 0.05
 COMPENSATION_FLOOR = 1e-3
