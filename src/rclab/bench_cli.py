@@ -550,7 +550,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         for det, per_snr in zip(dets, ests):
             for si, decisions in enumerate(per_snr):
                 out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), n_bits
-        del ests  # the next mode runs without this one's decisions alive
+        del ests, batch, grid  # the next mode builds its arrays without this one's alive
     return out
 
 

@@ -15,16 +15,20 @@ Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
 
 Detection (:func:`train_and_equalize`, a generator) trains each core on the
-known prefix of a batch of signals, one element at a time; the final states
-carry on into one recursion that advances every core and element together
-in one flat state row, and the readouts are applied ``STREAM_CHUNK`` samples
-at a time.  After each block the generator yields the output samples that
-every element's readout has finished, and keeps only ``d_max`` samples per
-core for the next block, so no buffer grows with the input length.  The
-stream builds no feature array: each readout reads its states in place from
-the recursion's block and its input window from one buffer per block, which
-every core shares.  Each element of each core gets the same bits as it
-would alone, in a stack of one core and a batch of one element.
+known prefix of a batch of signals, one element at a time.  An element's
+prefix is recursed ``TRAIN_BLOCK`` samples at a time, and each block's
+states go straight into the element's feature rows, so no state array of
+the whole prefix is held.  The final states carry on into one recursion
+that advances every core and element together in one flat state row, and
+the readouts are applied ``STREAM_CHUNK`` samples at a time.  After each
+block the generator yields the output samples that every element's readout
+has finished, and keeps only ``d_max`` samples per core for the next block,
+so no buffer grows with the input length.  The stream builds no feature
+array: each readout reads its states in place from the recursion's block and
+its input window from one buffer per block, filled once for the batch and
+shared by every core.  Each element of each core gets the same bits as it
+would alone, in a stack of one core and a batch of one element, with its
+whole prefix recursed in one block.
 """
 
 import warnings
@@ -34,7 +38,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .signal_core import all_pole_filter, hermitian_product
+from .signal_core import all_pole_filter, column_blocks, hermitian_product
 
 ACTIVATIONS = ("linear", "tanh")
 
@@ -99,15 +103,25 @@ class Readout:
 
 # Samples per block of the streamed readout: states and features are built
 # and consumed one block at a time, so the equalizer's state buffer stays at
-# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.  At 256
-# that block is 4.3 MB for a 4x4 slot's stacked cores at three SNRs (1,050
-# complex columns), against 17.2 MB at 1024.  The value stays a power of two
-# that divides 1024: BLAS rounds the tail columns of a product differently
-# from its body, so the output bits depend on where the blocks end.  Blocks of
-# 256 subdivide blocks of 1024, so only a last 1024-block of 256 samples or
-# more may round differently; a README slot's is 44 samples and keeps every
-# bit.  A chunk of 99 does not keep them.
-STREAM_CHUNK = 256
+# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.  At 128
+# that block is 2.17 MB for a 4x4 slot's stacked cores at three SNRs (1,050
+# complex columns), against 4.3 MB at 256 and 17.2 MB at 1024.  The value
+# stays a power of two that divides 1024: BLAS rounds the tail columns of a
+# product differently from its body, so the output bits depend on where the
+# blocks end.  Blocks of 128 subdivide blocks of 1024, so only a last
+# 1024-block of 128 samples or more may round differently; a README slot's is
+# 44 samples and keeps every bit.  A chunk of 99 does not keep them.
+STREAM_CHUNK = 128
+
+# Samples per block of the training recursion, split by column_blocks (a lone
+# last sample joins the block before it).  Each block's drive is one matrix
+# product, and numpy and BLAS take narrow products down other paths, which
+# round differently: blocks of 1, 2, 3 or 7 samples change a one-neuron
+# core's drive at d_in 3 or 4.  Blocks of 256 give the drive of the whole
+# prefix to the bit (d_in 1-4; 1-8, 35 and 140 neurons; prefixes of 257 to
+# 1500 samples; one BLAS thread).  So the width is fixed, and does not follow
+# STREAM_CHUNK.
+TRAIN_BLOCK = 256
 
 
 def _stack(specs, n_batch: int):
@@ -196,32 +210,32 @@ def block_states(poles, y) -> np.ndarray:
 
 
 def _window(dst: np.ndarray, x: np.ndarray, t0: int) -> None:
-    """Fill ``dst``, ``(n_window * d_in, n)``, with the input window of samples ``[t0, t0 + n)``.
+    """Fill ``dst``, ``(..., n_window * d_in, n)``, with the input window of samples ``[t0, t0 + n)``.
 
-    Row block ``w`` is the ``(d_in, T)`` input ``x`` delayed by ``w``
-    samples, zero before its start and after its end.
+    Row block ``w`` is the ``(..., d_in, T)`` input ``x`` delayed by ``w``
+    samples, zero before its start and after its end; leading axes, such as
+    a batch, are filled together.
     """
-    (d_in, t), n = x.shape, dst.shape[1]
-    for w in range(dst.shape[0] // d_in):
+    (d_in, t), n = x.shape[-2:], dst.shape[-1]
+    for w in range(dst.shape[-2] // d_in):
         lead = min(max(w - t0, 0), n)
         stop = max(min(t + w - t0, n), lead)
-        rows = dst[w * d_in : (w + 1) * d_in]
-        rows[:, :lead] = 0.0
-        rows[:, lead:stop] = x[:, t0 - w + lead : t0 - w + stop]
-        rows[:, stop:] = 0.0
+        rows = dst[..., w * d_in : (w + 1) * d_in, :]
+        rows[..., :lead] = 0.0
+        rows[..., lead:stop] = x[..., t0 - w + lead : t0 - w + stop]
+        rows[..., stop:] = 0.0
 
 
-def _features(spec: ReservoirSpec, states: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Features of the first ``n`` samples of the ``(d_in, T)`` input from their ``(n_neurons, n)`` states.
+def _row_energy(a: np.ndarray) -> np.ndarray:
+    """Each row's ``sum(|a|²)``, 32 rows at a time: only one block's float temporaries are held.
 
-    The result is C-ordered whatever the layout of ``states``: the fit's row
-    sums, and so its weights, round by layout.
+    A row's sum does not depend on the other rows, so the blocks give the
+    bits of the whole array's ``np.sum(np.abs(a) ** 2, axis=1)``.
     """
-    n_neurons, n = states.shape
-    feats = np.empty((spec.feature_dim, n), dtype=np.complex128)
-    feats[:n_neurons] = states
-    _window(feats[n_neurons:], x, 0)
-    return feats
+    out = np.empty(a.shape[0])
+    for lo, hi in column_blocks(a.shape[0], 32):
+        out[lo:hi] = np.sum(np.abs(a[lo:hi]) ** 2, axis=1)
+    return out
 
 
 def _least_squares(f: np.ndarray, ridge: float):
@@ -253,7 +267,7 @@ def _least_squares(f: np.ndarray, ridge: float):
             f"only {f.shape[1]} samples for {f.shape[0]} features; fit is underdetermined",
             stacklevel=3,
         )
-    scale = np.sqrt(np.mean(np.abs(f) ** 2, axis=1))
+    scale = np.sqrt(_row_energy(f) / f.shape[1])
     live = scale > 1e-300
     if not np.any(live):
         warnings.warn("every feature row is zero; the readout outputs zero", stacklevel=3)
@@ -266,8 +280,12 @@ def _least_squares(f: np.ndarray, ridge: float):
         def solve(t):
             return np.linalg.solve(gram, fw @ t.conj().T).conj().T
 
-        return (lambda t: solve(t) / scale[None, :],
-                lambda t: np.sum(np.abs(solve(t) @ fw - t) ** 2, axis=1))
+        def ridge_residuals(t):
+            r = solve(t) @ fw
+            r -= t
+            return _row_energy(r)
+
+        return lambda t: solve(t) / scale[None, :], ridge_residuals
     fw = f[live] / scale[live, None]
     q, r = np.linalg.qr(fw.T)
     diag = np.abs(np.diagonal(r))
@@ -298,8 +316,8 @@ def _least_squares(f: np.ndarray, ridge: float):
 
     def residuals(t):
         if full_rank:
-            return np.sum(np.abs(t) ** 2, axis=1) - np.sum(np.abs(t @ qc) ** 2, axis=1)
-        return np.sum(np.abs(weights(t) @ f - t) ** 2, axis=1)
+            return _row_energy(t) - _row_energy(t @ qc)
+        return _row_energy(weights(t) @ f - t)
 
     return weights, residuals
 
@@ -312,9 +330,9 @@ def _delay_search(features, target, d_max: int, ridge: float):
     winner's weights are formed from its target alone, so they are exactly
     those of the same fit's ``weights`` against that one delayed target.
     Both inputs are C-ordered complex ``(rows, L)`` arrays, as
-    :func:`_features` and :func:`train_and_equalize` make them, since the fit
-    rounds by layout.  Like :func:`_least_squares`, the search consumes
-    ``features``: their contents after the call are unspecified.
+    :func:`train_and_equalize` makes them, since the fit rounds by layout.
+    Like :func:`_least_squares`, the search consumes ``features``: their
+    contents after the call are unspecified.
     """
     if d_max < 0:
         raise ValueError("d_max must be >= 0")
@@ -351,21 +369,30 @@ def _apply_readout(dst, readout: Readout, states, window) -> None:
 def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float):
     """One core over the ``(batch, d_in, L)`` known prefix, element by element: readouts and last states.
 
-    Each element runs alone through an ``(L + 1, n_neurons)`` state block,
-    which is freed once its features and last state are copied out, before
-    the fit.  The last states come back as one row in :func:`_stack`'s
-    layout for the batch.
+    Each element's prefix runs through a state block of at most
+    ``TRAIN_BLOCK + 2`` rows, one :func:`~rclab.signal_core.column_blocks`
+    block of ``TRAIN_BLOCK`` samples at a time, and each block's states go
+    straight into the element's C-ordered ``(feature_dim, L)`` features, so
+    no state array of the whole prefix is held.  The block is freed before
+    the fit, and the features after it.  The last states come back as one
+    row in :func:`_stack`'s layout for the batch.
     """
     n_batch, _, n_train = xs.shape
-    layout = _stack([spec], 1)
-    readouts, last = [], np.empty(n_batch * spec.n_neurons, dtype=np.complex128)
+    k, layout = spec.n_neurons, _stack([spec], 1)
+    blocks = column_blocks(n_train, TRAIN_BLOCK)
+    readouts, last = [], np.empty(n_batch * k, dtype=np.complex128)
     for i, xi in enumerate(xs):
-        block = np.zeros((n_train + 1, spec.n_neurons), dtype=np.complex128)
-        _advance([spec], layout, xs[i : i + 1], block)
-        feats = _features(spec, block[1:].T, xi)
-        last[i * spec.n_neurons : (i + 1) * spec.n_neurons] = block[-1]
+        feats = np.empty((spec.feature_dim, n_train), dtype=np.complex128)
+        block = np.zeros((min(n_train, TRAIN_BLOCK + 1) + 1, k), dtype=np.complex128)
+        for lo, hi in blocks:
+            _advance([spec], layout, xs[i : i + 1, :, lo:hi], block[: hi - lo + 1])
+            feats[:k, lo:hi] = block[1 : hi - lo + 1].T
+            block[0] = block[hi - lo]
+        last[i * k : (i + 1) * k] = block[0]
         del block
+        _window(feats[k:], xi, 0)
         delay, w = _delay_search(feats, target, d_max, ridge)
+        del feats  # consumed by the fit; the next element's are built without them
         readouts.append(Readout(w, delay))
     return readouts, last
 
@@ -406,9 +433,9 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     block = np.empty((chunk + 1, max(c.stop for c in cols)), dtype=np.complex128)
     for c, last in zip(cols, lasts):
         block[0, c] = last
-    # one window buffer, refilled for each element and block; a core reads its first rows
+    # one window buffer of every element, refilled for each block; a core reads its first rows
     rows = [s.feature_dim - s.n_neurons for s in specs]
-    window = np.empty((max(rows), chunk), dtype=np.complex128)
+    window = np.empty((n_batch, max(rows), chunk), dtype=np.complex128)
     # during the block from t0, column p of a core's buffer holds output sample t0 - d_max + p
     outs = [np.empty((n_batch, tgt.shape[0], chunk + d_max), dtype=np.complex128) for _ in specs]
     done = n_train
@@ -420,8 +447,8 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
             xb = np.concatenate([xb, tail], axis=2)
         _advance(specs, layout, xb, block[: n + 1])
         states = [block[1 : n + 1, c].reshape(n, n_batch, s.n_neurons) for s, c in zip(specs, cols)]
+        _window(window[:, :, :n], xs, t0)
         for i in range(n_batch):
-            _window(window[:, :n], xs[i], t0)
             for out, ros, st, r in zip(outs, readouts, states, rows):
                 # samples t0 + j become output samples t0 + j - delay, kept inside [0, T)
                 d = ros[i].delay
@@ -429,7 +456,7 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
                 if lo < hi:
                     j = slice(lo - t0, hi - t0)
                     dst = out[i, :, lo - d - base : hi - d - base]
-                    _apply_readout(dst, ros[i], st[j, i].T, window[:r, j])
+                    _apply_readout(dst, ros[i], st[j, i].T, window[i, :r, j])
         # every readout has written the output samples before base + n
         yield [out[:, :, done - base : n] for out in outs]
         done = max(done, base + n)

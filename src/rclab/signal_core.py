@@ -155,8 +155,11 @@ def column_blocks(n: int, width: int) -> list:
 
     A lone last column joins the block before it: numpy takes a one-column
     product (``gemv``) or sum (pairwise) down another path than a wider block,
-    which rounds differently.  So a block is one column wide only when ``n`` is.
+    which rounds differently.  So a block is one column wide only when ``n`` is,
+    which needs ``width >= 2``.
     """
+    if width < 2:
+        raise ValueError(f"width = {width} must be >= 2: a block is one column wide only when n is")
     starts = list(range(0, n, width))
     if n > 1 and n % width == 1:
         starts.pop()

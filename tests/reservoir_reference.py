@@ -1,8 +1,9 @@
 """One input run alone: the batch-of-one reference of the batched detector core.
 
-Built on the package's own recursion, feature layout and fit
-(``reservoir._advance`` on a stack of one core, ``reservoir._features`` and
-``reservoir._least_squares``), so a batch element must match it to the bit.
+Built on the package's own recursion and fit (``reservoir._advance`` on a
+stack of one core, over the whole input in one block, and
+``reservoir._least_squares``), with the features assembled here from the
+states and the delayed input, so a batch element must match it to the bit.
 :func:`equalized` collects the detector's streamed output into whole arrays.
 The ``ridge = 0`` fit is also checked against ``np.linalg.lstsq``'s
 minimum-norm solve, within rounding (:func:`assert_fit_matches_lstsq`).
@@ -40,9 +41,18 @@ def alone_states(spec, x) -> np.ndarray:
 
 
 def alone_features(spec, x) -> np.ndarray:
-    """States stacked with the windowed input history, ``(feature_dim, T)``."""
+    """States stacked with the windowed input history, ``(feature_dim, T)``, C-ordered.
+
+    Row block ``w`` of the window is the ``(d_in, T)`` input delayed by ``w``
+    samples, zero before its start.
+    """
     xs = np.atleast_2d(np.asarray(x, dtype=np.complex128))
-    return reservoir._features(spec, alone_states(spec, xs), xs)
+    n, d_in = spec.n_neurons, xs.shape[0]
+    feats = np.empty((spec.feature_dim, xs.shape[1]), dtype=np.complex128)
+    feats[:n] = alone_states(spec, xs)
+    for w in range(spec.n_window):
+        feats[n + w * d_in : n + (w + 1) * d_in] = delayed(xs, w)
+    return feats
 
 
 def c_ordered(a) -> np.ndarray:

@@ -330,9 +330,9 @@ def test_stack_equalizes_each_core_as_alone(c):
 def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
     # the detectors' stack (two configured diagonal cores, two dense random
     # ones) over a README slot, whose stream after the RS symbol is 15 blocks
-    # of 1024 samples and a last block of 44.  Blocks of 256 subdivide blocks
+    # of 1024 samples and a last block of 44.  Blocks of 128 subdivide blocks
     # of 1024, so every output sample keeps its bits.  A last 1024-block of
-    # 256 samples or more ends in a shorter 256-block, whose tail BLAS may
+    # 128 samples or more ends in a shorter 128-block, whose tail BLAS may
     # round differently: there only the last block may change, by rounding.
     cfg = bench_cli.ExperimentConfig(
         detectors=bench_cli.RC_DETECTOR_NAMES, channel_mode="mimo" if n_ant > 1 else "siso",
@@ -351,7 +351,7 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
         with mock.patch.object(reservoir, "STREAM_CHUNK", chunk), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # the td core's rank at ridge 0
             runs.append(equalized(specs, x, target, cfg.d_max, ridge))
-    assert reservoir.STREAM_CHUNK == 256
+    assert reservoir.STREAM_CHUNK == 128
     (outs_1024, ros_1024), (outs, ros) = runs
     for out_1024, out, core_1024, core in zip(outs_1024, outs, ros_1024, ros):
         for ro_1024, ro in zip(core_1024, core):
@@ -362,6 +362,54 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
         else:
             assert out[..., : last - n_train].tobytes() == out_1024[..., : last - n_train].tobytes()
             np.testing.assert_allclose(out, out_1024, rtol=0, atol=1e-8 * np.abs(out_1024).max())
+
+
+# (n_train, dense, n_neurons, d_in, n_window, activation, ridge, chunk): prefixes
+# of one block, of a 256-block and a 257-block, of four blocks and a 160-sample
+# tail, and of a two-sample tail
+BLOCKED_TRAINING = [
+    (257, False, 1, 1, 0, "tanh", 0.0, 1),
+    (257, True, 8, 4, 5, "linear", 1e-6, 128),
+    (258, False, 1, 4, 5, "tanh", 0.0, 7),
+    (1184, True, 1, 4, 0, "linear", 1e-6, 128),
+    (513, False, 2, 4, 0, "tanh", 1e-6, 7),
+    (513, True, 5, 1, 5, "tanh", 0.0, 1),
+    (513, False, 35, 1, 5, "linear", 0.0, 128),
+    (1184, True, 3, 4, 5, "tanh", 0.0, 128),
+    (1184, False, 7, 1, 5, "linear", 1e-6, 1),
+    (1184, True, 35, 4, 0, "tanh", 1e-6, 7),
+    (1184, False, 140, 4, 5, "tanh", 1e-6, 128),
+    (1184, False, 140, 1, 5, "linear", 0.0, 7),
+    (1184, True, 140, 4, 5, "tanh", 0.0, 1),
+    (1184, True, 140, 1, 0, "linear", 1e-6, 128),
+]
+
+
+@pytest.mark.filterwarnings("ignore:readout fit is rank-deficient")  # linear diagonal cores at ridge 0
+@pytest.mark.parametrize("n_train, dense, n_neurons, d_in, n_window, activation, ridge, chunk",
+                         BLOCKED_TRAINING)
+def test_blocked_training_keeps_whole_prefix_bits(n_train, dense, n_neurons, d_in, n_window,
+                                                  activation, ridge, chunk):
+    # training recurses the prefix in TRAIN_BLOCK-sample blocks straight into
+    # the feature rows; the readouts and last states are those of the whole
+    # prefix recursed in one block, whatever the stream's chunk
+    assert reservoir.TRAIN_BLOCK == 256
+    c = dict(seed=n_train * n_neurons + d_in, dense=dense, activation=activation,
+             n_window=n_window, d_in=d_in, n_neurons=n_neurons)
+    spec = make_case(dict(c, batch=1, d_out=1, d_max=0, ridge=ridge, chunk=chunk))[0]
+    rng = np.random.default_rng(c["seed"])
+    shape = (2, d_in, n_train + 50)
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    target = rng.standard_normal((2, n_train)) + 1j * rng.standard_normal((2, n_train))
+    with mock.patch.object(reservoir, "STREAM_CHUNK", chunk):
+        [readouts] = next(train_and_equalize([spec], x, target, 3, ridge))
+    _, last = reservoir._train(spec, x[:, :, :n_train], target, 3, ridge)
+    for i, ro in enumerate(readouts):
+        want = alone_readout(spec, x[i, :, :n_train], target, 3, ridge)
+        assert ro.delay == want.delay
+        assert ro.w_out.tobytes() == want.w_out.tobytes()
+        states = alone_states(spec, x[i, :, :n_train])
+        assert last[i * n_neurons : (i + 1) * n_neurons].tobytes() == states[:, -1].tobytes()
 
 
 @pytest.mark.parametrize("field, value", [("activation", "linear"), ("d_in", 2)])

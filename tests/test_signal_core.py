@@ -205,6 +205,12 @@ class TestHermitianProduct:
         if n > 1:
             assert min(widths) > 1 and max(widths) <= HERMITIAN_BLOCK_ROWS + 1
 
+    @pytest.mark.parametrize("width", [1, 0, -3])
+    def test_blocks_narrower_than_two_columns_are_rejected(self, width):
+        # one-column blocks would round as gemv, not as the whole product
+        with pytest.raises(ValueError, match=f"width = {width} must be >= 2"):
+            column_blocks(10, width)
+
 
 class TestLeastSquares:
     """The package's unregularized least squares: the readout fit at ridge 0.
