@@ -371,10 +371,10 @@ BLOCKED_TRAINING = [
     (257, False, 1, 1, 0, "tanh", 0.0, 1),
     (257, True, 8, 4, 5, "linear", 1e-6, 128),
     (258, False, 1, 4, 5, "tanh", 0.0, 7),
-    (1184, True, 1, 4, 0, "linear", 1e-6, 128),
     (513, False, 2, 4, 0, "tanh", 1e-6, 7),
     (513, True, 5, 1, 5, "tanh", 0.0, 1),
     (513, False, 35, 1, 5, "linear", 0.0, 128),
+    (1184, True, 1, 4, 0, "linear", 1e-6, 128),
     (1184, True, 3, 4, 5, "tanh", 0.0, 128),
     (1184, False, 7, 1, 5, "linear", 1e-6, 1),
     (1184, True, 35, 4, 0, "tanh", 1e-6, 7),
