@@ -327,34 +327,21 @@ def rc_detect(
     slot, such as one per SNR.  Each element gets its own readout in every
     core of ``specs`` (including its decision delay), refitted from scratch;
     no channel estimate is ever formed.  One state recursion advances every
-    core over the whole batch.  The stream's output spans are cut into OFDM
-    symbols; each symbol is demodulated as soon as it is complete and only
-    its ``uint8`` QAM decisions are kept, so no equalized waveform of the
-    slot is ever held.  Returns the ``(len(specs), batch, n_payload)``
+    core over the whole batch.  The stream hands out the equalized slot one
+    OFDM symbol at a time, of every core and element; each is demodulated as
+    it arrives and only its ``uint8`` QAM decisions are kept, so no equalized
+    waveform of the slot is ever held.  Returns the ``(len(specs), batch, n_payload)``
     decisions in :func:`~rclab.ofdm.payload` order.
     """
     # the RS symbol's known waveform: symbol 0 modulated alone, so no slot waveform is formed
     rs_symbol = ResourceGrid(symbols=tx_grid.symbols[:, :1], qam_order=tx_grid.qam_order)
-    target = np.ascontiguousarray(ofdm_modulate(rs_symbol, numerology))
-    stream = train_and_equalize(specs, rx_batch, target, d_max, ridge)
-    next(stream)  # the readouts; the buffers below exist only once training's arrays are gone
-    sym_len, order = numerology.symbol_len, tx_grid.qam_order
-    # one OFDM symbol of every core, element and output, and every core's decision grid
-    symbol = np.empty((len(specs), len(rx_batch), target.shape[0], sym_len), dtype=np.complex128)
-    decisions = np.zeros(symbol.shape[:2] + tx_grid.symbols.shape, dtype=np.uint8)
-    pos = sym_len  # the stream starts after the RS symbol, which carries no data
-    for spans in stream:
-        j, n = 0, spans[0].shape[2]
-        while j < n:
-            sym, off = divmod(pos + j, sym_len)
-            m = min(n - j, sym_len - off)
-            for dst, span in zip(symbol, spans):
-                dst[:, :, off : off + m] = span[:, :, j : j + m]
-            if off + m == sym_len:
-                grid = ofdm_demodulate(symbol, numerology, 1)[..., 0, :]  # (..., n_sc, n_tx)
-                decisions[..., sym, :] = qam_decide(grid, order)
-            j += m
-        pos += n
+    stream = train_and_equalize(specs, rx_batch, ofdm_modulate(rs_symbol, numerology), d_max, ridge)
+    next(stream)  # the readouts; the decisions below exist only once training's arrays are gone
+    order = tx_grid.qam_order
+    decisions = np.zeros((len(specs), len(rx_batch)) + tx_grid.symbols.shape, dtype=np.uint8)
+    # the frames are the OFDM symbols after the RS symbol, which carries no data
+    for sym, frame in enumerate(stream, 1):
+        decisions[..., sym, :] = qam_decide(ofdm_demodulate(frame, numerology, 1)[..., 0, :], order)
     return payload(decisions)
 
 
@@ -769,7 +756,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (ConfigFileError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"rclab: error: {exc}", file=sys.stderr)
         return 1
 

@@ -118,11 +118,11 @@ class PowerDelayProfile:
 def load_pdp(name_or_path) -> PowerDelayProfile:
     """Load a PDP from a filesystem path or a profile shipped with the package.
 
-    Bare names (``cdl_d``, ``cdl_e.pdp``, ...) resolve against the packaged
-    profile directory.
+    Bare names (``cdl_d``, ``cdl_e.pdp``, ...), and any path that is not a
+    file, resolve against the packaged profile directory.
     """
     p = Path(name_or_path)
-    if p.exists():
+    if p.is_file():
         return PowerDelayProfile.from_file(p)
     name = p.name if p.name.endswith(".pdp") else p.name + ".pdp"
     resource = importlib.resources.files("rclab").joinpath("data", name)

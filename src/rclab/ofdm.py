@@ -219,7 +219,7 @@ def ofdm_modulate(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:
         raise ValueError("grid does not match numerology")
     time = np.fft.ifft(grid.symbols, axis=0, norm="ortho")
     with_cp = np.concatenate([time[numerology.n_sc - numerology.n_cp :], time], axis=0)
-    return np.transpose(with_cp, (2, 1, 0)).reshape(grid.n_tx, -1)
+    return np.ascontiguousarray(np.transpose(with_cp, (2, 1, 0))).reshape(grid.n_tx, -1)
 
 
 def ofdm_demodulate(samples, numerology: OfdmNumerology, n_sym: int) -> np.ndarray:

@@ -20,15 +20,16 @@ prefix is recursed ``TRAIN_BLOCK`` samples at a time, and each block's
 states go straight into the element's feature rows, so no state array of
 the whole prefix is held.  The final states carry on into one recursion
 that advances every core and element together in one flat state row, and
-the readouts are applied ``STREAM_CHUNK`` samples at a time.  After each
-block the generator yields the output samples that every element's readout
-has finished, and keeps only ``d_max`` samples per core for the next block,
-so no buffer grows with the input length.  The stream builds no feature
-array: each readout reads its states in place from the recursion's block and
-its input window from one buffer per block, filled once for the batch and
-shared by every core.  Each element of each core gets the same bits as it
-would alone, in a stack of one core and a batch of one element, with its
-whole prefix recursed in one block.
+the readouts are applied ``STREAM_CHUNK`` samples at a time, straight into
+one frame buffer of every core.  The output is handed out in frames as long
+as the prefix (an OFDM symbol, when the prefix is the RS symbol), each as
+soon as every element's readout has finished it, so no buffer grows with
+the input length.  The stream builds no feature array: each readout reads
+its states in place from the recursion's block and its input window from
+one buffer per block, filled once for the batch and shared by every core.
+Each element of each core gets the same bits as it would alone, in a stack
+of one core and a batch of one element, with its whole prefix recursed in
+one block.
 """
 
 import warnings
@@ -398,7 +399,7 @@ def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float):
 
 
 def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
-    """Train readouts on the first samples of every batch element, then stream the rest; per core.
+    """Train readouts on the first samples of every batch element, then stream the rest in frames.
 
     A generator.  ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out,
     L)`` waveform known for the first ``L`` samples of every element.  For
@@ -407,15 +408,15 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     first ``L`` samples.  The generator first yields the readouts, per core
     and element, once every core is trained.  Then it runs the input on over
     ``d_max`` trailing zero samples, ``STREAM_CHUNK`` samples per block, and
-    after each block yields, per core, the ``(batch, n_out, m)`` output of
-    the next ``m`` samples that every element's readout has finished: each
-    readout's output is advanced by its learned delay, so it stays aligned
-    with the undelayed target.  The spans run consecutively from sample
-    ``L`` to ``T`` (``m`` may be 0); the prefix's own output is never
-    formed.  They are views of buffers of ``STREAM_CHUNK + d_max`` samples
-    that the next block overwrites, so nothing held scales with ``T``.  The
-    blocks, and so the rounding of each output sample, depend on the lengths
-    only.
+    yields the output in frames of ``L`` samples, from sample ``L`` to ``T``
+    (only the last may be shorter): each a ``(cores, batch, n_out, m)``
+    array, yielded after the block that finishes it and before the next
+    block is recursed.  Each readout's output is advanced by its learned
+    delay, so it stays aligned with the undelayed target; the prefix's own
+    output is never yielded.  A frame is a view of a buffer of ``L +
+    STREAM_CHUNK + 2 d_max`` samples that the stream then overwrites, so
+    nothing held scales with ``T``.  The blocks, and so the rounding of each
+    output sample, depend on the lengths only.
     """
     xs = np.ascontiguousarray(x, dtype=np.complex128)
     layout = _stack(specs, len(xs))
@@ -436,11 +437,11 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     # one window buffer of every element, refilled for each block; a core reads its first rows
     rows = [s.feature_dim - s.n_neurons for s in specs]
     window = np.empty((n_batch, max(rows), chunk), dtype=np.complex128)
-    # during the block from t0, column p of a core's buffer holds output sample t0 - d_max + p
-    outs = [np.empty((n_batch, tgt.shape[0], chunk + d_max), dtype=np.complex128) for _ in specs]
-    done = n_train
+    # column p of every core's frame buffer holds output sample start - d_max + p
+    start, width = n_train, n_train + chunk + 2 * d_max
+    frames = np.empty((len(specs), n_batch, tgt.shape[0], width), dtype=np.complex128)
     for t0 in range(n_train, end, STREAM_CHUNK):
-        n, base = min(STREAM_CHUNK, end - t0), t0 - d_max
+        n = min(STREAM_CHUNK, end - t0)
         xb = xs[:, :, t0 : t0 + n]
         if xb.shape[2] < n:
             tail = np.zeros((n_batch, d_in, n - xb.shape[2]), dtype=np.complex128)
@@ -449,19 +450,21 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
         states = [block[1 : n + 1, c].reshape(n, n_batch, s.n_neurons) for s, c in zip(specs, cols)]
         _window(window[:, :, :n], xs, t0)
         for i in range(n_batch):
-            for out, ros, st, r in zip(outs, readouts, states, rows):
+            for out, ros, st, r in zip(frames, readouts, states, rows):
                 # samples t0 + j become output samples t0 + j - delay, kept inside [0, T)
                 d = ros[i].delay
                 lo, hi = max(t0, d), min(t0 + n, t + d)
                 if lo < hi:
-                    j = slice(lo - t0, hi - t0)
-                    dst = out[i, :, lo - d - base : hi - d - base]
-                    _apply_readout(dst, ros[i], st[j, i].T, window[i, :r, j])
-        # every readout has written the output samples before base + n
-        yield [out[:, :, done - base : n] for out in outs]
-        done = max(done, base + n)
-        for out in outs:
-            out[:, :, :d_max] = out[:, :, n : n + d_max]
+                    j, off = slice(lo - t0, hi - t0), d_max - d - start
+                    _apply_readout(out[i, :, lo + off : hi + off], ros[i], st[j, i].T, window[i, :r, j])
+        # every readout has written the output samples before t0 + n - d_max
+        while start < t and min(start + n_train, t) <= t0 + n - d_max:
+            m = min(n_train, t - start)
+            yield frames[..., d_max : d_max + m]
+            # the samples after the frame, some only partly written, take its place
+            start += m
+            live = t0 + n - start
+            frames[..., d_max : d_max + live] = frames[..., d_max + m : d_max + m + live]
         block[0] = block[n]
 
 

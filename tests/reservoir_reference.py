@@ -18,16 +18,15 @@ from rclab.reservoir import Readout
 def equalized(specs, x, target, d_max, ridge=0.0):
     """Drain :func:`reservoir.train_and_equalize` into whole outputs: ``(outputs, readouts)``.
 
-    Per core, the output is ``(batch, n_out, T - L)``: every span the stream
+    Per core, the output is ``(batch, n_out, T - L)``: every frame the stream
     yields, copied before the stream overwrites it, joined in order.  They
     cover samples ``[L, T)``, after the ``L``-sample training prefix.
     """
     stream = reservoir.train_and_equalize(specs, x, target, d_max, ridge)
     readouts = next(stream)
-    spans = [[span.copy() for span in block] for block in stream]
     n_batch, n_out = len(readouts[0]), readouts[0][0].w_out.shape[0]
-    empty = np.empty((n_batch, n_out, 0), dtype=np.complex128)
-    outs = [np.concatenate([empty] + [block[k] for block in spans], axis=2) for k in range(len(specs))]
+    empty = np.empty((len(specs), n_batch, n_out, 0), dtype=np.complex128)
+    outs = list(np.concatenate([empty] + [frame.copy() for frame in stream], axis=3))
     assert all(out.shape[2] == np.shape(x)[2] - np.shape(target)[-1] for out in outs)
     return outs, readouts
 

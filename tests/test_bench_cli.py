@@ -794,6 +794,25 @@ class TestCli:
         assert bc.main(["validate-theorem", "--n", n, "--nobs", nobs, "--m", m]) == 1
         assert capsys.readouterr().err == f"rclab: error: {message}\n"
 
+    # each used to end in an IsADirectoryError traceback
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["validate-theorem", "--n", "32", "--nobs", "5", "--m", "1", "--out", "{dir}"],
+             "[Errno 21] Is a directory: '{dir}'"),
+            (["inspect-channel", "--pdp", "{dir}"], "no PDP file or packaged profile named '{dir}'"),
+            (["run-ber", "--config", "{config}"],
+             "[channel] pdp: no PDP file or packaged profile named '{dir}'"),
+        ],
+        ids=["validate_theorem_out", "inspect_channel_pdp", "run_ber_pdp"],
+    )
+    def test_directory_path_is_one_error_line(self, tmp_path, capsys, argv, message):
+        config = tmp_path / "exp.ini"
+        config.write_text(f"[channel]\npdp = {tmp_path}\n")
+        paths = dict(dir=tmp_path, config=config)
+        assert bc.main([arg.format(**paths) for arg in argv]) == 1
+        assert capsys.readouterr().err == f"rclab: error: {message.format(**paths)}\n"
+
     def test_inspect_channel(self, tmp_path):
         out = tmp_path / "phases.csv"
         rc = bc.main(["inspect-channel", "--pdp", "mixed_3tap", "--draws", "200",

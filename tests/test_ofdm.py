@@ -264,6 +264,8 @@ class TestModulation:
         tx = ofdm_modulate(grid, num)
         alone = ofdm_modulate(ResourceGrid(symbols=grid.symbols[:, :1], qam_order=16), num)
         assert alone.tobytes() == tx[:, : num.symbol_len].tobytes()
+        # both C-ordered, as the readout fit takes its target: the detector copies neither
+        assert alone.flags.c_contiguous and tx.flags.c_contiguous
 
     def test_average_data_power(self):
         _, grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)

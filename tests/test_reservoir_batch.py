@@ -324,6 +324,42 @@ def test_stack_equalizes_each_core_as_alone(c):
                         r"fit is underdetermined$", str(w.message)), str(w.message)
 
 
+def test_stream_hands_out_target_long_frames():
+    # with L < STREAM_CHUNK the first block completes two frames, and T - L =
+    # 43 leaves a last frame of 3 samples; each frame is one array of every
+    # core, handed out as soon as its block has finished it
+    n_train, t, d_max, chunk = 10, 53, 4, 25
+    core = dict(seed=3, activation="tanh", d_in=1, batch=1, d_out=1, d_max=0, ridge=0.0, chunk=1)
+    specs = [make_case(dict(core, dense=False, n_neurons=3, n_window=5))[0],
+             make_case(dict(core, dense=True, n_neurons=4, n_window=0))[0]]
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((2, 1, t)) + 1j * rng.standard_normal((2, 1, t))
+    target = rng.standard_normal((2, n_train)) + 1j * rng.standard_normal((2, n_train))
+    blocks = []
+
+    def advance(specs, layout, xs, block):
+        blocks.append(xs.shape[2])
+        return real_advance(specs, layout, xs, block)
+
+    real_advance = reservoir._advance
+    with mock.patch.object(reservoir, "STREAM_CHUNK", chunk), \
+            mock.patch.object(reservoir, "_advance", advance):
+        stream = train_and_equalize(specs, x, target, d_max)
+        readouts = next(stream)
+        blocks.clear()  # the training recursions
+        frames = [(len(blocks), frame.copy()) for frame in stream]
+    assert blocks == [chunk, t + d_max - n_train - chunk]
+    assert [f.shape for _, f in frames] == [(2, 2, 2, m) for m in (10, 10, 10, 10, 3)]
+    # block 1 finishes the samples before 10 + 25 - 4 = 31, block 2 all of them
+    assert [b for b, _ in frames] == [1, 1, 2, 2, 2]
+    out = np.concatenate([f for _, f in frames], axis=3)
+    for spec, core_out, ros in zip(specs, out, readouts):
+        for i in range(len(x)):
+            ref, ro, tol = reference_equalize(spec, x[i], target, d_max, 0.0)
+            assert ros[i].delay == ro.delay
+            np.testing.assert_allclose(core_out[i], ref[:, n_train:], rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
 @pytest.mark.parametrize("n_ant", [1, 4])
 @pytest.mark.parametrize("tail", ["short", "long"])

@@ -163,3 +163,37 @@ def test_every_optional_parameter_is_passed_in_src():
 
 def test_documented_parameters_exist():
     assert DOCUMENTED_PARAMETERS <= {qualified for qualified, _, _ in _optional_parameters()}
+
+
+# parameters kept unread for a caller outside src: perfbench passes the fd report's n
+# positionally, so that its signature matches the td report's
+UNREAD_PARAMETERS = {"weight_config.configure_frequency_domain_report.n"}
+
+
+def _unread_parameters():
+    """``module.function.parameter`` of every parameter that its function or lambda never loads.
+
+    A read anywhere in the body counts, nested functions included; a lambda
+    is named ``<lambda>:line``.
+    """
+    unread = set()
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + [a for a in (args.vararg, args.kwarg) if a]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            loaded = {node.id for stmt in body for node in ast.walk(stmt)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            name = getattr(fn, "name", f"<lambda>:{fn.lineno}")
+            unread |= {f"{path.stem}.{name}.{p.arg}" for p in params if p.arg not in loaded}
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert sorted(_unread_parameters() - UNREAD_PARAMETERS) == []
+
+
+def test_unread_parameters_are_still_unread():
+    assert UNREAD_PARAMETERS <= _unread_parameters()
