@@ -49,7 +49,6 @@ from .filters import Phase
 from .ofdm import (
     QAM_ORDERS,
     OfdmNumerology,
-    ResourceGrid,
     RsMode,
     bits_per_symbol,
     build_grid,
@@ -151,6 +150,8 @@ class ExperimentConfig:
         for d in self.detectors:
             if d not in DETECTOR_NAMES:
                 raise ConfigFileError(f"unknown detector {d!r}; choose from {DETECTOR_NAMES}")
+            if self.detectors.count(d) > 1:
+                raise ConfigFileError(f"detector {d!r} is listed more than once")
         if self.channel_mode not in ("siso", "mimo"):
             raise ConfigFileError("channel mode must be 'siso' or 'mimo'")
         if self.channel_mode == "siso" and (self.n_tx != 1 or self.n_rx != 1):
@@ -217,7 +218,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        # no default section: a [DEFAULT] header is an unknown section like any other
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
         try:
             if not parser.read(path):
                 raise ConfigFileError(f"config file not found: {path}")
@@ -315,16 +317,18 @@ def write_ber_csv(records, fp) -> None:
 
 def rc_detect(
     rx_batch: np.ndarray,
-    tx_grid: ResourceGrid,
+    tx_grid: np.ndarray,
     numerology: OfdmNumerology,
     specs,
+    order: int,
     d_max: int,
     ridge: float = 0.0,
 ) -> np.ndarray:
     """Train on the RS symbol's known waveform, equalize the slot, decide; per core and element.
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of one transmitted
-    slot, such as one per SNR.  Each element gets its own readout in every
+    slot, such as one per SNR, whose ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``
+    carries ``order``-QAM payload.  Each element gets its own readout in every
     core of ``specs`` (including its decision delay), refitted from scratch;
     no channel estimate is ever formed.  One state recursion advances every
     core over the whole batch.  The stream hands out the equalized slot one
@@ -334,14 +338,13 @@ def rc_detect(
     decisions in :func:`~rclab.ofdm.payload` order.
     """
     # the RS symbol's known waveform: symbol 0 modulated alone, so no slot waveform is formed
-    rs_symbol = ResourceGrid(symbols=tx_grid.symbols[:, :1], qam_order=tx_grid.qam_order)
-    stream = train_and_equalize(specs, rx_batch, ofdm_modulate(rs_symbol, numerology), d_max, ridge)
+    rs_waveform = ofdm_modulate(tx_grid[:, :1], numerology)
+    stream = train_and_equalize(specs, rx_batch, rs_waveform, d_max, ridge)
     next(stream)  # the readouts; the decisions below exist only once training's arrays are gone
-    order = tx_grid.qam_order
-    decisions = np.zeros((len(specs), len(rx_batch)) + tx_grid.symbols.shape, dtype=np.uint8)
+    decisions = np.zeros((len(specs), len(rx_batch)) + tx_grid.shape, dtype=np.uint8)
     # the frames are the OFDM symbols after the RS symbol, which carries no data
     for sym, frame in enumerate(stream, 1):
-        decisions[..., sym, :] = qam_decide(ofdm_demodulate(frame, numerology, 1)[..., 0, :], order)
+        decisions[..., sym, :] = qam_decide(ofdm_demodulate(frame, numerology)[..., 0, :], order)
     return payload(decisions)
 
 
@@ -355,7 +358,7 @@ def _tap_basis(pdp: PowerDelayProfile, n_sc: int) -> np.ndarray:
     return phasors[np.outer(np.arange(n_sc), pdp.delays) % n_sc] * np.sqrt(pdp.powers)
 
 
-def _rs_combs(tx_grid: ResourceGrid, pdp: PowerDelayProfile, basis: np.ndarray) -> list:
+def _rs_combs(tx_grid: np.ndarray, pdp: PowerDelayProfile, basis: np.ndarray) -> list:
     """Each TX antenna's RS subcarriers ``ks`` of symbol 0; warns where ``basis[ks]`` loses rank.
 
     An antenna's ``ks`` are the nonzero subcarriers of its symbol 0.  Taps
@@ -365,8 +368,8 @@ def _rs_combs(tx_grid: ResourceGrid, pdp: PowerDelayProfile, basis: np.ndarray) 
     split between them.
     """
     combs = []
-    for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.symbols[:, 0, tx])
+    for tx in range(tx_grid.shape[2]):
+        ks = np.flatnonzero(tx_grid[:, 0, tx])
         if ks.size == 0:
             raise ValueError(f"no RS resource elements for antenna {tx}")
         rank = np.linalg.matrix_rank(basis[ks])
@@ -380,7 +383,7 @@ def _rs_combs(tx_grid: ResourceGrid, pdp: PowerDelayProfile, basis: np.ndarray) 
 
 def _estimate_channel_freq(
     rx_grid: np.ndarray,
-    tx_grid: ResourceGrid,
+    tx_grid: np.ndarray,
     combs: list,
     basis: np.ndarray,
     noise_var: float,
@@ -397,9 +400,9 @@ def _estimate_channel_freq(
     n_sc, _, n_rx = rx_grid.shape
     n_taps = basis.shape[1]
     root_sigma = np.sqrt(noise_var * LMMSE_ESTIMATION_BACKOFF)
-    h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
+    h = np.empty((n_sc, n_rx, len(combs)), dtype=np.complex128)
     for tx, ks in enumerate(combs):
-        ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
+        ls = rx_grid[ks, 0, :] / tx_grid[ks, 0, tx][:, None]
         z = np.linalg.lstsq(np.vstack([basis[ks], root_sigma * np.eye(n_taps)]),
                             np.vstack([ls, np.zeros((n_taps, n_rx))]), rcond=None)[0]
         h[:, :, tx] = basis @ z
@@ -408,23 +411,26 @@ def _estimate_channel_freq(
 
 def lmmse_detect(
     rx_batch: np.ndarray,
-    tx_grid: ResourceGrid,
+    tx_grid: np.ndarray,
     numerology: OfdmNumerology,
     pdp: PowerDelayProfile,
+    order: int,
     noise_vars,
 ) -> np.ndarray:
     """Estimated-CSI LMMSE symbol detection; the ``(batch, n_payload)`` ``uint8`` decisions.
 
-    ``rx_batch`` is ``(batch, n_rx, T)``, and each element is demodulated,
-    estimated, equalized at its own entry of ``noise_vars`` and decided
-    alone, so only one element's grids are alive at a time.  The PDP's tap
-    basis and the RS combs are shared by the batch.
+    ``rx_batch`` is ``(batch, n_rx, T)``: received versions of the
+    ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``, whose payload is ``order``-QAM.
+    Each element is demodulated, estimated, equalized at its own entry of
+    ``noise_vars`` and decided alone, so only one element's grids are alive at
+    a time.  The PDP's tap basis and the RS combs are shared by the batch.
     """
-    basis = _tap_basis(pdp, tx_grid.n_sc)
+    n_sc, n_sym, _ = tx_grid.shape
+    basis = _tap_basis(pdp, n_sc)
     combs = _rs_combs(tx_grid, pdp, basis)
     decisions = []
     for rx, noise_var in zip(rx_batch, noise_vars):
-        rx_grid = ofdm_demodulate(rx, numerology, tx_grid.n_sym)  # (n_sc, n_sym, n_rx)
+        rx_grid = ofdm_demodulate(rx, numerology)  # (n_sc, n_sym, n_rx)
         h = _estimate_channel_freq(rx_grid, tx_grid, combs, basis, noise_var)
         # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1}, bias-corrected; one solve for [y | h]
         hh = h.conj().transpose(0, 2, 1)
@@ -437,11 +443,11 @@ def lmmse_detect(
             warnings.warn("LMMSE equalizer is singular; using its pseudo-inverse", stacklevel=2)
             sol = np.linalg.pinv(gram) @ rhs
         del rhs
-        x_hat = hh @ sol[:, :, : tx_grid.n_sym]  # (n_sc, n_tx, n_sym)
-        gains = np.einsum("kij,kji->ki", hh, sol[:, :, tx_grid.n_sym :])
+        x_hat = hh @ sol[:, :, :n_sym]  # (n_sc, n_tx, n_sym)
+        gains = np.einsum("kij,kji->ki", hh, sol[:, :, n_sym:])
         del sol
         x_hat /= np.where(np.abs(gains) > 1e-12, gains, 1.0)[:, :, None]
-        decisions.append(qam_decide(payload(x_hat.transpose(0, 2, 1)), tx_grid.qam_order))
+        decisions.append(qam_decide(payload(x_hat.transpose(0, 2, 1)), order))
     return np.stack(decisions)
 
 
@@ -522,7 +528,7 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     for mode_idx, (mode, dets) in enumerate(_rs_modes(cfg.detectors)):
         if not dets:
             continue
-        grid = build_grid(num, cfg.n_tx, cfg.n_symbols, cfg.rs_spacing, mode, sent,
+        grid = build_grid(num, cfg.n_tx, cfg.rs_spacing, mode, sent,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
         clean = apply_channel(ch, ofdm_modulate(grid, num))
@@ -531,9 +537,10 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
         noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
                       for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
         if mode is RsMode.LEARNING:
-            ests = rc_detect(batch, grid, num, [specs[d] for d in dets], cfg.d_max, cfg.ridge)
+            ests = rc_detect(batch, grid, num, [specs[d] for d in dets], cfg.qam_order, cfg.d_max,
+                             cfg.ridge)
         else:
-            ests = [lmmse_detect(batch, grid, num, pdp, noise_vars)]
+            ests = [lmmse_detect(batch, grid, num, pdp, cfg.qam_order, noise_vars)]
         for det, per_snr in zip(dets, ests):
             for si, decisions in enumerate(per_snr):
                 out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), n_bits

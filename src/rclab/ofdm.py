@@ -125,26 +125,6 @@ def qam_decide(symbols, order: int) -> np.ndarray:
 # Resource grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResourceGrid:
-    """Subcarrier x symbol x antenna grid; symbol 0 is zero outside the RS combs."""
-
-    symbols: np.ndarray  # (n_sc, n_sym, n_tx) complex
-    qam_order: int
-
-    @property
-    def n_sc(self) -> int:
-        return self.symbols.shape[0]
-
-    @property
-    def n_sym(self) -> int:
-        return self.symbols.shape[1]
-
-    @property
-    def n_tx(self) -> int:
-        return self.symbols.shape[2]
-
-
 def rs_subcarriers(n_sc: int, n_tx: int, rs_spacing: int, mode: RsMode, antenna: int) -> np.ndarray:
     """Comb subcarrier indices carrying RS for one antenna."""
     if rs_spacing < 1 or n_sc % rs_spacing != 0:
@@ -165,38 +145,37 @@ def payload_bit_count(n_sc: int, n_sym: int, n_tx: int, order: int) -> int:
 def build_grid(
     numerology: OfdmNumerology,
     n_tx: int,
-    n_sym: int,
     rs_spacing: int,
     mode: RsMode,
     payload_patterns,
     rng: np.random.Generator,
     order: int = 16,
-) -> ResourceGrid:
-    """Assemble a transmit grid: the RS comb symbol at position 0, then payload symbols.
+) -> np.ndarray:
+    """The ``(n_sc, n_sym, n_tx)`` transmit grid: the RS comb symbol at position 0, then payload.
 
     ``payload_patterns`` holds one :func:`qam_map` pattern per payload RE, in
-    :func:`payload` order.  RS REs carry unit-modulus QPSK sequences drawn
-    from ``rng`` (distinct per antenna); within the RS symbol every non-RS RE
-    is empty, so the whole RS waveform is known to the receiver in both comb
-    modes and payload capacity is identical across modes.
+    :func:`payload` order; their count fixes ``n_sym``, one RS symbol plus as
+    many whole payload symbols as they fill.  RS REs carry unit-modulus QPSK
+    sequences drawn from ``rng`` (distinct per antenna); within the RS symbol
+    every non-RS RE is empty, so the whole RS waveform is known to the
+    receiver in both comb modes and payload capacity is identical across modes.
     """
     n_sc = numerology.n_sc
-    if n_sym < 2:
-        raise ValueError("need n_sym >= 2: one RS symbol plus payload")
     patterns = np.asarray(payload_patterns).ravel()
-    expected = n_sc * (n_sym - 1) * n_tx
-    if patterns.size != expected:
-        raise ValueError(f"expected {expected} payload patterns, got {patterns.size}")
+    per_symbol = n_sc * n_tx
+    if patterns.size == 0 or patterns.size % per_symbol:
+        raise ValueError(f"payload must fill whole symbols of {per_symbol} patterns, "
+                         f"got {patterns.size}")
 
-    symbols = np.zeros((n_sc, n_sym, n_tx), dtype=np.complex128)
+    grid = np.zeros((n_sc, patterns.size // per_symbol + 1, n_tx), dtype=np.complex128)
     for p in range(n_tx):
         comb = rs_subcarriers(n_sc, n_tx, rs_spacing, mode, p)
         quads = rng.integers(0, 4, size=comb.size)
-        symbols[comb, 0, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
+        grid[comb, 0, p] = np.exp(1j * (np.pi / 4.0 + np.pi / 2.0 * quads))
 
-    data = np.swapaxes(symbols, -1, -3)[..., 1:, :]  # payload()'s view, before its reshape
+    data = np.swapaxes(grid, -1, -3)[..., 1:, :]  # payload()'s view, before its reshape
     data[...] = qam_map(patterns, order).reshape(data.shape)
-    return ResourceGrid(symbols=symbols, qam_order=order)
+    return grid
 
 
 def payload(grid: np.ndarray) -> np.ndarray:
@@ -213,21 +192,25 @@ def payload(grid: np.ndarray) -> np.ndarray:
 # Modulation
 # ---------------------------------------------------------------------------
 
-def ofdm_modulate(grid: ResourceGrid, numerology: OfdmNumerology) -> np.ndarray:
-    """Unitary IFFT per symbol with cyclic prefix; returns ``(n_tx, n_sym * symbol_len)``."""
-    if grid.n_sc != numerology.n_sc:
+def ofdm_modulate(grid: np.ndarray, numerology: OfdmNumerology) -> np.ndarray:
+    """Unitary IFFT per symbol with cyclic prefix: ``(n_sc, n_sym, n_tx)`` to ``(n_tx, n_sym * symbol_len)``."""
+    n_sc, _, n_tx = grid.shape
+    if n_sc != numerology.n_sc:
         raise ValueError("grid does not match numerology")
-    time = np.fft.ifft(grid.symbols, axis=0, norm="ortho")
-    with_cp = np.concatenate([time[numerology.n_sc - numerology.n_cp :], time], axis=0)
-    return np.ascontiguousarray(np.transpose(with_cp, (2, 1, 0))).reshape(grid.n_tx, -1)
+    time = np.fft.ifft(grid, axis=0, norm="ortho")
+    with_cp = np.concatenate([time[n_sc - numerology.n_cp :], time], axis=0)
+    return np.ascontiguousarray(np.transpose(with_cp, (2, 1, 0))).reshape(n_tx, -1)
 
 
-def ofdm_demodulate(samples, numerology: OfdmNumerology, n_sym: int) -> np.ndarray:
-    """Strip cyclic prefixes and apply the unitary FFT: ``(..., n_ant, T)`` to ``(..., n_sc, n_sym, n_ant)``."""
+def ofdm_demodulate(samples, numerology: OfdmNumerology) -> np.ndarray:
+    """Strip cyclic prefixes and apply the unitary FFT, per symbol.
+
+    ``(..., n_ant, T)`` samples become ``(..., n_sc, n_sym, n_ant)`` REs with
+    ``n_sym = T / symbol_len``; a ``T`` that ends in a partial symbol is rejected.
+    """
     s = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
     sym_len = numerology.symbol_len
-    if s.shape[-1] != n_sym * sym_len:
-        raise ValueError(f"expected {n_sym * sym_len} samples per antenna, got {s.shape[-1]}")
-    blocks = s.reshape(*s.shape[:-1], n_sym, sym_len)[..., numerology.n_cp :]
+    if s.shape[-1] % sym_len:
+        raise ValueError(f"expected whole symbols of {sym_len} samples per antenna, got {s.shape[-1]}")
+    blocks = s.reshape(*s.shape[:-1], -1, sym_len)[..., numerology.n_cp :]
     return np.swapaxes(np.fft.fft(blocks, axis=-1, norm="ortho"), -1, -3)
-

@@ -22,16 +22,16 @@ def frequency_correlation(delays, powers, n_sc: int, cols: np.ndarray) -> np.nda
     return (steer * powers) @ steer[cols].conj().T
 
 
-def reference_estimate(rx_grid: np.ndarray, tx_grid, pdp, noise_var: float) -> np.ndarray:
+def reference_estimate(rx_grid: np.ndarray, tx_grid: np.ndarray, pdp, noise_var: float) -> np.ndarray:
     """``(n_sc, n_rx, n_tx)`` LS at the RS REs of symbol 0, LMMSE-interpolated by ``R[:, ks]``."""
     n_sc, _, n_rx = rx_grid.shape
     sigma = noise_var * LMMSE_ESTIMATION_BACKOFF
-    h = np.empty((n_sc, n_rx, tx_grid.n_tx), dtype=np.complex128)
-    for tx in range(tx_grid.n_tx):
-        ks = np.flatnonzero(tx_grid.symbols[:, 0, tx])  # the RS REs: symbol 0 is zero elsewhere
+    h = np.empty((n_sc, n_rx, tx_grid.shape[2]), dtype=np.complex128)
+    for tx in range(tx_grid.shape[2]):
+        ks = np.flatnonzero(tx_grid[:, 0, tx])  # the RS REs: symbol 0 is zero elsewhere
         r_cross = frequency_correlation(pdp.delays, pdp.powers, n_sc, ks)  # (n_sc, n_ks)
         r_ks = r_cross[ks]
-        ls = rx_grid[ks, 0, :] / tx_grid.symbols[ks, 0, tx][:, None]
+        ls = rx_grid[ks, 0, :] / tx_grid[ks, 0, tx][:, None]
         if sigma > np.finfo(np.float64).eps * ks.size * np.trace(r_ks).real:
             x = np.linalg.solve(r_ks + sigma * np.eye(ks.size), ls)
         else:

@@ -150,10 +150,10 @@ def test_criterion_05_noiseless_exact_equalization():
         bits = np.random.default_rng((5005, 2, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )
-        grid = build_grid(num, 1, 14, 4, RsMode.LEARNING, pack(bits, 4),
+        grid = build_grid(num, 1, 4, RsMode.LEARNING, pack(bits, 4),
                           np.random.default_rng((5005, 3, slot)), order=16)
         y = apply_channel(h[:, None, None], ofdm_modulate(grid, num))
-        [[est]] = bc.rc_detect(y[None], grid, num, [spec], d_max=12, ridge=0.0)
+        [[est]] = bc.rc_detect(y[None], grid, num, [spec], 16, d_max=12, ridge=0.0)
         errors += bit_errors(est, bits, 4)
         total += bits.size
     gate(5, "noiseless exact equalization", errors == 0, f"{errors} bit errors in {total}")
@@ -267,12 +267,12 @@ def test_criterion_09_lmmse_awgn_sanity(monkeypatch):
         bits = np.random.default_rng((9009, 1, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )
-        grid = build_grid(num, 1, 14, 4, RsMode.CONVENTIONAL, pack(bits, 4),
+        grid = build_grid(num, 1, 4, RsMode.CONVENTIONAL, pack(bits, 4),
                           np.random.default_rng((9009, 2, slot)), order=16)
         tx = ofdm_modulate(grid, num)
         y = apply_channel(h[:, None, None], tx)
         nv = add_awgn(y, snr_db, np.random.default_rng((9009, 3, slot)))
-        [est] = bc.lmmse_detect(y[None], grid, num, pdp, [nv])
+        [est] = bc.lmmse_detect(y[None], grid, num, pdp, 16, [nv])
         errors += bit_errors(est, bits, 4)
         total += bits.size
         slot += 1

@@ -181,6 +181,28 @@ class TestExperimentConfig:
         with pytest.raises(bc.ConfigFileError):
             bc.ExperimentConfig(detectors=("zf",))
 
+    # a repeated lmmse wrote two identical rows; a repeated RC detector
+    # stacked its core twice in the state recursion
+    @pytest.mark.parametrize("detectors, name", [("lmmse, lmmse, rc-td", "lmmse"),
+                                                 ("rc-td, rc-fd, rc-td", "rc-td")],
+                             ids=["lmmse", "rc-td"])
+    def test_repeated_detector_rejected_at_load(self, tmp_path, detectors, name):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[experiment]\ndetectors = {detectors}\n")
+        with pytest.raises(bc.ConfigFileError, match=f"detector '{name}' is listed more than once"):
+            bc.ExperimentConfig.from_file(p)
+
+    # configparser's [DEFAULT] used to load silently: alone it was dropped, and
+    # beside another section its keys were reported as that section's
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nseed = 3\n",
+                                      "[DEFAULT]\nn_sc = 64\n[experiment]\nseed = 2\n"],
+                             ids=["alone", "beside_experiment"])
+    def test_default_section_is_unknown(self, tmp_path, text):
+        p = tmp_path / "bad.ini"
+        p.write_text(text)
+        with pytest.raises(bc.ConfigFileError, match=r"^unknown config section \[DEFAULT\]$"):
+            bc.ExperimentConfig.from_file(p)
+
     def test_empty_snr(self):
         with pytest.raises(bc.ConfigFileError):
             bc.ExperimentConfig(snr_db=())
@@ -395,7 +417,7 @@ def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0,
     num = OfdmNumerology(n_sc, n_cp)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, payload_bit_count(n_sc, n_sym, n_tx, order))
-    grid = build_grid(num, n_tx, n_sym, 4, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
+    grid = build_grid(num, n_tx, 4, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
     tx = ofdm_modulate(grid, num)
     return num, grid, bits, tx
 
@@ -404,7 +426,7 @@ class TestRcDetect:
     def test_identity_channel_noiseless(self):
         num, grid, bits, tx = detect_setup()
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
-        [[est]] = bc.rc_detect(tx[None], grid, num, [spec], d_max=4)
+        [[est]] = bc.rc_detect(tx[None], grid, num, [spec], 16, d_max=4)
         assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("n_ant, d_max, chunk", [(1, 4, 256), (4, 12, 7), (4, 0, 300)])
@@ -418,11 +440,11 @@ class TestRcDetect:
         specs = [random_reservoir(6, 0.4, 0.5, n_ant, 2, np.random.default_rng(16)),
                  random_reservoir(5, 0.4, 0.5, n_ant, 0, np.random.default_rng(17))]
         monkeypatch.setattr(reservoir, "STREAM_CHUNK", chunk)
-        got = bc.rc_detect(rx, grid, num, specs, d_max=d_max)
+        got = bc.rc_detect(rx, grid, num, specs, 16, d_max=d_max)
         outs, _ = equalized(specs, rx, tx[:, : num.symbol_len], d_max)
         for decisions, out in zip(got, outs):
             whole = np.concatenate([np.zeros(out.shape[:2] + (num.symbol_len,)), out], axis=2)
-            want = qam_decide(payload(ofdm_demodulate(whole, num, grid.n_sym)), 16)
+            want = qam_decide(payload(ofdm_demodulate(whole, num)), 16)
             assert decisions.dtype == np.uint8
             assert decisions.tobytes() == want.tobytes()
 
@@ -434,7 +456,7 @@ class TestRcDetect:
         for n_sym in (8, 16):
             num, grid, _, tx = detect_setup(n_sc=256, n_cp=32, n_sym=n_sym, n_tx=4, seed=19)
             batch = np.repeat(tx[None], 3, axis=0)
-            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, num, specs, d_max=4)
+            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, num, specs, 16, d_max=4)
         one_output = batch.size * 16 // 2  # (3, 4, T) complex at n_sym = 8
         assert peaks[16] - peaks[8] <= one_output / 4
 
@@ -443,7 +465,7 @@ class TestRcDetect:
         rng = np.random.default_rng(2)
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
-        [[est]] = bc.rc_detect(noise[None], grid, num, [spec], d_max=4)
+        [[est]] = bc.rc_detect(noise[None], grid, num, [spec], 16, d_max=4)
         ber = bit_errors(est, bits, 4) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
@@ -455,11 +477,11 @@ class TestLmmseDetect:
         h = np.array([1.0, 0.4 - 0.2j, 0.1j])
         # interpolation uses the operating profile: same delay support as h
         pdp = PowerDelayProfile.from_linear([0, 1, 2], [1.0, 0.2, 0.01])
-        grid_dense = build_grid(num, 1, 4, 1, RsMode.CONVENTIONAL,
+        grid_dense = build_grid(num, 1, 1, RsMode.CONVENTIONAL,
                                 pack(bits, 4), np.random.default_rng(6), order=16)
         tx_dense = ofdm_modulate(grid_dense, num)
         y = apply_channel(h[:, None, None], tx_dense)
-        [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, [0.0])
+        [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, 16, [0.0])
         assert bit_errors(est, bits, 4) == 0
 
     def test_mimo_orthogonal_combs_noiseless(self):
@@ -469,7 +491,7 @@ class TestLmmseDetect:
         pdp = load_pdp("cdl_d")
         taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
         y = apply_channel(taps, tx)
-        [est] = bc.lmmse_detect(y[None], grid, num, pdp, [0.0])
+        [est] = bc.lmmse_detect(y[None], grid, num, pdp, 16, [0.0])
         assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-30])
@@ -477,7 +499,7 @@ class TestLmmseDetect:
         # every entry of the flat profile's R_ks is 1: R_ks + sigma I is
         # singular when sigma is zero or lost to rounding
         num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
-        [est] = bc.lmmse_detect(0.7j * tx[None], grid, num, load_pdp("flat"), [noise_var])
+        [est] = bc.lmmse_detect(0.7j * tx[None], grid, num, load_pdp("flat"), 16, [noise_var])
         assert bit_errors(est, bits, 4) == 0
 
     def test_perfect_csi_flat_awgn(self, monkeypatch):
@@ -488,7 +510,7 @@ class TestLmmseDetect:
         # perfect CSI: the estimator returns the exact per-subcarrier response
         monkeypatch.setattr(bc, "_estimate_channel_freq",
                             lambda *_: np.fft.fft(h, num.n_sc)[:, None, None])
-        [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), [nv])
+        [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), 16, [nv])
         ber = bit_errors(est, bits, 4) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
 
@@ -506,9 +528,9 @@ class TestLmmseDetect:
     def test_missing_rs_detected(self):
         num, grid, bits, tx = detect_setup(mode=RsMode.LEARNING, n_tx=2, n_sc=64)
         # learning grids share one comb: antenna 1's comb is fine, but wipe it
-        grid.symbols[:, 0, :] = 0
+        grid[:, 0, :] = 0
         with pytest.raises(ValueError, match="no RS"):
-            bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), [0.0])
+            bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), 16, [0.0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -541,7 +563,7 @@ class TestLmmseDetect:
         # delays 0 and 16 are equal modulo the 16 RS subcarriers of a 64-subcarrier comb
         num, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
         pdp = PowerDelayProfile.from_linear([0, 5, 16], [0.6, 0.3, 0.1])
-        rx = ofdm_demodulate(tx, num, grid.n_sym)
+        rx = ofdm_demodulate(tx, num)
         basis = bc._tap_basis(pdp, 64)
         with pytest.warns(UserWarning, match=r"delays \[0, 5, 16\] span rank 2 of 3 on 16 RS "
                                              r"subcarriers; aliasing taps cannot be told apart"):
@@ -558,7 +580,7 @@ class TestLmmseDetect:
         batch = np.repeat(tx[None], 3, axis=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bc.lmmse_detect(batch, grid, num, pdp, [0.1, 0.01, 0.001])
+            bc.lmmse_detect(batch, grid, num, pdp, 16, [0.1, 0.01, 0.001])
         assert [str(w.message) for w in caught] == [
             "LMMSE channel estimate is rank-deficient: PDP delays [0, 5, 16] span rank 2 of 3 on "
             "16 RS subcarriers; aliasing taps cannot be told apart"]
@@ -570,12 +592,11 @@ class TestLmmseDetect:
         num, pdp = cfg.numerology, load_pdp(cfg.pdp)
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
-        grid = build_grid(num, 1, cfg.n_symbols, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4),
-                          rng)
+        grid = build_grid(num, 1, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4), rng)
         clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
-        peak = traced_peak(bc.lmmse_detect, batch, grid, num, pdp, noise_vars)
+        peak = traced_peak(bc.lmmse_detect, batch, grid, num, pdp, 16, noise_vars)
         assert peak / 2**20 <= 5.0
 
 
@@ -650,7 +671,7 @@ class TestRunBerExperiment:
             seen[RsMode.LEARNING] = batch.copy()
             return [np.zeros((len(batch), 1), dtype=np.uint8)]
 
-        def lmmse_detect(batch, grid, num, pdp, nvs):
+        def lmmse_detect(batch, grid, num, pdp, order, nvs):
             seen[RsMode.CONVENTIONAL] = batch.copy()
             noise_vars.extend(nvs)
             return np.zeros((len(batch), 1), dtype=np.uint8)
@@ -663,7 +684,7 @@ class TestRunBerExperiment:
         bits = bc._stream(cfg.seed, bc._T_PAYLOAD, 0).integers(
             0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, n_ant, cfg.qam_order))
         for mode_idx, rs_mode in enumerate((RsMode.LEARNING, RsMode.CONVENTIONAL)):
-            grid = build_grid(cfg.numerology, n_ant, cfg.n_symbols, cfg.rs_spacing, rs_mode,
+            grid = build_grid(cfg.numerology, n_ant, cfg.rs_spacing, rs_mode,
                               pack(bits, bits_per_symbol(cfg.qam_order)),
                               bc._stream(cfg.seed, bc._T_RS, 0, mode_idx), order=cfg.qam_order)
             tx = ofdm_modulate(grid, cfg.numerology)
