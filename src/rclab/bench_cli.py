@@ -48,7 +48,6 @@ from .channel import (
 from .filters import Phase
 from .ofdm import (
     QAM_ORDERS,
-    OfdmNumerology,
     RsMode,
     bits_per_symbol,
     build_grid,
@@ -175,10 +174,11 @@ class ExperimentConfig:
             raise ConfigFileError("need n_slots >= 0 and workers >= 1")
         if self.qam_order not in QAM_ORDERS:
             raise ConfigFileError(f"qam_order must be one of {QAM_ORDERS}")
-        try:
-            OfdmNumerology(self.n_sc, self.n_cp)
-        except ValueError as exc:
-            raise ConfigFileError(f"[ofdm] {exc}, got n_sc = {self.n_sc}, n_cp = {self.n_cp}") from exc
+        got = f"got n_sc = {self.n_sc}, n_cp = {self.n_cp}"
+        if self.n_sc < 2 or self.n_sc & (self.n_sc - 1):
+            raise ConfigFileError(f"[ofdm] n_sc must be a power of two, {got}")
+        if not 0 <= self.n_cp < self.n_sc:
+            raise ConfigFileError(f"[ofdm] need 0 <= n_cp < n_sc, {got}")
         try:
             for mode, dets in _rs_modes(self.detectors):
                 if dets:
@@ -201,9 +201,9 @@ class ExperimentConfig:
             if getattr(self, key) < low:
                 raise ConfigFileError(f"{key} must be >= {low}, got {getattr(self, key)}")
         rc = set(RC_DETECTOR_NAMES) & set(self.detectors)
-        if rc and self.d_max >= self.numerology.symbol_len:
+        if rc and self.d_max >= self.n_sc + self.n_cp:
             raise ConfigFileError(f"[rc] d_max must be below the RS symbol's "
-                                  f"{self.numerology.symbol_len} samples, got {self.d_max}")
+                                  f"{self.n_sc + self.n_cp} samples, got {self.d_max}")
         if {"rc-td", "rc-fd"} & rc and self.stats_obs < self.m:
             raise ConfigFileError(f"[rc] stats_obs must be >= m = {self.m}, got {self.stats_obs}")
         if ({"rc-random", "vanilla-esn"} & rc
@@ -211,10 +211,6 @@ class ExperimentConfig:
             raise ConfigFileError(
                 f"[rc] sparsity = {self.sparsity} zeroes every recurrent weight when n_neurons = "
                 f"{self.n_neurons}; the random cores need at least one")
-
-    @property
-    def numerology(self) -> OfdmNumerology:
-        return OfdmNumerology(self.n_sc, self.n_cp)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -318,7 +314,7 @@ def write_ber_csv(records, fp) -> None:
 def rc_detect(
     rx_batch: np.ndarray,
     tx_grid: np.ndarray,
-    numerology: OfdmNumerology,
+    n_cp: int,
     specs,
     order: int,
     d_max: int,
@@ -328,23 +324,24 @@ def rc_detect(
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of one transmitted
     slot, such as one per SNR, whose ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``
-    carries ``order``-QAM payload.  Each element gets its own readout in every
-    core of ``specs`` (including its decision delay), refitted from scratch;
-    no channel estimate is ever formed.  One state recursion advances every
-    core over the whole batch.  The stream hands out the equalized slot one
-    OFDM symbol at a time, of every core and element; each is demodulated as
-    it arrives and only its ``uint8`` QAM decisions are kept, so no equalized
-    waveform of the slot is ever held.  Returns the ``(len(specs), batch, n_payload)``
-    decisions in :func:`~rclab.ofdm.payload` order.
+    carries ``order``-QAM payload, sent with ``n_cp``-sample cyclic prefixes.
+    Each element gets its own readout in every core of ``specs`` (including
+    its decision delay), refitted from scratch; no channel estimate is ever
+    formed.  One state recursion advances every core over the whole batch.
+    The stream hands out the equalized slot one OFDM symbol at a time, of
+    every core and element; each is demodulated as it arrives and only its
+    ``uint8`` QAM decisions are kept, so no equalized waveform of the slot is
+    ever held.  Returns the ``(len(specs), batch, n_payload)`` decisions in
+    :func:`~rclab.ofdm.payload` order.
     """
     # the RS symbol's known waveform: symbol 0 modulated alone, so no slot waveform is formed
-    rs_waveform = ofdm_modulate(tx_grid[:, :1], numerology)
+    rs_waveform = ofdm_modulate(tx_grid[:, :1], n_cp)
     stream = train_and_equalize(specs, rx_batch, rs_waveform, d_max, ridge)
     next(stream)  # the readouts; the decisions below exist only once training's arrays are gone
     decisions = np.zeros((len(specs), len(rx_batch)) + tx_grid.shape, dtype=np.uint8)
     # the frames are the OFDM symbols after the RS symbol, which carries no data
     for sym, frame in enumerate(stream, 1):
-        decisions[..., sym, :] = qam_decide(ofdm_demodulate(frame, numerology)[..., 0, :], order)
+        decisions[..., sym, :] = qam_decide(ofdm_demodulate(frame, len(tx_grid), n_cp)[..., 0, :], order)
     return payload(decisions)
 
 
@@ -412,7 +409,7 @@ def _estimate_channel_freq(
 def lmmse_detect(
     rx_batch: np.ndarray,
     tx_grid: np.ndarray,
-    numerology: OfdmNumerology,
+    n_cp: int,
     pdp: PowerDelayProfile,
     order: int,
     noise_vars,
@@ -420,8 +417,8 @@ def lmmse_detect(
     """Estimated-CSI LMMSE symbol detection; the ``(batch, n_payload)`` ``uint8`` decisions.
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of the
-    ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``, whose payload is ``order``-QAM.
-    Each element is demodulated, estimated, equalized at its own entry of
+    ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``, whose payload is ``order``-QAM,
+    sent with ``n_cp``-sample cyclic prefixes.  Each element is demodulated, estimated, equalized at its own entry of
     ``noise_vars`` and decided alone, so only one element's grids are alive at
     a time.  The PDP's tap basis and the RS combs are shared by the batch.
     """
@@ -430,7 +427,7 @@ def lmmse_detect(
     combs = _rs_combs(tx_grid, pdp, basis)
     decisions = []
     for rx, noise_var in zip(rx_batch, noise_vars):
-        rx_grid = ofdm_demodulate(rx, numerology)  # (n_sc, n_sym, n_rx)
+        rx_grid = ofdm_demodulate(rx, n_sc, n_cp)  # (n_sc, n_sym, n_rx)
         h = _estimate_channel_freq(rx_grid, tx_grid, combs, basis, noise_var)
         # per-RE MMSE equalizer H^H (H H^H + sigma^2 I)^{-1}, bias-corrected; one solve for [y | h]
         hh = h.conj().transpose(0, 2, 1)
@@ -517,7 +514,6 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     :func:`~rclab.ofdm.qam_decide` returns, so a detector's bit errors are
     the popcount of its decisions XOR the sent patterns.
     """
-    num = cfg.numerology
     ch = _draw_slot_channel(cfg, pdp, slot)
     n_bits = payload_bit_count(cfg.n_sc, cfg.n_symbols, cfg.n_tx, cfg.qam_order)
     bits = _stream(cfg.seed, _T_PAYLOAD, slot).integers(0, 2, n_bits)
@@ -528,19 +524,19 @@ def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slo
     for mode_idx, (mode, dets) in enumerate(_rs_modes(cfg.detectors)):
         if not dets:
             continue
-        grid = build_grid(num, cfg.n_tx, cfg.rs_spacing, mode, sent,
+        grid = build_grid(cfg.n_sc, cfg.n_tx, cfg.rs_spacing, mode, sent,
                           _stream(cfg.seed, _T_RS, slot, mode_idx), order=cfg.qam_order)
         # one noise-free convolution, then each SNR's (n_rx, T) copy gets its own noise
-        clean = apply_channel(ch, ofdm_modulate(grid, num))
+        clean = apply_channel(ch, ofdm_modulate(grid, cfg.n_cp))
         batch = np.repeat(clean[None], len(cfg.snr_db), axis=0)
         del clean  # each SNR's copy is in the batch
         noise_vars = [add_awgn(y, snr, _stream(cfg.seed, _T_NOISE, slot, si, mode_idx))
                       for si, (y, snr) in enumerate(zip(batch, cfg.snr_db))]
         if mode is RsMode.LEARNING:
-            ests = rc_detect(batch, grid, num, [specs[d] for d in dets], cfg.qam_order, cfg.d_max,
-                             cfg.ridge)
+            ests = rc_detect(batch, grid, cfg.n_cp, [specs[d] for d in dets], cfg.qam_order,
+                             cfg.d_max, cfg.ridge)
         else:
-            ests = [lmmse_detect(batch, grid, num, pdp, cfg.qam_order, noise_vars)]
+            ests = [lmmse_detect(batch, grid, cfg.n_cp, pdp, cfg.qam_order, noise_vars)]
         for det, per_snr in zip(dets, ests):
             for si, decisions in enumerate(per_snr):
                 out[(det, si)] = int(np.bitwise_count(decisions ^ sent).sum()), n_bits

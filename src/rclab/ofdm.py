@@ -18,7 +18,6 @@ Two comb layouts are supported:
 
 import enum
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,22 +27,6 @@ QAM_ORDERS = (4, 16, 64)
 class RsMode(enum.Enum):
     CONVENTIONAL = "conventional"
     LEARNING = "learning"
-
-
-@dataclass(frozen=True)
-class OfdmNumerology:
-    n_sc: int
-    n_cp: int
-
-    def __post_init__(self):
-        if self.n_sc < 2 or (self.n_sc & (self.n_sc - 1)) != 0:
-            raise ValueError("n_sc must be a power of two")
-        if not 0 <= self.n_cp < self.n_sc:
-            raise ValueError("need 0 <= n_cp < n_sc")
-
-    @property
-    def symbol_len(self) -> int:
-        return self.n_sc + self.n_cp
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +126,7 @@ def payload_bit_count(n_sc: int, n_sym: int, n_tx: int, order: int) -> int:
 
 
 def build_grid(
-    numerology: OfdmNumerology,
+    n_sc: int,
     n_tx: int,
     rs_spacing: int,
     mode: RsMode,
@@ -160,7 +143,6 @@ def build_grid(
     every non-RS RE is empty, so the whole RS waveform is known to the
     receiver in both comb modes and payload capacity is identical across modes.
     """
-    n_sc = numerology.n_sc
     patterns = np.asarray(payload_patterns).ravel()
     per_symbol = n_sc * n_tx
     if patterns.size == 0 or patterns.size % per_symbol:
@@ -192,25 +174,34 @@ def payload(grid: np.ndarray) -> np.ndarray:
 # Modulation
 # ---------------------------------------------------------------------------
 
-def ofdm_modulate(grid: np.ndarray, numerology: OfdmNumerology) -> np.ndarray:
-    """Unitary IFFT per symbol with cyclic prefix: ``(n_sc, n_sym, n_tx)`` to ``(n_tx, n_sym * symbol_len)``."""
+def _check_cp(n_sc: int, n_cp: int) -> None:
+    """Reject a cyclic prefix outside ``[0, n_sc)``, which is no prefix of the symbol."""
+    if not 0 <= n_cp < n_sc:
+        raise ValueError(f"need 0 <= n_cp < n_sc, got n_sc = {n_sc}, n_cp = {n_cp}")
+
+
+def ofdm_modulate(grid: np.ndarray, n_cp: int) -> np.ndarray:
+    """Unitary IFFT per symbol with a cyclic prefix of ``n_cp`` samples.
+
+    ``(n_sc, n_sym, n_tx)`` REs become ``(n_tx, n_sym * (n_sc + n_cp))`` samples.
+    """
     n_sc, _, n_tx = grid.shape
-    if n_sc != numerology.n_sc:
-        raise ValueError("grid does not match numerology")
+    _check_cp(n_sc, n_cp)
     time = np.fft.ifft(grid, axis=0, norm="ortho")
-    with_cp = np.concatenate([time[n_sc - numerology.n_cp :], time], axis=0)
+    with_cp = np.concatenate([time[n_sc - n_cp :], time], axis=0)
     return np.ascontiguousarray(np.transpose(with_cp, (2, 1, 0))).reshape(n_tx, -1)
 
 
-def ofdm_demodulate(samples, numerology: OfdmNumerology) -> np.ndarray:
+def ofdm_demodulate(samples, n_sc: int, n_cp: int) -> np.ndarray:
     """Strip cyclic prefixes and apply the unitary FFT, per symbol.
 
     ``(..., n_ant, T)`` samples become ``(..., n_sc, n_sym, n_ant)`` REs with
-    ``n_sym = T / symbol_len``; a ``T`` that ends in a partial symbol is rejected.
+    ``n_sym = T / (n_sc + n_cp)``; a ``T`` that ends in a partial symbol is rejected.
     """
+    _check_cp(n_sc, n_cp)
     s = np.atleast_2d(np.asarray(samples, dtype=np.complex128))
-    sym_len = numerology.symbol_len
+    sym_len = n_sc + n_cp
     if s.shape[-1] % sym_len:
         raise ValueError(f"expected whole symbols of {sym_len} samples per antenna, got {s.shape[-1]}")
-    blocks = s.reshape(*s.shape[:-1], -1, sym_len)[..., numerology.n_cp :]
+    blocks = s.reshape(*s.shape[:-1], -1, sym_len)[..., n_cp:]
     return np.swapaxes(np.fft.fft(blocks, axis=-1, norm="ortho"), -1, -3)

@@ -6,8 +6,6 @@ computed by forward substitution, never by materializing the matrix.  All
 functions here are pure and safe to call from concurrent workers.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -183,25 +181,16 @@ def hermitian_product(a) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigen-pairs of a Hermitian matrix, eigenvalues sorted descending.
-
-    The phase of each eigenvector is normalized so that its first component
-    of non-negligible magnitude is real and positive, which makes repeated
-    decompositions reproducible.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def hermitian_eig(k, n_vectors: int | None = None) -> HermitianEig:
+def hermitian_eig(k, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a Hermitian matrix with deterministic ordering.
 
-    Returns every eigenvalue and the top ``n_vectors`` eigenvectors (all when
-    ``None``); a kept column is the same to the bit whatever the count.
-    Raises :class:`NonHermitianError` when ``||K - K^H|| > 1e-8 ||K||``.
+    Returns ``(values, vectors)``, as ``np.linalg.eigh`` does: every
+    eigenvalue, sorted descending, and the top ``n_vectors`` eigenvectors
+    (all when ``None``); a kept column is the same to the bit whatever the
+    count.  The phase of each eigenvector is normalized so that its first
+    component of non-negligible magnitude is real and positive, which makes
+    repeated decompositions reproducible.  Raises :class:`NonHermitianError`
+    when ``||K - K^H|| > 1e-8 ||K||``.
     """
     km = np.asarray(k, dtype=np.complex128)
     if km.ndim != 2 or km.shape[0] != km.shape[1]:
@@ -218,7 +207,7 @@ def hermitian_eig(k, n_vectors: int | None = None) -> HermitianEig:
         if sig.size:
             pivot = col[sig[0]]
             vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return HermitianEig(values=values, vectors=vectors)
+    return values, vectors
 
 
 def polynomial_roots(coeffs) -> np.ndarray:

@@ -201,7 +201,7 @@ def approx_error_report(vectors, m_values) -> ApproxErrorReport:
     m_list = sorted(set(int(m) for m in m_values))
     if m_list[0] < 1 or m_list[-1] > n:
         raise ValueError(f"m values must lie in [1, {n}]")
-    v = hermitian_eig(k_hat, m_list[-1]).vectors
+    v = hermitian_eig(k_hat, m_list[-1])[1]
 
     # both routes are cumulative over the eigenvectors: one pass serves every m
     mean_norm, energies = _monte_carlo_terms(v, vectors)

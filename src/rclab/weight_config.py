@@ -133,7 +133,7 @@ def pca_basis(vectors, m: int) -> np.ndarray:
         raise ValueError(f"need 1 <= m <= {k.shape[0]}")
     if n_obs < m:
         warnings.warn(f"{m} PCA columns from only {n_obs} observations", stacklevel=2)
-    return hermitian_eig(k, m).vectors
+    return hermitian_eig(k, m)[1]
 
 
 def mp_compensate(f: np.ndarray) -> ConfiguredBasis:

@@ -1,6 +1,8 @@
+import configparser
 import dataclasses
 import io
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -24,7 +26,6 @@ from rclab.channel import (
 )
 from rclab.filters import Phase
 from rclab.ofdm import (
-    OfdmNumerology,
     RsMode,
     bits_per_symbol,
     build_grid,
@@ -263,6 +264,28 @@ class TestExperimentConfig:
         with pytest.raises(bc.ConfigFileError, match=message):
             bc.ExperimentConfig.from_file(p)
 
+    @pytest.mark.parametrize("lines, message", [
+        ("n_sc = 96", r"\[ofdm\] n_sc must be a power of two, got n_sc = 96, n_cp = 160"),
+        ("n_sc = 64\nn_cp = 64", r"\[ofdm\] need 0 <= n_cp < n_sc, got n_sc = 64, n_cp = 64"),
+    ], ids=["n_sc", "n_cp"])
+    def test_numerology_rejected_at_load(self, tmp_path, lines, message):
+        p = tmp_path / "bad.ini"
+        p.write_text(f"[ofdm]\n{lines}\n")
+        with pytest.raises(bc.ConfigFileError, match=message):
+            bc.ExperimentConfig.from_file(p)
+
+    def test_readme_config_loads_with_every_key(self, tmp_path):
+        # README's example config is a file that loads, and it names every key of every section
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        [block] = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+        p = tmp_path / "experiment.ini"
+        p.write_text(block)
+        bc.ExperimentConfig.from_file(p)
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",), default_section="")
+        parser.read_string(block)
+        assert {section: set(parser[section]) for section in parser.sections()} == {
+            section: set(keys) for section, keys in bc._CONFIG_KEYS.items()}
+
     def test_learning_comb_needs_no_n_tx_period(self, tmp_path):
         # the RC detectors' comb is shared by every antenna, so n_tx = 3 loads without lmmse
         p = tmp_path / "rc.ini"
@@ -414,37 +437,36 @@ def test_config_fails_at_load_or_runs_a_slot(text):
 
 
 def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0, order=16):
-    num = OfdmNumerology(n_sc, n_cp)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, payload_bit_count(n_sc, n_sym, n_tx, order))
-    grid = build_grid(num, n_tx, 4, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
-    tx = ofdm_modulate(grid, num)
-    return num, grid, bits, tx
+    grid = build_grid(n_sc, n_tx, 4, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
+    tx = ofdm_modulate(grid, n_cp)
+    return n_cp, grid, bits, tx
 
 
 class TestRcDetect:
     def test_identity_channel_noiseless(self):
-        num, grid, bits, tx = detect_setup()
+        n_cp, grid, bits, tx = detect_setup()
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
-        [[est]] = bc.rc_detect(tx[None], grid, num, [spec], 16, d_max=4)
+        [[est]] = bc.rc_detect(tx[None], grid, n_cp, [spec], 16, d_max=4)
         assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("n_ant, d_max, chunk", [(1, 4, 256), (4, 12, 7), (4, 0, 300)])
     def test_symbol_decisions_match_whole_slot_demap(self, monkeypatch, n_ant, d_max, chunk):
         # per-symbol FFTs and decisions give the bits of demapping the whole
         # equalized slot at once, for spans that split symbols anywhere
-        num, grid, _, tx = detect_setup(n_sc=64, n_cp=8, n_sym=5, n_tx=n_ant, seed=14)
+        n_cp, grid, _, tx = detect_setup(n_sc=64, n_cp=8, n_sym=5, n_tx=n_ant, seed=14)
         rng = np.random.default_rng(15)
         shape = (2,) + tx.shape
         rx = tx[None] + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         specs = [random_reservoir(6, 0.4, 0.5, n_ant, 2, np.random.default_rng(16)),
                  random_reservoir(5, 0.4, 0.5, n_ant, 0, np.random.default_rng(17))]
         monkeypatch.setattr(reservoir, "STREAM_CHUNK", chunk)
-        got = bc.rc_detect(rx, grid, num, specs, 16, d_max=d_max)
-        outs, _ = equalized(specs, rx, tx[:, : num.symbol_len], d_max)
+        got = bc.rc_detect(rx, grid, n_cp, specs, 16, d_max=d_max)
+        outs, _ = equalized(specs, rx, tx[:, : 64 + n_cp], d_max)
         for decisions, out in zip(got, outs):
-            whole = np.concatenate([np.zeros(out.shape[:2] + (num.symbol_len,)), out], axis=2)
-            want = qam_decide(payload(ofdm_demodulate(whole, num)), 16)
+            whole = np.concatenate([np.zeros(out.shape[:2] + (64 + n_cp,)), out], axis=2)
+            want = qam_decide(payload(ofdm_demodulate(whole, 64, n_cp)), 16)
             assert decisions.dtype == np.uint8
             assert decisions.tobytes() == want.tobytes()
 
@@ -454,18 +476,18 @@ class TestRcDetect:
         peaks = {}
         specs = [random_reservoir(20, 0.4, 0.5, 4, 3, np.random.default_rng(18))]
         for n_sym in (8, 16):
-            num, grid, _, tx = detect_setup(n_sc=256, n_cp=32, n_sym=n_sym, n_tx=4, seed=19)
+            n_cp, grid, _, tx = detect_setup(n_sc=256, n_cp=32, n_sym=n_sym, n_tx=4, seed=19)
             batch = np.repeat(tx[None], 3, axis=0)
-            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, num, specs, 16, d_max=4)
+            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, n_cp, specs, 16, d_max=4)
         one_output = batch.size * 16 // 2  # (3, 4, T) complex at n_sym = 8
         assert peaks[16] - peaks[8] <= one_output / 4
 
     def test_noise_only_input_is_chance_level(self):
-        num, grid, bits, tx = detect_setup(n_sc=256, n_sym=12)
+        n_cp, grid, bits, tx = detect_setup(n_sc=256, n_sym=12)
         rng = np.random.default_rng(2)
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
         spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
-        [[est]] = bc.rc_detect(noise[None], grid, num, [spec], 16, d_max=4)
+        [[est]] = bc.rc_detect(noise[None], grid, n_cp, [spec], 16, d_max=4)
         ber = bit_errors(est, bits, 4) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
@@ -473,44 +495,44 @@ class TestRcDetect:
 
 class TestLmmseDetect:
     def test_dense_rs_noiseless_exact(self):
-        num, grid, bits, tx = detect_setup()
+        n_cp, grid, bits, tx = detect_setup()
         h = np.array([1.0, 0.4 - 0.2j, 0.1j])
         # interpolation uses the operating profile: same delay support as h
         pdp = PowerDelayProfile.from_linear([0, 1, 2], [1.0, 0.2, 0.01])
-        grid_dense = build_grid(num, 1, 1, RsMode.CONVENTIONAL,
+        grid_dense = build_grid(64, 1, 1, RsMode.CONVENTIONAL,
                                 pack(bits, 4), np.random.default_rng(6), order=16)
-        tx_dense = ofdm_modulate(grid_dense, num)
+        tx_dense = ofdm_modulate(grid_dense, n_cp)
         y = apply_channel(h[:, None, None], tx_dense)
-        [est] = bc.lmmse_detect(y[None], grid_dense, num, pdp, 16, [0.0])
+        [est] = bc.lmmse_detect(y[None], grid_dense, n_cp, pdp, 16, [0.0])
         assert bit_errors(est, bits, 4) == 0
 
     def test_mimo_orthogonal_combs_noiseless(self):
         # 256/(4*4) = 16 RS observations per antenna pair >= 13 channel taps
-        num, grid, bits, tx = detect_setup(n_sc=256, n_cp=16, n_sym=4, n_tx=4,
+        n_cp, grid, bits, tx = detect_setup(n_sc=256, n_cp=16, n_sym=4, n_tx=4,
                                            mode=RsMode.CONVENTIONAL, seed=7)
         pdp = load_pdp("cdl_d")
         taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
         y = apply_channel(taps, tx)
-        [est] = bc.lmmse_detect(y[None], grid, num, pdp, 16, [0.0])
+        [est] = bc.lmmse_detect(y[None], grid, n_cp, pdp, 16, [0.0])
         assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("noise_var", [0.0, 1e-30])
     def test_flat_noiseless_estimate(self, noise_var):
         # every entry of the flat profile's R_ks is 1: R_ks + sigma I is
         # singular when sigma is zero or lost to rounding
-        num, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
-        [est] = bc.lmmse_detect(0.7j * tx[None], grid, num, load_pdp("flat"), 16, [noise_var])
+        n_cp, grid, bits, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=11)
+        [est] = bc.lmmse_detect(0.7j * tx[None], grid, n_cp, load_pdp("flat"), 16, [noise_var])
         assert bit_errors(est, bits, 4) == 0
 
     def test_perfect_csi_flat_awgn(self, monkeypatch):
-        num, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
+        n_cp, grid, bits, tx = detect_setup(n_sc=256, n_sym=6, seed=9)
         h = np.array([1.0 + 0j])
         y = apply_channel(h[:, None, None], tx)
         nv = add_awgn(y, 14.0, np.random.default_rng(10))
         # perfect CSI: the estimator returns the exact per-subcarrier response
         monkeypatch.setattr(bc, "_estimate_channel_freq",
-                            lambda *_: np.fft.fft(h, num.n_sc)[:, None, None])
-        [est] = bc.lmmse_detect(y[None], grid, num, load_pdp("flat"), 16, [nv])
+                            lambda *_: np.fft.fft(h, 256)[:, None, None])
+        [est] = bc.lmmse_detect(y[None], grid, n_cp, load_pdp("flat"), 16, [nv])
         ber = bit_errors(est, bits, 4) / bits.size
         assert 0.0005 < ber < 0.02  # loose sanity bracket at 14 dB
 
@@ -526,11 +548,11 @@ class TestLmmseDetect:
         assert 0 < row.n_errors < row.n_bits
 
     def test_missing_rs_detected(self):
-        num, grid, bits, tx = detect_setup(mode=RsMode.LEARNING, n_tx=2, n_sc=64)
+        n_cp, grid, bits, tx = detect_setup(mode=RsMode.LEARNING, n_tx=2, n_sc=64)
         # learning grids share one comb: antenna 1's comb is fine, but wipe it
         grid[:, 0, :] = 0
         with pytest.raises(ValueError, match="no RS"):
-            bc.lmmse_detect(tx[None], grid, num, load_pdp("flat"), 16, [0.0])
+            bc.lmmse_detect(tx[None], grid, n_cp, load_pdp("flat"), 16, [0.0])
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -543,7 +565,7 @@ class TestLmmseDetect:
     def test_tap_domain_matches_correlation_oracle(self, delays, powers, comb, sigma, seed):
         n_tx, n_sc = comb
         pdp = PowerDelayProfile.from_linear(delays, powers[: len(delays)])
-        num, grid, _, _ = detect_setup(n_sc=n_sc, n_tx=n_tx, mode=RsMode.CONVENTIONAL, seed=seed)
+        _, grid, _, _ = detect_setup(n_sc=n_sc, n_tx=n_tx, mode=RsMode.CONVENTIONAL, seed=seed)
         rng = np.random.default_rng(seed)
         rx = rng.standard_normal((n_sc, 2, n_tx)) + 1j * rng.standard_normal((n_sc, 2, n_tx))
         basis = bc._tap_basis(pdp, n_sc)
@@ -561,9 +583,9 @@ class TestLmmseDetect:
 
     def test_aliasing_delays_warn_and_take_min_norm(self):
         # delays 0 and 16 are equal modulo the 16 RS subcarriers of a 64-subcarrier comb
-        num, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
+        n_cp, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
         pdp = PowerDelayProfile.from_linear([0, 5, 16], [0.6, 0.3, 0.1])
-        rx = ofdm_demodulate(tx, num)
+        rx = ofdm_demodulate(tx, 64, n_cp)
         basis = bc._tap_basis(pdp, 64)
         with pytest.warns(UserWarning, match=r"delays \[0, 5, 16\] span rank 2 of 3 on 16 RS "
                                              r"subcarriers; aliasing taps cannot be told apart"):
@@ -575,12 +597,12 @@ class TestLmmseDetect:
         # the same aliasing comb at sigma > 0, where the estimate is no
         # minimum-norm limit but just as ambiguous: one warning per antenna and
         # detector call, not one per SNR
-        num, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
+        n_cp, grid, _, tx = detect_setup(n_sc=64, mode=RsMode.CONVENTIONAL, seed=12)
         pdp = PowerDelayProfile.from_linear([0, 5, 16], [0.6, 0.3, 0.1])
         batch = np.repeat(tx[None], 3, axis=0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            bc.lmmse_detect(batch, grid, num, pdp, 16, [0.1, 0.01, 0.001])
+            bc.lmmse_detect(batch, grid, n_cp, pdp, 16, [0.1, 0.01, 0.001])
         assert [str(w.message) for w in caught] == [
             "LMMSE channel estimate is rank-deficient: PDP delays [0, 5, 16] span rank 2 of 3 on "
             "16 RS subcarriers; aliasing taps cannot be told apart"]
@@ -589,14 +611,14 @@ class TestLmmseDetect:
         # a batch of three SNRs at the README numerology, where one (n_sc, n_ks)
         # correlation matrix alone is 4.2 MB: the estimate must form none
         cfg = bc.ExperimentConfig(snr_db=(10.0, 20.0, 30.0), detectors=("lmmse",))
-        num, pdp = cfg.numerology, load_pdp(cfg.pdp)
+        pdp = load_pdp(cfg.pdp)
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
-        grid = build_grid(num, 1, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4), rng)
-        clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, num))
+        grid = build_grid(cfg.n_sc, 1, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4), rng)
+        clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, cfg.n_cp))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
-        peak = traced_peak(bc.lmmse_detect, batch, grid, num, pdp, 16, noise_vars)
+        peak = traced_peak(bc.lmmse_detect, batch, grid, cfg.n_cp, pdp, 16, noise_vars)
         assert peak / 2**20 <= 5.0
 
 
@@ -671,7 +693,7 @@ class TestRunBerExperiment:
             seen[RsMode.LEARNING] = batch.copy()
             return [np.zeros((len(batch), 1), dtype=np.uint8)]
 
-        def lmmse_detect(batch, grid, num, pdp, order, nvs):
+        def lmmse_detect(batch, grid, n_cp, pdp, order, nvs):
             seen[RsMode.CONVENTIONAL] = batch.copy()
             noise_vars.extend(nvs)
             return np.zeros((len(batch), 1), dtype=np.uint8)
@@ -684,10 +706,10 @@ class TestRunBerExperiment:
         bits = bc._stream(cfg.seed, bc._T_PAYLOAD, 0).integers(
             0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, n_ant, cfg.qam_order))
         for mode_idx, rs_mode in enumerate((RsMode.LEARNING, RsMode.CONVENTIONAL)):
-            grid = build_grid(cfg.numerology, n_ant, cfg.rs_spacing, rs_mode,
+            grid = build_grid(cfg.n_sc, n_ant, cfg.rs_spacing, rs_mode,
                               pack(bits, bits_per_symbol(cfg.qam_order)),
                               bc._stream(cfg.seed, bc._T_RS, 0, mode_idx), order=cfg.qam_order)
-            tx = ofdm_modulate(grid, cfg.numerology)
+            tx = ofdm_modulate(grid, cfg.n_cp)
             want, want_vars = [], []
             for si, snr in enumerate(cfg.snr_db):
                 want.append(apply_channel(ch, tx))

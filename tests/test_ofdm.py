@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from rclab.ofdm import (
     QAM_ORDERS,
-    OfdmNumerology,
     RsMode,
     bits_per_symbol,
     build_grid,
@@ -56,12 +55,11 @@ def bitwise_map(bits, order):
     return scale * (axis_levels(groups[:, 0::2]) + 1j * axis_levels(groups[:, 1::2]))
 
 
-def make_grid(n_sc=64, n_cp=8, n_tx=1, n_sym=4, spacing=4, mode=RsMode.LEARNING, order=16, seed=0):
-    num = OfdmNumerology(n_sc, n_cp)
+def make_grid(n_sc=64, n_tx=1, n_sym=4, spacing=4, mode=RsMode.LEARNING, order=16, seed=0):
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, payload_bit_count(n_sc, n_sym, n_tx, order))
-    grid = build_grid(num, n_tx, spacing, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
-    return num, grid, bits
+    grid = build_grid(n_sc, n_tx, spacing, mode, pack(bits, bits_per_symbol(order)), rng, order=order)
+    return grid, bits
 
 
 class TestQam:
@@ -151,7 +149,7 @@ class TestGrid:
             rs_subcarriers(16, 1, spacing, mode, 0)
 
     def test_conventional_combs_disjoint(self):
-        num, grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
+        grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
         rs0, rs1 = (np.flatnonzero(grid[:, 0, a]) for a in range(2))
         np.testing.assert_array_equal(rs0, rs_subcarriers(64, 2, 4, RsMode.CONVENTIONAL, 0))
         np.testing.assert_array_equal(rs1, rs_subcarriers(64, 2, 4, RsMode.CONVENTIONAL, 1))
@@ -159,7 +157,7 @@ class TestGrid:
         assert len(set(rs0) & set(rs1)) == 0
 
     def test_learning_combs_shared(self):
-        num, grid, _ = make_grid(n_sc=64, n_tx=4, mode=RsMode.LEARNING)
+        grid, _ = make_grid(n_sc=64, n_tx=4, mode=RsMode.LEARNING)
         for a in range(4):
             np.testing.assert_array_equal(np.flatnonzero(grid[:, 0, a]),
                                           rs_subcarriers(64, 4, 4, RsMode.LEARNING, a))
@@ -167,46 +165,43 @@ class TestGrid:
     def test_partition_exhaustive_and_disjoint(self):
         # symbol 0 is the RS combs and exact zeros; every later RE holds a
         # QAM symbol, which is never 0
-        _, grid, _ = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL)
+        grid, _ = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL)
         for a in range(2):
             rs = rs_subcarriers(32, 2, 4, RsMode.CONVENTIONAL, a)
             np.testing.assert_array_equal(np.flatnonzero(grid[:, 0, a]), rs)
         assert np.all(grid[:, 1:, :] != 0)
 
     def test_rs_unit_energy(self):
-        _, grid, _ = make_grid()
+        grid, _ = make_grid()
         rs = grid[rs_subcarriers(64, 1, 4, RsMode.LEARNING, 0), 0, 0]
         np.testing.assert_allclose(np.abs(rs), 1.0)
 
     def test_payload_roundtrip(self):
-        _, grid, bits = make_grid(order=16)
+        grid, bits = make_grid(order=16)
         np.testing.assert_array_equal(qam_decide(payload(grid), 16), pack(bits, 4))
 
     def test_spacing_must_divide(self):
-        num = OfdmNumerology(64, 8)
         with pytest.raises(ValueError, match="positive divisor"):
-            build_grid(num, 1, 5, RsMode.LEARNING, np.zeros(3 * 64, dtype=int), np.random.default_rng(0))
+            build_grid(64, 1, 5, RsMode.LEARNING, np.zeros(3 * 64, dtype=int), np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_tx", [1, 2])
     def test_symbol_count_is_the_payload_count(self, n_tx):
         # n_sym is one RS symbol plus as many payload symbols as the patterns fill
-        num = OfdmNumerology(64, 8)
         for n_data in (1, 3):
             patterns = np.zeros(n_data * 64 * n_tx, dtype=int)
-            grid = build_grid(num, n_tx, 4, RsMode.LEARNING, patterns, np.random.default_rng(0))
+            grid = build_grid(64, n_tx, 4, RsMode.LEARNING, patterns, np.random.default_rng(0))
             assert isinstance(grid, np.ndarray) and grid.shape == (64, n_data + 1, n_tx)
 
     def test_payload_count_checked(self):
         # an empty payload, or one a pattern short of whole symbols, fixes no n_sym
-        num = OfdmNumerology(64, 8)
         for n_tx in (1, 2):
             for count in (0, 10, 3 * 64 * n_tx - 1):
                 with pytest.raises(ValueError, match=f"whole symbols of {64 * n_tx} patterns, got"):
-                    build_grid(num, n_tx, 4, RsMode.LEARNING, np.zeros(count, dtype=int),
+                    build_grid(64, n_tx, 4, RsMode.LEARNING, np.zeros(count, dtype=int),
                                np.random.default_rng(0))
 
     def test_batched_demap_is_per_element_demap(self):
-        _, grid, bits = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
+        grid, bits = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
         rng = np.random.default_rng(5)
         batch = grid + 0.3 * rng.standard_normal((3,) + grid.shape)
         got = qam_decide(payload(batch), 16)
@@ -216,7 +211,7 @@ class TestGrid:
             np.testing.assert_array_equal(row, per_axis_decide(payload(element), 16))
 
     def test_payload_is_build_grid_fill_order(self):
-        _, grid, bits = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
+        grid, bits = make_grid(n_sc=16, n_sym=3, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)
         got = payload(grid)
         assert got.tobytes() == qam_map(pack(bits, 4), 16).tobytes()
         # antenna-major, then symbol, then subcarrier, over every RE after the RS symbol
@@ -226,66 +221,71 @@ class TestGrid:
 
 class TestModulation:
     def test_roundtrip_exact(self):
-        num, grid, _ = make_grid(n_sc=64, n_cp=8, n_tx=2, mode=RsMode.CONVENTIONAL)
-        samples = ofdm_modulate(grid, num)
-        est = ofdm_demodulate(samples, num)
+        grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
+        samples = ofdm_modulate(grid, 8)
+        est = ofdm_demodulate(samples, 64, 8)
         np.testing.assert_allclose(est, grid, atol=1e-12)
 
     def test_all_zero(self):
-        num = OfdmNumerology(32, 4)
-        est = ofdm_demodulate(np.zeros((1, 3 * 36)), num)
+        est = ofdm_demodulate(np.zeros((1, 3 * 36)), 32, 4)
         np.testing.assert_array_equal(est, np.zeros((32, 3, 1)))
 
     def test_dc_tone_constant(self):
-        num = OfdmNumerology(16, 0)
         grid = np.zeros((16, 1, 1), dtype=complex)
         grid[0, 0, 0] = 1.0
-        samples = ofdm_modulate(grid, num)
+        samples = ofdm_modulate(grid, 0)
         np.testing.assert_allclose(samples, np.full((1, 16), 1 / 4), atol=1e-12)
 
     def test_cp_gives_per_subcarrier_multiplication(self):
         rng = np.random.default_rng(3)
-        num, grid, _ = make_grid(n_sc=64, n_cp=12, seed=4)
-        h = rng.standard_normal(9) + 1j * rng.standard_normal(9)  # L-1 = 8 <= n_cp
-        tx = ofdm_modulate(grid, num)
+        grid, _ = make_grid(n_sc=64, seed=4)
+        h = rng.standard_normal(9) + 1j * rng.standard_normal(9)  # L-1 = 8 <= n_cp = 12
+        tx = ofdm_modulate(grid, 12)
         rx = np.convolve(tx[0], h)[: tx.shape[1]]
-        est = ofdm_demodulate(rx[None, :], num)
-        h_freq = np.fft.fft(h, num.n_sc)
+        est = ofdm_demodulate(rx[None, :], 64, 12)
+        h_freq = np.fft.fft(h, 64)
         np.testing.assert_allclose(est[:, :, 0], h_freq[:, None] * grid[:, :, 0], atol=1e-9)
 
     def test_batched_demodulation_is_per_element(self):
-        num, grid, _ = make_grid(n_sc=64, n_cp=8, n_tx=2, mode=RsMode.CONVENTIONAL)
-        tx = ofdm_modulate(grid, num)
+        grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.CONVENTIONAL)
+        tx = ofdm_modulate(grid, 8)
         rng = np.random.default_rng(6)
         batch = tx + rng.standard_normal((3,) + tx.shape)
-        got = ofdm_demodulate(batch, num)
+        got = ofdm_demodulate(batch, 64, 8)
         assert got.shape == (3,) + grid.shape
         for row, element in zip(got, batch):
-            assert row.tobytes() == ofdm_demodulate(element, num).tobytes()
+            assert row.tobytes() == ofdm_demodulate(element, 64, 8).tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_symbol_count_is_the_sample_count(self, k):
         # k whole symbols of 36 samples demodulate to k symbols; one sample more is a partial symbol
-        num = OfdmNumerology(32, 4)
-        assert ofdm_demodulate(np.zeros((2, k * 36)), num).shape == (32, k, 2)
+        assert ofdm_demodulate(np.zeros((2, k * 36)), 32, 4).shape == (32, k, 2)
         with pytest.raises(ValueError, match="whole symbols of 36 samples per antenna, got"):
-            ofdm_demodulate(np.zeros((2, k * 36 + 1)), num)
+            ofdm_demodulate(np.zeros((2, k * 36 + 1)), 32, 4)
 
     def test_sample_count_checked(self):
-        num = OfdmNumerology(32, 4)
         with pytest.raises(ValueError):
-            ofdm_demodulate(np.zeros((1, 100)), num)
+            ofdm_demodulate(np.zeros((1, 100)), 32, 4)
+
+    @pytest.mark.parametrize("n_cp", [-1, 32])
+    def test_cyclic_prefix_checked(self, n_cp):
+        # a negative prefix would slice silently, and one of n_sc samples or more is no prefix
+        want = f"need 0 <= n_cp < n_sc, got n_sc = 32, n_cp = {n_cp}"
+        with pytest.raises(ValueError, match=want):
+            ofdm_modulate(np.zeros((32, 1, 1), dtype=complex), n_cp)
+        with pytest.raises(ValueError, match=want):
+            ofdm_demodulate(np.zeros((1, 3 * 64)), 32, n_cp)
 
     def test_rs_waveform_matches_slot_prefix(self):
-        num, grid, _ = make_grid(n_sc=64, n_cp=8, n_tx=2, mode=RsMode.LEARNING)
-        # the RS symbol modulated alone is the slot's first symbol_len samples, to the bit
-        tx = ofdm_modulate(grid, num)
-        alone = ofdm_modulate(grid[:, :1], num)
-        assert alone.tobytes() == tx[:, : num.symbol_len].tobytes()
+        grid, _ = make_grid(n_sc=64, n_tx=2, mode=RsMode.LEARNING)
+        # the RS symbol modulated alone is the slot's first n_sc + n_cp samples, to the bit
+        tx = ofdm_modulate(grid, 8)
+        alone = ofdm_modulate(grid[:, :1], 8)
+        assert alone.tobytes() == tx[:, : 64 + 8].tobytes()
         # both C-ordered, as the readout fit takes its target: the detector copies neither
         assert alone.flags.c_contiguous and tx.flags.c_contiguous
 
     def test_average_data_power(self):
-        _, grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)
+        grid, _ = make_grid(n_sc=256, n_sym=8, seed=9)
         data = payload(grid)
         assert abs(np.mean(np.abs(data) ** 2) - 1.0) < 0.05

@@ -376,7 +376,7 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
     )
     specs = list(bench_cli._configured_specs(cfg).values())
     assert [s.is_diagonal for s in specs] == [True, True, False, False]
-    n_train = cfg.numerology.symbol_len
+    n_train = cfg.n_sc + cfg.n_cp
     t = cfg.n_symbols * n_train - (0 if tail == "short" else 300)
     last = n_train + (t + cfg.d_max - n_train) // 1024 * 1024 - cfg.d_max
     rng = np.random.default_rng(n_ant)

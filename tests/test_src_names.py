@@ -11,9 +11,9 @@ SRC = Path(rclab.__file__).resolve().parent
 # oracles the package documents and keeps for checking, not for its own use
 DOCUMENTED_ORACLES = {"block_states", "theorem1_error", "p2_objective_numerical", "lemma1_error"}
 
-# dataclass fields kept for their readers outside src: Lemma 1's eigenvalues, and the
-# PCA basis and its first-tap compensation that the acceptance criteria check
-DOCUMENTED_FIELDS = {"HermitianEig.values", "ConfiguredBasis.f", "ConfiguredBasis.b"}
+# dataclass fields kept for their readers outside src: the PCA basis and its first-tap
+# compensation that the acceptance criteria check
+DOCUMENTED_FIELDS = {"ConfiguredBasis.f", "ConfiguredBasis.b"}
 
 
 def _definitions_and_uses():

@@ -275,7 +275,7 @@ class TestLemma1:
     def test_monte_carlo_identity(self):
         rng = np.random.default_rng(8)
         ds = random_dataset(rng, 60, 10)
-        lam = hermitian_eig(empirical_covariance(ds)).values
+        lam = hermitian_eig(empirical_covariance(ds))[0]
         for m in (1, 4, 10):
             f = pca_basis(ds, m)
             resid = ds.T - f @ (f.conj().T @ ds.T)

@@ -131,7 +131,7 @@ class TestPcaBasis:
         vectors = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
         from rclab.signal_core import hermitian_eig
 
-        lam = hermitian_eig(empirical_covariance(vectors)).values
+        lam = hermitian_eig(empirical_covariance(vectors))[0]
         for m in (1, 3, 12):
             f = pca_basis(vectors, m)
             resid = vectors.T - f @ (f.conj().T @ vectors.T)
