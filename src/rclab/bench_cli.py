@@ -418,9 +418,10 @@ def lmmse_detect(
 
     ``rx_batch`` is ``(batch, n_rx, T)``: received versions of the
     ``(n_sc, n_sym, n_tx)`` grid ``tx_grid``, whose payload is ``order``-QAM,
-    sent with ``n_cp``-sample cyclic prefixes.  Each element is demodulated, estimated, equalized at its own entry of
-    ``noise_vars`` and decided alone, so only one element's grids are alive at
-    a time.  The PDP's tap basis and the RS combs are shared by the batch.
+    sent with ``n_cp``-sample cyclic prefixes.  Each element is demodulated,
+    estimated, equalized at its own entry of ``noise_vars`` and decided
+    alone, so only one element's grids are alive at a time.  The PDP's tap
+    basis and the RS combs are shared by the batch.
     """
     n_sc, n_sym, _ = tx_grid.shape
     basis = _tap_basis(pdp, n_sc)
