@@ -681,15 +681,15 @@ def cmd_dump_spec(args) -> int:
 
     def writer(fp):
         spec = report.spec
-        sections = report.poles.size // cfg.m
+        sections = spec.n_neurons // cfg.m
         fp.write(f"profile            : {load_pdp(cfg.pdp).label or cfg.pdp}\n")
         fp.write(f"method             : {args.method}\n")
         fp.write(f"neurons            : {spec.n_neurons} ({cfg.m} columns x {sections} sections)\n")
         fp.write(f"window length      : {cfg.n_window}\n")
         fp.write(f"activation         : {spec.activation}\n")
-        fp.write(f"max pole magnitude : {np.max(np.abs(report.poles)):.6f}\n")
+        fp.write(f"max pole magnitude : {np.max(np.abs(spec.w_res)):.6f}\n")
         fp.write("neuron  pole (mag, phase deg)        section residue (mag, phase deg)\n")
-        for i, (p, c) in enumerate(zip(report.poles, report.input_weights)):
+        for i, (p, c) in enumerate(zip(spec.w_res, report.input_weights)):
             fp.write(
                 f"{i:>6}  ({np.abs(p):8.5f}, {np.degrees(np.angle(p)):8.2f})"
                 f"        ({np.abs(c):10.5f}, {np.degrees(np.angle(c)):8.2f})\n"

@@ -1,15 +1,15 @@
 """Echo-state network dynamics and readout training.
 
 The recurrent core is fixed (never trained): either a random sparse matrix
-rescaled to a target spectral radius, or a diagonal bank of one-pole filters
-produced by the weight-configuration pipeline.  Only the linear readout is
-fitted, by least squares against a (possibly delayed) target: without a
-ridge penalty one QR of the whitened features serves every candidate delay
-and the winner's weights (a rank-deficient fit warns and takes ``lstsq``'s
-minimum norm instead); with one, a Gram solve of the features, whitened in
-place.  The windowed variant (WESN) feeds the readout the current and
-``n_window - 1`` past input vectors alongside the states, which realizes an
-explicit FIR tap-delay line ``{z^0, ..., z^-(n_window-1)}``.
+rescaled to a target spectral radius, or a bank of one-pole filters produced
+by the weight-configuration pipeline and held as its pole vector.  Only the
+linear readout is fitted, by least squares against a (possibly delayed)
+target: without a ridge penalty one QR of the whitened features serves
+every candidate delay and the winner's weights (a rank-deficient fit warns
+and takes ``lstsq``'s minimum norm instead); with one, a Gram solve of the
+features, whitened in place.  The windowed variant (WESN) feeds the readout
+the current and ``n_window - 1`` past input vectors alongside the states,
+which realizes an explicit FIR tap-delay line ``{z^0, ..., z^-(n_window-1)}``.
 
 Complex tanh is applied split-wise, ``tanh(Re) + j tanh(Im)``, which reduces
 to the linear case for small drive.
@@ -34,7 +34,6 @@ one block.
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -48,22 +47,24 @@ ACTIVATIONS = ("linear", "tanh")
 class ReservoirSpec:
     """Untrained network: input weights, recurrent weights, window length.
 
-    ``n_window = 0`` is a vanilla ESN; a window of one tap is the ``z^0``
-    skip connection that feeds the readout the raw current input.
+    A diagonal core, such as a configured bank of one-pole filters, holds its
+    recurrent weights as the ``(n_neurons,)`` pole vector; any other core
+    holds its ``(n_neurons, n_neurons)`` matrix.  ``n_window = 0`` is a
+    vanilla ESN; a window of one tap is the ``z^0`` skip connection that
+    feeds the readout the raw current input.
     """
 
     w_in: np.ndarray  # (n_neurons, d_in)
-    w_res: np.ndarray  # (n_neurons, n_neurons)
+    w_res: np.ndarray  # (n_neurons,) poles of a diagonal core, else (n_neurons, n_neurons)
     activation: str = "linear"
     n_window: int = 0
 
     def __post_init__(self):
         w_in = np.atleast_2d(np.asarray(self.w_in, dtype=np.complex128))
         w_res = np.asarray(self.w_res, dtype=np.complex128)
-        if w_res.ndim != 2 or w_res.shape[0] != w_res.shape[1]:
-            raise ValueError("w_res must be square")
-        if w_in.shape[0] != w_res.shape[0]:
-            raise ValueError("w_in row count must equal the neuron count")
+        n = w_in.shape[0]
+        if w_res.shape not in ((n,), (n, n)):
+            raise ValueError(f"w_res must be ({n},) or ({n}, {n}) for {n} rows of w_in, got {w_res.shape}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.n_window < 0:
@@ -83,10 +84,9 @@ class ReservoirSpec:
     def feature_dim(self) -> int:
         return self.n_neurons + self.d_in * self.n_window
 
-    @cached_property
+    @property
     def is_diagonal(self) -> bool:
-        off = self.w_res - np.diag(np.diagonal(self.w_res))
-        return not np.any(off)
+        return self.w_res.ndim == 1
 
 
 @dataclass(frozen=True)
@@ -129,10 +129,10 @@ def _stack(specs, n_batch: int):
     """Layout of a state row holding ``n_batch`` states of every core: ``(cols, diag, dense)``.
 
     ``cols[k]`` are core ``k``'s columns, its batch elements one after the
-    other.  The diagonal cores come first, side by side under the one tiled
-    multiplier ``diag``; the dense cores follow, grouped by size, and
-    ``dense`` holds each group's ``(columns, n_neurons, matrices)``, one
-    matrix per row of the group.
+    other.  The diagonal cores come first, side by side under the one
+    multiplier ``diag``, each pole vector tiled once per element; the dense
+    cores follow, grouped by size, and ``dense`` holds each group's
+    ``(columns, n_neurons, matrices)``, one matrix per row of the group.
     """
     if len({(s.activation, s.d_in) for s in specs}) != 1:
         raise ValueError("stacked cores must share one activation and one d_in")
@@ -142,7 +142,7 @@ def _stack(specs, n_batch: int):
     for k in order:
         cols[k] = slice(lo, lo + n_batch * specs[k].n_neurons)
         lo = cols[k].stop
-    diag = [np.tile(np.diagonal(specs[k].w_res), n_batch) for k in order if is_diag[k]]
+    diag = [np.tile(specs[k].w_res, n_batch) for k in order if is_diag[k]]
     dense = []
     for n, group in groupby([k for k in order if not is_diag[k]], key=lambda k: specs[k].n_neurons):
         group = list(group)
@@ -289,7 +289,7 @@ def _least_squares(f: np.ndarray, ridge: float):
         return lambda t: solve(t) / scale[None, :], ridge_residuals
     fw = f[live] / scale[live, None]
     q, r = np.linalg.qr(fw.T)
-    diag = np.abs(np.diagonal(r))
+    diag = np.abs(r.diagonal())
     tol = np.finfo(np.float64).eps * max(fw.shape) * diag.max(initial=0.0)
     determined = fw.shape[1] >= fw.shape[0]
     full_rank = determined and not np.any(diag <= tol)
@@ -516,14 +516,13 @@ def random_reservoir(
 
 
 def dump_spec_text(spec: ReservoirSpec) -> str:
-    """Text dump of a diagonal single-input spec.
+    """Text dump of a diagonal single-input spec: its pole vector beside its input weights.
 
     One line per neuron: ``neuron_index,pole_real,pole_imag,w_in_real,w_in_imag``.
     """
     if not spec.is_diagonal or spec.d_in != 1:
         raise ValueError("text dump is defined for diagonal single-input specs")
-    poles = np.diagonal(spec.w_res)
     lines = ["neuron_index,pole_real,pole_imag,w_in_real,w_in_imag"]
-    for i, (p, c) in enumerate(zip(poles, spec.w_in[:, 0])):
+    for i, (p, c) in enumerate(zip(spec.w_res, spec.w_in[:, 0])):
         lines.append(f"{i},{p.real:.17g},{p.imag:.17g},{c.real:.17g},{c.imag:.17g}")
     return "\n".join(lines) + "\n"

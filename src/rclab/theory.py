@@ -129,7 +129,7 @@ def _closed_form_terms(k: np.ndarray, f: np.ndarray):
     The closed-form error of the first ``m`` columns is ``total - sum(p[:m])``.
     """
     n = k.shape[0]
-    total = float(np.real(np.dot(np.arange(n, 0, -1), np.diagonal(k))))
+    total = float(np.real(np.dot(np.arange(n, 0, -1), k.diagonal())))
     zf = shift_accumulated_covariance(k) @ f
     return total, np.real(np.sum(np.multiply(np.conj(f), zf, out=zf), axis=0))
 

@@ -18,9 +18,9 @@ readout.  Unstable poles produced by truncation or fitting are reflected
 inside the unit circle and counted in the per-column diagnostics.
 
 Both routes end in :func:`pole_bank`, which splits every column's reduced
-all-pole filter into one-pole sections.  MIMO reservoirs copy the SISO core
-once per stream along the block diagonal, and each copy listens to one
-receive stream.
+all-pole filter into one-pole sections; the configured core is the vector of
+their poles.  A MIMO reservoir tiles that vector once per stream, and each
+copy listens to one receive stream.
 
 Memory: a route holds one statistics array at a time and, while it forms the
 covariance, one column block of the covariance product.  The statistics are
@@ -90,7 +90,6 @@ class ColumnDiagnostics:
 @dataclass(frozen=True)
 class ConfigReport:
     spec: ReservoirSpec
-    poles: np.ndarray
     input_weights: np.ndarray
     diagnostics: tuple
 
@@ -258,11 +257,11 @@ def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
     poles, weights = np.concatenate(poles), np.concatenate(weights)
     spec = ReservoirSpec(
         w_in=_drive_normalization(poles, weights) * weights[:, None],
-        w_res=np.diag(poles),
+        w_res=poles,
         activation=activation,
         n_window=max(n_window, 1),
     )
-    return ConfigReport(spec, poles, weights, tuple(diagnostics))
+    return ConfigReport(spec, weights, tuple(diagnostics))
 
 
 def configure_time_domain_report(
@@ -357,21 +356,19 @@ def configure_frequency_domain_report(
 # ---------------------------------------------------------------------------
 
 def assemble_mimo(spec: ReservoirSpec, n_tx: int) -> ReservoirSpec:
-    """Block-diagonal MIMO reservoir: one copy of the SISO core per stream.
+    """MIMO reservoir: the SISO core's pole vector tiled once per stream.
 
     Copy ``i`` listens to receive stream ``i`` only, which also serves a
     factorizable channel; the cross-stream mixing lives in the trained
     output weights.
     """
-    if spec.d_in != 1:
-        raise ValueError("the SISO core must have d_in = 1")
+    if spec.d_in != 1 or not spec.is_diagonal:
+        raise ValueError("the SISO core must be a pole vector with d_in = 1")
     n = spec.n_neurons
-    w_res = np.zeros((n_tx * n, n_tx * n), dtype=np.complex128)
     w_in = np.zeros((n_tx * n, n_tx), dtype=np.complex128)
     for i in range(n_tx):
-        w_res[i * n : (i + 1) * n, i * n : (i + 1) * n] = spec.w_res
         w_in[i * n : (i + 1) * n, i] = spec.w_in[:, 0]
-    return ReservoirSpec(w_in=w_in, w_res=w_res, activation=spec.activation, n_window=spec.n_window)
+    return ReservoirSpec(w_in, np.tile(spec.w_res, n_tx), spec.activation, spec.n_window)
 
 
 def diagnostics_csv(diagnostics, fp) -> None:

@@ -125,7 +125,7 @@ def test_criterion_04_configuration_stability():
         # the time-domain route, step by step, so that the basis can be checked
         basis = mp_compensate(pca_basis(collect_equalizer_irs(pdp, 32, 25, rng), 2))
         report = pole_bank(*reduce_order(basis.p, 3), basis.offsets, 3, 1, "tanh")
-        if np.any(np.abs(report.poles) >= 1.0):
+        if np.any(np.abs(report.spec.w_res) >= 1.0):
             n_unstable += 1
         tails = np.sum(np.abs(basis.f[1:, :]), axis=0)
         if not np.all(basis.p[0, :].real > tails):

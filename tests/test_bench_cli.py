@@ -622,6 +622,16 @@ class TestLmmseDetect:
         assert peak / 2**20 <= 5.0
 
 
+def test_configured_cores_are_pole_vectors():
+    # a configured core is its pole vector, and the 4x4 core tiles it: no
+    # (n, n) matrix is built for either route
+    cfg = bc.ExperimentConfig(detectors=("rc-td", "rc-fd"), channel_mode="mimo", n_tx=4, n_rx=4)
+    siso = {method: bc.configure(cfg, method).spec.w_res.shape for method in ("td", "fd")}
+    mimo = {det: spec.w_res.shape for det, spec in bc._configured_specs(cfg).items()}
+    assert siso == {"td": (35,), "fd": (35,)}
+    assert mimo == {"rc-td": (140,), "rc-fd": (140,)}
+
+
 class TestRunBerExperiment:
     def test_zero_slots(self):
         cfg = bc.ExperimentConfig(n_slots=0, detectors=("lmmse",), n_sc=64, n_cp=8,
@@ -969,12 +979,22 @@ class TestCli:
         assert capsys.readouterr().err == f"rclab: error: the td route needs {message}\n"
 
     @staticmethod
-    def fresh_output(code):
-        """Stdout of ``code`` run by a fresh interpreter that imports this checkout's rclab."""
+    def fresh_env():
+        """The environment of a fresh interpreter that imports this checkout's rclab.
+
+        This checkout's ``src`` goes first on ``PYTHONPATH``, followed by any
+        existing value: pytest's own ``pythonpath`` setting reaches no child
+        process.
+        """
         src = str(Path(bc.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        return env
+
+    def fresh_output(self, code):
+        """Stdout of ``code`` run by a fresh interpreter that imports this checkout's rclab."""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=self.fresh_env())
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.strip()
 
@@ -997,7 +1017,7 @@ class TestCli:
         proc = subprocess.run(
             [sys.executable, "-m", "rclab", "validate-theorem", "--n", "16",
              "--nobs", "10", "--m", "1,16", "--out", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=self.fresh_env(),
         )
-        assert proc.returncode == 0
+        assert proc.returncode == 0, proc.stderr
         assert out.read_text().startswith("M,")

@@ -36,7 +36,7 @@ def diagonal_spec(poles, weights=None, activation="linear", n_window=0):
         weights = np.ones_like(poles)
     return ReservoirSpec(
         w_in=np.asarray(weights, dtype=complex)[:, None],
-        w_res=np.diag(poles),
+        w_res=poles,
         activation=activation,
         n_window=n_window,
     )
@@ -114,7 +114,7 @@ class TestWesnFeatures:
     def test_explicit_skip(self):
         spec = ReservoirSpec(
             w_in=np.ones((2, 1), dtype=complex),
-            w_res=np.diag([0.1, 0.2]).astype(complex),
+            w_res=np.array([0.1, 0.2], dtype=complex),
             n_window=1,  # the z^0 skip tap
         )
         x = np.array([[1.0, 2.0, 3.0]])
@@ -358,8 +358,31 @@ def test_spec_text_roundtrip():
     header, *rows = dump_spec_text(spec).splitlines()
     assert header == "neuron_index,pole_real,pole_imag,w_in_real,w_in_imag"
     values = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
-    np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], np.diagonal(spec.w_res))
+    np.testing.assert_array_equal(values[:, 0] + 1j * values[:, 1], spec.w_res)
     np.testing.assert_array_equal(values[:, 2] + 1j * values[:, 3], spec.w_in[:, 0])
+
+
+@pytest.mark.parametrize(
+    "w_in, w_res, shape",
+    [(np.ones((3, 1)), np.ones((3, 2)), r"\(3, 2\)"),
+     (np.ones((3, 1)), np.ones((3, 3, 1)), r"\(3, 3, 1\)"),
+     (np.ones((3, 1)), np.ones(()), r"\(\)"),
+     (np.ones((3, 1)), np.ones(2), r"\(2,\)"),
+     (np.ones((3, 1)), np.ones((2, 2)), r"\(2, 2\)"),
+     (np.ones((2, 4)), np.ones(3), r"\(3,\)")],
+    ids=["not-square", "rank-3", "scalar", "short-vector", "small-matrix", "long-vector"],
+)
+def test_spec_shapes_checked(w_in, w_res, shape):
+    n = len(w_in)
+    with pytest.raises(ValueError, match=rf"^w_res must be \({n},\) or \({n}, {n}\) for {n} rows of w_in, "
+                                         rf"got {shape}$"):
+        ReservoirSpec(w_in=w_in, w_res=w_res)
+
+
+def test_spec_is_diagonal_by_rank():
+    # a pole vector is a diagonal core; a matrix is dense, even a diagonal one
+    assert diagonal_spec([0.5, 0.2]).is_diagonal
+    assert not ReservoirSpec(w_in=np.ones((2, 1)), w_res=np.diag([0.5, 0.2])).is_diagonal
 
 
 def test_spec_text_requires_diagonal():

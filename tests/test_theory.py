@@ -313,12 +313,12 @@ class TestPObjective:
         for _ in range(30):
             h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
             channels.append(h)
-        configured = p_objective_numerical(report.poles, channels, 48)
+        configured = p_objective_numerical(report.spec.w_res, channels, 48)
         rng3 = np.random.default_rng(12)
         random_vals = []
         for _ in range(10):
             rand_poles = 0.9 * (rng3.uniform(-1, 1, 20) + 1j * rng3.uniform(-1, 1, 20))
-            rand_poles = rand_poles[np.abs(rand_poles) < 1][: report.poles.size]
+            rand_poles = rand_poles[np.abs(rand_poles) < 1][: report.spec.n_neurons]
             random_vals.append(p_objective_numerical(rand_poles, channels, 48))
         assert configured <= np.mean(random_vals)
 
@@ -334,7 +334,7 @@ class TestPObjective:
 
         basis = mp_compensate(f)
         report = pole_bank(*reduce_order(basis.p, n), basis.offsets, n, 0, "linear")
-        poles, diags = report.poles, report.diagnostics
+        poles, diags = report.spec.w_res, report.diagnostics
         assert all(d.n_reflected_poles == 0 for d in diags)
         poles = np.concatenate([poles, [0.0]])  # skip tap carries the offsets
         channels = []

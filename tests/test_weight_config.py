@@ -254,7 +254,7 @@ def sections(basis, l_f):
     """``(poles, weights, diagnostics)`` of the core that ``pole_bank`` builds on the basis."""
     qs, errors = reduce_order(basis.p, l_f)
     report = pole_bank(qs, errors, basis.offsets, l_f, 0, "linear")
-    return report.poles, report.input_weights, report.diagnostics
+    return report.spec.w_res, report.input_weights, report.diagnostics
 
 
 class TestBasisToPoles:
@@ -316,8 +316,8 @@ class TestConfigureTimeDomain:
         assert spec.n_neurons == 35
         assert spec.n_window == 5
         assert spec.feature_dim == 40
-        assert spec.is_diagonal
-        assert np.max(np.abs(np.diagonal(spec.w_res))) < 1.0
+        assert spec.is_diagonal and spec.w_res.shape == (35,)
+        assert np.max(np.abs(spec.w_res)) < 1.0
 
     def test_determinism(self):
         pdp = load_pdp("cdl_d")
@@ -331,7 +331,7 @@ class TestConfigureTimeDomain:
         dispersive = PowerDelayProfile.from_linear([0, 1, 2, 3], [0.4, 0.3, 0.2, 0.1])
         a = configure_time_domain_report(near_flat, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
         b = configure_time_domain_report(dispersive, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
-        assert np.max(np.abs(np.sort(np.diagonal(a.w_res)) - np.sort(np.diagonal(b.w_res)))) > 1e-3
+        assert np.max(np.abs(np.sort(a.w_res) - np.sort(b.w_res))) > 1e-3
 
     def test_explicit_skip_when_no_window(self):
         pdp = load_pdp("flat")
@@ -372,15 +372,15 @@ class TestFrequencyDomain:
     def test_reference_scale_shape(self):
         pdp = load_pdp("cdl_d")
         spec = configure_frequency_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(15)).spec
-        assert spec.n_neurons == 35
-        assert np.max(np.abs(np.diagonal(spec.w_res))) < 1.0
+        assert spec.n_neurons == 35 and spec.w_res.shape == (35,)
+        assert np.max(np.abs(spec.w_res)) < 1.0
 
     def test_pipeline_output_shape_and_stability(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [1.0, 0.3025], k_factor=None)
         rng = np.random.default_rng(16)
         report = configure_frequency_domain_report(pdp, 32, 150, 2, 3, 0, rng)
-        assert report.poles.size == 6
-        assert np.all(np.abs(report.poles) < 1.0)
+        assert report.spec.w_res.shape == (6,)
+        assert np.all(np.abs(report.spec.w_res) < 1.0)
         assert len(report.diagnostics) == 2
         assert np.isnan(report.diagnostics[0].offset)  # no first-tap lift in this route
 
@@ -409,7 +409,7 @@ class TestAssembleMimo:
         poles = 0.5 * (rng.uniform(-1, 1, n_neurons) + 1j * rng.uniform(-1, 1, n_neurons))
         return_spec = np.ones(n_neurons, dtype=complex)
         return ReservoirSpec(
-            w_in=return_spec[:, None], w_res=np.diag(poles), activation="linear",
+            w_in=return_spec[:, None], w_res=poles, activation="linear",
             n_window=n_window,
         )
 
@@ -417,9 +417,7 @@ class TestAssembleMimo:
         siso = self.make_siso()
         mimo = assemble_mimo(siso, 2)
         assert mimo.n_neurons == 18 and mimo.d_in == 2
-        np.testing.assert_array_equal(mimo.w_res[:9, :9], siso.w_res)
-        np.testing.assert_array_equal(mimo.w_res[9:, 9:], siso.w_res)
-        assert not np.any(mimo.w_res[:9, 9:])
+        np.testing.assert_array_equal(mimo.w_res, np.tile(siso.w_res, 2))
         np.testing.assert_array_equal(mimo.w_in[:9, 0], siso.w_in[:, 0])
         assert not np.any(mimo.w_in[:9, 1])
 
@@ -427,21 +425,25 @@ class TestAssembleMimo:
         siso = self.make_siso(n_neurons=9)
         mimo = assemble_mimo(siso, 4)
         assert mimo.n_neurons == 36
-        np.testing.assert_array_equal(mimo.w_res, scipy.linalg.block_diag(*[siso.w_res] * 4))
+        np.testing.assert_array_equal(mimo.w_res, np.tile(siso.w_res, 4))
+        np.testing.assert_array_equal(mimo.w_in, scipy.linalg.block_diag(*[siso.w_in] * 4))
         assert (mimo.n_window, mimo.activation) == (siso.n_window, siso.activation)
 
     def test_multi_input_core_rejected(self):
+        # so is a dense core: only a single-input pole vector is tiled
         siso = self.make_siso()
         two_inputs = ReservoirSpec(w_in=np.ones((9, 2), complex), w_res=siso.w_res)
-        with pytest.raises(ValueError, match="d_in = 1"):
-            assemble_mimo(two_inputs, 2)
+        dense = ReservoirSpec(w_in=siso.w_in, w_res=np.eye(9))
+        for core in (two_inputs, dense):
+            with pytest.raises(ValueError, match="^the SISO core must be a pole vector with d_in = 1$"):
+                assemble_mimo(core, 2)
 
     def test_factorizable_channel_exact_recovery(self):
         # H(z) = H0 * (1 - 0.5 z^-1); per-stream pole-0.5 neurons deconvolve
         # the scalar part exactly, so the trained output weights become H0^-1
         rng = np.random.default_rng(19)
         h0 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([[0.5]], complex),
+        siso = ReservoirSpec(w_in=np.ones((1, 1), complex), w_res=np.array([0.5], complex),
                              activation="linear", n_window=0)
         mimo = assemble_mimo(siso, 2)
         t = 400
@@ -474,4 +476,4 @@ def test_pole_stability_over_random_profiles():
         powers = rng.uniform(0.1, 1.0, n_taps)
         pdp = PowerDelayProfile.from_linear(delays, powers)
         report = configure_time_domain_report(pdp, 32, 30, 2, 3, 1, rng)
-        assert np.all(np.abs(report.poles) < 1.0)
+        assert np.all(np.abs(report.spec.w_res) < 1.0)
