@@ -36,11 +36,9 @@ import numpy as np
 
 from . import __version__
 from .channel import (
-    AngleModel,
     PowerDelayProfile,
     add_awgn,
     apply_channel,
-    draw_channel,
     draw_channels,
     load_pdp,
     sample_parametric_mimo,
@@ -493,14 +491,10 @@ def _draw_slot_channel(cfg: ExperimentConfig, pdp: PowerDelayProfile, slot: int)
     """The slot's ``(L, n_rx, n_tx)`` channel taps; a SISO draw is the ``(L, 1, 1)`` case."""
     rng = _stream(cfg.seed, _T_CHANNEL, slot)
     if cfg.channel_mode == "mimo":
-        model = AngleModel(
-            sector=(-np.deg2rad(cfg.sector_deg), np.deg2rad(cfg.sector_deg)),
-            offset_scale=np.deg2rad(cfg.angle_offset_deg),
-            spacing_over_wavelength=cfg.element_spacing,
-        )
-        return sample_parametric_mimo(pdp, model, cfg.n_tx, cfg.n_rx, cfg.n_path, rng)
+        return sample_parametric_mimo(pdp, cfg.n_tx, cfg.n_rx, cfg.n_path, cfg.sector_deg,
+                                      cfg.angle_offset_deg, cfg.element_spacing, rng)
     require = Phase.STRICTLY_MP if cfg.require_phase == "strictly_mp" else None
-    return draw_channel(pdp, rng, require=require)[0][:, None, None]
+    return draw_channels(pdp, rng, 1, require).taps[0][:, None, None]
 
 
 def _slot_errors(cfg: ExperimentConfig, specs: dict, pdp: PowerDelayProfile, slot: int) -> dict:

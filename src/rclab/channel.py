@@ -7,7 +7,7 @@ Receiver automatic gain control is modeled as per-realization normalization
 array; a single-antenna draw of length ``L`` is the ``(L, 1, 1)`` case.
 A MIMO realization is drawn from the parametric form
 ``H_l = sum_q c_q a_r a_t^T / sqrt(N_p)`` built from uniform-linear-array
-steering vectors.
+steering vectors, on the angle values the experiment config passes as given.
 
 PDP file format: one tap per line as ``delay_samples power_db``, ``#`` comments,
 optional header line ``k_factor_db <value>`` (Rician K applied to tap 0).
@@ -132,12 +132,13 @@ def load_pdp(name_or_path) -> PowerDelayProfile:
     raise FileNotFoundError(f"no PDP file or packaged profile named {name_or_path!r}")
 
 
-def _raw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
-    """``k`` unnormalized draws, ``(k, L)``: circular Gaussian taps, Rician mean on tap 0.
+def _draw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` tapped-delay-line realizations ``(k, L)``, each AGC-normalized to unit norm.
 
-    Each draw takes its block of normals in turn (real parts, imaginary
-    parts, then the diffuse part of tap 0 when there is a K factor), so the
-    ``k`` rows and the generator's state are those of ``k`` draws of one.
+    Taps are circular Gaussian with the Rician mean on tap 0.  Each draw
+    takes its block of normals in turn (real parts, imaginary parts, then
+    the diffuse part of tap 0 when there is a K factor), so the ``k`` rows
+    and the generator's state are those of ``k`` draws of one.
     """
     nt = pdp.n_taps
     z = rng.standard_normal((k, 2 * nt + (2 if pdp.k_factor is not None else 0)))
@@ -149,12 +150,6 @@ def _raw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.nd
         mean = np.sqrt(kf / (kf + 1.0) * p0)
         diffuse = np.sqrt(p0 / (kf + 1.0) / 2.0)
         h[:, 0] = mean + diffuse * (z[:, -2] + 1j * z[:, -1])
-    return h
-
-
-def _draw_taps(pdp: PowerDelayProfile, rng: np.random.Generator, k: int) -> np.ndarray:
-    """``k`` tapped-delay-line realizations, each AGC-normalized to unit norm."""
-    h = _raw_taps(pdp, rng, k)
     # one norm per row: np.linalg.norm along an axis sums in another order
     return h / np.array([np.linalg.norm(row) for row in h])[:, None]
 
@@ -223,12 +218,6 @@ def draw_channels(
     return ChannelDraws(taps, mp_taps, mp_lengths, tuple(phases), redraws)
 
 
-def draw_channel(pdp: PowerDelayProfile, rng: np.random.Generator, require: Phase | None = None):
-    """One realization of :func:`draw_channels`, as ``(taps, phase, redraws)``."""
-    draws = draw_channels(pdp, rng, 1, require)
-    return draws.taps[0], draws.phases[0], int(draws.redraws[0])
-
-
 def steering_vectors(n_elements: int, spacing: float, angles) -> np.ndarray:
     """ULA responses ``exp(j 2 pi m spacing cos(angle))``, m = 0..N-1, one column per angle.
 
@@ -239,39 +228,26 @@ def steering_vectors(n_elements: int, spacing: float, angles) -> np.ndarray:
     return np.exp(2j * np.pi * m * spacing * np.cos(np.asarray(angles, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
-class AngleModel:
-    """Path angle generator: uniform sector centers with Laplacian offsets.
-
-    The sector is given in the broadside convention (0 = array normal);
-    samples are converted to the axis-referenced angles that
-    :func:`steering_vectors` expects, so a +-60 degree sector spans spatial
-    frequencies ``cos(theta)`` in roughly [-0.87, 0.87].
-    """
-
-    sector: tuple[float, float] = (-np.pi / 3.0, np.pi / 3.0)
-    offset_scale: float = np.deg2rad(5.0)
-    spacing_over_wavelength: float = 0.5
-
-    def sample(self, n_path: int, rng: np.random.Generator) -> np.ndarray:
-        lo, hi = self.sector
-        centers = rng.uniform(lo, hi, size=n_path)
-        offsets = rng.laplace(0.0, self.offset_scale, size=n_path)
-        return np.pi / 2.0 - (centers + offsets)
-
-
 def sample_parametric_mimo(
     pdp: PowerDelayProfile,
-    angle_model: AngleModel,
     n_tx: int,
     n_rx: int,
     n_path: int,
+    sector_deg: float,
+    angle_offset_deg: float,
+    element_spacing: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Taps ``(L, n_rx, n_tx)`` of ``H_l = sum_q c_q^l a_r,q a_t,q^T / sqrt(N_p)``.
 
-    Each tap's PDP power is split equally across the ``n_path`` paths.  The
-    realization is Frobenius-AGC normalized so ``sum_l ||H_l||_F^2 = N_r``.
+    Arrival, then departure angles are drawn per path: a uniform centre in
+    the broadside sector ``+-sector_deg`` (0 = array normal) plus a Laplace
+    offset of scale ``angle_offset_deg``, converted to the axis-referenced
+    angles that :func:`steering_vectors` expects, so a +-60 degree sector
+    spans spatial frequencies ``cos(theta)`` in roughly [-0.87, 0.87].
+    ``element_spacing`` is over the wavelength.  Each tap's PDP power is
+    split equally across the ``n_path`` paths.  The realization is
+    Frobenius-AGC normalized so ``sum_l ||H_l||_F^2 = N_r``.
     """
     if n_path < min(n_tx, n_rx):
         warnings.warn(
@@ -279,10 +255,13 @@ def sample_parametric_mimo(
             "per-tap matrices will be rank deficient",
             stacklevel=2,
         )
-    aoa = angle_model.sample(n_path, rng)
-    aod = angle_model.sample(n_path, rng)
-    a_rx = steering_vectors(n_rx, angle_model.spacing_over_wavelength, aoa)
-    a_tx = steering_vectors(n_tx, angle_model.spacing_over_wavelength, aod)
+    half, scale = np.deg2rad(sector_deg), np.deg2rad(angle_offset_deg)
+    aoa, aod = (
+        np.pi / 2.0 - (rng.uniform(-half, half, n_path) + rng.laplace(0.0, scale, n_path))
+        for _ in range(2)
+    )
+    a_rx = steering_vectors(n_rx, element_spacing, aoa)
+    a_tx = steering_vectors(n_tx, element_spacing, aod)
 
     # Each tap's PDP power splits equally over the paths with circular
     # Gaussian gains.  A SISO Rician K-factor does not transfer here: pinning

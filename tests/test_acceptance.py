@@ -14,7 +14,7 @@ import numpy as np
 import scipy.stats
 
 from rclab import bench_cli as bc
-from rclab.channel import PowerDelayProfile, add_awgn, apply_channel, draw_channel, load_pdp
+from rclab.channel import PowerDelayProfile, add_awgn, apply_channel, draw_channels, load_pdp
 from rclab.filters import Phase
 from rclab.ofdm import RsMode, build_grid, ofdm_modulate, payload_bit_count
 from rclab.theory import (
@@ -144,8 +144,8 @@ def test_criterion_05_noiseless_exact_equalization():
     errors = 0
     total = 0
     for slot in range(10):
-        h, _, _ = draw_channel(pdp, np.random.default_rng((5005, 1, slot)),
-                               require=Phase.STRICTLY_MP)
+        h = draw_channels(pdp, np.random.default_rng((5005, 1, slot)), 1,
+                          Phase.STRICTLY_MP).taps[0]
         bits = np.random.default_rng((5005, 2, slot)).integers(
             0, 2, payload_bit_count(256, 14, 1, 16)
         )

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from rclab import bench_cli as bc
 from rclab import channel, reservoir
 from rclab.channel import (
-    AngleModel,
     PowerDelayProfile,
     add_awgn,
     apply_channel,
@@ -511,7 +510,7 @@ class TestLmmseDetect:
         n_cp, grid, bits, tx = detect_setup(n_sc=256, n_cp=16, n_sym=4, n_tx=4,
                                            mode=RsMode.CONVENTIONAL, seed=7)
         pdp = load_pdp("cdl_d")
-        taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(8))
+        taps = sample_parametric_mimo(pdp, 4, 4, 20, 60.0, 5.0, 0.5, np.random.default_rng(8))
         y = apply_channel(taps, tx)
         [est] = bc.lmmse_detect(y[None], grid, n_cp, pdp, 16, [0.0])
         assert bit_errors(est, bits, 4) == 0
@@ -630,6 +629,20 @@ def test_configured_cores_are_pole_vectors():
     mimo = {det: spec.w_res.shape for det, spec in bc._configured_specs(cfg).items()}
     assert siso == {"td": (35,), "fd": (35,)}
     assert mimo == {"rc-td": (140,), "rc-fd": (140,)}
+
+
+def test_slot_draw_passes_angle_config():
+    # distinct non-default angle values reach the MIMO draw, each in its own
+    # place: the slot's taps are a direct call's bytes and differ at the defaults
+    cfg = bc.ExperimentConfig(seed=6, channel_mode="mimo", n_tx=2, n_rx=2, n_path=5,
+                              sector_deg=20.0, angle_offset_deg=1.0, element_spacing=0.3)
+    pdp = load_pdp(cfg.pdp)
+    taps = bc._draw_slot_channel(cfg, pdp, 2)
+    direct = sample_parametric_mimo(pdp, 2, 2, 5, 20.0, 1.0, 0.3,
+                                    bc._stream(cfg.seed, bc._T_CHANNEL, 2))
+    assert taps.tobytes() == direct.tobytes()
+    defaults = bc.ExperimentConfig(seed=6, channel_mode="mimo", n_tx=2, n_rx=2, n_path=5)
+    assert taps.tobytes() != bc._draw_slot_channel(defaults, pdp, 2).tobytes()
 
 
 class TestRunBerExperiment:
@@ -933,7 +946,8 @@ class TestCli:
             return phases, roots
 
         monkeypatch.setattr(channel, "classify_rows", ring_then_real)
-        h, phase, redraws = channel.draw_channel(load_pdp("mixed_3tap"), np.random.default_rng(0))
+        draws = channel.draw_channels(load_pdp("mixed_3tap"), np.random.default_rng(0), 1)
+        h, phase, redraws = draws.taps[0], draws.phases[0], draws.redraws[0]
         assert redraws == k and len(calls) == k + 1
         assert phase is factorize_by_phase(h).classification
 

@@ -8,13 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rclab.channel import (
-    AngleModel,
     PowerDelayProfile,
     _draw_taps,
-    _raw_taps,
     add_awgn,
     apply_channel,
-    draw_channel,
     draw_channels,
     load_pdp,
     sample_parametric_mimo,
@@ -141,8 +138,11 @@ class TestSampleTdl:
 
     def test_power_ratio_monte_carlo(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [0.8, 0.2])
-        rng = np.random.default_rng(123)
-        raw = _raw_taps(pdp, rng, 10_000)
+        h = _draw_taps(pdp, np.random.default_rng(123), 10_000)
+        # the draws are their stream's PDP-weighted normals, AGC-normalized per row
+        z = np.random.default_rng(123).standard_normal((10_000, 4))
+        raw = np.sqrt(pdp.powers / 2.0) * (z[:, :2] + 1j * z[:, 2:])
+        np.testing.assert_allclose(h, raw / np.linalg.norm(raw, axis=1)[:, None], rtol=1e-12)
         ratio = np.mean(np.abs(raw[:, 0]) ** 2) / np.mean(np.abs(raw[:, 1]) ** 2)
         assert abs(ratio - 4.0) < 0.2
 
@@ -163,7 +163,8 @@ class TestClassifyPhase:
         pdp = load_pdp("mixed_3tap")
         rng = np.random.default_rng(5)
         for _ in range(10):
-            h, phase, _ = draw_channel(pdp, rng, require=Phase.STRICTLY_MP)
+            draws = draw_channels(pdp, rng, 1, Phase.STRICTLY_MP)
+            h, phase = draws.taps[0], draws.phases[0]
             assert phase is Phase.STRICTLY_MP
             assert factorize_by_phase(h).classification is Phase.STRICTLY_MP
 
@@ -172,7 +173,7 @@ class TestClassifyPhase:
         # line-of-sight tap dominates
         for name in ("flat", "cdl_d"):
             with pytest.raises(UnitCircleRootError):
-                draw_channel(load_pdp(name), np.random.default_rng(0), require=Phase.STRICTLY_NMP)
+                draw_channels(load_pdp(name), np.random.default_rng(0), 1, Phase.STRICTLY_NMP)
 
 
 PROFILES = ("cdl_d", "cdl_e", "mixed_3tap", "flat")
@@ -322,24 +323,25 @@ class TestParametricMimo:
         # 1x1 with one path: the steering scalars are 1, so the taps are the
         # path's circular Gaussian gains, AGC-normalized like any realization
         pdp = PowerDelayProfile.from_linear([0, 1], [0.7, 0.3])
-        taps = sample_parametric_mimo(pdp, AngleModel(), 1, 1, 1, np.random.default_rng(30))
+        taps = sample_parametric_mimo(pdp, 1, 1, 1, 60.0, 5.0, 0.5, np.random.default_rng(30))
         rng = np.random.default_rng(30)
         for _ in range(2):  # the arrival and departure angles come first
-            AngleModel().sample(1, rng)
+            rng.uniform(-np.deg2rad(60.0), np.deg2rad(60.0), 1)
+            rng.laplace(0.0, np.deg2rad(5.0), 1)
         gains = np.sqrt(pdp.powers / 2.0) * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         np.testing.assert_allclose(taps[:, 0, 0], gains / np.linalg.norm(gains), atol=1e-12)
         assert abs(np.linalg.norm(taps) - 1.0) <= 1e-9
 
     def test_frobenius_normalization(self):
         pdp = load_pdp("cdl_d")
-        taps = sample_parametric_mimo(pdp, AngleModel(), 4, 4, 20, np.random.default_rng(4))
+        taps = sample_parametric_mimo(pdp, 4, 4, 20, 60.0, 5.0, 0.5, np.random.default_rng(4))
         assert taps.shape == (pdp.length, 4, 4)
         assert abs(np.sum(np.abs(taps) ** 2) - 4.0) < 1e-9
 
     def test_shared_angles_give_rank_one_taps(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [0.6, 0.4])
-        model = AngleModel(sector=(0.3, 0.3), offset_scale=0.0)
-        taps = sample_parametric_mimo(pdp, model, 3, 3, 4, np.random.default_rng(5))
+        # no sector and no offset: every path arrives and departs broadside
+        taps = sample_parametric_mimo(pdp, 3, 3, 4, 0.0, 0.0, 0.5, np.random.default_rng(5))
         for tap in taps:
             s = np.linalg.svd(tap, compute_uv=False)
             assert s[1] <= 1e-10 * s[0]
@@ -347,7 +349,7 @@ class TestParametricMimo:
     def test_rank_warning(self):
         pdp = load_pdp("flat")
         with pytest.warns(UserWarning, match="rank deficient"):
-            sample_parametric_mimo(pdp, AngleModel(), 4, 4, 2, np.random.default_rng(6))
+            sample_parametric_mimo(pdp, 4, 4, 2, 60.0, 5.0, 0.5, np.random.default_rng(6))
 
 
 class TestApplyChannel:
@@ -383,7 +385,7 @@ class TestApplyChannel:
     def test_mimo_matches_dense_oracle(self):
         rng = np.random.default_rng(10)
         pdp = PowerDelayProfile.from_linear([0, 1, 2], [0.5, 0.3, 0.2])
-        taps = sample_parametric_mimo(pdp, AngleModel(), 2, 3, 4, rng)
+        taps = sample_parametric_mimo(pdp, 2, 3, 4, 60.0, 5.0, 0.5, rng)
         t = 20
         x = rng.standard_normal((2, t)) + 1j * rng.standard_normal((2, t))
         y = apply_channel(taps, x)
@@ -422,7 +424,7 @@ class TestApplyChannel:
 
     def test_mimo_stream_count_checked(self):
         pdp = load_pdp("flat")
-        taps = sample_parametric_mimo(pdp, AngleModel(), 2, 2, 4, np.random.default_rng(1))
+        taps = sample_parametric_mimo(pdp, 2, 2, 4, 60.0, 5.0, 0.5, np.random.default_rng(1))
         with pytest.raises(ValueError):
             apply_channel(taps, np.ones((3, 10)))
         with pytest.raises(ValueError, match="taps"):

@@ -306,12 +306,12 @@ class TestPObjective:
         rng = np.random.default_rng(10)
         report = configure_time_domain_report(pdp, 48, 300, 4, 5, 0, rng, activation="linear")
         channels = []
-        from rclab.channel import draw_channel
+        from rclab.channel import draw_channels
         from rclab.filters import Phase
 
         rng2 = np.random.default_rng(11)
         for _ in range(30):
-            h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
+            h = draw_channels(pdp, rng2, 1, Phase.STRICTLY_MP).taps[0]
             channels.append(h)
         configured = p_objective_numerical(report.spec.w_res, channels, 48)
         rng3 = np.random.default_rng(12)
@@ -338,12 +338,12 @@ class TestPObjective:
         assert all(d.n_reflected_poles == 0 for d in diags)
         poles = np.concatenate([poles, [0.0]])  # skip tap carries the offsets
         channels = []
-        from rclab.channel import draw_channel
+        from rclab.channel import draw_channels
         from rclab.filters import Phase
 
         rng2 = np.random.default_rng(14)
         for _ in range(20):
-            h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
+            h = draw_channels(pdp, rng2, 1, Phase.STRICTLY_MP).taps[0]
             channels.append(h)
         p_val = p_objective_numerical(poles, channels, n)
         bound = 0.0

@@ -51,11 +51,11 @@ class TestCollect:
         rng = np.random.default_rng(1)
         vectors = collect_equalizer_irs(pdp, 64, 5, rng, require=Phase.STRICTLY_MP)
         # redo the draws to recover the channels this dataset inverted
-        from rclab.channel import draw_channel
+        from rclab.channel import draw_channels
 
         rng2 = np.random.default_rng(1)
         for g in vectors:
-            h, _, _ = draw_channel(pdp, rng2, require=Phase.STRICTLY_MP)
+            h = draw_channels(pdp, rng2, 1, Phase.STRICTLY_MP).taps[0]
             unit = np.zeros(64)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:64], unit, atol=1e-9)
@@ -349,7 +349,8 @@ class TestConfigureTimeDomain:
         rng = np.random.default_rng(14)
         x = rng.standard_normal(100) + 1j * rng.standard_normal(100)
         feats = alone_features(spec, x[None, :])
-        ro = train_readout(feats, x[None, :])
+        with pytest.warns(UserWarning, match="readout fit is rank-deficient"):
+            ro = train_readout(feats, x[None, :])
         assert np.linalg.norm(ro.w_out @ feats - x[None, :]) <= 1e-6
 
 
