@@ -689,9 +689,9 @@ def cmd_dump_spec(args) -> int:
                 f"        ({np.abs(c):10.5f}, {np.degrees(np.angle(c)):8.2f})\n"
             )
         fp.write("column  offset b_m   reduction error   reflected poles\n")
-        for d in report.diagnostics:
+        for m, d in enumerate(report.diagnostics):
             fp.write(
-                f"{d.m:>6}  {d.offset:10.5g}   {d.reduce_order_error:15.5g}   {d.n_reflected_poles}\n"
+                f"{m:>6}  {d.offset:10.5g}   {d.reduce_order_error:15.5g}   {d.n_reflected_poles}\n"
             )
 
     _write_to(args.out, writer)

@@ -102,9 +102,10 @@ class Readout:
             raise ValueError("delay must be >= 0")
 
 
-# Samples per block of the streamed readout: states and features are built
-# and consumed one block at a time, so the equalizer's state buffer stays at
-# (STREAM_CHUNK + 1, batch * total neurons) whatever the input length.  At 128
+# Samples per block of the streamed readout, split by column_blocks: states and
+# features are built and consumed one block at a time, so the equalizer's
+# state buffer stays within (STREAM_CHUNK + 2, batch * total neurons) whatever
+# the input length.  At 128
 # that block is 2.17 MB for a 4x4 slot's stacked cores at three SNRs (1,050
 # complex columns), against 4.3 MB at 256 and 17.2 MB at 1024.  The value
 # stays a power of two that divides 1024: BLAS rounds the tail columns of a
@@ -407,16 +408,18 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     readout wins the delay search over ``[0, d_max]`` on the features of its
     first ``L`` samples.  The generator first yields the readouts, per core
     and element, once every core is trained.  Then it runs the input on over
-    ``d_max`` trailing zero samples, ``STREAM_CHUNK`` samples per block, and
-    yields the output in frames of ``L`` samples, from sample ``L`` to ``T``
-    (only the last may be shorter): each a ``(cores, batch, n_out, m)``
-    array, yielded after the block that finishes it and before the next
-    block is recursed.  Each readout's output is advanced by its learned
-    delay, so it stays aligned with the undelayed target; the prefix's own
-    output is never yielded.  A frame is a view of a buffer of ``L +
-    STREAM_CHUNK + 2 d_max`` samples that the stream then overwrites, so
-    nothing held scales with ``T``.  The blocks, and so the rounding of each
-    output sample, depend on the lengths only.
+    ``d_max`` trailing zero samples, in
+    :func:`~rclab.signal_core.column_blocks` blocks of ``STREAM_CHUNK``
+    samples (a lone last sample joins the block before it), and yields the
+    output in frames of ``L`` samples, from sample ``L`` to ``T`` (only the
+    last may be shorter): each a ``(cores, batch, n_out, m)`` array, yielded
+    after the block that finishes it and before the next block is recursed.
+    Each readout's output is advanced by its learned delay, so it stays
+    aligned with the undelayed target; the prefix's own output is never
+    yielded.  A frame is a view of a buffer of ``L + 2 d_max`` samples plus
+    the widest block's, which the stream then overwrites, so nothing held
+    scales with ``T``.  The blocks, and so the rounding of each output
+    sample, depend on the lengths only.
     """
     xs = np.ascontiguousarray(x, dtype=np.complex128)
     layout = _stack(specs, len(xs))
@@ -430,7 +433,8 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
         raise ValueError(f"target has {n_train} samples but the input only {t}")
     readouts, lasts = zip(*[_train(s, xs[:, :, :n_train], tgt, d_max, ridge) for s in specs])
     yield list(readouts)
-    chunk = min(STREAM_CHUNK, end - n_train)
+    blocks = [(n_train + lo, hi - lo) for lo, hi in column_blocks(end - n_train, STREAM_CHUNK)]
+    chunk = max((n for _, n in blocks), default=0)
     block = np.empty((chunk + 1, max(c.stop for c in cols)), dtype=np.complex128)
     for c, last in zip(cols, lasts):
         block[0, c] = last
@@ -440,8 +444,7 @@ def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
     # column p of every core's frame buffer holds output sample start - d_max + p
     start, width = n_train, n_train + chunk + 2 * d_max
     frames = np.empty((len(specs), n_batch, tgt.shape[0], width), dtype=np.complex128)
-    for t0 in range(n_train, end, STREAM_CHUNK):
-        n = min(STREAM_CHUNK, end - t0)
+    for t0, n in blocks:
         xb = xs[:, :, t0 : t0 + n]
         if xb.shape[2] < n:
             tail = np.zeros((n_batch, d_in, n - xb.shape[2]), dtype=np.complex128)

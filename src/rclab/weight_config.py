@@ -66,22 +66,7 @@ def empirical_covariance(vectors) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ConfiguredBasis:
-    """PCA basis split into strictly-MP columns plus first-tap compensation.
-
-    ``f = p + b`` holds exactly; ``b`` is nonzero only in row 0 and carries
-    the skip-connection offsets ``f[0, m] - offsets[m]``.
-    """
-
-    f: np.ndarray  # (n, m) orthonormal
-    p: np.ndarray  # (n, m) strictly-MP impulse responses
-    b: np.ndarray  # (n, m), row 0 only
-    offsets: np.ndarray  # (m,) real, the lifted first taps
-
-
-@dataclass(frozen=True)
 class ColumnDiagnostics:
-    m: int
     offset: float
     reduce_order_error: float
     n_reflected_poles: int
@@ -135,15 +120,14 @@ def pca_basis(vectors, m: int) -> np.ndarray:
     return hermitian_eig(k, m)[1]
 
 
-def mp_compensate(f: np.ndarray) -> ConfiguredBasis:
-    """Lift each column's first tap until it dominates the tail.
+def mp_compensate(f: np.ndarray) -> np.ndarray:
+    """The ``(n, m)`` columns ``p`` of ``f``, each first tap lifted until it dominates the tail.
 
-    The offset ``b_m = max((1 + COMPENSATION_MARGIN) * sum_{n>=1} |f[n, m]|,
-    COMPENSATION_FLOOR)`` guarantees every root of the lifted column lies
-    strictly inside the unit circle (first-tap dominance).  Row 0 of ``p`` is
-    exactly the real offset and the stored ``f`` is recomputed as ``p + b``,
-    so the decomposition is exact in floating point (the stored basis differs
-    from the input by at most one rounding in row 0).
+    The lifted tap ``p[0, m] = max((1 + COMPENSATION_MARGIN) * sum_{n>=1}
+    |f[n, m]|, COMPENSATION_FLOOR)`` is real and guarantees every root of the
+    column lies strictly inside the unit circle (first-tap dominance).  The
+    other rows are ``f``'s own bits, so ``F = P + B`` with ``B = F - P``
+    nonzero only in row 0: the skip connection's offsets.
     """
     fm = np.asarray(f, dtype=np.complex128)
     if fm.ndim != 2 or fm.size == 0:
@@ -151,14 +135,9 @@ def mp_compensate(f: np.ndarray) -> ConfiguredBasis:
     if not np.all(np.any(fm != 0, axis=0)):
         raise ValueError("f has an all-zero column")
     tails = np.sum(np.abs(fm[1:, :]), axis=0)
-    offsets = np.maximum((1.0 + COMPENSATION_MARGIN) * tails, COMPENSATION_FLOOR)
     p = fm.copy()
-    p[0, :] = offsets
-    b = np.zeros_like(fm)
-    b[0, :] = fm[0, :] - offsets
-    f_stored = p.copy()
-    f_stored[0, :] = p[0, :] + b[0, :]
-    return ConfiguredBasis(f=f_stored, p=p, b=b, offsets=offsets)
+    p[0, :] = np.maximum((1.0 + COMPENSATION_MARGIN) * tails, COMPENSATION_FLOOR)
+    return p
 
 
 def reduce_order(p, l_f: int):
@@ -253,7 +232,7 @@ def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
         p_col, w_col, n_ref = _denominator_to_sections(q, l_f)
         poles.append(p_col)
         weights.append(w_col if gains is None else w_col * gains[col])
-        diagnostics.append(ColumnDiagnostics(col, float(offsets[col]), err, n_ref))
+        diagnostics.append(ColumnDiagnostics(float(offsets[col]), err, n_ref))
     poles, weights = np.concatenate(poles), np.concatenate(weights)
     spec = ReservoirSpec(
         w_in=_drive_normalization(poles, weights) * weights[:, None],
@@ -275,9 +254,8 @@ def configure_time_domain_report(
     activation: str = "tanh",
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
-    basis = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
-    qs, errors = reduce_order(basis.p, l_f)
-    return pole_bank(qs, errors, basis.offsets, l_f, n_window, activation)
+    p = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
+    return pole_bank(*reduce_order(p, l_f), p[0].real, l_f, n_window, activation)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +290,6 @@ def all_pole_fit(values: np.ndarray, order: int):
     omega = 2.0 * np.pi * np.arange(grid_size) / grid_size
     basis = np.exp(-1j * np.outer(omega, np.arange(1, order)))  # (grid, order-1)
     weights = np.ones(grid_size)
-    c = np.complex128(0.0)
-    q_tail = np.zeros(order - 1, dtype=np.complex128)
     for _ in range(SK_ITERATIONS):
         a = np.concatenate([np.ones((grid_size, 1)), -v[:, None] * basis], axis=1)
         sol, _, _, _ = np.linalg.lstsq(a * weights[:, None], v * weights, rcond=None)
@@ -374,5 +350,5 @@ def assemble_mimo(spec: ReservoirSpec, n_tx: int) -> ReservoirSpec:
 def diagnostics_csv(diagnostics, fp) -> None:
     """Per-column pipeline diagnostics: ``m,b_m,reduce_order_error,n_reflected_poles``."""
     fp.write("m,b_m,reduce_order_error,n_reflected_poles\n")
-    for d in diagnostics:
-        fp.write(f"{d.m},{d.offset:.12g},{d.reduce_order_error:.12g},{d.n_reflected_poles}\n")
+    for m, d in enumerate(diagnostics):
+        fp.write(f"{m},{d.offset:.12g},{d.reduce_order_error:.12g},{d.n_reflected_poles}\n")

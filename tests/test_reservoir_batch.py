@@ -49,7 +49,7 @@ CASES = st.fixed_dictionaries(
         "batch": st.integers(1, 4),
         "d_out": st.integers(1, 2),
         "d_max": st.integers(0, 6),
-        "chunk": st.integers(1, 40),
+        "chunk": st.integers(2, 40),
     }
 )
 SETTINGS = settings(max_examples=40, deadline=None)
@@ -239,7 +239,7 @@ STACKS = st.fixed_dictionaries(
         "batch": st.integers(1, 3),
         "d_out": st.integers(1, 2),
         "d_max": st.integers(0, 6),
-        "chunk": st.integers(1, 40),
+        "chunk": st.integers(2, 40),
     }
 )
 # diagonal and dense cores of unequal sizes, two dense ones of one size
@@ -358,6 +358,33 @@ def test_stream_hands_out_target_long_frames():
             np.testing.assert_allclose(core_out[i], ref[:, n_train:], rtol=0, atol=tol)
 
 
+def test_stream_lone_last_sample_joins_block_before():
+    # T + d_max - L = 17 samples at a chunk of 8: the last sample joins the
+    # block before it, as in training, so no block is one sample wide
+    n_train, t, d_max = 10, 24, 3
+    core = dict(seed=5, activation="tanh", d_in=1, batch=1, d_out=1, d_max=0, ridge=0.0, chunk=8)
+    spec = make_case(dict(core, dense=False, n_neurons=3, n_window=5))[0]
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((1, 1, t)) + 1j * rng.standard_normal((1, 1, t))
+    target = rng.standard_normal((1, n_train)) + 1j * rng.standard_normal((1, n_train))
+    blocks = []
+
+    def advance(specs, layout, xs, block):
+        blocks.append(xs.shape[2])
+        return real_advance(specs, layout, xs, block)
+
+    real_advance = reservoir._advance
+    with mock.patch.object(reservoir, "STREAM_CHUNK", 8), \
+            mock.patch.object(reservoir, "_advance", advance):
+        stream = train_and_equalize([spec], x, target, d_max)
+        next(stream)
+        blocks.clear()  # the training recursion
+        out = np.concatenate([frame.copy() for frame in stream], axis=3)
+    assert blocks == [8, 9]
+    ref, _, tol = reference_equalize(spec, x[0], target, d_max, 0.0)
+    np.testing.assert_allclose(out[0, 0], ref[:, n_train:], rtol=0, atol=tol)
+
+
 @pytest.mark.parametrize("ridge", [0.0, 1e-6])
 @pytest.mark.parametrize("n_ant", [1, 4])
 @pytest.mark.parametrize("tail", ["short", "long"])
@@ -402,19 +429,19 @@ def test_stream_chunk_keeps_output_bits(tail, n_ant, ridge):
 # of one block, of a 256-block and a 257-block, of four blocks and a 160-sample
 # tail, and of a two-sample tail
 BLOCKED_TRAINING = [
-    (257, False, 1, 1, 0, "tanh", 0.0, 1),
+    (257, False, 1, 1, 0, "tanh", 0.0, 2),
     (257, True, 8, 4, 5, "linear", 1e-6, 128),
     (258, False, 1, 4, 5, "tanh", 0.0, 7),
     (513, False, 2, 4, 0, "tanh", 1e-6, 7),
-    (513, True, 5, 1, 5, "tanh", 0.0, 1),
+    (513, True, 5, 1, 5, "tanh", 0.0, 2),
     (513, False, 35, 1, 5, "linear", 0.0, 128),
     (1184, True, 1, 4, 0, "linear", 1e-6, 128),
     (1184, True, 3, 4, 5, "tanh", 0.0, 128),
-    (1184, False, 7, 1, 5, "linear", 1e-6, 1),
+    (1184, False, 7, 1, 5, "linear", 1e-6, 2),
     (1184, True, 35, 4, 0, "tanh", 1e-6, 7),
     (1184, False, 140, 4, 5, "tanh", 1e-6, 128),
     (1184, False, 140, 1, 5, "linear", 0.0, 7),
-    (1184, True, 140, 4, 5, "tanh", 0.0, 1),
+    (1184, True, 140, 4, 5, "tanh", 0.0, 2),
     (1184, True, 140, 1, 0, "linear", 1e-6, 128),
 ]
 

@@ -11,11 +11,6 @@ SRC = Path(rclab.__file__).resolve().parent
 # oracles the package documents and keeps for checking, not for its own use
 DOCUMENTED_ORACLES = {"block_states", "theorem1_error", "p2_objective_numerical", "lemma1_error"}
 
-# dataclass fields kept for their readers outside src: the PCA basis and its first-tap
-# compensation that the acceptance criteria check
-DOCUMENTED_FIELDS = {"ConfiguredBasis.f", "ConfiguredBasis.b"}
-
-
 def _definitions_and_uses():
     """``{(module, name)}`` of every top-level def, and ``{name: {(module, owner)}}`` of every use.
 
@@ -106,16 +101,7 @@ def _unread_fields():
 
 
 def test_every_dataclass_field_is_read_in_src():
-    assert sorted(_unread_fields() - DOCUMENTED_FIELDS) == []
-
-
-def test_documented_fields_are_still_unread():
-    assert sorted(DOCUMENTED_FIELDS - _unread_fields()) == []
-
-
-def test_documented_fields_exist():
-    fields, _ = _fields_and_reads()
-    assert DOCUMENTED_FIELDS <= {f"{cls}.{name}" for cls, name in fields}
+    assert sorted(_unread_fields()) == []
 
 
 # optional parameters kept for callers outside src: the CLI's argument list

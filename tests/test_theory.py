@@ -332,8 +332,8 @@ class TestPObjective:
         f = pca_basis(ds, 2)
         from rclab.weight_config import mp_compensate, pole_bank, reduce_order
 
-        basis = mp_compensate(f)
-        report = pole_bank(*reduce_order(basis.p, n), basis.offsets, n, 0, "linear")
+        p = mp_compensate(f)
+        report = pole_bank(*reduce_order(p, n), p[0].real, n, 0, "linear")
         poles, diags = report.spec.w_res, report.diagnostics
         assert all(d.n_reflected_poles == 0 for d in diags)
         poles = np.concatenate([poles, [0.0]])  # skip tap carries the offsets

@@ -182,33 +182,30 @@ class TestStatisticsMemory:
 class TestMpCompensate:
     def test_worked_example(self):
         f = np.array([[0.5], [0.4], [0.3]], dtype=complex)
-        basis = mp_compensate(f)
-        np.testing.assert_allclose(basis.offsets, [0.735])
-        np.testing.assert_allclose(basis.p[:, 0], [0.735, 0.4, 0.3])
-        np.testing.assert_allclose(basis.b[:, 0], [0.5 - 0.735, 0, 0])
-        roots = np.roots(basis.p[:, 0])
+        p = mp_compensate(f)
+        np.testing.assert_allclose(p[:, 0], [0.735, 0.4, 0.3])
+        np.testing.assert_allclose((f - p)[:, 0], [0.5 - 0.735, 0, 0])
+        roots = np.roots(p[:, 0])
         assert np.all(np.abs(roots) < 1)
 
     def test_floor_for_concentrated_column(self):
         f = np.array([[1.0], [0.0], [0.0]], dtype=complex)
-        basis = mp_compensate(f)
-        np.testing.assert_allclose(basis.offsets, [1e-3])
+        np.testing.assert_allclose(mp_compensate(f)[0], [1e-3])
 
     def test_decomposition_exact_bitwise(self):
         rng = np.random.default_rng(3)
         f = rng.standard_normal((16, 5)) + 1j * rng.standard_normal((16, 5))
-        basis = mp_compensate(f)
-        np.testing.assert_array_equal(basis.p + basis.b, basis.f)
-        # the stored basis deviates from the input by at most one rounding
-        np.testing.assert_allclose(basis.f, f, rtol=0, atol=1e-12)
+        p = mp_compensate(f)
+        # F = P + B with B nonzero only in row 0: every other row keeps f's bits
+        assert p[1:].tobytes() == f[1:].tobytes()
+        assert p.shape == f.shape and not np.any(p[0].imag)
 
     def test_dominance_strict(self):
         rng = np.random.default_rng(4)
         f = rng.standard_normal((20, 4)) + 1j * rng.standard_normal((20, 4))
-        basis = mp_compensate(f)
+        p = mp_compensate(f)
         tails = np.sum(np.abs(f[1:, :]), axis=0)
-        assert np.all(basis.p[0, :].real > tails)
-        assert np.all(np.abs(basis.b[1:, :]) == 0)
+        assert np.all(p[0, :].real > tails)
 
     def test_zero_column_rejected(self):
         with pytest.raises(ValueError):
@@ -231,43 +228,36 @@ class TestReduceOrder:
     def test_error_monotone(self):
         rng = np.random.default_rng(6)
         for _ in range(10):
-            basis = mp_compensate(
+            p = mp_compensate(
                 (rng.standard_normal((24, 1)) + 1j * rng.standard_normal((24, 1))) / 5
             )
-            errs = [reduce_order(basis.p[:, [0]], lf)[1][0] for lf in (2, 4, 8, 16)]
+            errs = [reduce_order(p, lf)[1][0] for lf in (2, 4, 8, 16)]
             assert all(errs[i + 1] <= errs[i] + 1e-12 for i in range(3))
 
 
     def test_columns_match_single_calls(self):
         rng = np.random.default_rng(8)
-        basis = mp_compensate(
+        p = mp_compensate(
             (rng.standard_normal((24, 5)) + 1j * rng.standard_normal((24, 5))) / 5
         )
         for l_f in (1, 3, 24):
-            q, errs = reduce_order(basis.p, l_f)
+            q, errs = reduce_order(p, l_f)
             for col in range(5):
-                q_col, err = reduce_order(basis.p[:, [col]], l_f)
+                q_col, err = reduce_order(p[:, [col]], l_f)
                 assert np.array_equal(q[col], q_col[0]) and errs[col] == err[0]
 
 
-def sections(basis, l_f):
-    """``(poles, weights, diagnostics)`` of the core that ``pole_bank`` builds on the basis."""
-    qs, errors = reduce_order(basis.p, l_f)
-    report = pole_bank(qs, errors, basis.offsets, l_f, 0, "linear")
+def sections(p, l_f):
+    """``(poles, weights, diagnostics)`` of the core that ``pole_bank`` builds on the lifted columns."""
+    report = pole_bank(*reduce_order(p, l_f), p[0].real, l_f, 0, "linear")
     return report.spec.w_res, report.input_weights, report.diagnostics
 
 
 class TestBasisToPoles:
     def test_geometric_column_padded(self):
-        p = ((-0.5) ** np.arange(16))[:, None]
-        basis = mp_compensate(np.asarray(p, dtype=complex) * 0.6)  # scale keeps tail dominated
-        # use the geometric vector directly: build the basis by hand
-        from rclab.weight_config import ConfiguredBasis
-
-        col = np.asarray((-0.5) ** np.arange(16), dtype=complex)
-        basis = ConfiguredBasis(f=col[:, None], p=col[:, None], b=np.zeros((16, 1), complex),
-                                offsets=np.array([1.0]))
-        poles, weights, diags = sections(basis, 2)
+        # the geometric column is strictly minimum-phase as it stands: pass it as p
+        p = np.asarray((-0.5) ** np.arange(16), dtype=complex)[:, None]
+        poles, weights, diags = sections(p, 2)
         order = np.argsort(np.abs(poles))
         np.testing.assert_allclose(poles[order], [0, -0.5], atol=1e-9)
         np.testing.assert_allclose(weights[order], [0, 1], atol=1e-9)
@@ -284,9 +274,9 @@ class TestBasisToPoles:
         rng = np.random.default_rng(7)
         for _ in range(10):
             col = random_mp_column(rng)
-            basis = mp_compensate(col[:, None])
-            q = reduce_order(basis.p, 4)[0][0]
-            poles, weights, diags = sections(basis, 4)
+            p = mp_compensate(col[:, None])
+            q = reduce_order(p, 4)[0][0]
+            poles, weights, diags = sections(p, 4)
             if diags[0].n_reflected_poles:
                 continue
             monic = q / q[0]
@@ -303,8 +293,7 @@ class TestBasisToPoles:
     def test_neuron_count(self):
         rng = np.random.default_rng(8)
         f = rng.standard_normal((32, 5)) + 1j * rng.standard_normal((32, 5))
-        basis = mp_compensate(f / np.linalg.norm(f, axis=0))
-        poles, weights, diags = sections(basis, 7)
+        poles, weights, diags = sections(mp_compensate(f / np.linalg.norm(f, axis=0)), 7)
         assert poles.size == weights.size == 35
         assert len(diags) == 5
 
