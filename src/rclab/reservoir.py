@@ -105,14 +105,14 @@ class Readout:
 # Samples per block of the streamed readout, split by column_blocks: states and
 # features are built and consumed one block at a time, so the equalizer's
 # state buffer stays within (STREAM_CHUNK + 2, batch * total neurons) whatever
-# the input length.  At 128
-# that block is 2.17 MB for a 4x4 slot's stacked cores at three SNRs (1,050
-# complex columns), against 4.3 MB at 256 and 17.2 MB at 1024.  The value
-# stays a power of two that divides 1024: BLAS rounds the tail columns of a
-# product differently from its body, so the output bits depend on where the
-# blocks end.  Blocks of 128 subdivide blocks of 1024, so only a last
-# 1024-block of 128 samples or more may round differently; a README slot's is
-# 44 samples and keeps every bit.  A chunk of 99 does not keep them.
+# the input length.  At 128 that block is 2.17 MB for a 4x4 slot's stacked
+# cores at three SNRs (1,050 complex columns), against 4.3 MB at 256 and
+# 17.2 MB at 1024.  The value stays a power of two that divides 1024: BLAS
+# rounds the tail columns of a product differently from its body, so the
+# output bits depend on where the blocks end.  Blocks of 128 subdivide blocks
+# of 1024, so only a last 1024-block of 128 samples or more may round
+# differently; a README slot's is 44 samples and keeps every bit.  A chunk of
+# 99 does not keep them.
 STREAM_CHUNK = 128
 
 # Samples per block of the training recursion, split by column_blocks (a lone
