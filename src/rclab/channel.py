@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .filters import Phase, UnitCircleRootError, classify_rows, minimum_phase_factor
+from .filters import Phase, classify_rows, minimum_phase_factor
 
 MAX_PHASE_RETRIES = 100
 
@@ -182,7 +182,7 @@ def draw_channels(
 
     Candidates hitting the ring (where the MP/NMP split is undefined) are
     redrawn, as are candidates not matching ``require`` when given; a run of
-    ``MAX_PHASE_RETRIES`` rejections raises :class:`filters.UnitCircleRootError`.
+    ``MAX_PHASE_RETRIES`` rejections raises ``ValueError``.
     Each round draws and classifies (:func:`filters.classify_rows`) exactly
     as many candidates as draws are missing, so no round overshoots: the
     draws, their redraw counts and the generator's final state are those of
@@ -202,10 +202,8 @@ def draw_channels(
             if phase is None or (require is not None and phase is not require):
                 run += 1
                 if run == MAX_PHASE_RETRIES:
-                    raise UnitCircleRootError(
-                        f"no acceptable realization within {MAX_PHASE_RETRIES} draws of "
-                        f"{pdp.label or 'pdp'}"
-                    )
+                    raise ValueError(f"no acceptable realization within {MAX_PHASE_RETRIES} "
+                                     f"draws of {pdp.label or 'pdp'}")
                 continue
             mp = h if phase is Phase.STRICTLY_MP else minimum_phase_factor(h[0], roots)
             taps[accepted] = h

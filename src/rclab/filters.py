@@ -20,10 +20,6 @@ POLE_SEPARATION_TOL = 1e-6
 POLE_JITTER = 1e-5
 
 
-class UnitCircleRootError(ValueError):
-    """A root fell inside the forbidden ring around the unit circle."""
-
-
 class Phase(enum.Enum):
     STRICTLY_MP = "strictly_mp"
     STRICTLY_NMP = "strictly_nmp"

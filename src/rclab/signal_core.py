@@ -1,32 +1,13 @@
 """Complex-valued numerical primitives shared by the rest of the library.
 
-Sequences are plain 1-D ``numpy`` arrays of ``complex128``.  A lower-triangular
-Toeplitz operator is represented by its first column only; its inverse is
-computed by forward substitution, never by materializing the matrix.  All
-functions here are pure and safe to call from concurrent workers.
+The filters take tap vectors as ``(batch, L)`` stacks of ``complex128``, one
+vector per row; :func:`polynomial_roots` takes one 1-D coefficient sequence.
+A lower-triangular Toeplitz operator is represented by its first column only;
+its inverse is computed by forward substitution, never by materializing the
+matrix.  All functions here are pure and safe to call from concurrent workers.
 """
 
 import numpy as np
-
-
-class SingularChannelError(ValueError):
-    """Raised when a leading tap of zero makes a convolution non-invertible."""
-
-
-class NonHermitianError(ValueError):
-    """Raised when a matrix fed to the Hermitian eigensolver is not Hermitian."""
-
-
-def as_complex_seq(x, name: str = "sequence") -> np.ndarray:
-    """Validate and convert ``x`` to a finite, non-empty 1-D complex array."""
-    arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
 
 
 def all_pole_filter(a, x) -> np.ndarray:
@@ -46,7 +27,7 @@ def all_pole_filter(a, x) -> np.ndarray:
     if av.ndim != 2 or av.shape[1] == 0:
         raise ValueError(f"a must be a non-empty (batch, L) array, got shape {av.shape}")
     if np.any(av[:, 0] == 0.0):
-        raise SingularChannelError("a[0] = 0: the leading tap makes 1 / A(z) singular")
+        raise ValueError("a[0] = 0: the leading tap makes 1 / A(z) singular")
     xv = np.asarray(x, dtype=np.complex128)
     if xv.ndim != 1:
         raise ValueError(f"x must be (T,), got shape {xv.shape}")
@@ -121,26 +102,24 @@ def _transposed_direct_form(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def toeplitz_inverse_first_column(h, n: int) -> np.ndarray:
-    """First column of the inverse of the N x N lower-triangular Toeplitz of ``h``.
+    """First columns of the inverses of the n x n lower-triangular Toeplitz of each row of ``h``.
 
-    This is the impulse response of the exact deconvolution (zero-forcing)
-    filter ``g`` with ``h * g = [1, 0, ..., 0]`` over the first ``n >= 1`` samples,
-    so a shorter ``n`` gives the prefix of a longer one, bit for bit.
-    Computed by forward substitution on the banded first column in O(n * len(h)).
-    ``h`` may also be a ``(batch, L)`` stack of tap vectors; the result is then
-    ``(batch, n)``, one inverse per row.
+    ``h`` is a ``(batch, L)`` stack of tap vectors and the result is
+    ``(batch, n)``.  Row ``r`` is the impulse response of the exact
+    deconvolution (zero-forcing) filter ``g`` with ``h[r] * g = [1, 0, ..., 0]``
+    over the first ``n >= 1`` samples, so a shorter ``n`` gives the prefix of
+    a longer one, bit for bit.  Computed by forward substitution on the banded
+    first column in O(n * L) per row.
     """
-    hv = np.asarray(h, dtype=np.complex128)
-    rows = as_complex_seq(hv, "h")[None] if hv.ndim == 1 else hv
+    rows = np.asarray(h, dtype=np.complex128)
     if rows.ndim != 2 or not np.all(np.isfinite(rows)):
-        raise ValueError("h must be a finite 1-D sequence or (batch, L) stack")
+        raise ValueError(f"h must be a finite (batch, L) stack, got shape {rows.shape}")
     if n < 1:
         raise ValueError(f"n = {n} must be >= 1")
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[0] = 1.0
     # forward substitution on the first column is the recursion of 1 / H(z)
-    out = all_pole_filter(rows, impulse)
-    return out[0] if hv.ndim == 1 else out
+    return all_pole_filter(rows, impulse)
 
 
 # Rows of ``a`` per column block of :func:`hermitian_product`: each block holds
@@ -188,16 +167,15 @@ def hermitian_eig(k, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarr
     eigenvalue, sorted descending, and the top ``n_vectors`` eigenvectors
     (all when ``None``); a kept column is the same to the bit whatever the
     count.  The phase of each eigenvector is normalized so that its first
-    component of non-negligible magnitude is real and positive, which makes
-    repeated decompositions reproducible.  Raises :class:`NonHermitianError`
-    when ``||K - K^H|| > 1e-8 ||K||``.
+    component of non-negligible magnitude is real and positive, so repeated
+    decompositions agree.  Raises ``ValueError`` if ``||K - K^H|| > 1e-8 ||K||``.
     """
     km = np.asarray(k, dtype=np.complex128)
     if km.ndim != 2 or km.shape[0] != km.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {km.shape}")
     scale = np.linalg.norm(km)
     if np.linalg.norm(km - km.conj().T) > 1e-8 * max(scale, 1e-300):
-        raise NonHermitianError("matrix is not Hermitian within tolerance")
+        raise ValueError("matrix is not Hermitian within tolerance")
     values, vectors = np.linalg.eigh(km)
     values = values[::-1].copy()
     vectors = vectors[:, ::-1][:, :n_vectors].copy()
@@ -218,7 +196,9 @@ def polynomial_roots(coeffs) -> np.ndarray:
     as roots at the origin; a nonzero constant is left, which has no roots.
     Roots are sorted by (real, imag) for stable downstream ordering.
     """
-    c = as_complex_seq(coeffs, "coeffs")
+    c = np.asarray(coeffs, dtype=np.complex128)
+    if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
+        raise ValueError(f"coeffs must be a finite, non-empty 1-D sequence, got shape {c.shape}")
     mags = np.abs(c)
     keep = np.flatnonzero(mags > 1e-14 * mags.max())
     if keep.size == 0:

@@ -44,10 +44,6 @@ SK_ITERATIONS = 10
 GRID_SIZE = 256  # frequency-domain route: points of the sampled inverse responses
 
 
-class ConfigurationError(RuntimeError):
-    """Weight-configuration pipeline failure (e.g. a diverged rational fit)."""
-
-
 def empirical_covariance(vectors) -> np.ndarray:
     """``K = mean_r g_r g_r^H`` of the statistics rows ``g_r``.
 
@@ -67,7 +63,7 @@ def empirical_covariance(vectors) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ColumnDiagnostics:
-    offset: float
+    offset: float  # the lifted first tap p[0, m] (NaN on the fd route), headed b_m
     reduce_order_error: float
     n_reflected_poles: int
 
@@ -181,7 +177,7 @@ def _denominator_to_sections(q: np.ndarray, l_f: int):
     """
     lead = q[0]
     if abs(lead) == 0.0:
-        raise ConfigurationError("reduced denominator has a zero leading coefficient")
+        raise ValueError("reduced denominator has a zero leading coefficient")
     poles, n_reflected = _reflect_unstable(polynomial_roots(q / lead))
     if poles.size > 1:
         poles = perturb_clustered_poles(poles)
@@ -222,10 +218,10 @@ def pole_bank(qs, errors, offsets, l_f: int, n_window: int, activation: str,
 
     ``qs`` holds every column's reduced denominator, ``gains`` its numerator
     ``c`` (``None``: no multiply, as a product with 1 can flip the sign of a
-    zero imaginary part), ``errors`` and ``offsets`` its diagnostics.
-    The readout's window holds at least the ``z^0`` skip tap, which carries
-    the first-tap offsets ``b`` of ``F = P + B``; so ``n_window`` 0 and 1 give
-    the same core.
+    zero imaginary part), ``errors`` and ``offsets`` (the lifted first taps
+    ``p[0, m]``) its diagnostics.  The readout's window holds at least the
+    ``z^0`` skip tap, which carries ``B``'s row 0, ``f[0, m] - p[0, m]``; so
+    ``n_window`` 0 and 1 give the same core.
     """
     poles, weights, diagnostics = [], [], []
     for col, (q, err) in enumerate(zip(qs, errors)):
@@ -298,7 +294,7 @@ def all_pole_fit(values: np.ndarray, order: int):
         q_eval = 1.0 + basis @ q_tail
         weights = 1.0 / np.maximum(np.abs(q_eval), 1e-12)
         if not np.all(np.isfinite(sol)):
-            raise ConfigurationError("rational fit diverged (non-finite coefficients)")
+            raise ValueError("rational fit diverged (non-finite coefficients)")
     q = np.concatenate([[1.0 + 0.0j], q_tail])
     return c, q
 
@@ -348,7 +344,10 @@ def assemble_mimo(spec: ReservoirSpec, n_tx: int) -> ReservoirSpec:
 
 
 def diagnostics_csv(diagnostics, fp) -> None:
-    """Per-column pipeline diagnostics: ``m,b_m,reduce_order_error,n_reflected_poles``."""
+    """Per-column diagnostics: ``m,b_m,reduce_order_error,n_reflected_poles``.
+
+    ``b_m`` is the lifted first tap ``p[0, m]``, NaN on the fd route.
+    """
     fp.write("m,b_m,reduce_order_error,n_reflected_poles\n")
     for m, d in enumerate(diagnostics):
         fp.write(f"{m},{d.offset:.12g},{d.reduce_order_error:.12g},{d.n_reflected_poles}\n")

@@ -14,8 +14,12 @@ from typing import NamedTuple
 import numpy as np
 
 from rclab.channel import MAX_PHASE_RETRIES
-from rclab.filters import Phase, UnitCircleRootError, _phase_of_roots, minimum_phase_factor
-from rclab.signal_core import as_complex_seq, polynomial_roots
+from rclab.filters import Phase, _phase_of_roots, minimum_phase_factor
+from rclab.signal_core import polynomial_roots
+
+
+class UnitCircleRootError(ValueError):
+    """A root fell inside the forbidden ring around the unit circle."""
 
 
 class PhaseFactorization(NamedTuple):
@@ -34,7 +38,7 @@ def factorize_by_phase(h) -> PhaseFactorization:
     monic in z^0.  A root with ``1 - RING_TOL < |z| < 1 + RING_TOL`` raises
     :class:`UnitCircleRootError` since the dichotomy is undefined there.
     """
-    hv = as_complex_seq(h, "h")
+    hv = np.asarray(h, dtype=np.complex128)
     if abs(hv[0]) == 0.0:
         raise ValueError("h[0] = 0: strip leading zeros (pure delay) first")
     roots = polynomial_roots(hv)
@@ -48,7 +52,7 @@ def factorize_by_phase(h) -> PhaseFactorization:
 
 def normalize_agc(h_raw) -> np.ndarray:
     """Scale taps to unit Euclidean norm (receiver AGC model)."""
-    h = as_complex_seq(h_raw, "h_raw")
+    h = np.asarray(h_raw, dtype=np.complex128)
     norm = np.linalg.norm(h)
     if norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -84,5 +88,5 @@ def reference_draws(pdp, rng, n, require=None):
                 out.append((h, mp, fact.classification, redraws))
                 break
         else:
-            raise UnitCircleRootError(f"no acceptable realization within {MAX_PHASE_RETRIES} draws")
+            raise ValueError(f"no acceptable realization within {MAX_PHASE_RETRIES} draws")
     return out

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.signal
 
-from rclab.filters import Phase, UnitCircleRootError, perturb_clustered_poles, section_residues
+from rclab.filters import Phase, perturb_clustered_poles, section_residues
 
-from channel_reference import factorize_by_phase
+from channel_reference import UnitCircleRootError, factorize_by_phase
 
 
 def random_poles_in_disk(rng, count, radius=0.85, min_sep=0.05):

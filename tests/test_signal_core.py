@@ -10,10 +10,7 @@ from hypothesis import strategies as st
 from rclab.reservoir import _least_squares
 from rclab.signal_core import (
     HERMITIAN_BLOCK_ROWS,
-    NonHermitianError,
-    SingularChannelError,
     all_pole_filter,
-    as_complex_seq,
     column_blocks,
     hermitian_eig,
     polynomial_roots,
@@ -24,26 +21,30 @@ from one_blas_thread import run_python
 
 class TestToeplitzInverse:
     def test_identity_channel(self):
-        np.testing.assert_allclose(toeplitz_inverse_first_column([1], 4), [1, 0, 0, 0])
+        np.testing.assert_allclose(toeplitz_inverse_first_column([[1]], 4)[0], [1, 0, 0, 0])
 
     def test_geometric_series(self):
         np.testing.assert_allclose(
-            toeplitz_inverse_first_column([1, 0.5], 4), [1, -0.5, 0.25, -0.125]
+            toeplitz_inverse_first_column([[1, 0.5]], 4)[0], [1, -0.5, 0.25, -0.125]
         )
 
     def test_forward_substitution_by_hand(self):
         np.testing.assert_allclose(
-            toeplitz_inverse_first_column([2, 1], 3), [0.5, -0.25, 0.125]
+            toeplitz_inverse_first_column([[2, 1]], 3)[0], [0.5, -0.25, 0.125]
         )
 
     def test_singular_channel(self):
-        with pytest.raises(SingularChannelError):
-            toeplitz_inverse_first_column([0, 1], 4)
+        with pytest.raises(ValueError, match=re.escape("a[0] = 0: the leading tap makes 1 / A(z) singular")):
+            toeplitz_inverse_first_column([[0, 1]], 4)
+
+    def test_one_sequence_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("h must be a finite (batch, L) stack, got shape (2,)")):
+            toeplitz_inverse_first_column([1, 0.5], 4)
 
     def test_shorter_n_is_a_prefix(self):
-        h = [1, 1, 1]
+        h = [[1, 1, 1]]
         short, long = toeplitz_inverse_first_column(h, 2), toeplitz_inverse_first_column(h, 3)
-        assert short.tobytes() == long[:2].tobytes()
+        assert short.tobytes() == long[:, :2].tobytes()
         with pytest.raises(ValueError, match="n = 0"):
             toeplitz_inverse_first_column(h, 0)
 
@@ -60,7 +61,7 @@ class TestToeplitzInverse:
                 h[1:] *= 0.8 * abs(h[0]) / max(tail_sum, 1e-9)
             assert abs(h[0]) >= 0.1
             n = 48
-            g = toeplitz_inverse_first_column(h, n)
+            g = toeplitz_inverse_first_column([h], n)[0]
             unit = np.zeros(n)
             unit[0] = 1.0
             np.testing.assert_allclose(np.convolve(h, g)[:n], unit, atol=1e-9)
@@ -134,7 +135,7 @@ class TestHermitianEig:
         np.testing.assert_allclose(values, [1, 0], atol=1e-12)
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(NonHermitianError):
+        with pytest.raises(ValueError, match="matrix is not Hermitian within tolerance"):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_invariants_random(self):
@@ -292,8 +293,11 @@ class TestPolynomialRoots:
             np.testing.assert_allclose(rebuilt, c, rtol=1e-7, atol=1e-7 * np.abs(c).max())
 
 
-def test_as_complex_seq_validation():
-    with pytest.raises(ValueError):
-        as_complex_seq([[1, 2], [3, 4]])
-    with pytest.raises(ValueError):
-        as_complex_seq([np.nan])
+def test_polynomial_roots_validation():
+    message = "coeffs must be a finite, non-empty 1-D sequence"
+    with pytest.raises(ValueError, match=message):
+        polynomial_roots([[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match=message):
+        polynomial_roots([np.nan])
+    with pytest.raises(ValueError, match=message):
+        polynomial_roots([])

@@ -1,7 +1,8 @@
 """No test-only names in the package: every top-level function and class is used by src
-itself, and every dataclass field is read there."""
+itself, every dataclass field is read there, and every exception class is caught there."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import rclab
@@ -205,3 +206,40 @@ def test_every_parameter_is_read():
 
 def test_unread_parameters_are_still_unread():
     assert UNREAD_PARAMETERS <= _unread_parameters()
+
+
+# exception classes kept for callers outside src: the config boundary's one error type,
+# which the CLI reports through its ValueError base
+DOCUMENTED_EXCEPTIONS = {"ConfigFileError"}
+
+
+def _uncaught_exceptions():
+    """``{name}`` of every src exception class that no src ``except`` names.
+
+    A class is an exception when a base is a builtin exception or another src
+    exception class; like the checks above, names are matched without modules.
+    """
+    bases, caught = {}, set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {getattr(b, "id", None) or getattr(b, "attr", None) for b in node.bases}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {getattr(t, "id", None) or getattr(t, "attr", None) for t in types}
+    known = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    exceptions = set()
+    while grown := {name for name, b in bases.items() if b & known} - exceptions:
+        exceptions |= grown
+        known |= grown
+    return exceptions - caught
+
+
+def test_every_exception_class_is_caught_in_src():
+    # a class that only tests catch is a plain ValueError with a longer name
+    assert sorted(_uncaught_exceptions() - DOCUMENTED_EXCEPTIONS) == []
+
+
+def test_documented_exceptions_are_still_uncaught():
+    assert sorted(DOCUMENTED_EXCEPTIONS - _uncaught_exceptions()) == []
