@@ -15,6 +15,7 @@ one, and the states of the per-sample recursion written out plainly.
 
 import re
 import warnings
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -53,6 +54,22 @@ CASES = st.fixed_dictionaries(
     }
 )
 SETTINGS = settings(max_examples=40, deadline=None)
+# a dense linear core whose third recurrent row is zero: that neuron's state is a
+# multiple of the z^0 window tap, so every fit on its features is rank-deficient
+DEGENERATE_CASE = dict(seed=185, dense=True, activation="linear", n_window=5, ridge=0.0, d_in=1,
+                       n_neurons=3, batch=1, d_out=1, d_max=0, chunk=2)
+
+
+@contextmanager
+def documented_warnings():
+    """Let a drawn case's fits warn that they are rank-deficient or underdetermined, and nothing else."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        assert w.category is UserWarning
+        assert re.match(r"readout fit is rank-deficient: |only \d+ samples for \d+ features; "
+                        r"fit is underdetermined$", str(w.message)), str(w.message)
 
 
 def make_case(c):
@@ -118,11 +135,12 @@ def test_batched_states_match_recursion_and_oracle(c):
 
 
 @given(CASES)
+@example(DEGENERATE_CASE)
 @SETTINGS
 def test_batch_equalizes_each_element_as_alone(c):
     spec, x, target = make_case(c)
     n_train = target.shape[1]
-    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]):
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), documented_warnings():
         [out], [readouts] = equalized([spec], x, target, c["d_max"], c["ridge"])
         assert out.shape == (x.shape[0], target.shape[0], x.shape[2] - n_train)
         for i in range(x.shape[0]):
@@ -165,6 +183,7 @@ def delayed_window(x, n_window, lo, n):
 
 
 @given(CASES)
+@example(DEGENERATE_CASE)
 @SETTINGS
 def test_streamed_readout_matches_feature_product(c):
     # the stream reads its states in place and its window from a shared
@@ -179,7 +198,7 @@ def test_streamed_readout_matches_feature_product(c):
 
     apply_readout.real = reservoir._apply_readout
     with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), \
-            mock.patch.object(reservoir, "_apply_readout", apply_readout):
+            mock.patch.object(reservoir, "_apply_readout", apply_readout), documented_warnings():
         [out], [readouts] = equalized([spec], x, target, c["d_max"], c["ridge"])
     eps = np.finfo(np.float64).eps
     n_train, t = target.shape[1], x.shape[2]
@@ -204,6 +223,7 @@ def test_stack_layout_built_once_per_call():
 
 
 @given(CASES)
+@example(DEGENERATE_CASE)
 @SETTINGS
 def test_delay_matches_per_delay_loop(c):
     spec, x, target = make_case(c)
@@ -211,14 +231,15 @@ def test_delay_matches_per_delay_loop(c):
     feats = alone_features(spec, train)
     tie_tol = 1e-12 * np.linalg.norm(target) ** 2
     best, best_res, best_ro = 0, None, None
-    for d in range(c["d_max"] + 1):
-        ro = train_readout(feats, target, delay=d, ridge=c["ridge"])
-        delayed = np.zeros_like(target)
-        delayed[:, d:] = target[:, : target.shape[1] - d]
-        res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
-        if best_res is None or res < best_res - tie_tol:
-            best, best_res, best_ro = d, res, ro
-    _, [[got]] = equalized([spec], x[:1], target, c["d_max"], c["ridge"])
+    with documented_warnings():
+        for d in range(c["d_max"] + 1):
+            ro = train_readout(feats, target, delay=d, ridge=c["ridge"])
+            delayed = np.zeros_like(target)
+            delayed[:, d:] = target[:, : target.shape[1] - d]
+            res = np.linalg.norm(ro.w_out @ feats - delayed) ** 2
+            if best_res is None or res < best_res - tie_tol:
+                best, best_res, best_ro = d, res, ro
+        _, [[got]] = equalized([spec], x[:1], target, c["d_max"], c["ridge"])
     assert got.delay == best
     np.testing.assert_array_equal(got.w_out, best_ro.w_out)
 
@@ -302,11 +323,7 @@ def test_stacked_states_keep_plain_recursion_bits(c):
 @SETTINGS
 def test_stack_equalizes_each_core_as_alone(c):
     specs, x, target = make_stack(c)
-    # a drawn stack may make a fit rank-deficient or underdetermined: those
-    # documented warnings are expected here, and no other
-    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), \
-            warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with mock.patch.object(reservoir, "STREAM_CHUNK", c["chunk"]), documented_warnings():
         outs, readouts = equalized(specs, x, target, c["d_max"], c["ridge"])
         assert len(outs) == len(readouts) == len(specs)
         for spec, out, ros in zip(specs, outs, readouts):
@@ -316,10 +333,6 @@ def test_stack_equalizes_each_core_as_alone(c):
                 assert ros[i].delay == ro_alone.delay
                 np.testing.assert_array_equal(ros[i].w_out, ro_alone.w_out)
                 np.testing.assert_array_equal(out[i], alone[0])
-    for w in caught:
-        assert w.category is UserWarning
-        assert re.match(r"readout fit is rank-deficient: |only \d+ samples for \d+ features; "
-                        r"fit is underdetermined$", str(w.message)), str(w.message)
 
 
 def test_stream_hands_out_target_long_frames():
