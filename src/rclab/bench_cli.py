@@ -316,7 +316,7 @@ def rc_detect(
     specs,
     order: int,
     d_max: int,
-    ridge: float = 0.0,
+    ridge: float,
 ) -> np.ndarray:
     """Train on the RS symbol's known waveform, equalize the slot, decide; per core and element.
 
@@ -544,17 +544,19 @@ def run_ber_experiment(cfg: ExperimentConfig) -> list:
 
     Slot tasks are independent and keyed by ``(seed, slot)``, so worker-count
     changes reorder only the (exact, integer) accumulation and the output is
-    byte-identical for any ``workers`` setting.
+    byte-identical for any ``workers`` setting.  At most one worker per slot
+    is started, and a single slot runs in this process.
     """
     specs = _configured_specs(cfg)
     totals = {(det, si): [0, 0] for det in cfg.detectors for si in range(len(cfg.snr_db))}
     if cfg.n_slots > 0:
         pdp = load_pdp(cfg.pdp)
-        if cfg.workers > 1:
+        workers = min(cfg.workers, cfg.n_slots)  # a pool starts every worker it is given
+        if workers > 1:
             # imported here: it loads multiprocessing, which a serial run never needs
             from concurrent.futures import ProcessPoolExecutor
 
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(
                     pool.map(_slot_errors, *zip(*[(cfg, specs, pdp, s) for s in range(cfg.n_slots)]))
                 )

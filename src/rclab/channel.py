@@ -97,18 +97,19 @@ class PowerDelayProfile:
             if not line:
                 continue
             parts = line.split()
-            if parts[0] == "k_factor_db":
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{ln}: malformed k_factor_db line")
-                k_factor = 10.0 ** (float(parts[1]) / 10.0)
-                continue
-            if len(parts) != 2:
-                raise ValueError(f"{path}:{ln}: expected 'delay_samples power_db'")
-            delay = float(parts[0])
+            try:  # a wrong number of fields fails its unpacking with ValueError too
+                if parts[0] == "k_factor_db":
+                    (k_db,) = map(float, parts[1:])
+                    k_factor = 10.0 ** (k_db / 10.0)
+                    continue
+                delay, power_db = map(float, parts)
+            except ValueError:
+                form = "k_factor_db value" if parts[0] == "k_factor_db" else "delay_samples power_db"
+                raise ValueError(f"{path}:{ln}: expected '{form}', got {line!r}") from None
             if not delay.is_integer():
                 raise ValueError(f"{path}:{ln}: delay {parts[0]} is not a whole number of samples")
             delays.append(int(delay))
-            powers_db.append(float(parts[1]))
+            powers_db.append(power_db)
         if not delays:
             raise ValueError(f"{path}: no taps found")
         powers = 10.0 ** (np.asarray(powers_db) / 10.0)
@@ -302,18 +303,18 @@ def apply_channel(ch, x) -> np.ndarray:
     return y
 
 
-def add_awgn(y: np.ndarray, snr_db, rng) -> float:
+def add_awgn(y: np.ndarray, snr_db: float, rng) -> float:
     """Add complex white Gaussian noise to the ``(N_r, T)`` signal ``y`` in place; returns its variance.
 
     The SNR is the average power of ``y`` as given over the noise power,
     per receive antenna, and the returned variance is the mean over the
-    antennas.  ``snr_db=None`` (or ``inf``) leaves ``y`` as it is and
-    returns 0; ``-inf`` and NaN raise ``ValueError``.
+    antennas.  ``snr_db = inf`` leaves ``y`` as it is and returns 0;
+    ``-inf`` and NaN raise ``ValueError``.
     """
-    if snr_db is None or snr_db == np.inf:
+    if snr_db == np.inf:
         return 0.0
     if not np.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, inf or None, got {snr_db}")
+        raise ValueError(f"snr_db must be finite or inf, got {snr_db}")
     snr = 10.0 ** (snr_db / 10.0)
     p_sig = np.mean(np.abs(y) ** 2, axis=-1, keepdims=True)
     noise_var = p_sig / snr

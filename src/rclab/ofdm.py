@@ -132,7 +132,7 @@ def build_grid(
     mode: RsMode,
     payload_patterns,
     rng: np.random.Generator,
-    order: int = 16,
+    order: int,
 ) -> np.ndarray:
     """The ``(n_sc, n_sym, n_tx)`` transmit grid: the RS comb symbol at position 0, then payload.
 

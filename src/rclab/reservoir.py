@@ -45,19 +45,19 @@ ACTIVATIONS = ("linear", "tanh")
 
 @dataclass(frozen=True)
 class ReservoirSpec:
-    """Untrained network: input weights, recurrent weights, window length.
+    """Untrained network: input weights, recurrent weights, activation, window length.
 
     A diagonal core, such as a configured bank of one-pole filters, holds its
     recurrent weights as the ``(n_neurons,)`` pole vector; any other core
-    holds its ``(n_neurons, n_neurons)`` matrix.  ``n_window = 0`` is a
-    vanilla ESN; a window of one tap is the ``z^0`` skip connection that
-    feeds the readout the raw current input.
+    holds its ``(n_neurons, n_neurons)`` matrix.  ``activation`` is one of
+    ``ACTIVATIONS``.  ``n_window = 0`` is a vanilla ESN; a window of one tap
+    is the ``z^0`` skip connection that feeds the readout the raw current input.
     """
 
     w_in: np.ndarray  # (n_neurons, d_in)
     w_res: np.ndarray  # (n_neurons,) poles of a diagonal core, else (n_neurons, n_neurons)
-    activation: str = "linear"
-    n_window: int = 0
+    activation: str
+    n_window: int
 
     def __post_init__(self):
         w_in = np.atleast_2d(np.asarray(self.w_in, dtype=np.complex128))
@@ -91,10 +91,10 @@ class ReservoirSpec:
 
 @dataclass(frozen=True)
 class Readout:
-    """Trained output weights and the learned decision delay."""
+    """Trained output weights and the learned decision delay, in samples."""
 
     w_out: np.ndarray  # (n_out, feature_dim)
-    delay: int = 0
+    delay: int
 
     def __post_init__(self):
         object.__setattr__(self, "w_out", np.atleast_2d(np.asarray(self.w_out, dtype=np.complex128)))
@@ -399,7 +399,7 @@ def _train(spec: ReservoirSpec, xs, target, d_max: int, ridge: float):
     return readouts, last
 
 
-def train_and_equalize(specs, x, target, d_max: int, ridge: float = 0.0):
+def train_and_equalize(specs, x, target, d_max: int, ridge: float):
     """Train readouts on the first samples of every batch element, then stream the rest in frames.
 
     A generator.  ``x`` is ``(batch, d_in, T)`` and ``target`` the ``(n_out,
@@ -478,8 +478,8 @@ def random_reservoir(
     d_in: int,
     n_window: int,
     rng: np.random.Generator,
-    activation: str = "tanh",
-    input_scale: float = 1.0,
+    activation: str,
+    input_scale: float,
 ) -> ReservoirSpec:
     """Random untrained network: sparse uniform recurrent matrix, rescaled.
 

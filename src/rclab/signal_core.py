@@ -160,15 +160,14 @@ def hermitian_product(a) -> np.ndarray:
     return out
 
 
-def hermitian_eig(k, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a Hermitian matrix with deterministic ordering.
+def hermitian_eig(k, n_vectors: int) -> np.ndarray:
+    """Top ``n_vectors`` eigenvectors of a Hermitian matrix, by descending eigenvalue.
 
-    Returns ``(values, vectors)``, as ``np.linalg.eigh`` does: every
-    eigenvalue, sorted descending, and the top ``n_vectors`` eigenvectors
-    (all when ``None``); a kept column is the same to the bit whatever the
-    count.  The phase of each eigenvector is normalized so that its first
-    component of non-negligible magnitude is real and positive, so repeated
-    decompositions agree.  Raises ``ValueError`` if ``||K - K^H|| > 1e-8 ||K||``.
+    Returns them as the ``(n, n_vectors)`` columns ``np.linalg.eigh``
+    computes; a kept column is the same to the bit whatever the count.  The
+    phase of each eigenvector is normalized so that its first component of
+    non-negligible magnitude is real and positive, so repeated decompositions
+    agree.  Raises ``ValueError`` if ``||K - K^H|| > 1e-8 ||K||``.
     """
     km = np.asarray(k, dtype=np.complex128)
     if km.ndim != 2 or km.shape[0] != km.shape[1]:
@@ -176,16 +175,14 @@ def hermitian_eig(k, n_vectors: int | None = None) -> tuple[np.ndarray, np.ndarr
     scale = np.linalg.norm(km)
     if np.linalg.norm(km - km.conj().T) > 1e-8 * max(scale, 1e-300):
         raise ValueError("matrix is not Hermitian within tolerance")
-    values, vectors = np.linalg.eigh(km)
-    values = values[::-1].copy()
-    vectors = vectors[:, ::-1][:, :n_vectors].copy()
+    vectors = np.linalg.eigh(km)[1][:, ::-1][:, :n_vectors].copy()
     for j in range(vectors.shape[1]):
         col = vectors[:, j]
         sig = np.flatnonzero(np.abs(col) > 1e-12 * max(np.abs(col).max(), 1e-300))
         if sig.size:
             pivot = col[sig[0]]
             vectors[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return values, vectors
+    return vectors
 
 
 def polynomial_roots(coeffs) -> np.ndarray:

@@ -113,7 +113,7 @@ def pca_basis(vectors, m: int) -> np.ndarray:
         raise ValueError(f"need 1 <= m <= {k.shape[0]}")
     if n_obs < m:
         warnings.warn(f"{m} PCA columns from only {n_obs} observations", stacklevel=2)
-    return hermitian_eig(k, m)[1]
+    return hermitian_eig(k, m)
 
 
 def mp_compensate(f: np.ndarray) -> np.ndarray:
@@ -247,7 +247,7 @@ def configure_time_domain_report(
     l_f: int,
     n_window: int,
     rng: np.random.Generator,
-    activation: str = "tanh",
+    activation: str,
 ) -> ConfigReport:
     """Full time-domain pipeline with per-column diagnostics."""
     p = mp_compensate(pca_basis(collect_equalizer_irs(pdp, n, n_obs, rng), m))
@@ -307,7 +307,7 @@ def configure_frequency_domain_report(
     l_rp: int,
     n_window: int,
     rng: np.random.Generator,
-    activation: str = "tanh",
+    activation: str,
 ) -> ConfigReport:
     """Full frequency-domain pipeline with per-column diagnostics.
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import configparser
 import dataclasses
 import io
@@ -446,8 +447,9 @@ def detect_setup(n_sc=64, n_cp=8, n_sym=4, n_tx=1, mode=RsMode.LEARNING, seed=0,
 class TestRcDetect:
     def test_identity_channel_noiseless(self):
         n_cp, grid, bits, tx = detect_setup()
-        spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh")
-        [[est]] = bc.rc_detect(tx[None], grid, n_cp, [spec], 16, d_max=4)
+        spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(1), activation="tanh",
+                                input_scale=1.0)
+        [[est]] = bc.rc_detect(tx[None], grid, n_cp, [spec], 16, d_max=4, ridge=0.0)
         assert bit_errors(est, bits, 4) == 0
 
     @pytest.mark.parametrize("n_ant, d_max, chunk", [(1, 4, 256), (4, 12, 7), (4, 0, 300)])
@@ -458,10 +460,10 @@ class TestRcDetect:
         rng = np.random.default_rng(15)
         shape = (2,) + tx.shape
         rx = tx[None] + 0.1 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        specs = [random_reservoir(6, 0.4, 0.5, n_ant, 2, np.random.default_rng(16)),
-                 random_reservoir(5, 0.4, 0.5, n_ant, 0, np.random.default_rng(17))]
+        specs = [random_reservoir(6, 0.4, 0.5, n_ant, 2, np.random.default_rng(16), "tanh", 1.0),
+                 random_reservoir(5, 0.4, 0.5, n_ant, 0, np.random.default_rng(17), "tanh", 1.0)]
         monkeypatch.setattr(reservoir, "STREAM_CHUNK", chunk)
-        got = bc.rc_detect(rx, grid, n_cp, specs, 16, d_max=d_max)
+        got = bc.rc_detect(rx, grid, n_cp, specs, 16, d_max=d_max, ridge=0.0)
         outs, _ = equalized(specs, rx, tx[:, : 64 + n_cp], d_max)
         for decisions, out in zip(got, outs):
             whole = np.concatenate([np.zeros(out.shape[:2] + (64 + n_cp,)), out], axis=2)
@@ -473,11 +475,11 @@ class TestRcDetect:
         # doubling a 4x4 slot's length may grow rc_detect's traced peak by at
         # most a quarter of one core's (batch, n_out, T) complex output
         peaks = {}
-        specs = [random_reservoir(20, 0.4, 0.5, 4, 3, np.random.default_rng(18))]
+        specs = [random_reservoir(20, 0.4, 0.5, 4, 3, np.random.default_rng(18), "tanh", 1.0)]
         for n_sym in (8, 16):
             n_cp, grid, _, tx = detect_setup(n_sc=256, n_cp=32, n_sym=n_sym, n_tx=4, seed=19)
             batch = np.repeat(tx[None], 3, axis=0)
-            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, n_cp, specs, 16, d_max=4)
+            peaks[n_sym] = traced_peak(bc.rc_detect, batch, grid, n_cp, specs, 16, d_max=4, ridge=0.0)
         one_output = batch.size * 16 // 2  # (3, 4, T) complex at n_sym = 8
         assert peaks[16] - peaks[8] <= one_output / 4
 
@@ -485,8 +487,8 @@ class TestRcDetect:
         n_cp, grid, bits, tx = detect_setup(n_sc=256, n_sym=12)
         rng = np.random.default_rng(2)
         noise = (rng.standard_normal(tx.shape) + 1j * rng.standard_normal(tx.shape)) / np.sqrt(2)
-        spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3))
-        [[est]] = bc.rc_detect(noise[None], grid, n_cp, [spec], 16, d_max=4)
+        spec = random_reservoir(8, 0.4, 0.5, 1, 2, np.random.default_rng(3), "tanh", 1.0)
+        [[est]] = bc.rc_detect(noise[None], grid, n_cp, [spec], 16, d_max=4, ridge=0.0)
         ber = bit_errors(est, bits, 4) / bits.size
         assert bits.size >= 10_000
         assert abs(ber - 0.5) < 0.05
@@ -613,7 +615,8 @@ class TestLmmseDetect:
         pdp = load_pdp(cfg.pdp)
         rng = np.random.default_rng(13)
         bits = rng.integers(0, 2, payload_bit_count(cfg.n_sc, cfg.n_symbols, 1, cfg.qam_order))
-        grid = build_grid(cfg.n_sc, 1, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4), rng)
+        grid = build_grid(cfg.n_sc, 1, cfg.rs_spacing, RsMode.CONVENTIONAL, pack(bits, 4), rng,
+                          order=cfg.qam_order)
         clean = apply_channel(bc._draw_slot_channel(cfg, pdp, 0), ofdm_modulate(grid, cfg.n_cp))
         batch = np.repeat(clean[None], 3, axis=0)
         noise_vars = [add_awgn(y, snr, rng) for y, snr in zip(batch, cfg.snr_db)]
@@ -674,6 +677,36 @@ class TestRunBerExperiment:
             bc.write_ber_csv(bc.run_ber_experiment(c), buf)
             outputs.append(buf.getvalue())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_pool_never_outnumbers_the_slots(self, monkeypatch):
+        # a pool forks every worker it is given at its first task; this fake
+        # records its size, maps serially and starts no process
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = bc.ExperimentConfig(seed=3, snr_db=(12.0,), detectors=("lmmse",), n_sc=64, n_cp=8,
+                                  n_symbols=4, stats_n=32, stats_obs=10)
+        csv = {}
+        for workers, n_slots in [(1, 2), (3, 2), (1, 1), (3, 1)]:
+            buf = io.StringIO()
+            c = dataclasses.replace(cfg, workers=workers, n_slots=n_slots)
+            bc.write_ber_csv(bc.run_ber_experiment(c), buf)
+            csv[workers, n_slots] = buf.getvalue()
+        assert pools == [2]
+        assert csv[3, 2] == csv[1, 2] and csv[3, 1] == csv[1, 1]
 
     def test_records_consistent(self):
         cfg = bc.ExperimentConfig(

@@ -108,6 +108,13 @@ class TestPowerDelayProfile:
         p.write_text("0 0\n2.0 -3\n")
         np.testing.assert_array_equal(PowerDelayProfile.from_file(p).delays, [0, 2])
 
+    @pytest.mark.parametrize("line", ["3 abc", "k_factor_db x"])
+    def test_unparsable_number_names_its_line(self, tmp_path, line):
+        p = tmp_path / "bad.pdp"
+        p.write_text(f"0 0\n{line}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{p}:2: expected '")):
+            PowerDelayProfile.from_file(p)
+
     def test_load_missing(self):
         with pytest.raises(FileNotFoundError):
             load_pdp("no_such_profile")
@@ -363,7 +370,7 @@ class TestApplyChannel:
         x = np.array([1 + 1j, 2, 3])
         y = apply_channel(np.array([1.0])[:, None, None], x[None])
         np.testing.assert_allclose(y, x[None])
-        assert add_awgn(y, None, None) == 0.0 and add_awgn(y, np.inf, None) == 0.0
+        assert add_awgn(y, np.inf, None) == 0.0
         np.testing.assert_array_equal(y, x[None])
 
     def test_pure_delay(self):
@@ -384,7 +391,7 @@ class TestApplyChannel:
     @pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
     def test_awgn_rejects_bad_snr(self, snr_db):
         y = np.array([[1 + 2j, 3 - 1j]])
-        with pytest.raises(ValueError, match=f"snr_db must be finite, inf or None, got {snr_db}"):
+        with pytest.raises(ValueError, match=f"snr_db must be finite or inf, got {snr_db}"):
             add_awgn(y, snr_db, np.random.default_rng(0))
         np.testing.assert_array_equal(y, [[1 + 2j, 3 - 1j]])
 

@@ -182,14 +182,15 @@ class TestGrid:
 
     def test_spacing_must_divide(self):
         with pytest.raises(ValueError, match="positive divisor"):
-            build_grid(64, 1, 5, RsMode.LEARNING, np.zeros(3 * 64, dtype=int), np.random.default_rng(0))
+            build_grid(64, 1, 5, RsMode.LEARNING, np.zeros(3 * 64, dtype=int), np.random.default_rng(0),
+                       order=16)
 
     @pytest.mark.parametrize("n_tx", [1, 2])
     def test_symbol_count_is_the_payload_count(self, n_tx):
         # n_sym is one RS symbol plus as many payload symbols as the patterns fill
         for n_data in (1, 3):
             patterns = np.zeros(n_data * 64 * n_tx, dtype=int)
-            grid = build_grid(64, n_tx, 4, RsMode.LEARNING, patterns, np.random.default_rng(0))
+            grid = build_grid(64, n_tx, 4, RsMode.LEARNING, patterns, np.random.default_rng(0), order=16)
             assert isinstance(grid, np.ndarray) and grid.shape == (64, n_data + 1, n_tx)
 
     def test_payload_count_checked(self):
@@ -198,7 +199,7 @@ class TestGrid:
             for count in (0, 10, 3 * 64 * n_tx - 1):
                 with pytest.raises(ValueError, match=f"whole symbols of {64 * n_tx} patterns, got"):
                     build_grid(64, n_tx, 4, RsMode.LEARNING, np.zeros(count, dtype=int),
-                               np.random.default_rng(0))
+                               np.random.default_rng(0), order=16)
 
     def test_batched_demap_is_per_element_demap(self):
         grid, bits = make_grid(n_sc=32, n_tx=2, mode=RsMode.CONVENTIONAL, spacing=4)

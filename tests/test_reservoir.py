@@ -67,7 +67,7 @@ class TestRunStates:
 
     def test_dense_matches_manual_recursion(self):
         rng = np.random.default_rng(2)
-        spec = random_reservoir(6, 0.5, 0.3, 2, 0, rng, activation="tanh")
+        spec = random_reservoir(6, 0.5, 0.3, 2, 0, rng, activation="tanh", input_scale=1.0)
         x = rng.standard_normal((2, 15)) + 1j * rng.standard_normal((2, 15))
         states = alone_states(spec, x)
         s = np.zeros(6, dtype=complex)
@@ -79,7 +79,7 @@ class TestRunStates:
     def test_input_dim_checked(self):
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="d_in = 1"):
-            next(train_and_equalize([spec], np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0))
+            next(train_and_equalize([spec], np.zeros((1, 2, 10)), np.zeros((1, 5)), d_max=0, ridge=0.0))
 
 
 class TestBlockStates:
@@ -115,6 +115,7 @@ class TestWesnFeatures:
         spec = ReservoirSpec(
             w_in=np.ones((2, 1), dtype=complex),
             w_res=np.array([0.1, 0.2], dtype=complex),
+            activation="linear",
             n_window=1,  # the z^0 skip tap
         )
         x = np.array([[1.0, 2.0, 3.0]])
@@ -320,37 +321,37 @@ class TestPredict:
         # a target longer than the input cannot be the input's known prefix
         spec = diagonal_spec([0.5])
         with pytest.raises(ValueError, match="6 samples but the input only 5"):
-            next(train_and_equalize([spec], np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0))
+            next(train_and_equalize([spec], np.zeros((1, 1, 5)), np.zeros((1, 6)), d_max=0, ridge=0.0))
 
 
 class TestRandomReservoir:
     def test_spectral_radius(self):
-        spec = random_reservoir(30, 0.4, 0.6, 1, 5, np.random.default_rng(14))
+        spec = random_reservoir(30, 0.4, 0.6, 1, 5, np.random.default_rng(14), "tanh", 1.0)
         radius = np.max(np.abs(np.linalg.eigvals(spec.w_res)))
         assert abs(radius - 0.4) <= 1e-6
 
     def test_sparsity_exact_count(self):
         n = 30
-        spec = random_reservoir(n, 0.4, 0.6, 1, 5, np.random.default_rng(15))
+        spec = random_reservoir(n, 0.4, 0.6, 1, 5, np.random.default_rng(15), "tanh", 1.0)
         assert np.count_nonzero(spec.w_res == 0) == round(0.6 * n * n)
 
     def test_determinism(self):
-        a = random_reservoir(12, 0.4, 0.6, 2, 3, np.random.default_rng(16))
-        b = random_reservoir(12, 0.4, 0.6, 2, 3, np.random.default_rng(16))
+        a = random_reservoir(12, 0.4, 0.6, 2, 3, np.random.default_rng(16), "tanh", 1.0)
+        b = random_reservoir(12, 0.4, 0.6, 2, 3, np.random.default_rng(16), "tanh", 1.0)
         np.testing.assert_array_equal(a.w_res, b.w_res)
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
     def test_parameter_validation(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValueError):
-            random_reservoir(5, 1.5, 0.5, 1, 0, rng)
+            random_reservoir(5, 1.5, 0.5, 1, 0, rng, "tanh", 1.0)
         with pytest.raises(ValueError):
-            random_reservoir(5, 0.5, 1.0, 1, 0, rng)
+            random_reservoir(5, 0.5, 1.0, 1, 0, rng, "tanh", 1.0)
 
     def test_all_weights_zeroed_rejected(self):
         # round(0.6 * 1 * 1) = 1 zeroes the only weight: no scale reaches the radius
         with pytest.raises(ValueError, match="n_neurons = 1"):
-            random_reservoir(1, 0.4, 0.6, 1, 0, np.random.default_rng(18))
+            random_reservoir(1, 0.4, 0.6, 1, 0, np.random.default_rng(18), "tanh", 1.0)
 
 
 def test_spec_text_roundtrip():
@@ -376,16 +377,16 @@ def test_spec_shapes_checked(w_in, w_res, shape):
     n = len(w_in)
     with pytest.raises(ValueError, match=rf"^w_res must be \({n},\) or \({n}, {n}\) for {n} rows of w_in, "
                                          rf"got {shape}$"):
-        ReservoirSpec(w_in=w_in, w_res=w_res)
+        ReservoirSpec(w_in=w_in, w_res=w_res, activation="linear", n_window=0)
 
 
 def test_spec_is_diagonal_by_rank():
     # a pole vector is a diagonal core; a matrix is dense, even a diagonal one
     assert diagonal_spec([0.5, 0.2]).is_diagonal
-    assert not ReservoirSpec(w_in=np.ones((2, 1)), w_res=np.diag([0.5, 0.2])).is_diagonal
+    assert not ReservoirSpec(np.ones((2, 1)), np.diag([0.5, 0.2]), "linear", 0).is_diagonal
 
 
 def test_spec_text_requires_diagonal():
-    spec = random_reservoir(4, 0.3, 0.0, 1, 0, np.random.default_rng(18))
+    spec = random_reservoir(4, 0.3, 0.0, 1, 0, np.random.default_rng(18), "tanh", 1.0)
     with pytest.raises(ValueError):
         dump_spec_text(spec)

@@ -77,7 +77,8 @@ def make_case(c):
     rng = np.random.default_rng(c["seed"])
     n, d_in = c["n_neurons"], c["d_in"]
     if c["dense"]:
-        spec = random_reservoir(n, 0.6, 0.3, d_in, c["n_window"], rng, activation=c["activation"])
+        spec = random_reservoir(n, 0.6, 0.3, d_in, c["n_window"], rng, activation=c["activation"],
+                                input_scale=1.0)
     else:
         poles = 0.95 * rng.uniform(0, 1, n) * np.exp(2j * np.pi * rng.uniform(0, 1, n))
         spec = ReservoirSpec(
@@ -161,7 +162,7 @@ def test_batch_equalizes_each_element_as_alone(c):
 def test_row_order_drive_matches_column_product(c):
     # with no recurrence and no activation the states are the drive itself
     spec, x, _ = make_case(dict(c, activation="linear"))
-    spec = ReservoirSpec(w_in=spec.w_in, w_res=np.zeros(spec.n_neurons))
+    spec = ReservoirSpec(spec.w_in, np.zeros(spec.n_neurons), "linear", 0)
     b, d_in, t = x.shape
     block = np.zeros((t + 1, b * spec.n_neurons), dtype=complex)
     reservoir._advance([spec], reservoir._stack([spec], b), x, block)
@@ -355,7 +356,7 @@ def test_stream_hands_out_target_long_frames():
     real_advance = reservoir._advance
     with mock.patch.object(reservoir, "STREAM_CHUNK", chunk), \
             mock.patch.object(reservoir, "_advance", advance):
-        stream = train_and_equalize(specs, x, target, d_max)
+        stream = train_and_equalize(specs, x, target, d_max, 0.0)
         readouts = next(stream)
         blocks.clear()  # the training recursions
         frames = [(len(blocks), frame.copy()) for frame in stream]
@@ -389,7 +390,7 @@ def test_stream_lone_last_sample_joins_block_before():
     real_advance = reservoir._advance
     with mock.patch.object(reservoir, "STREAM_CHUNK", 8), \
             mock.patch.object(reservoir, "_advance", advance):
-        stream = train_and_equalize([spec], x, target, d_max)
+        stream = train_and_equalize([spec], x, target, d_max, 0.0)
         next(stream)
         blocks.clear()  # the training recursion
         out = np.concatenate([frame.copy() for frame in stream], axis=3)
@@ -491,9 +492,10 @@ def test_stack_needs_one_activation_and_d_in(field, value):
     rng = np.random.default_rng(0)
     base = dict(activation="tanh", d_in=1)
     specs = [
-        random_reservoir(4, 0.5, 0.3, base["d_in"], 0, rng, activation=base["activation"]),
-        random_reservoir(4, 0.5, 0.3, **dict(base, **{field: value}), n_window=0, rng=rng),
+        random_reservoir(4, 0.5, 0.3, base["d_in"], 0, rng, base["activation"], 1.0),
+        random_reservoir(4, 0.5, 0.3, **dict(base, **{field: value}), n_window=0, rng=rng,
+                         input_scale=1.0),
     ]
     x = np.zeros((1, 1, 30), dtype=complex)
     with pytest.raises(ValueError, match="share one activation and one d_in"):
-        next(train_and_equalize(specs, x, np.zeros((1, 20)), d_max=0))
+        next(train_and_equalize(specs, x, np.zeros((1, 20)), d_max=0, ridge=0.0))

@@ -1,5 +1,6 @@
 """No test-only names in the package: every top-level function and class is used by src
-itself, every dataclass field is read there, and every exception class is caught there."""
+itself, every dataclass field is read there, every default is relied on there, and every
+exception class is caught there."""
 
 import ast
 import builtins
@@ -172,6 +173,37 @@ def test_documented_parameters_are_still_unpassed():
 
 def test_documented_parameters_exist():
     assert DOCUMENTED_PARAMETERS <= {qualified for qualified, _, _ in _optional_parameters()}
+
+
+# defaults that every src call passes, kept because they restate no config value: a
+# profile with no line-of-sight tap and no name, which the tests build plainly
+DOCUMENTED_DEFAULTS = {"channel.from_linear.k_factor", "channel.from_linear.label"}
+
+
+def _defaults_never_relied_on():
+    """``{module.function.parameter}`` of every optional parameter that every src call passes.
+
+    A call with a ``*args`` or ``**kwargs`` splat counts as relying on every
+    default.  Dataclass field defaults are out of reach: a dataclass's
+    ``__init__`` is generated, so ``_optional_parameters`` finds no ``def``.
+    """
+    calls = _calls()
+    return {
+        qualified for qualified, name, position in _optional_parameters()
+        if not any(n_positional == float("inf") or None in keywords
+                   or (qualified.rsplit(".", 1)[1] not in keywords
+                       and (position is None or n_positional <= position))
+                   for n_positional, keywords in calls.get(name, []))
+    }
+
+
+def test_every_default_is_relied_on_in_src():
+    # an optional parameter that every src call passes is a default for tests alone
+    assert sorted(_defaults_never_relied_on() - DOCUMENTED_DEFAULTS) == []
+
+
+def test_documented_defaults_are_still_passed_by_every_src_call():
+    assert sorted(DOCUMENTED_DEFAULTS - _defaults_never_relied_on()) == []
 
 
 # parameters kept unread for a caller outside src: perfbench passes the fd report's n

@@ -129,9 +129,7 @@ class TestPcaBasis:
     def test_mean_residual_equals_tail_eigenvalues(self):
         rng = np.random.default_rng(2)
         vectors = rng.standard_normal((40, 12)) + 1j * rng.standard_normal((40, 12))
-        from rclab.signal_core import hermitian_eig
-
-        lam = hermitian_eig(empirical_covariance(vectors))[0]
+        lam = np.linalg.eigh(empirical_covariance(vectors))[0][::-1]
         for m in (1, 3, 12):
             f = pca_basis(vectors, m)
             resid = vectors.T - f @ (f.conj().T @ vectors.T)
@@ -175,7 +173,8 @@ class TestStatisticsMemory:
         # the statistics are (1000, 256) complex, 3.9 MiB: the reciprocal is
         # taken in place and the array is freed before the eigh
         peak = traced_peak(configure_frequency_domain_report, load_pdp("cdl_d"), 128, 1000,
-                           m=5, l_rp=7, n_window=5, rng=np.random.default_rng(1))
+                           m=5, l_rp=7, n_window=5, rng=np.random.default_rng(1),
+                           activation="tanh")
         assert peak / 2**20 <= 6.0
 
 
@@ -301,7 +300,7 @@ class TestBasisToPoles:
 class TestConfigureTimeDomain:
     def test_reference_scale_shape(self):
         pdp = load_pdp("cdl_d")
-        spec = configure_time_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(9)).spec
+        spec = configure_time_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(9), "tanh").spec
         assert spec.n_neurons == 35
         assert spec.n_window == 5
         assert spec.feature_dim == 40
@@ -310,21 +309,21 @@ class TestConfigureTimeDomain:
 
     def test_determinism(self):
         pdp = load_pdp("cdl_d")
-        a = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10)).spec
-        b = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10)).spec
+        a = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10), "tanh").spec
+        b = configure_time_domain_report(pdp, 48, 60, 3, 4, 2, np.random.default_rng(10), "tanh").spec
         np.testing.assert_array_equal(a.w_res, b.w_res)
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
     def test_distinct_statistics_give_distinct_poles(self):
         near_flat = PowerDelayProfile.from_linear([0, 1], [0.97, 0.03])
         dispersive = PowerDelayProfile.from_linear([0, 1, 2, 3], [0.4, 0.3, 0.2, 0.1])
-        a = configure_time_domain_report(near_flat, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
-        b = configure_time_domain_report(dispersive, 48, 80, 2, 3, 0, np.random.default_rng(11)).spec
+        a = configure_time_domain_report(near_flat, 48, 80, 2, 3, 0, np.random.default_rng(11), "tanh").spec
+        b = configure_time_domain_report(dispersive, 48, 80, 2, 3, 0, np.random.default_rng(11), "tanh").spec
         assert np.max(np.abs(np.sort(a.w_res) - np.sort(b.w_res))) > 1e-3
 
     def test_explicit_skip_when_no_window(self):
         pdp = load_pdp("flat")
-        spec = configure_time_domain_report(pdp, 16, 20, 1, 2, 0, np.random.default_rng(12)).spec
+        spec = configure_time_domain_report(pdp, 16, 20, 1, 2, 0, np.random.default_rng(12), "tanh").spec
         assert spec.n_window == 1 and spec.feature_dim == 3
         x = np.array([[1.0, 2.0, 3.0]])
         np.testing.assert_array_equal(alone_features(spec, x)[2], x[0])
@@ -361,14 +360,15 @@ class TestFrequencyDomain:
 
     def test_reference_scale_shape(self):
         pdp = load_pdp("cdl_d")
-        spec = configure_frequency_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(15)).spec
+        spec = configure_frequency_domain_report(pdp, 64, 100, 5, 7, 5, np.random.default_rng(15),
+                                                 "tanh").spec
         assert spec.n_neurons == 35 and spec.w_res.shape == (35,)
         assert np.max(np.abs(spec.w_res)) < 1.0
 
     def test_pipeline_output_shape_and_stability(self):
         pdp = PowerDelayProfile.from_linear([0, 1], [1.0, 0.3025], k_factor=None)
         rng = np.random.default_rng(16)
-        report = configure_frequency_domain_report(pdp, 32, 150, 2, 3, 0, rng)
+        report = configure_frequency_domain_report(pdp, 32, 150, 2, 3, 0, rng, "tanh")
         assert report.spec.w_res.shape == (6,)
         assert np.all(np.abs(report.spec.w_res) < 1.0)
         assert len(report.diagnostics) == 2
@@ -376,8 +376,8 @@ class TestFrequencyDomain:
 
     def test_determinism(self):
         pdp = load_pdp("cdl_e")
-        a = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17)).spec
-        b = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17)).spec
+        a = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17), "tanh").spec
+        b = configure_frequency_domain_report(pdp, 48, 60, 2, 3, 1, np.random.default_rng(17), "tanh").spec
         np.testing.assert_array_equal(a.w_res, b.w_res)
         np.testing.assert_array_equal(a.w_in, b.w_in)
 
@@ -387,7 +387,7 @@ class TestFrequencyDomain:
 def test_no_window_configures_the_skip_tap(route):
     # the configured core's readout always sees z^0: n_window 0 and 1 build one core
     pdp = load_pdp("cdl_d")
-    a, b = (route(pdp, 32, 40, 3, 4, w, np.random.default_rng(21)).spec for w in (0, 1))
+    a, b = (route(pdp, 32, 40, 3, 4, w, np.random.default_rng(21), "tanh").spec for w in (0, 1))
     np.testing.assert_array_equal(a.w_in, b.w_in)
     np.testing.assert_array_equal(a.w_res, b.w_res)
     assert (a.n_window, a.feature_dim, a.activation) == (b.n_window, b.feature_dim, b.activation)
@@ -422,8 +422,8 @@ class TestAssembleMimo:
     def test_multi_input_core_rejected(self):
         # so is a dense core: only a single-input pole vector is tiled
         siso = self.make_siso()
-        two_inputs = ReservoirSpec(w_in=np.ones((9, 2), complex), w_res=siso.w_res)
-        dense = ReservoirSpec(w_in=siso.w_in, w_res=np.eye(9))
+        two_inputs = ReservoirSpec(np.ones((9, 2), complex), siso.w_res, "linear", 0)
+        dense = ReservoirSpec(siso.w_in, np.eye(9), "linear", 0)
         for core in (two_inputs, dense):
             with pytest.raises(ValueError, match="^the SISO core must be a pole vector with d_in = 1$"):
                 assemble_mimo(core, 2)
@@ -450,7 +450,7 @@ class TestAssembleMimo:
 
 def test_diagnostics_csv_format():
     pdp = load_pdp("cdl_d")
-    report = configure_time_domain_report(pdp, 48, 50, 2, 3, 1, np.random.default_rng(20))
+    report = configure_time_domain_report(pdp, 48, 50, 2, 3, 1, np.random.default_rng(20), "tanh")
     buf = io.StringIO()
     diagnostics_csv(report.diagnostics, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -465,5 +465,5 @@ def test_pole_stability_over_random_profiles():
         delays = np.concatenate([[0], np.sort(rng.choice(np.arange(1, 8), n_taps - 1, replace=False))])
         powers = rng.uniform(0.1, 1.0, n_taps)
         pdp = PowerDelayProfile.from_linear(delays, powers)
-        report = configure_time_domain_report(pdp, 32, 30, 2, 3, 1, rng)
+        report = configure_time_domain_report(pdp, 32, 30, 2, 3, 1, rng, "tanh")
         assert np.all(np.abs(report.spec.w_res) < 1.0)
